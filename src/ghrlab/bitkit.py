@@ -178,14 +178,34 @@ def fourier_pattern(s: BitString, n: int) -> BitString:
     return BitString(acc, n)
 
 
+def fwht(v: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a length-2**k vector in natural order:
+    out[s] = sum_i (-1)**popcount(s & i) * v[i].
+
+    Butterflies in v's own dtype, so integer input stays exact while no
+    value overflows; applying it twice scales by the length."""
+    v = v.copy()
+    size = v.size
+    h = 1
+    while h < size:
+        v = v.reshape(-1, 2, h)
+        top = v[:, 0, :].copy()
+        v[:, 0, :] = top + v[:, 1, :]
+        v[:, 1, :] = top - v[:, 1, :]
+        v = v.reshape(size)
+        h *= 2
+    return v
+
+
 class Rng:
     """Seeded random source with replayable child streams.
 
     Streams are keyed by (seed, stream id): the root uses a reserved id and
     child(i) uses id i, so trial i's randomness depends only on (seed, i) and
     never on the parent's position in its own stream.  One level of splitting
-    is supported; children of the same seed are shared across call sites by
-    design.
+    is supported: a child's own child would reuse the id space of the root's
+    children, so child() on a child raises.  Children of the same seed are
+    shared across call sites by design.
     """
 
     def __init__(self, seed: int, algorithm: str = RNG_ALGORITHM, stream: int = _ROOT_STREAM) -> None:
@@ -198,7 +218,9 @@ class Rng:
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "Rng":
-        """Independent stream for trial `index`."""
+        """Independent stream for trial `index`; only the root stream splits."""
+        if self.stream != _ROOT_STREAM:
+            raise ValueError(f"stream {self.stream} is a child; nested splitting is unsupported")
         if not 0 <= index < _ROOT_STREAM:
             raise ValueError(f"child index {index} out of range")
         return Rng(self.seed, self.algorithm, stream=index)

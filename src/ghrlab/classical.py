@@ -35,7 +35,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .bitkit import BitString, Rng, random_bitstring
+from .bitkit import BitString, Rng, fwht, random_bitstring
 from .relation import McEstimate, tghr_is_valid
 from .util import map_trials
 
@@ -153,21 +153,6 @@ class RectangleSpec:
         return math.log2(self.n / dens)
 
 
-def _fwht(v: np.ndarray) -> np.ndarray:
-    """In-place-style integer Walsh-Hadamard transform (self-inverse up to N)."""
-    v = v.copy()
-    size = v.size
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2, h)
-        top = v[:, 0, :].copy()
-        v[:, 0, :] = top + v[:, 1, :]
-        v[:, 1, :] = top - v[:, 1, :]
-        v = v.reshape(size)
-        h *= 2
-    return v
-
-
 @lru_cache(maxsize=8)
 def _popcounts(n: int) -> np.ndarray:
     out = np.zeros(1 << n, dtype=np.int64)
@@ -183,8 +168,8 @@ def distance_counts(rect: RectangleSpec) -> np.ndarray:
     Integer xor-convolution of the indicators; intermediate values stay
     below 2**63 for n <= 20."""
     ind_a, ind_b = rect.indicator_vectors()
-    prod = _fwht(ind_a) * _fwht(ind_b)
-    pair_counts = _fwht(prod) // ind_a.size
+    prod = fwht(ind_a) * fwht(ind_b)
+    pair_counts = fwht(prod) // ind_a.size
     out = np.zeros(rect.n + 1, dtype=np.int64)
     np.add.at(out, _popcounts(rect.n), pair_counts)
     return out

@@ -41,6 +41,7 @@ from .relation import (
     estimate_aleph_probability,
     require_transform_size,
 )
+from .util import InvariantError
 
 _SEED_LIMIT = 1 << 64
 
@@ -160,6 +161,8 @@ def _cmd_baseline_tghr(args):
 def _cmd_coupling_verify(args):
     if args.n < 2 or args.n % 2 or args.n > 12:
         raise ValueError(f"n must be even in [2, 12], got {args.n}")
+    if not args.tol >= 0:
+        raise ValueError(f"tol must be a nonnegative number, got {args.tol}")
     meta = [
         ("subcommand", "coupling-verify"),
         ("n", args.n),
@@ -342,6 +345,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return 1
     try:
         write_csv(rows, schema, args.out, meta)
     except OSError as exc:

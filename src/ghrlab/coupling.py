@@ -29,6 +29,7 @@ from fractions import Fraction
 import math
 
 from .bitkit import BitString, Rng
+from .util import InvariantError
 
 
 @dataclass(frozen=True)
@@ -251,7 +252,8 @@ def exact_coupled_distribution(s: BitString, _force_z_zero: bool = False) -> Cou
             states = dict(nxt)
         dist = [Fraction(0)] * (n + 1)
         for (k, w), pr in states.items():
-            assert k == 0, "all weight must be consumed"
+            if k != 0:
+                raise InvariantError(f"DP for s={s} ended with {k} unconsumed weight")
             dist[w] += pr
         rows.append(tuple(dist))
     return CoupledDistTable(n, s, tuple(rows))

@@ -4,9 +4,12 @@ The joint measurement outcome (J, S) for inputs (x, y) has probability
 (2*delta - n)**2 / n**3 at cell (j, s), where delta = delta(x, y, (j, s)).
 OutcomeDistribution stores the integer numerators over the fixed denominator
 n**3, so normalization is the exact table identity and sampling reduces to
-one uniform integer draw below n**3 per outcome.  The explicit state vectors
-(phi on n coordinates, u on n**2) are provided so the closed form can be
-checked against squared inner products.
+one uniform integer draw below n**3 per outcome.  Every row of numerators
+sums to exactly n**2, so a draw r lands in row r // n**2 and protocol runs
+build only the rows their draws land in (sample_outcomes); the full table
+is built only when the relation check needs typicality.  The explicit state
+vectors (phi on n coordinates, u on n**2) are provided so the closed form
+can be checked against squared inner products.
 
 A full protocol answer is log2 n independent outcomes; the t-repetition
 variant samples only t outcomes and tiles them in order (o_1..o_t, o_1..o_t,
@@ -24,6 +27,7 @@ import numpy as np
 from .bitkit import BitString, Rng, fourier_pattern, random_bitstring
 from .relation import (
     DeltaTable,
+    DeviationRows,
     McEstimate,
     TransformIndex,
     answer_length,
@@ -145,9 +149,42 @@ def outcome_distribution(x: BitString, y: BitString, mode: str | None = None) ->
     return OutcomeDistribution.from_table(delta_table(x, y), mode)
 
 
+def sample_outcomes(rows: DeviationRows, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
+    """count independent outcomes, identical to OutcomeDistribution.sample
+    on the full table for the same rng state.
+
+    The full table's row-major cumulative sum reaches exactly k * n**2 at the
+    end of row k - 1, so draw r lands in row r // n**2 at the first cell whose
+    cumulative sum within that row exceeds r mod n**2."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    n = rows.n
+    per_row = n * n
+    k = answer_length(n)
+    draws = rng.generator.integers(0, n**3, size=count, dtype=np.int64)
+    cumulative: dict[int, np.ndarray] = {}
+    out = []
+    for r in draws.tolist():
+        j = r // per_row + 1
+        if j not in cumulative:
+            cumulative[j] = np.cumsum(rows.squares(j), dtype=np.int64)
+        s = int(np.searchsorted(cumulative[j], r % per_row, side="right"))
+        out.append(TransformIndex(j, BitString(s, k)))
+    return tuple(out)
+
+
+def _run(rows: DeviationRows, rng: Rng, t: int) -> tuple[TransformIndex, ...]:
+    """t outcome samples tiled to a log2 n entry answer: the block repeats in
+    order ceil(log2(n) / t) times and the last copy is trimmed."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    m = answer_length(rows.n)
+    return (sample_outcomes(rows, rng, t) * -(-m // t))[:m]
+
+
 def run_protocol(x: BitString, y: BitString, rng: Rng) -> tuple[TransformIndex, ...]:
     """One full protocol run: log2 n independent outcome samples."""
-    return outcome_distribution(x, y).sample(rng, answer_length(x.n))
+    return _run(DeviationRows(x, y), rng, answer_length(x.n))
 
 
 def run_protocol_trep(x: BitString, y: BitString, t: int, rng: Rng) -> tuple[TransformIndex, ...]:
@@ -155,12 +192,7 @@ def run_protocol_trep(x: BitString, y: BitString, t: int, rng: Rng) -> tuple[Tra
 
     The tiling keeps sample order, repeating the block ceil(log2(n)/t) times
     and trimming the last copy."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    m = answer_length(x.n)
-    base = outcome_distribution(x, y).sample(rng, t)
-    reps = -(-m // t)
-    return (base * reps)[:m]
+    return _run(DeviationRows(x, y), rng, t)
 
 
 def repetition_failure_probability(m: int, p: Fraction) -> Fraction:
@@ -201,34 +233,21 @@ def estimate_success(
     """Monte Carlo success rate of full runs on uniform input pairs.
 
     Trial i draws inputs and outcomes from rng.child(i); the sampled answer
-    is checked against the relation with the same exact table.  With t set,
-    each run draws only t outcomes and tiles them to log2 n entries."""
+    is checked against the relation with the same exact rows, and the full
+    table is built only when the answer alone does not settle validity.
+    With t set, each run draws only t outcomes and tiles them to log2 n
+    entries."""
     require_transform_size(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if t is not None and t < 1:
-        raise ValueError("t must be >= 1")
-    m = answer_length(n)
+    samples = answer_length(n) if t is None else t
 
     def one(i: int) -> bool:
         child = rng.child(i)
         x = random_bitstring(n, child)
         y = random_bitstring(n, child)
-        table = delta_table(x, y)
-        dist = OutcomeDistribution.from_table(table)
-        if t is None:
-            answer = dist.sample(child, m)
-        else:
-            reps = -(-m // t)
-            answer = (dist.sample(child, t) * reps)[:m]
-        if not table.aleph():
-            return True
-        outside = 0
-        for cell in answer:
-            dev = 2 * table.entry(cell.j, cell.s) - n
-            if dev * dev > n:
-                outside += 1
-        return 2 * outside >= m
+        rows = DeviationRows(x, y)
+        return rows.accepts(_run(rows, child, samples))
 
     hits = sum(map_trials(one, trials, threads))
     return McEstimate.from_successes(hits, trials, rng.seed)

@@ -8,7 +8,8 @@ distance enters as its scaled deviation 2*delta - n, the center window test
 is (2*delta - n)**2 <= n, and the typicality predicate compares
 9 * statistic <= 4 * n**3 where statistic sums (2*delta - n)**2 over
 in-window cells.  Summed over ALL cells that square deviation always equals
-n**3 exactly, which the table type exposes for verification.
+n**3 exactly, which the table type exposes for verification; summed along
+one shift row it equals n**2, which every row built alone is checked for.
 
 n must be a power of 4 so that sqrt(n) and log2(n)/2 are integers.
 """
@@ -24,14 +25,28 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bitkit import BitString, Rng, fourier_pattern, random_bitstring
-from .util import map_trials
+from .bitkit import BitString, Rng, fourier_pattern, fwht, random_bitstring
+from .util import InvariantError, map_trials
+
+MAX_TRANSFORM_SIZE = 4096
+# 8-byte n x n arrays alive at the peak of _delta_table_correlation: the two
+# cached index/sign matrices and the matmul's two inputs and its output
+_TABLE_WORK_ARRAYS = 5
 
 
 def require_transform_size(n: int) -> None:
-    """Reject n that is not 4**k with k >= 1."""
+    """Reject n that is not 4**k with 1 <= k <= 6.
+
+    The cap keeps one full table within memory: at n = 4096 building it
+    needs about 640 MiB, and every doubling of n multiplies that by four."""
     if n < 4 or n & (n - 1) or (n.bit_length() - 1) % 2:
         raise ValueError(f"n must be a power of 4 and >= 4, got {n}")
+    if n > MAX_TRANSFORM_SIZE:
+        gib = _TABLE_WORK_ARRAYS * 8 * n * n / 2**30
+        raise ValueError(
+            f"n={n} exceeds the size cap {MAX_TRANSFORM_SIZE}: "
+            f"its delta table would need about {gib:.1f} GiB"
+        )
 
 
 def answer_length(n: int) -> int:
@@ -154,10 +169,64 @@ def _delta_table_correlation(x: BitString, y: BitString) -> DeltaTable:
     u = _walsh_signs(n) * px[None, :]          # row s = signs of tau_s xor x
     v = py[_rot_index(n)]                      # row j0 = signs of y pulled back by j0
     corr = v @ u.T                             # corr[j0, s] = sum_i u[s, i] * py[(i + j0) % n]
-    dword = (n - np.rint(corr).astype(np.int64)) // 2
+    del u, v                                   # free both n x n inputs before the integer copies
+    dword = (n - np.rint(corr, out=corr).astype(np.int64)) // 2
     # rows of dword are keyed by j0 = j mod n; re-key to j - 1 for j in [1, n]
     values = np.roll(dword, -1, axis=0)
     return DeltaTable(n, values)
+
+
+def row_square_deviations(x: BitString, y: BitString, j: int) -> np.ndarray:
+    """(2*delta - n)**2 along row j - 1 of the pair's table, without the table.
+
+    The row is the square of the integer Walsh-Hadamard transform of
+    px * py pulled back by j0 = j mod n, the same keying as the correlation
+    backend.  By Parseval every row sums to exactly n**2; a row that does
+    not raises InvariantError."""
+    _check_pair(x, y)
+    n = x.n
+    if not 1 <= j <= n:
+        raise ValueError(f"shift {j} outside [1, {n}]")
+    px = 1 - 2 * x.to_array().astype(np.int64)
+    py = 1 - 2 * y.to_array().astype(np.int64)
+    corr = fwht(px * np.roll(py, -j))
+    squares = corr * corr
+    total = int(squares.sum())
+    if total != n * n:
+        raise InvariantError(f"row j={j} of the table sums to {total}, not n**2 = {n * n}")
+    return squares
+
+
+class DeviationRows:
+    """Rows of one pair's squared deviations, each built once on first use.
+
+    squares(j) equals the squared scaled deviations of delta_table(x, y) at
+    row j - 1; only the rows asked for are ever computed."""
+
+    def __init__(self, x: BitString, y: BitString) -> None:
+        _check_pair(x, y)
+        self.x = x
+        self.y = y
+        self.n = x.n
+        self._rows: dict[int, np.ndarray] = {}
+
+    def squares(self, j: int) -> np.ndarray:
+        row = self._rows.get(j)
+        if row is None:
+            row = self._rows[j] = row_square_deviations(self.x, self.y, j)
+        return row
+
+    def accepts(self, answer: Sequence[TransformIndex]) -> bool:
+        """Relation check of a log2 n entry answer, answer first.
+
+        At least half of the entries outside the center window is valid for
+        any pair; otherwise the answer is valid only if the pair is atypical,
+        which alone needs the full table."""
+        n = self.n
+        outside = sum(1 for t in answer if self.squares(t.j)[t.s.as_unsigned()] > n)
+        if 2 * outside >= answer_length(n):
+            return True
+        return not delta_table(self.x, self.y).aleph()
 
 
 def aleph_statistic(x: BitString, y: BitString) -> int:
@@ -180,16 +249,9 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
     m = answer_length(x.n)
     if len(answer) != m:
         raise ValueError(f"answer must have {m} entries, got {len(answer)}")
-    table = delta_table(x, y)
-    if not table.aleph():
-        return True
-    n = x.n
-    outside = 0
-    for t in answer:
-        dev = 2 * table.entry(t.j, t.s) - n
-        if dev * dev > n:
-            outside += 1
-    return 2 * outside >= m
+    if any(t.s.n != m for t in answer):
+        raise ValueError(f"selectors must have {m} bits")
+    return DeviationRows(x, y).accepts(answer)
 
 
 def tghr_is_valid(x: BitString, y: BitString, tau: BitString) -> bool:

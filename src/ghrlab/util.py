@@ -1,9 +1,13 @@
-"""Deterministic trial fan-out."""
+"""Deterministic trial fan-out, and the error a failed runtime invariant raises."""
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 ENV_THREADS = "GHRLAB_THREADS"
+
+
+class InvariantError(ArithmeticError):
+    """An exact identity that holds by construction failed at run time."""
 
 
 def thread_limit() -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghrlab.bitkit import BitString, Rng, fourier_pattern, inner_mod2, random_bitstring
+from ghrlab.bitkit import BitString, Rng, fourier_pattern, fwht, inner_mod2, random_bitstring
 
 
 def bs(text):
@@ -132,6 +132,33 @@ def test_rng_reproducible_and_children_disjoint():
     parent = Rng(7)
     parent.u64()
     assert parent.child(0).u64() == Rng(7).child(0).u64()
+
+
+def test_nested_child_streams_raise():
+    # a child's child would replay the root's child of the same index
+    with pytest.raises(ValueError):
+        Rng(5).child(3).child(0)
+    assert Rng(5).child(3).stream == 3
+
+
+def walsh_matrix(size):
+    return np.array(
+        [[(-1) ** bin(s & i).count("1") for i in range(size)] for s in range(size)],
+        dtype=np.int64,
+    )
+
+
+def test_fwht_equals_walsh_sign_matrix_product():
+    gen = np.random.default_rng(0)
+    for k in range(7):
+        size = 1 << k
+        v = gen.integers(-50, 50, size=size, dtype=np.int64)
+        before = v.copy()
+        out = fwht(v)
+        assert np.array_equal(v, before)  # input untouched
+        assert out.dtype == np.int64
+        assert np.array_equal(out, walsh_matrix(size) @ v)
+        assert np.array_equal(fwht(out), size * v)
 
 
 def test_rng_bits_and_below():

@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+import ghrlab.relation as relation
+from ghrlab.bitkit import fwht
 from ghrlab.cli import main
 
 
@@ -129,6 +131,24 @@ def test_usage_errors_exit_two(capsys):
     assert main(["rect-spectrum", "--rect", "odd_ball", "--n", "4"]) == 2
     assert main(["coupling-verify", "--n", "3"]) == 2
     capsys.readouterr()
+
+
+def test_negative_or_nan_tolerance_is_usage_error(capsys):
+    for tol in ("-1", "nan"):
+        assert main(["coupling-verify", "--n", "4", "--tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("error: tol must be")
+
+
+def test_oversized_n_is_usage_error(capsys):
+    for sub in ("aleph-estimate", "protocol-success"):
+        assert main([sub, "--n", "16384", "--trials", "1"]) == 2
+        assert "size cap 4096" in capsys.readouterr().err
+
+
+def test_runtime_invariant_failure_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(relation, "fwht", lambda v: fwht(v) + 1)
+    assert main(["protocol-success", "--n", "16", "--trials", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: invariant failed: row j=")
 
 
 def test_io_failure_exits_one(tmp_path, capsys):

@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+import ghrlab.relation as relation
 from ghrlab.bitkit import BitString, Rng, random_bitstring
 from ghrlab.protocol import (
     OutcomeDistribution,
@@ -18,9 +21,17 @@ from ghrlab.protocol import (
     repetition_failure_probability,
     run_protocol,
     run_protocol_trep,
+    sample_outcomes,
     u_vector,
 )
-from ghrlab.relation import TransformIndex, answer_length, delta_table, enumerate_pairs
+from ghrlab.relation import (
+    DeviationRows,
+    McEstimate,
+    TransformIndex,
+    answer_length,
+    delta_table,
+    enumerate_pairs,
+)
 
 
 def bs(text):
@@ -183,3 +194,54 @@ def test_estimate_success_trep_matches_full_when_t_is_logn():
     a = estimate_success(16, 30, Rng(7))
     b = estimate_success(16, 30, Rng(7), t=answer_length(16))
     assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([4, 16, 64, 256]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 40),
+)
+def test_row_sampler_equals_full_table_sampler(n, pair_seed, seed, count):
+    pair_rng = Rng(pair_seed)
+    x = random_bitstring(n, pair_rng)
+    y = random_bitstring(n, pair_rng)
+    expect = OutcomeDistribution.from_table(delta_table(x, y)).sample(Rng(seed), count)
+    assert sample_outcomes(DeviationRows(x, y), Rng(seed), count) == expect
+
+
+def test_row_sampler_rejects_empty_count():
+    with pytest.raises(ValueError):
+        sample_outcomes(DeviationRows(bs("0100"), bs("1110")), Rng(1), 0)
+
+
+def reference_success(n, trials, rng, t):
+    """estimate_success as it reads with the full table built every trial.
+    Also counts the trials whose answer alone cannot settle validity."""
+    m = answer_length(n)
+    hits = unsettled = 0
+    for i in range(trials):
+        child = rng.child(i)
+        x = random_bitstring(n, child)
+        y = random_bitstring(n, child)
+        table = delta_table(x, y)
+        base = OutcomeDistribution.from_table(table).sample(child, t)
+        answer = (base * -(-m // t))[:m]
+        dev = [2 * table.entry(c.j, c.s) - n for c in answer]
+        outside = sum(d * d > n for d in dev)
+        unsettled += 2 * outside < m
+        hits += (not table.aleph()) or 2 * outside >= m
+    return McEstimate.from_successes(hits, trials, rng.seed), unsettled
+
+
+@pytest.mark.parametrize("n,trials", [(4, 40), (16, 80), (64, 60)])
+@pytest.mark.parametrize("t", [None, 1, 3])
+def test_estimate_success_equals_full_table_reference(monkeypatch, n, trials, t):
+    expect, unsettled = reference_success(n, trials, Rng(13), answer_length(n) if t is None else t)
+    built = []
+    real = relation.delta_table
+    monkeypatch.setattr(relation, "delta_table", lambda x, y: built.append(1) or real(x, y))
+    assert estimate_success(n, trials, Rng(13), t=t) == expect
+    # the full table is built exactly for the trials the answer leaves open
+    assert len(built) == unsettled

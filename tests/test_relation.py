@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghrlab.bitkit import BitString, Rng, random_bitstring
+import ghrlab.relation as relation
+from ghrlab.bitkit import BitString, Rng, fwht, random_bitstring
 from ghrlab.relation import (
+    MAX_TRANSFORM_SIZE,
+    DeviationRows,
     McEstimate,
     TransformIndex,
     aleph,
@@ -22,8 +25,10 @@ from ghrlab.relation import (
     ghd_value,
     ghr_is_valid,
     require_transform_size,
+    row_square_deviations,
     tghr_is_valid,
 )
+from ghrlab.util import InvariantError
 
 
 def bs(text):
@@ -36,6 +41,15 @@ def test_transform_size_gate():
     for n in (1, 2, 8, 32, 100, 128, 512):
         with pytest.raises(ValueError):
             require_transform_size(n)
+
+
+def test_transform_size_cap_raises_before_allocating():
+    require_transform_size(MAX_TRANSFORM_SIZE)
+    # 16384 is a power of 4 above the cap; the guard is pure arithmetic
+    with pytest.raises(ValueError, match=r"size cap 4096.*10\.0 GiB"):
+        require_transform_size(16384)
+    with pytest.raises(ValueError):
+        answer_length(16384)
 
 
 def test_answer_length():
@@ -132,6 +146,56 @@ def test_ghr_answer_length_enforced():
     x, y = bs("0000"), bs("1100")
     with pytest.raises(ValueError):
         ghr_is_valid(x, y, [TransformIndex(1, bs("00"))])
+    with pytest.raises(ValueError):
+        ghr_is_valid(x, y, [TransformIndex(1, bs("00")), TransformIndex(1, bs("000"))])
+    with pytest.raises(ValueError):
+        ghr_is_valid(x, y, [TransformIndex(1, bs("00")), TransformIndex(5, bs("00"))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([4, 16, 64, 256]),
+    st.integers(0, 2**64 - 1),
+)
+def test_rows_equal_table_rows(n, seed):
+    rng = Rng(seed)
+    x = random_bitstring(n, rng)
+    y = random_bitstring(n, rng)
+    dev = delta_table(x, y).scaled_deviations()
+    rows = DeviationRows(x, y)
+    for j in sorted({1, 2, n // 2, n - 1, n, rng.below(n) + 1}):
+        assert np.array_equal(row_square_deviations(x, y, j), dev[j - 1] ** 2)
+        assert np.array_equal(rows.squares(j), dev[j - 1] ** 2)
+
+
+def test_corrupted_row_trips_parseval_check(monkeypatch):
+    def corrupted(v):
+        out = fwht(v)
+        out[0] += 2
+        return out
+
+    monkeypatch.setattr(relation, "fwht", corrupted)
+    x, y = bs("0100"), bs("1110")
+    with pytest.raises(InvariantError, match="n\\*\\*2 = 16"):
+        row_square_deviations(x, y, 3)
+
+
+def test_ghr_valid_equals_full_table_reference():
+    """Answer-first check against the table-first definition."""
+    rng = Rng(11)
+    n = 16
+    m = answer_length(n)
+    seen = set()
+    for _ in range(60):
+        x = random_bitstring(n, rng)
+        y = random_bitstring(n, rng)
+        table = delta_table(x, y)
+        answer = [TransformIndex(rng.below(n) + 1, BitString(rng.below(n), m)) for _ in range(m)]
+        outside = sum((2 * table.entry(t.j, t.s) - n) ** 2 > n for t in answer)
+        expect = (not table.aleph()) or 2 * outside >= m
+        assert ghr_is_valid(x, y, answer) == expect
+        seen.add(expect)
+    assert seen == {True, False}
 
 
 def test_tghr_threshold_is_exact():
