@@ -179,22 +179,28 @@ def fourier_pattern(s: BitString, n: int) -> BitString:
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of a length-2**k vector in natural order:
-    out[s] = sum_i (-1)**popcount(s & i) * v[i].
+    """Walsh-Hadamard transform along axis 0, whose length is 2**k, in
+    natural order: out[s, ...] = sum_i (-1)**popcount(s & i) * v[i, ...].
 
-    Butterflies in v's own dtype, so integer input stays exact while no
-    value overflows; applying it twice scales by the length."""
-    v = v.copy()
-    size = v.size
-    h = 1
-    while h < size:
-        v = v.reshape(-1, 2, h)
-        top = v[:, 0, :].copy()
-        v[:, 0, :] = top + v[:, 1, :]
-        v[:, 1, :] = top - v[:, 1, :]
-        v = v.reshape(size)
-        h *= 2
-    return v
+    A 1-D vector and an (n, columns) array take the same butterflies, so
+    every column of a 2-D input is transformed on its own.  Butterflies run in
+    v's own dtype, so integer input stays exact while no value overflows;
+    applying it twice scales by the length.  Each stage reads one buffer and
+    writes the other over contiguous blocks of whole rows; v is not written."""
+    src = np.ascontiguousarray(v)
+    size = src.shape[0]
+    if size == 1:
+        return src.copy()
+    cols = src.size // size
+    buffers = (np.empty_like(src), np.empty_like(src))
+    for stage in range(size.bit_length() - 1):
+        a = src.reshape(-1, 2, cols << stage)
+        dst = buffers[stage & 1]
+        b = dst.reshape(a.shape)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+        src = dst
+    return src
 
 
 class Rng:

@@ -126,6 +126,34 @@ def _fair_cumulative(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _tail_counts(m: int, t: int) -> tuple[int, int]:
+    """Integer counts C(m, k) summed over k <= m/2 - t and over k >= m/2 + t,
+    for an integer t >= 1; over 2**m they are the fair binomial's two tails."""
+    cum = _fair_cumulative(m)
+    k_lo = (m - 2 * t) // 2          # floor(m/2 - t)
+    k_hi = (m + 2 * t + 1) // 2      # ceil(m/2 + t)
+    lower = cum[k_lo] if k_lo >= 0 else 0
+    upper = cum[m] - cum[k_hi - 1] if k_hi <= m else 0
+    return lower, upper
+
+
+def _window_grid(m_values: Iterable[int]):
+    """Per m, (m, windows) where windows lists (a, b, exact mass of [a, b])
+    for every window a < b inside m/2 +- sqrt(m), in (a, b) order."""
+    for m in m_values:
+        cum = _fair_cumulative(m)
+        denom = 1 << m
+        root = math.sqrt(m)
+        lo = max(math.ceil(m / 2 - root), 0)
+        hi = min(math.floor(m / 2 + root), m)
+        windows = []
+        for a in range(lo, hi):
+            base_cum = cum[a - 1] if a > 0 else 0
+            for b in range(a + 1, hi + 1):
+                windows.append((a, b, (cum[b] - base_cum) / denom))
+        yield m, windows
+
+
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
     """P[a <= X <= b] for X ~ Binomial(m, 1/2), exactly."""
     if not 0 <= a <= b <= m:
@@ -173,21 +201,11 @@ def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2)))
     of the given m.  Clamped at zero: the correction only ever tightens.
     """
     worst = 0.0
-    for m in m_values:
-        cum = _fair_cumulative(m)
-        denom = 1 << m
-        root = math.sqrt(m)
-        lo = math.ceil(m / 2 - root)
-        hi = math.floor(m / 2 + root)
-        lo = max(lo, 0)
-        hi = min(hi, m)
-        for a in range(lo, hi):
-            base_cum = cum[a - 1] if a > 0 else 0
-            for b in range(a + 1, hi + 1):
-                exact = (cum[b] - base_cum) / denom
-                gap = (binomial_window_lower(m, a, b, c_term=0.0) - exact) * m
-                if gap > worst:
-                    worst = gap
+    for m, windows in _window_grid(m_values):
+        for a, b, exact in windows:
+            gap = (binomial_window_lower(m, a, b, c_term=0.0) - exact) * m
+            if gap > worst:
+                worst = gap
     return worst
 
 
@@ -219,12 +237,13 @@ class BoundReport:
 def hoeffding_dominance_report(
     m_values: Iterable[int] = range(10, 401), t_max_divisor: int = 4
 ) -> BoundReport:
-    """Exact fair-binomial two-sided tails never exceed the Hoeffding bound."""
+    """Exact fair-binomial two-sided tails, counted as integers over 2**m
+    (equal to float(exact_binomial_deviation(m, t))), never exceed Hoeffding."""
     points = []
     for m in m_values:
         ranges = [(0.0, 1.0)] * m
         for t in range(1, m // t_max_divisor + 1):
-            exact = float(exact_binomial_deviation(m, t))
+            exact = sum(_tail_counts(m, t)) / (1 << m)
             bound = hoeffding_bound(ranges, t)
             points.append(BoundPoint(f"m={m},t={t}", bound, exact, exact <= bound))
     return BoundReport("two-sided binomial tail vs hoeffding_bound", tuple(points))
@@ -237,14 +256,12 @@ def chernoff_dominance_report(
     bounds, in both the exp and the ratio form."""
     points = []
     for m in m_values:
-        cum = _fair_cumulative(m)
         denom = 1 << m
         mu = m / 2.0
         for t in range(1, m // t_max_divisor + 1):
-            k_lo = (m - 2 * t) // 2          # floor(m/2 - t)
-            k_hi = (m + 2 * t + 1) // 2      # ceil(m/2 + t)
-            exact_lo = (cum[k_lo] if k_lo >= 0 else 0) / denom
-            exact_hi = (cum[m] - cum[k_hi - 1]) / denom if k_hi <= m else 0.0
+            lower, upper = _tail_counts(m, t)
+            exact_lo = lower / denom
+            exact_hi = upper / denom
             checks = (
                 ("exp_lo", exact_lo, relaxed_chernoff_bound("lower_tail", a=mu, t=t)),
                 ("exp_hi", exact_hi, relaxed_chernoff_bound("upper_tail", a=mu, t=t)),
@@ -278,24 +295,16 @@ def window_lower_dominance_report(
     that m's worst window; 1e-12 float slack."""
     c = DEFAULT_WINDOW_C if c_term is None else c_term
     points = []
-    for m in m_values:
-        cum = _fair_cumulative(m)
-        denom = 1 << m
-        root = math.sqrt(m)
-        lo = max(math.ceil(m / 2 - root), 0)
-        hi = min(math.floor(m / 2 + root), m)
+    for m, windows in _window_grid(m_values):
         worst_margin = math.inf
         worst_bound = 0.0
         worst_exact = 0.0
-        for a in range(lo, hi):
-            base_cum = cum[a - 1] if a > 0 else 0
-            for b in range(a + 1, hi + 1):
-                exact = (cum[b] - base_cum) / denom
-                bound = binomial_window_lower(m, a, b, c_term=c)
-                if exact - bound < worst_margin:
-                    worst_margin = exact - bound
-                    worst_bound = bound
-                    worst_exact = exact
+        for a, b, exact in windows:
+            bound = binomial_window_lower(m, a, b, c_term=c)
+            if exact - bound < worst_margin:
+                worst_margin = exact - bound
+                worst_bound = bound
+                worst_exact = exact
         points.append(
             BoundPoint(f"m={m}", worst_bound, worst_exact, worst_margin >= -1e-12)
         )

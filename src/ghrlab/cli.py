@@ -12,6 +12,7 @@ run's check (or output cannot be written); 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -33,10 +34,10 @@ from .classical import (
     xi_parameters,
 )
 from .coupling import verify_independence
-from .protocol import estimate_success, failure_probability_exact
+from .protocol import estimate_success, table_failure_probability
 from .relation import (
-    aleph,
     answer_length,
+    delta_table,
     enumerate_pairs,
     estimate_aleph_probability,
     require_transform_size,
@@ -123,8 +124,6 @@ def _cmd_protocol_failure_exact(args):
         ("n", args.n),
     ]
     if args.exhaustive:
-        if 2 * args.n > 20:
-            raise ValueError(f"exhaustive enumeration infeasible for n={args.n}")
         pairs = list(enumerate_pairs(args.n))
         meta.append(("exhaustive", True))
     else:
@@ -136,10 +135,10 @@ def _cmd_protocol_failure_exact(args):
         meta.extend([("trials", args.trials), ("seed", args.seed), ("exhaustive", False)])
     meta.append(("rng", RNG_ALGORITHM))
     schema = ("x", "y", "aleph", "failure")
-    rows = [
-        (str(x), str(y), aleph(x, y), float(failure_probability_exact(x, y)))
-        for x, y in pairs
-    ]
+    rows = []
+    for x, y in pairs:
+        table = delta_table(x, y)
+        rows.append((str(x), str(y), table.aleph(), float(table_failure_probability(table))))
     return rows, schema, meta, True
 
 
@@ -276,7 +275,21 @@ _HANDLERS = {
 }
 
 
+def _int_at_least(low: int):
+    """argparse type: an int >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message for a non-integer
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="ghrlab", description="Gap-Hamming relation experiments, CSV out."
     )
@@ -289,25 +302,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("aleph-estimate", "Monte Carlo estimate of the typicality probability")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("protocol-success", "Monte Carlo protocol success rate on uniform pairs")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=int, default=None, help="outcome samples per run (default log2 n)")
+    p.add_argument("--t", type=_int_at_least(1), default=None, help="outcome samples per run (default log2 n)")
 
     p = add("protocol-failure-exact", "exact per-pair failure probabilities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--exhaustive", action="store_true", help="all pairs (small n)")
-    p.add_argument("--trials", type=int, default=100, help="sampled pairs when not exhaustive")
+    p.add_argument("--trials", type=_int_at_least(1), default=100, help="sampled pairs when not exhaustive")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("baseline-tghr", "shared-randomness baseline success rate")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True, help="shared samples per run")
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--t", type=_int_at_least(1), required=True, help="shared samples per run")
+    p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("coupling-verify", "exact coupled-mixture check for every selector")
@@ -316,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bounds-validate", "tail-bound dominance grids, plus sampled shift tails")
     p.add_argument("--n", type=int, default=256)
-    p.add_argument("--trials", type=int, default=0, help="samples per shift (0 skips)")
+    p.add_argument("--trials", type=_int_at_least(0), default=0, help="samples per shift (0 skips)")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("reduction-demo", "set-disjointness encoding over all instances")
@@ -324,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rect", default="full")
-    p.add_argument("--trials", type=int, default=1, help="independent seeds")
+    p.add_argument("--trials", type=_int_at_least(1), default=1, help="independent seeds")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("rect-spectrum", "relative distance weights of a rectangle")
@@ -335,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

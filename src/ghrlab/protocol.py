@@ -77,39 +77,28 @@ def u_vector(t: TransformIndex, n: int) -> StateVector:
 class OutcomeDistribution:
     """Exact outcome law of the joint measurement for one input pair.
 
-    numerators[j - 1, s.as_unsigned()] over the denominator n**3.  The mode
-    only selects what probability() returns: Fractions ("rational", default
-    for n <= 256) or floats ("float", default beyond).  Numerators stay exact
-    integers either way.
+    numerators[j - 1, s.as_unsigned()] over the denominator n**3, as exact
+    integers; probability() is a Fraction and probabilities() the float view.
     """
 
-    def __init__(self, n: int, numerators: np.ndarray, mode: str | None = None):
+    def __init__(self, n: int, numerators: np.ndarray):
         require_transform_size(n)
-        if mode is None:
-            mode = "rational" if n <= 256 else "float"
-        if mode not in ("rational", "float"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.n = n
         self.numerators = numerators
-        self.mode = mode
         self._cumulative = None
 
     @classmethod
-    def from_table(cls, table: DeltaTable, mode: str | None = None) -> "OutcomeDistribution":
-        dev = table.scaled_deviations()
-        return cls(table.n, dev * dev, mode)
+    def from_table(cls, table: DeltaTable) -> "OutcomeDistribution":
+        return cls(table.n, table.squares)
 
     @property
     def denominator(self) -> int:
         return self.n**3
 
-    def probability(self, j: int, s: BitString):
+    def probability(self, j: int, s: BitString) -> Fraction:
         if not 1 <= j <= self.n:
             raise ValueError(f"shift {j} outside [1, {self.n}]")
-        num = int(self.numerators[j - 1, s.as_unsigned()])
-        if self.mode == "rational":
-            return Fraction(num, self.denominator)
-        return num / self.denominator
+        return Fraction(int(self.numerators[j - 1, s.as_unsigned()]), self.denominator)
 
     def probabilities(self) -> np.ndarray:
         """Dense float probabilities, rows j - 1, columns s.as_unsigned()."""
@@ -144,9 +133,9 @@ class OutcomeDistribution:
         )
 
 
-def outcome_distribution(x: BitString, y: BitString, mode: str | None = None) -> OutcomeDistribution:
+def outcome_distribution(x: BitString, y: BitString) -> OutcomeDistribution:
     """Exact outcome law for inputs (x, y)."""
-    return OutcomeDistribution.from_table(delta_table(x, y), mode)
+    return OutcomeDistribution.from_table(delta_table(x, y))
 
 
 def sample_outcomes(rows: DeviationRows, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
@@ -210,17 +199,22 @@ def repetition_failure_probability(m: int, p: Fraction) -> Fraction:
     return total
 
 
-def failure_probability_exact(x: BitString, y: BitString) -> Fraction:
-    """Exact probability that a full protocol run yields an invalid answer.
+def table_failure_probability(table: DeltaTable) -> Fraction:
+    """Exact probability that a full protocol run on the table's pair yields
+    an invalid answer.
 
     Atypical pairs never fail.  Typical pairs fail iff more than half of the
     log2 n sampled cells are in-window, each independently with the exact
     rational in-window mass p."""
-    table = delta_table(x, y)
     if not table.aleph():
         return Fraction(0)
     dist = OutcomeDistribution.from_table(table)
-    return repetition_failure_probability(answer_length(x.n), dist.in_window_mass())
+    return repetition_failure_probability(answer_length(table.n), dist.in_window_mass())
+
+
+def failure_probability_exact(x: BitString, y: BitString) -> Fraction:
+    """table_failure_probability of the pair (x, y)."""
+    return table_failure_probability(delta_table(x, y))
 
 
 def estimate_success(
@@ -254,15 +248,7 @@ def estimate_success(
 
 
 def exact_success_probability(n: int) -> Fraction:
-    """Average success probability over ALL input pairs, exactly.
-
-    Feasible only for n = 4 among allowed sizes (4**n pairs)."""
+    """Average success probability over ALL 4**n input pairs, exactly."""
     require_transform_size(n)
-    if 1 << (2 * n) > 1 << 20:
-        raise ValueError(f"exhaustive enumeration infeasible for n={n}")
-    total = Fraction(0)
-    count = 0
-    for x, y in enumerate_pairs(n):
-        total += 1 - failure_probability_exact(x, y)
-        count += 1
-    return total / count
+    failures = sum((failure_probability_exact(x, y) for x, y in enumerate_pairs(n)), Fraction(0))
+    return 1 - failures / 4**n

@@ -9,7 +9,8 @@ is (2*delta - n)**2 <= n, and the typicality predicate compares
 9 * statistic <= 4 * n**3 where statistic sums (2*delta - n)**2 over
 in-window cells.  Summed over ALL cells that square deviation always equals
 n**3 exactly, which the table type exposes for verification; summed along
-one shift row it equals n**2, which every row built alone is checked for.
+one shift row it equals n**2, which every table and row is checked for as
+one integer Walsh-Hadamard transform (bitkit.fwht) builds it.
 
 n must be a power of 4 so that sqrt(n) and log2(n)/2 are integers.
 """
@@ -18,31 +19,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 import math
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitkit import BitString, Rng, fourier_pattern, fwht, random_bitstring
 from .util import InvariantError, map_trials
 
 MAX_TRANSFORM_SIZE = 4096
-# 8-byte n x n arrays alive at the peak of _delta_table_correlation: the two
-# cached index/sign matrices and the matmul's two inputs and its output
-_TABLE_WORK_ARRAYS = 5
+# Bytes per cell alive when delta_table returns: the int16 spectrum, its int32
+# squares and the int64 distances (the transform peaks at three int16 arrays)
+_TABLE_BYTES_PER_CELL = 2 + 4 + 8
 
 
 def require_transform_size(n: int) -> None:
     """Reject n that is not 4**k with 1 <= k <= 6.
 
     The cap keeps one full table within memory: at n = 4096 building it
-    needs about 640 MiB, and every doubling of n multiplies that by four."""
+    needs about 224 MiB, and every doubling of n multiplies that by four."""
     if n < 4 or n & (n - 1) or (n.bit_length() - 1) % 2:
         raise ValueError(f"n must be a power of 4 and >= 4, got {n}")
     if n > MAX_TRANSFORM_SIZE:
-        gib = _TABLE_WORK_ARRAYS * 8 * n * n / 2**30
+        gib = _TABLE_BYTES_PER_CELL * n * n / 2**30
         raise ValueError(
             f"n={n} exceeds the size cap {MAX_TRANSFORM_SIZE}: "
             f"its delta table would need about {gib:.1f} GiB"
@@ -66,11 +66,14 @@ class TransformIndex(NamedTuple):
 class DeltaTable:
     """All n**2 transformed distances of one input pair.
 
-    values[j - 1, s.as_unsigned()] = delta(x, y, (j, s)), as int64.
+    values[j - 1, s.as_unsigned()] = delta(x, y, (j, s)), as int64, and
+    squares holds (2*delta - n)**2 for the same cells, computed once with the
+    table; every predicate below reads squares.
     """
 
     n: int
     values: np.ndarray
+    squares: np.ndarray
 
     def entry(self, j: int, s: BitString) -> int:
         if not 1 <= j <= self.n:
@@ -81,23 +84,19 @@ class DeltaTable:
 
     def scaled_deviations(self) -> np.ndarray:
         """2*delta - n for every cell."""
-        return 2 * self.values.astype(np.int64) - self.n
+        return 2 * self.values - self.n
 
     def parseval_sum(self) -> int:
         """Sum of (2*delta - n)**2 over all cells; equals n**3 exactly."""
-        dev = self.scaled_deviations()
-        return int(np.sum(dev * dev, dtype=np.int64))
+        return int(self.squares.sum(dtype=np.int64))
 
     def window_mask(self) -> np.ndarray:
         """True where (2*delta - n)**2 <= n, the inclusive center window."""
-        dev = self.scaled_deviations()
-        return dev * dev <= self.n
+        return self.squares <= self.n
 
     def aleph_statistic(self) -> int:
         """Sum of (2*delta - n)**2 over in-window cells."""
-        dev = self.scaled_deviations()
-        sq = dev * dev
-        return int(np.sum(sq[sq <= self.n], dtype=np.int64))
+        return int(self.squares.sum(where=self.window_mask(), dtype=np.int64))
 
     def aleph(self) -> bool:
         """Typicality: 9 * statistic <= 4 * n**3, an exact integer test."""
@@ -111,21 +110,31 @@ def delta(x: BitString, y: BitString, t: TransformIndex) -> int:
     return ((tau ^ x).cyclic_shift(t.j) ^ y).weight()
 
 
-def delta_table(x: BitString, y: BitString, backend: str = "correlation") -> DeltaTable:
-    """Full table of transformed distances.
-
-    backend "naive" recomputes every cell from the definition with packed
-    word operations; "correlation" evaluates all cells through one exact
-    circular cross-correlation (a sign-matrix product whose intermediate
-    values stay below 2**53, so the float matmul is exact).  Both backends
-    return identical integer tables.
-    """
+def delta_table(x: BitString, y: BitString) -> DeltaTable:
+    """Full table of transformed distances, from one transform over all n
+    shifts.  values and squares are built in the spectra's layout, one column
+    per shift, and returned as transposed views, which spares a copy."""
     _check_pair(x, y)
-    if backend == "naive":
-        return _delta_table_naive(x, y)
-    if backend == "correlation":
-        return _delta_table_correlation(x, y)
-    raise ValueError(f"unknown backend {backend!r}")
+    n = x.n
+    corr, squares = _spectra(x, y, range(1, n + 1))
+    values = np.subtract(n, corr, dtype=np.int64)
+    values >>= 1
+    return DeltaTable(n, values.T, squares.T)
+
+
+def delta_table_naive(x: BitString, y: BitString) -> DeltaTable:
+    """Oracle for delta_table: every cell recomputed from the definition
+    with packed word operations."""
+    _check_pair(x, y)
+    n = x.n
+    k = answer_length(n)
+    values = np.empty((n, n), dtype=np.int64)
+    for s_val in range(n):
+        w = fourier_pattern(BitString(s_val, k), n) ^ x
+        for j in range(1, n + 1):
+            values[j - 1, s_val] = (w.cyclic_shift(j) ^ y).weight()
+    dev = 2 * values - n
+    return DeltaTable(n, values, dev * dev)
 
 
 def _check_pair(x: BitString, y: BitString) -> None:
@@ -134,67 +143,39 @@ def _check_pair(x: BitString, y: BitString) -> None:
     require_transform_size(x.n)
 
 
-def _delta_table_naive(x: BitString, y: BitString) -> DeltaTable:
+def _spectra(x: BitString, y: BitString, shifts: range) -> tuple[np.ndarray, np.ndarray]:
+    """Walsh spectra of the pair at consecutive shifts, and their squares.
+
+    Column k is the integer FWHT of px * roll(py, -j) for j = shifts[k],
+    with p = 1 - 2 * bit, so corr[s, k] = n - 2 * delta(x, y, (j, s)) and
+    squares[:, k] is (2*delta - n)**2 along table row j - 1.  Every
+    butterfly value is a sum of at most n signs, so int16 is exact for
+    n <= MAX_TRANSFORM_SIZE; squares are int32.  By Parseval every column
+    sums to exactly n**2; the first that does not raises InvariantError."""
     n = x.n
-    k = answer_length(n)
-    values = np.empty((n, n), dtype=np.int64)
-    for s_val in range(n):
-        w = fourier_pattern(BitString(s_val, k), n) ^ x
-        for j in range(1, n + 1):
-            values[j - 1, s_val] = (w.cyclic_shift(j) ^ y).weight()
-    return DeltaTable(n, values)
-
-
-@lru_cache(maxsize=8)
-def _walsh_signs(n: int) -> np.ndarray:
-    """Walsh sign matrix H[s, i] = (-1)**popcount(s & i), float64."""
-    h = np.array([[1.0]])
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
-
-@lru_cache(maxsize=8)
-def _rot_index(n: int) -> np.ndarray:
-    """idx[j0, i0] = (i0 + j0) mod n."""
-    idx = (np.arange(n)[None, :] + np.arange(n)[:, None]) % n
-    idx.setflags(write=False)
-    return idx
-
-
-def _delta_table_correlation(x: BitString, y: BitString) -> DeltaTable:
-    n = x.n
-    px = 1.0 - 2.0 * x.to_array().astype(np.float64)
-    py = 1.0 - 2.0 * y.to_array().astype(np.float64)
-    u = _walsh_signs(n) * px[None, :]          # row s = signs of tau_s xor x
-    v = py[_rot_index(n)]                      # row j0 = signs of y pulled back by j0
-    corr = v @ u.T                             # corr[j0, s] = sum_i u[s, i] * py[(i + j0) % n]
-    del u, v                                   # free both n x n inputs before the integer copies
-    dword = (n - np.rint(corr, out=corr).astype(np.int64)) // 2
-    # rows of dword are keyed by j0 = j mod n; re-key to j - 1 for j in [1, n]
-    values = np.roll(dword, -1, axis=0)
-    return DeltaTable(n, values)
+    px = 1 - 2 * x.to_array().astype(np.int16)
+    py = 1 - 2 * y.to_array().astype(np.int16)
+    # windows[j] = roll(py, -j), a view into one buffer of length 2n
+    windows = sliding_window_view(np.concatenate([py, py]), n)
+    corr = fwht(px[:, None] * windows[shifts.start:shifts.stop].T)
+    squares = np.square(corr, dtype=np.int32)
+    totals = squares.sum(axis=0, dtype=np.int64)
+    bad = np.flatnonzero(totals != n * n)
+    if bad.size:
+        k = int(bad[0])
+        raise InvariantError(
+            f"row j={shifts[k]} of the table sums to {int(totals[k])}, not n**2 = {n * n}"
+        )
+    return corr, squares
 
 
 def row_square_deviations(x: BitString, y: BitString, j: int) -> np.ndarray:
-    """(2*delta - n)**2 along row j - 1 of the pair's table, without the table.
-
-    The row is the square of the integer Walsh-Hadamard transform of
-    px * py pulled back by j0 = j mod n, the same keying as the correlation
-    backend.  By Parseval every row sums to exactly n**2; a row that does
-    not raises InvariantError."""
+    """(2*delta - n)**2 along row j - 1 of the pair's table, without the
+    table: the transform of shift j alone, checked to sum to n**2."""
     _check_pair(x, y)
-    n = x.n
-    if not 1 <= j <= n:
-        raise ValueError(f"shift {j} outside [1, {n}]")
-    px = 1 - 2 * x.to_array().astype(np.int64)
-    py = 1 - 2 * y.to_array().astype(np.int64)
-    corr = fwht(px * np.roll(py, -j))
-    squares = corr * corr
-    total = int(squares.sum())
-    if total != n * n:
-        raise InvariantError(f"row j={j} of the table sums to {total}, not n**2 = {n * n}")
-    return squares
+    if not 1 <= j <= x.n:
+        raise ValueError(f"shift {j} outside [1, {x.n}]")
+    return _spectra(x, y, range(j, j + 1))[1][:, 0]
 
 
 class DeviationRows:
@@ -323,21 +304,17 @@ def estimate_aleph_probability(
 
 
 def exact_aleph_probability(n: int) -> Fraction:
-    """Exact typical-pair probability by exhausting all 4**n input pairs.
-
-    Only feasible for n = 4 among the allowed sizes; larger n raise."""
+    """Exact typical-pair probability by exhausting all 4**n input pairs."""
     require_transform_size(n)
-    if 1 << (2 * n) > 1 << 20:
-        raise ValueError(f"exhaustive enumeration infeasible for n={n}")
-    count = 0
-    for xv, yv in product(range(1 << n), repeat=2):
-        if delta_table(BitString(xv, n), BitString(yv, n)).aleph():
-            count += 1
+    count = sum(delta_table(x, y).aleph() for x, y in enumerate_pairs(n))
     return Fraction(count, 1 << (2 * n))
 
 
 def enumerate_pairs(n: int):
-    """All (x, y) input pairs at size n, in lexicographic order."""
+    """All (x, y) input pairs at size n, in lexicographic order.  Only n = 4
+    among the allowed sizes is small enough; larger n raise on first use."""
+    if 2 * n > 20:
+        raise ValueError(f"exhaustive enumeration infeasible for n={n}")
     for xv in range(1 << n):
         x = BitString(xv, n)
         for yv in range(1 << n):

@@ -85,7 +85,7 @@ def test_criterion_02_closed_form_equals_state_vectors():
     worst = 0.0
     us = {t: np.asarray(u_vector(t, 4).amplitudes) for t in all_indices(4)}
     for x, y in enumerate_pairs(4):
-        dist = outcome_distribution(x, y, mode="float")
+        dist = outcome_distribution(x, y)
         joint = np.kron(
             np.asarray(phi_vector(x).amplitudes), np.asarray(phi_vector(y).amplitudes)
         )

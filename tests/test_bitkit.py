@@ -159,6 +159,11 @@ def test_fwht_equals_walsh_sign_matrix_product():
         assert out.dtype == np.int64
         assert np.array_equal(out, walsh_matrix(size) @ v)
         assert np.array_equal(fwht(out), size * v)
+        # along axis 0: each column of a 2-D array transforms on its own
+        cols = gen.integers(-50, 50, size=(size, 3)).astype(np.int16)
+        out2 = fwht(cols)
+        assert out2.dtype == np.int16
+        assert np.array_equal(out2, np.stack([fwht(c) for c in cols.T], axis=1))
 
 
 def test_rng_bits_and_below():

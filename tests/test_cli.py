@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+import ghrlab.cli as cli
+import ghrlab.protocol as protocol
 import ghrlab.relation as relation
 from ghrlab.bitkit import fwht
-from ghrlab.cli import main
+from ghrlab.cli import build_parser, main
 
 
 def run_to_file(tmp_path, name, argv):
@@ -76,6 +78,16 @@ def test_protocol_failure_exact_exhaustive(capsys):
     assert all(l.split(",")[3] == "0" for l in lines[1:])
 
 
+def test_protocol_failure_exact_builds_one_table_per_pair(monkeypatch, capsys):
+    built = []
+    real = relation.delta_table
+    for module in (cli, protocol, relation):
+        monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real(x, y))
+    assert main(["protocol-failure-exact", "--n", "64", "--trials", "20"]) == 0
+    capsys.readouterr()
+    assert len(built) == 20
+
+
 def test_coupling_verify_all_pass(capsys):
     assert main(["coupling-verify", "--n", "4"]) == 0
     lines = [
@@ -131,6 +143,27 @@ def test_usage_errors_exit_two(capsys):
     assert main(["rect-spectrum", "--rect", "odd_ball", "--n", "4"]) == 2
     assert main(["coupling-verify", "--n", "3"]) == 2
     capsys.readouterr()
+    assert build_parser() is build_parser()  # built once, reused by every main()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["aleph-estimate", "--n", "16", "--trials", "0"],
+        ["protocol-success", "--n", "16", "--trials", "-2"],
+        ["protocol-success", "--n", "16", "--trials", "4", "--t", "0"],
+        ["protocol-failure-exact", "--n", "16", "--trials", "0"],
+        ["baseline-tghr", "--n", "64", "--t", "8", "--trials", "0"],
+        ["baseline-tghr", "--n", "64", "--t", "0", "--trials", "5"],
+        ["bounds-validate", "--trials", "-3"],
+        ["reduction-demo", "--c1", "6", "--c2", "8", "--n", "16", "--trials", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_nonpositive_counts_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "must be >= " in err  # argparse's own message
 
 
 def test_negative_or_nan_tolerance_is_usage_error(capsys):

@@ -61,7 +61,7 @@ def test_u_vectors_orthonormal_n4():
 def test_closed_form_equals_squared_inner_products_n4():
     us = {t: np.asarray(u_vector(t, 4).amplitudes) for t in all_indices(4)}
     for x, y in enumerate_pairs(4):
-        dist = outcome_distribution(x, y, mode="float")
+        dist = outcome_distribution(x, y)
         joint = np.kron(np.asarray(phi_vector(x).amplitudes),
                         np.asarray(phi_vector(y).amplitudes))
         for t, u in us.items():
@@ -81,23 +81,16 @@ def test_distribution_structure():
 
 
 def test_mode_defaults_by_size():
-    assert outcome_distribution(bs("0000"), bs("1100")).mode == "rational"
     x = random_bitstring(1024, Rng(0))
     y = random_bitstring(1024, Rng(1))
-    d = outcome_distribution(x, y)
-    assert d.mode == "float"
-    assert isinstance(d.probability(1, BitString(0, 10)), float)
-    # rational arithmetic stays available on request
-    dr = outcome_distribution(x, y, mode="rational")
-    assert dr.total_mass() == 1
+    assert outcome_distribution(x, y).total_mass() == 1
 
 
 def test_max_probability_never_exceeds_one_over_n():
     rng = Rng(4)
     for n in (4, 16, 64):
         for _ in range(5):
-            d = outcome_distribution(random_bitstring(n, rng), random_bitstring(n, rng),
-                                     mode="rational")
+            d = outcome_distribution(random_bitstring(n, rng), random_bitstring(n, rng))
             assert d.max_probability() <= Fraction(1, n)
 
 

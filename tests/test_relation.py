@@ -19,6 +19,7 @@ from ghrlab.relation import (
     answer_length,
     delta,
     delta_table,
+    delta_table_naive,
     enumerate_pairs,
     estimate_aleph_probability,
     exact_aleph_probability,
@@ -45,8 +46,11 @@ def test_transform_size_gate():
 
 def test_transform_size_cap_raises_before_allocating():
     require_transform_size(MAX_TRANSFORM_SIZE)
+    # the cap keeps the transform exact in int16 and its squares in int32
+    assert MAX_TRANSFORM_SIZE <= np.iinfo(np.int16).max
+    assert MAX_TRANSFORM_SIZE**2 <= np.iinfo(np.int32).max
     # 16384 is a power of 4 above the cap; the guard is pure arithmetic
-    with pytest.raises(ValueError, match=r"size cap 4096.*10\.0 GiB"):
+    with pytest.raises(ValueError, match=r"size cap 4096.*3\.5 GiB"):
         require_transform_size(16384)
     with pytest.raises(ValueError):
         answer_length(16384)
@@ -78,8 +82,9 @@ def test_table_matches_pointwise_and_backends_agree():
             x = random_bitstring(n, rng)
             y = random_bitstring(n, rng)
             fast = delta_table(x, y)
-            slow = delta_table(x, y, backend="naive")
+            slow = delta_table_naive(x, y)
             assert np.array_equal(fast.values, slow.values)
+            assert np.array_equal(fast.squares, slow.squares)
             logn = answer_length(n)
             for j in (1, n // 2, n):
                 for sv in (0, 1, n - 1):
@@ -87,18 +92,16 @@ def test_table_matches_pointwise_and_backends_agree():
                     assert fast.entry(j, s) == delta(x, y, TransformIndex(j, s))
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        delta_table(bs("0000"), bs("0000"), backend="quantum")
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([4, 16, 64]), st.data())
 def test_parseval_property(n, data):
     xv = data.draw(st.integers(0, 2**n - 1))
     yv = data.draw(st.integers(0, 2**n - 1))
-    table = delta_table(BitString(xv, n), BitString(yv, n))
+    x, y = BitString(xv, n), BitString(yv, n)
+    table = delta_table(x, y)
     assert table.parseval_sum() == n**3
+    # the transform agrees with the definition cell by cell
+    assert np.array_equal(table.values, delta_table_naive(x, y).values)
 
 
 def test_window_mask_is_squared_deviation_test():
@@ -178,6 +181,9 @@ def test_corrupted_row_trips_parseval_check(monkeypatch):
     x, y = bs("0100"), bs("1110")
     with pytest.raises(InvariantError, match="n\\*\\*2 = 16"):
         row_square_deviations(x, y, 3)
+    # a full table runs the same check on every row; here every row is off
+    with pytest.raises(InvariantError, match="row j=1 .*n\\*\\*2 = 16"):
+        delta_table(x, y)
 
 
 def test_ghr_valid_equals_full_table_reference():
