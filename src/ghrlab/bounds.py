@@ -316,7 +316,6 @@ def shift_xor_tail_check(
     t_values: Sequence[float],
     trials: int,
     rng: Rng,
-    threads: int | None = None,
 ) -> BoundReport:
     """Empirical deviation tails of |a xor rot_i(a) xor s| around n/2.
 
@@ -328,6 +327,8 @@ def shift_xor_tail_check(
         raise ValueError("n must be >= 2")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not t_values:
+        raise ValueError(f"no t values to check at n={n}")
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be nonnegative")
 
@@ -340,7 +341,7 @@ def shift_xor_tail_check(
         dev2 = np.abs(2 * mixed.sum(axis=1, dtype=np.int64) - n)
         return [int(np.count_nonzero(dev2 >= 2 * t)) for t in t_values]
 
-    counts = map_trials(one_shift, n - 1, threads)
+    counts = map_trials(one_shift, n - 1)
     points = []
     for idx, row in enumerate(counts):
         for t, c in zip(t_values, row):

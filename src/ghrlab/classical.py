@@ -36,8 +36,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .bitkit import BitString, Rng, fwht, random_bitstring
-from .relation import McEstimate, tghr_is_valid
-from .util import map_trials
+from .relation import McEstimate, estimate_over_pairs, tghr_is_valid
 
 
 def tghr_baseline(
@@ -65,21 +64,14 @@ def tghr_baseline(
     return tau, tghr_is_valid(x, y, tau)
 
 
-def estimate_baseline_success(
-    n: int, t: int, trials: int, rng: Rng, threads: int | None = None
-) -> McEstimate:
-    """Success rate of the baseline over uniform input pairs."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstimate:
+    """Success rate of the baseline over uniform input pairs; trial i's
+    shared stream is the rest of rng.child(i) after its pair."""
 
-    def one(i: int) -> bool:
-        child = rng.child(i)
-        x = random_bitstring(n, child)
-        y = random_bitstring(n, child)
+    def accept(x: BitString, y: BitString, child: Rng) -> bool:
         return tghr_baseline(x, y, t, child)[1]
 
-    hits = sum(map_trials(one, trials, threads))
-    return McEstimate.from_successes(hits, trials, rng.seed)
+    return estimate_over_pairs(n, trials, rng, accept)
 
 
 class RectangleSpec:

@@ -2,8 +2,9 @@
 
 Every run writes one CSV whose leading `# key=value` comment lines hold the
 full replay configuration (subcommand, numeric flags, rectangle family,
-generator algorithm).  Output is a pure function of that header: reruns are
-byte-identical, including under different GHRLAB_THREADS settings.
+generator algorithm), read off the parsed arguments through one key list
+per subcommand (HEADER_KEYS).  Output is a pure function of that header:
+reruns are byte-identical, including under different GHRLAB_THREADS settings.
 
 Exit codes: 0 success; 1 when a declared mathematical invariant fails the
 run's check (or output cannot be written); 2 for usage errors.
@@ -18,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bitkit import RNG_ALGORITHM, BitString, Rng, random_bitstring
+from .bitkit import RNG_ALGORITHM, BitString, Rng
 from .bounds import (
     chernoff_dominance_report,
     hoeffding_dominance_report,
@@ -41,6 +42,7 @@ from .relation import (
     enumerate_pairs,
     estimate_aleph_probability,
     require_transform_size,
+    trial_pair,
 )
 from .util import InvariantError
 
@@ -69,9 +71,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(rows, schema, path, meta) -> None:
+def write_csv(rows, schema, path, header) -> None:
     """UTF-8 CSV: `# key=value` config lines, header line, data rows."""
-    lines = [f"# {key}={_fmt(value)}" for key, value in meta]
+    lines = [f"# {key}={_fmt(value)}" for key, value in header]
     lines.append(",".join(schema))
     lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     text = "\n".join(lines) + "\n"
@@ -87,74 +89,70 @@ def _root_rng(seed: int) -> Rng:
     return Rng(seed)
 
 
+# Replay header of each subcommand: after subcommand=, these keys in order,
+# each a parsed flag or "rng" for the generator algorithm.
+HEADER_KEYS = {
+    "aleph-estimate": ("n", "trials", "seed", "rng"),
+    "protocol-success": ("n", "trials", "seed", "t", "rng"),
+    "protocol-failure-exact": ("n", "trials", "seed", "exhaustive", "rng"),
+    "baseline-tghr": ("n", "t", "trials", "seed", "rng"),
+    "coupling-verify": ("n", "tol"),
+    "bounds-validate": ("n", "trials", "seed", "rng"),
+    "reduction-demo": ("n", "trials", "seed", "rect", "c1", "c2", "rng"),
+    "rect-spectrum": ("n", "rect"),
+}
+
+
+def replay_header(args) -> list[tuple[str, object]]:
+    """The (key, value) lines that replay a run from its parsed arguments.
+
+    Keys for randomness a run does not use are left out: an exhaustive
+    protocol-failure-exact has no trials or seed, and bounds-validate
+    without trials has no rng."""
+    skip = set()
+    if getattr(args, "exhaustive", False):
+        skip = {"trials", "seed"}
+    elif args.subcommand == "bounds-validate" and args.trials == 0:
+        skip = {"rng"}
+    header = [("subcommand", args.subcommand)]
+    for key in HEADER_KEYS[args.subcommand]:
+        if key not in skip:
+            header.append((key, RNG_ALGORITHM if key == "rng" else getattr(args, key)))
+    return header
+
+
 def _cmd_aleph_estimate(args):
     est = estimate_aleph_probability(args.n, args.trials, _root_rng(args.seed))
-    meta = [
-        ("subcommand", "aleph-estimate"),
-        ("n", args.n),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("rng", RNG_ALGORITHM),
-    ]
     schema = ("n", "trials", "seed", "estimate", "stderr")
-    rows = [(args.n, args.trials, args.seed, est.mean, est.stderr)]
-    return rows, schema, meta, True
+    return [(args.n, args.trials, args.seed, est.mean, est.stderr)], schema, True
 
 
 def _cmd_protocol_success(args):
-    t = args.t if args.t is not None else answer_length(args.n)
-    est = estimate_success(args.n, args.trials, _root_rng(args.seed), t=t)
-    meta = [
-        ("subcommand", "protocol-success"),
-        ("n", args.n),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("t", t),
-        ("rng", RNG_ALGORITHM),
-    ]
+    if args.t is None:  # resolved here so that the header records the t run
+        args.t = answer_length(args.n)
+    est = estimate_success(args.n, args.trials, _root_rng(args.seed), t=args.t)
     schema = ("n", "trials", "seed", "t", "estimate", "stderr")
-    rows = [(args.n, args.trials, args.seed, t, est.mean, est.stderr)]
-    return rows, schema, meta, True
+    return [(args.n, args.trials, args.seed, args.t, est.mean, est.stderr)], schema, True
 
 
 def _cmd_protocol_failure_exact(args):
     require_transform_size(args.n)
-    meta = [
-        ("subcommand", "protocol-failure-exact"),
-        ("n", args.n),
-    ]
     if args.exhaustive:
         pairs = list(enumerate_pairs(args.n))
-        meta.append(("exhaustive", True))
     else:
         rng = _root_rng(args.seed)
-        pairs = []
-        for i in range(args.trials):
-            child = rng.child(i)
-            pairs.append((random_bitstring(args.n, child), random_bitstring(args.n, child)))
-        meta.extend([("trials", args.trials), ("seed", args.seed), ("exhaustive", False)])
-    meta.append(("rng", RNG_ALGORITHM))
-    schema = ("x", "y", "aleph", "failure")
+        pairs = [trial_pair(args.n, rng, i)[:2] for i in range(args.trials)]
     rows = []
     for x, y in pairs:
         table = delta_table(x, y)
         rows.append((str(x), str(y), table.aleph(), float(table_failure_probability(table))))
-    return rows, schema, meta, True
+    return rows, ("x", "y", "aleph", "failure"), True
 
 
 def _cmd_baseline_tghr(args):
     est = estimate_baseline_success(args.n, args.t, args.trials, _root_rng(args.seed))
-    meta = [
-        ("subcommand", "baseline-tghr"),
-        ("n", args.n),
-        ("t", args.t),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("rng", RNG_ALGORITHM),
-    ]
     schema = ("n", "t", "trials", "seed", "estimate", "stderr")
-    rows = [(args.n, args.t, args.trials, args.seed, est.mean, est.stderr)]
-    return rows, schema, meta, True
+    return [(args.n, args.t, args.trials, args.seed, est.mean, est.stderr)], schema, True
 
 
 def _cmd_coupling_verify(args):
@@ -162,50 +160,34 @@ def _cmd_coupling_verify(args):
         raise ValueError(f"n must be even in [2, 12], got {args.n}")
     if not args.tol >= 0:
         raise ValueError(f"tol must be a nonnegative number, got {args.tol}")
-    meta = [
-        ("subcommand", "coupling-verify"),
-        ("n", args.n),
-        ("tol", args.tol),
-    ]
     rows = []
     all_ok = True
     for value in range(1 << args.n):
         report = verify_independence(BitString(value, args.n), tol=args.tol)
         rows.append((str(report.s), float(report.max_tv), report.passed))
         all_ok = all_ok and report.passed
-    schema = ("s", "max_tv", "pass")
-    return rows, schema, meta, all_ok
+    return rows, ("s", "max_tv", "pass"), all_ok
 
 
 def _cmd_bounds_validate(args):
-    meta = [
-        ("subcommand", "bounds-validate"),
-        ("n", args.n),
-        ("trials", args.trials),
-        ("seed", args.seed),
-    ]
+    sampled = []
+    if args.trials > 0:  # first, so that an n too small to sample fails fast
+        t_values = [t for t in (args.n // 16, args.n // 8, 3 * args.n // 16) if t >= 1]
+        report = shift_xor_tail_check(args.n, t_values, args.trials, _root_rng(args.seed))
+        sampled.append(("shift_xor_tail", report))
     reports = [
         ("hoeffding", hoeffding_dominance_report()),
         ("chernoff", chernoff_dominance_report()),
         ("window_lower", window_lower_dominance_report()),
+        *sampled,
     ]
-    if args.trials > 0:
-        t_values = [t for t in (args.n // 16, args.n // 8, 3 * args.n // 16) if t >= 1]
-        meta.append(("rng", RNG_ALGORITHM))
-        reports.append(
-            (
-                "shift_xor_tail",
-                shift_xor_tail_check(args.n, t_values, args.trials, _root_rng(args.seed)),
-            )
-        )
     rows = []
     all_ok = True
     for name, report in reports:
         worst = min(p.bound_value - p.observed for p in report.points)
         rows.append((name, len(report.points), worst, report.passed))
         all_ok = all_ok and report.passed
-    schema = ("suite", "points", "worst_margin", "pass")
-    return rows, schema, meta, all_ok
+    return rows, ("suite", "points", "worst_margin", "pass"), all_ok
 
 
 def _set_string(members, l: int) -> BitString:
@@ -215,16 +197,6 @@ def _set_string(members, l: int) -> BitString:
 def _cmd_reduction_demo(args):
     params = xi_parameters(args.c1, args.c2, args.n)
     rect = parse_rect(args.rect, args.n)
-    meta = [
-        ("subcommand", "reduction-demo"),
-        ("n", args.n),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("rect", args.rect),
-        ("c1", args.c1),
-        ("c2", args.c2),
-        ("rng", RNG_ALGORITHM),
-    ]
     rows = []
     for r in range(args.trials):
         for inst in all_instances(params.l):
@@ -244,23 +216,17 @@ def _cmd_reduction_demo(args):
                 )
             )
     schema = ("trial", "x_set", "y_set", "intersection", "d3", "d5", "accepted")
-    return rows, schema, meta, True
+    return rows, schema, True
 
 
 def _cmd_rect_spectrum(args):
     rect = parse_rect(args.rect, args.n)
-    meta = [
-        ("subcommand", "rect-spectrum"),
-        ("n", args.n),
-        ("rect", args.rect),
-    ]
     rows = []
     for k in range(args.n + 1):
         rows.append((str(k), float(relative_weight(rect, {k}))))
     for k in range(args.n):
         rows.append((f"{k}+{k + 1}", float(relative_weight(rect, {k, k + 1}))))
-    schema = ("dist_set", "rw")
-    return rows, schema, meta, True
+    return rows, ("dist_set", "rw"), True
 
 
 _HANDLERS = {
@@ -353,7 +319,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rows, schema, meta, ok = _HANDLERS[args.subcommand](args)
+        rows, schema, ok = _HANDLERS[args.subcommand](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -361,7 +327,7 @@ def main(argv=None) -> int:
         print(f"error: invariant failed: {exc}", file=sys.stderr)
         return 1
     try:
-        write_csv(rows, schema, args.out, meta)
+        write_csv(rows, schema, args.out, replay_header(args))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitkit import BitString, Rng, fourier_pattern, random_bitstring
+from .bitkit import BitString, Rng, fourier_pattern
 from .relation import (
     DeltaTable,
     DeviationRows,
@@ -33,9 +33,9 @@ from .relation import (
     answer_length,
     delta_table,
     enumerate_pairs,
+    estimate_over_pairs,
     require_transform_size,
 )
-from .util import map_trials
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +150,11 @@ def sample_outcomes(rows: DeviationRows, rng: Rng, count: int) -> tuple[Transfor
     n = rows.n
     per_row = n * n
     k = answer_length(n)
-    draws = rng.generator.integers(0, n**3, size=count, dtype=np.int64)
+    draws = rng.generator.integers(0, n**3, size=count, dtype=np.int64).tolist()
+    rows.build(r // per_row + 1 for r in draws)
     cumulative: dict[int, np.ndarray] = {}
     out = []
-    for r in draws.tolist():
+    for r in draws:
         j = r // per_row + 1
         if j not in cumulative:
             cumulative[j] = np.cumsum(rows.squares(j), dtype=np.int64)
@@ -217,13 +218,7 @@ def failure_probability_exact(x: BitString, y: BitString) -> Fraction:
     return table_failure_probability(delta_table(x, y))
 
 
-def estimate_success(
-    n: int,
-    trials: int,
-    rng: Rng,
-    threads: int | None = None,
-    t: int | None = None,
-) -> McEstimate:
+def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McEstimate:
     """Monte Carlo success rate of full runs on uniform input pairs.
 
     Trial i draws inputs and outcomes from rng.child(i); the sampled answer
@@ -231,20 +226,14 @@ def estimate_success(
     table is built only when the answer alone does not settle validity.
     With t set, each run draws only t outcomes and tiles them to log2 n
     entries."""
-    require_transform_size(n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    samples = answer_length(n) if t is None else t
+    m = answer_length(n)  # rejects a size outside the allowed powers of 4
+    samples = m if t is None else t
 
-    def one(i: int) -> bool:
-        child = rng.child(i)
-        x = random_bitstring(n, child)
-        y = random_bitstring(n, child)
+    def accept(x: BitString, y: BitString, child: Rng) -> bool:
         rows = DeviationRows(x, y)
         return rows.accepts(_run(rows, child, samples))
 
-    hits = sum(map_trials(one, trials, threads))
-    return McEstimate.from_successes(hits, trials, rng.seed)
+    return estimate_over_pairs(n, trials, rng, accept)
 
 
 def exact_success_probability(n: int) -> Fraction:

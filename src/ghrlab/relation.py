@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -116,7 +116,7 @@ def delta_table(x: BitString, y: BitString) -> DeltaTable:
     per shift, and returned as transposed views, which spares a copy."""
     _check_pair(x, y)
     n = x.n
-    corr, squares = _spectra(x, y, range(1, n + 1))
+    corr, squares = _spectra(*_signs(x, y), range(1, n + 1))
     values = np.subtract(n, corr, dtype=np.int64)
     values >>= 1
     return DeltaTable(n, values.T, squares.T)
@@ -143,21 +143,33 @@ def _check_pair(x: BitString, y: BitString) -> None:
     require_transform_size(x.n)
 
 
-def _spectra(x: BitString, y: BitString, shifts: range) -> tuple[np.ndarray, np.ndarray]:
-    """Walsh spectra of the pair at consecutive shifts, and their squares.
-
-    Column k is the integer FWHT of px * roll(py, -j) for j = shifts[k],
-    with p = 1 - 2 * bit, so corr[s, k] = n - 2 * delta(x, y, (j, s)) and
-    squares[:, k] is (2*delta - n)**2 along table row j - 1.  Every
-    butterfly value is a sum of at most n signs, so int16 is exact for
-    n <= MAX_TRANSFORM_SIZE; squares are int32.  By Parseval every column
-    sums to exactly n**2; the first that does not raises InvariantError."""
-    n = x.n
+def _signs(x: BitString, y: BitString) -> tuple[np.ndarray, np.ndarray]:
+    """px = 1 - 2 * x as int16, and windows with windows[j] = roll(py, -j),
+    views into one buffer of length 2n."""
     px = 1 - 2 * x.to_array().astype(np.int16)
     py = 1 - 2 * y.to_array().astype(np.int16)
-    # windows[j] = roll(py, -j), a view into one buffer of length 2n
-    windows = sliding_window_view(np.concatenate([py, py]), n)
-    corr = fwht(px[:, None] * windows[shifts.start:shifts.stop].T)
+    return px, sliding_window_view(np.concatenate([py, py]), x.n)
+
+
+def _spectra(
+    px: np.ndarray, windows: np.ndarray, shifts: range | list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walsh spectra of the pair given by _signs at the shifts, and their
+    squares.
+
+    Column k is the integer FWHT of px * roll(py, -j) for j = shifts[k],
+    so corr[s, k] = n - 2 * delta(x, y, (j, s)) and squares[:, k] is
+    (2*delta - n)**2 along table row j - 1.  A range of shifts is read as a
+    slice view of windows, so a full table copies no n x n window block.
+    Every butterfly value is a sum of at most n signs, so int16 is exact for
+    n <= MAX_TRANSFORM_SIZE; squares are int32.  By Parseval every column
+    sums to exactly n**2; the first that does not raises InvariantError."""
+    n = px.size
+    if isinstance(shifts, range):
+        picked = windows[shifts.start:shifts.stop]
+    else:
+        picked = windows[shifts]
+    corr = fwht(px[:, None] * picked.T)
     squares = np.square(corr, dtype=np.int32)
     totals = squares.sum(axis=0, dtype=np.int64)
     bad = np.flatnonzero(totals != n * n)
@@ -172,30 +184,39 @@ def _spectra(x: BitString, y: BitString, shifts: range) -> tuple[np.ndarray, np.
 def row_square_deviations(x: BitString, y: BitString, j: int) -> np.ndarray:
     """(2*delta - n)**2 along row j - 1 of the pair's table, without the
     table: the transform of shift j alone, checked to sum to n**2."""
-    _check_pair(x, y)
-    if not 1 <= j <= x.n:
-        raise ValueError(f"shift {j} outside [1, {x.n}]")
-    return _spectra(x, y, range(j, j + 1))[1][:, 0]
+    return DeviationRows(x, y).squares(j)
 
 
 class DeviationRows:
     """Rows of one pair's squared deviations, each built once on first use.
 
     squares(j) equals the squared scaled deviations of delta_table(x, y) at
-    row j - 1; only the rows asked for are ever computed."""
+    row j - 1; only the rows asked for are ever computed, and build() makes
+    several at once from the pair's signs, which are kept."""
 
     def __init__(self, x: BitString, y: BitString) -> None:
         _check_pair(x, y)
         self.x = x
         self.y = y
         self.n = x.n
+        self._signs = _signs(x, y)
         self._rows: dict[int, np.ndarray] = {}
 
+    def build(self, shifts: Iterable[int]) -> None:
+        """Build every row among shifts not yet built, in one transform."""
+        missing = sorted({j for j in shifts if j not in self._rows})
+        if not missing:
+            return
+        for j in (missing[0], missing[-1]):
+            if not 1 <= j <= self.n:
+                raise ValueError(f"shift {j} outside [1, {self.n}]")
+        squares = _spectra(*self._signs, missing)[1]
+        for k, j in enumerate(missing):
+            self._rows[j] = squares[:, k]
+
     def squares(self, j: int) -> np.ndarray:
-        row = self._rows.get(j)
-        if row is None:
-            row = self._rows[j] = row_square_deviations(self.x, self.y, j)
-        return row
+        self.build((j,))
+        return self._rows[j]
 
     def accepts(self, answer: Sequence[TransformIndex]) -> bool:
         """Relation check of a log2 n entry answer, answer first.
@@ -281,26 +302,30 @@ class McEstimate:
         return cls(mean, trials, math.sqrt(mean * (1.0 - mean) / trials), seed)
 
 
-def estimate_aleph_probability(
-    n: int, trials: int, rng: Rng, threads: int | None = None
+def trial_pair(n: int, rng: Rng, i: int) -> tuple[BitString, BitString, Rng]:
+    """Trial i's input pair: x, then y, drawn from rng.child(i), returned
+    with that child stream for the trial's further draws."""
+    child = rng.child(i)
+    x = random_bitstring(n, child)
+    return x, random_bitstring(n, child), child
+
+
+def estimate_over_pairs(
+    n: int, trials: int, rng: Rng, accept: Callable[[BitString, BitString, Rng], bool]
 ) -> McEstimate:
-    """Probability that a uniform pair is typical, by Monte Carlo.
+    """Share of trials whose pair passes accept(x, y, child), by Monte Carlo.
 
-    Trial i draws (x, y) from rng.child(i), so the estimate is a pure
-    function of (n, trials, seed) regardless of thread count.
-    """
-    require_transform_size(n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-
-    def one(i: int) -> bool:
-        child = rng.child(i)
-        x = random_bitstring(n, child)
-        y = random_bitstring(n, child)
-        return delta_table(x, y).aleph()
-
-    hits = sum(map_trials(one, trials, threads))
+    Trial i draws its pair and all further randomness from rng.child(i)
+    (trial_pair), so the estimate is a pure function of (n, trials, seed)
+    regardless of thread count."""
+    hits = sum(map_trials(lambda i: accept(*trial_pair(n, rng, i)), trials))
     return McEstimate.from_successes(hits, trials, rng.seed)
+
+
+def estimate_aleph_probability(n: int, trials: int, rng: Rng) -> McEstimate:
+    """Probability that a uniform pair is typical, by Monte Carlo."""
+    require_transform_size(n)
+    return estimate_over_pairs(n, trials, rng, lambda x, y, _: delta_table(x, y).aleph())
 
 
 def exact_aleph_probability(n: int) -> Fraction:

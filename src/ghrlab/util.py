@@ -22,13 +22,14 @@ def thread_limit() -> int:
     return max(1, value)
 
 
-def map_trials(fn, count: int, threads: int | None = None) -> list:
-    """Apply fn to 0..count-1 and return results in index order.
+def map_trials(fn, count: int) -> list:
+    """Apply fn to 0..count-1 on up to thread_limit() workers and return
+    results in index order.
 
     Results do not depend on the worker count because each trial must derive
     all of its randomness from its own index.
     """
-    limit = thread_limit() if threads is None else max(1, int(threads))
+    limit = thread_limit()
     if limit == 1 or count <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=limit) as pool:

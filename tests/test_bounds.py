@@ -159,6 +159,8 @@ def test_shift_xor_tail_check_small():
         shift_xor_tail_check(1, [1], 10, Rng(0))
     with pytest.raises(ValueError):
         shift_xor_tail_check(8, [-1], 10, Rng(0))
+    with pytest.raises(ValueError, match="n=4"):  # an empty grid would pass vacuously
+        shift_xor_tail_check(4, [], 10, Rng(0))
 
 
 def test_shift_xor_tail_check_thread_invariant(monkeypatch):

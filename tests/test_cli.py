@@ -1,5 +1,9 @@
 """CLI plumbing: determinism, CSV shape, exit codes."""
 
+import contextlib
+import functools
+import hashlib
+import io
 import subprocess
 import sys
 
@@ -8,7 +12,7 @@ import pytest
 import ghrlab.cli as cli
 import ghrlab.protocol as protocol
 import ghrlab.relation as relation
-from ghrlab.bitkit import fwht
+from ghrlab.bitkit import RNG_ALGORITHM, fwht
 from ghrlab.cli import build_parser, main
 
 
@@ -166,6 +170,12 @@ def test_nonpositive_counts_are_usage_errors(argv, capsys):
     assert "error: argument --" in err and "must be >= " in err  # argparse's own message
 
 
+def test_bounds_validate_trials_below_n8_is_usage_error(capsys):
+    # every t in (n/16, n/8, 3n/16) rounds to 0 at n = 4, leaving nothing to sample
+    assert main(["bounds-validate", "--n", "4", "--trials", "5"]) == 2
+    assert capsys.readouterr().err == "error: no t values to check at n=4\n"
+
+
 def test_negative_or_nan_tolerance_is_usage_error(capsys):
     for tol in ("-1", "nan"):
         assert main(["coupling-verify", "--n", "4", "--tol", tol]) == 2
@@ -201,3 +211,86 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# subcommand=coupling-verify")
+
+
+# SHA-256 of each run's CSV, recorded before the replay header was derived
+# from HEADER_KEYS; a change here changes the bytes every seeded run replays.
+GOLDEN = {
+    "aleph-estimate --n 16 --trials 20 --seed 3":
+        "b29eae11dff29ec4909eb27fb5d903d5e358efbc18b5d68466b0648fa0f3f46c",
+    "protocol-success --n 64 --trials 10 --seed 1":
+        "ff0bccfa971a7993ecbfe16522d33f3c28c23485077755634ccb8e38839a41fb",
+    "protocol-success --n 64 --trials 10 --seed 1 --t 3":
+        "d9688d01b1d479ecaadb08ce58fc7206bf0e82547009d0a502a0915d62d506e4",
+    "protocol-failure-exact --n 16 --trials 5 --seed 2":
+        "a975390c6428cd04a8a9d1f1ec8e29c0d3f7a528ef6c34fc3db85c0f371c498e",
+    "protocol-failure-exact --n 4 --exhaustive":
+        "19bc09d2e86375b259093c7a912290f917f073807cbae259f84b029dac328563",
+    "baseline-tghr --n 64 --t 8 --trials 20 --seed 1":
+        "5da3343baea14bff7f2ff9bc33b6841c53c1f6c5d3df1c6cda496657f55d8471",
+    "coupling-verify --n 4 --tol 0.001":
+        "5b55a885014c16f745d93c80318b2226b8bef4aacc5dedd1e9fac19412b9e3a6",
+    "bounds-validate":
+        "e2394922845d0584da489e9cff0c1df056cb4abfdaf6bda2632fc95a5ac4ceb2",
+    "bounds-validate --n 16 --trials 20 --seed 4":
+        "60f29ede8eeff46d186baf80c7945350eed43ccdbc5c008bb40f3be8a981e030",
+    "reduction-demo --c1 6 --c2 8 --n 16 --rect parity_even --trials 2 --seed 5":
+        "d2574508b65f15ed35bd994e98caf500ce27bd026f76b0c2364c0264800c2d2a",
+    "rect-spectrum --rect prefix_zeros(1) --n 4":
+        "225d7f32bee441163df70183ed5a0ccdaeed0e224d4da1ee12bba3b02b498512",
+}
+
+
+def run_stdout(argv: list[str]) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue().encode("utf-8")
+
+
+@functools.cache
+def csv_bytes(command: str) -> bytes:
+    """Stdout of one run, shared by the golden and the replay test."""
+    return run_stdout(command.split())
+
+
+def subparsers():
+    action = next(a for a in build_parser()._actions if a.dest == "subcommand")
+    return action.choices
+
+
+def argv_from_header(data: bytes) -> list[str]:
+    """The argv that a CSV's own `# key=value` lines describe."""
+    lines = [l[2:] for l in data.decode("utf-8").splitlines() if l.startswith("# ")]
+    (first, sub), *config = (l.split("=", 1) for l in lines)
+    assert first == "subcommand"
+    flags = {a.dest: a for a in subparsers()[sub]._actions}
+    argv = [sub]
+    for key, value in config:
+        if key == "rng":
+            assert value == RNG_ALGORITHM
+        elif flags[key].nargs == 0:  # a switch: present iff the header says 1
+            argv += [f"--{key}"] if value == "1" else []
+        else:
+            argv += [f"--{key}", value]
+    return argv
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_csv_bytes_match_golden(command):
+    assert hashlib.sha256(csv_bytes(command)).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_csv_replays_from_its_own_header(command):
+    data = csv_bytes(command)
+    replay = argv_from_header(data)
+    assert replay[0] == command.split()[0]
+    assert run_stdout(replay) == data
+
+
+def test_header_keys_cover_every_flag():
+    assert set(subparsers()) == set(cli.HEADER_KEYS)
+    for sub, parser in subparsers().items():
+        flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "out"}
+        assert flags == set(cli.HEADER_KEYS[sub]) - {"rng"}, sub

@@ -209,6 +209,18 @@ def test_row_sampler_rejects_empty_count():
         sample_outcomes(DeviationRows(bs("0100"), bs("1110")), Rng(1), 0)
 
 
+def test_row_sampler_builds_its_rows_in_one_transform(monkeypatch):
+    calls = []
+    real = relation.fwht
+    monkeypatch.setattr(relation, "fwht", lambda v: calls.append(v.shape) or real(v))
+    pair_rng = Rng(5)
+    rows = DeviationRows(random_bitstring(64, pair_rng), random_bitstring(64, pair_rng))
+    answer = sample_outcomes(rows, Rng(9), 6)
+    assert calls == [(64, len({t.j for t in answer}))]
+    sample_outcomes(rows, Rng(9), 6)  # the same rows again: nothing rebuilt
+    assert len(calls) == 1
+
+
 def reference_success(n, trials, rng, t):
     """estimate_success as it reads with the full table built every trial.
     Also counts the trials whose answer alone cannot settle validity."""

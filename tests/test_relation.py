@@ -166,9 +166,13 @@ def test_rows_equal_table_rows(n, seed):
     y = random_bitstring(n, rng)
     dev = delta_table(x, y).scaled_deviations()
     rows = DeviationRows(x, y)
-    for j in sorted({1, 2, n // 2, n - 1, n, rng.below(n) + 1}):
+    shifts = sorted({1, 2, n // 2, n - 1, n, rng.below(n) + 1})
+    together = DeviationRows(x, y)
+    together.build(reversed(shifts))  # every row from one transform
+    for j in shifts:
         assert np.array_equal(row_square_deviations(x, y, j), dev[j - 1] ** 2)
         assert np.array_equal(rows.squares(j), dev[j - 1] ** 2)
+        assert np.array_equal(together.squares(j), dev[j - 1] ** 2)
 
 
 def test_corrupted_row_trips_parseval_check(monkeypatch):

@@ -16,9 +16,10 @@ def test_thread_limit_env(monkeypatch):
     assert thread_limit() == 1
 
 
-def test_map_trials_preserves_order():
+def test_map_trials_preserves_order(monkeypatch):
     assert map_trials(lambda i: i * i, 6) == [0, 1, 4, 9, 16, 25]
-    assert map_trials(lambda i: i * i, 6, threads=3) == [0, 1, 4, 9, 16, 25]
+    monkeypatch.setenv("GHRLAB_THREADS", "3")
+    assert map_trials(lambda i: i * i, 6) == [0, 1, 4, 9, 16, 25]
     assert map_trials(lambda i: i, 0) == []
 
 
