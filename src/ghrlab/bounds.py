@@ -53,6 +53,11 @@ def hoeffding_bound(ranges: Iterable[tuple[float, float]], t: float) -> float:
         if b < a:
             raise ValueError(f"invalid range ({a}, {b})")
         denom += (b - a) ** 2
+    return _hoeffding_tail(denom, t)
+
+
+def _hoeffding_tail(denom: float, t: float) -> float:
+    """hoeffding_bound given its variance sum denom = sum (b-a)**2."""
     if denom == 0.0:
         return 0.0 if t > 0 else 1.0
     return min(1.0, 2.0 * math.exp(-2.0 * t * t / denom))
@@ -118,12 +123,19 @@ def _ratio_power(num: float, den: float, expo: float) -> float:
 @lru_cache(maxsize=1024)
 def _fair_cumulative(m: int) -> tuple[int, ...]:
     """cum[k] = sum_{i <= k} C(m, i) as exact integers."""
-    acc = 0
-    out = []
-    for k in range(m + 1):
-        acc += math.comb(m, k)
+    coeff = acc = 1
+    out = [1]
+    for k in range(m):
+        coeff = coeff * (m - k) // (k + 1)  # C(m, k + 1); the division is exact
+        acc += coeff
         out.append(acc)
     return tuple(out)
+
+
+def _excess(count: int, m: int, bound: float) -> int:
+    """An integer with the sign of count / 2**m - bound, computed exactly."""
+    p, q = bound.as_integer_ratio()
+    return count * q - (p << m)
 
 
 def _tail_counts(m: int, t: int) -> tuple[int, int]:
@@ -137,21 +149,20 @@ def _tail_counts(m: int, t: int) -> tuple[int, int]:
     return lower, upper
 
 
-def _window_grid(m_values: Iterable[int]):
-    """Per m, (m, windows) where windows lists (a, b, exact mass of [a, b])
-    for every window a < b inside m/2 +- sqrt(m), in (a, b) order."""
-    for m in m_values:
-        cum = _fair_cumulative(m)
-        denom = 1 << m
-        root = math.sqrt(m)
-        lo = max(math.ceil(m / 2 - root), 0)
-        hi = min(math.floor(m / 2 + root), m)
-        windows = []
-        for a in range(lo, hi):
-            base_cum = cum[a - 1] if a > 0 else 0
-            for b in range(a + 1, hi + 1):
-                windows.append((a, b, (cum[b] - base_cum) / denom))
-        yield m, windows
+def _windows(m: int):
+    """(a, b, hits, exact) for every window a < b inside m/2 +- sqrt(m), in
+    (a, b) order: hits is the integer count C(m, a) + ... + C(m, b), and
+    exact = hits / 2**m as a float."""
+    cum = _fair_cumulative(m)
+    denom = 1 << m
+    root = math.sqrt(m)
+    lo = max(math.ceil(m / 2 - root), 0)
+    hi = min(math.floor(m / 2 + root), m)
+    for a in range(lo, hi):
+        base_cum = cum[a - 1] if a > 0 else 0
+        for b in range(a + 1, hi + 1):
+            hits = cum[b] - base_cum
+            yield a, b, hits, hits / denom
 
 
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
@@ -201,8 +212,8 @@ def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2)))
     of the given m.  Clamped at zero: the correction only ever tightens.
     """
     worst = 0.0
-    for m, windows in _window_grid(m_values):
-        for a, b, exact in windows:
+    for m in m_values:
+        for a, b, _, exact in _windows(m):
             gap = (binomial_window_lower(m, a, b, c_term=0.0) - exact) * m
             if gap > worst:
                 worst = gap
@@ -238,14 +249,21 @@ def hoeffding_dominance_report(
     m_values: Iterable[int] = range(10, 401), t_max_divisor: int = 4
 ) -> BoundReport:
     """Exact fair-binomial two-sided tails, counted as integers over 2**m
-    (equal to float(exact_binomial_deviation(m, t))), never exceed Hoeffding."""
+    (equal to float(exact_binomial_deviation(m, t))), never exceed Hoeffding.
+
+    The bound is hoeffding_bound([(0.0, 1.0)] * m, t), whose variance sum is
+    exactly float(m); each verdict compares the integer count with the
+    bound's exact value."""
     points = []
     for m in m_values:
-        ranges = [(0.0, 1.0)] * m
+        denom = float(m)
         for t in range(1, m // t_max_divisor + 1):
-            exact = sum(_tail_counts(m, t)) / (1 << m)
-            bound = hoeffding_bound(ranges, t)
-            points.append(BoundPoint(f"m={m},t={t}", bound, exact, exact <= bound))
+            count = sum(_tail_counts(m, t))
+            bound = _hoeffding_tail(denom, t)
+            exact = count / (1 << m)
+            points.append(
+                BoundPoint(f"m={m},t={t}", bound, exact, _excess(count, m, bound) <= 0)
+            )
     return BoundReport("two-sided binomial tail vs hoeffding_bound", tuple(points))
 
 
@@ -253,37 +271,37 @@ def chernoff_dominance_report(
     m_values: Iterable[int] = range(10, 401), t_max_divisor: int = 4
 ) -> BoundReport:
     """Exact one-sided fair-binomial tails never exceed the relaxed Chernoff
-    bounds, in both the exp and the ratio form."""
+    bounds, in both the exp and the ratio form; each verdict compares the
+    integer count with the bound's exact value."""
     points = []
     for m in m_values:
         denom = 1 << m
         mu = m / 2.0
         for t in range(1, m // t_max_divisor + 1):
             lower, upper = _tail_counts(m, t)
-            exact_lo = lower / denom
-            exact_hi = upper / denom
+            lo = (lower, lower / denom)
+            hi = (upper, upper / denom)
             checks = (
-                ("exp_lo", exact_lo, relaxed_chernoff_bound("lower_tail", a=mu, t=t)),
-                ("exp_hi", exact_hi, relaxed_chernoff_bound("upper_tail", a=mu, t=t)),
+                ("exp_lo", lo, relaxed_chernoff_bound("lower_tail", a=mu, t=t)),
+                ("exp_hi", hi, relaxed_chernoff_bound("upper_tail", a=mu, t=t)),
                 (
                     "ratio_lo",
-                    exact_lo,
+                    lo,
                     relaxed_chernoff_bound(
                         "lower_tail", form="ratio", m=m, mu=mu, level=mu - t
                     ),
                 ),
                 (
                     "ratio_hi",
-                    exact_hi,
+                    hi,
                     relaxed_chernoff_bound(
                         "upper_tail", form="ratio", m=m, mu=mu, level=mu + t
                     ),
                 ),
             )
-            for name, exact, bound in checks:
-                points.append(
-                    BoundPoint(f"{name},m={m},t={t}", bound, exact, exact <= bound)
-                )
+            for name, (count, exact), bound in checks:
+                satisfied = _excess(count, m, bound) <= 0
+                points.append(BoundPoint(f"{name},m={m},t={t}", bound, exact, satisfied))
     return BoundReport("one-sided binomial tails vs relaxed_chernoff_bound", tuple(points))
 
 
@@ -292,22 +310,24 @@ def window_lower_dominance_report(
 ) -> BoundReport:
     """binomial_window_lower with the calibrated constant stays below the
     exact window on the calibration grid.  One summary point per m, keyed to
-    that m's worst window; 1e-12 float slack."""
+    that m's worst window by float margin; it is satisfied when every window
+    of that m holds exactly, comparing the integer count with the bound's
+    exact value, with no slack."""
     c = DEFAULT_WINDOW_C if c_term is None else c_term
     points = []
-    for m, windows in _window_grid(m_values):
+    for m in m_values:
         worst_margin = math.inf
         worst_bound = 0.0
         worst_exact = 0.0
-        for a, b, exact in windows:
+        holds = True
+        for a, b, hits, exact in _windows(m):
             bound = binomial_window_lower(m, a, b, c_term=c)
+            holds = holds and _excess(hits, m, bound) >= 0
             if exact - bound < worst_margin:
                 worst_margin = exact - bound
                 worst_bound = bound
                 worst_exact = exact
-        points.append(
-            BoundPoint(f"m={m}", worst_bound, worst_exact, worst_margin >= -1e-12)
-        )
+        points.append(BoundPoint(f"m={m}", worst_bound, worst_exact, holds))
     return BoundReport("exact window vs binomial_window_lower (calibrated)", tuple(points))
 
 

@@ -67,6 +67,8 @@ def tghr_baseline(
 def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstimate:
     """Success rate of the baseline over uniform input pairs; trial i's
     shared stream is the rest of rng.child(i) after its pair."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
     def accept(x: BitString, y: BitString, child: Rng) -> bool:
         return tghr_baseline(x, y, t, child)[1]
@@ -190,15 +192,10 @@ def relative_weight(
     rejection-samples A and B through the membership predicates and divides
     the empirical rectangle mass by the exact uniform mass.
     """
+    if mode == "exact":
+        return relative_weights(rect, [dist_set])[0]
     keys = sorted({int(k) for k in dist_set})
     uniform_mass = uniform_distance_mass(rect.n, keys)
-    if mode == "exact":
-        counts = distance_counts(rect)
-        size_a, size_b = rect.sizes()
-        if size_a == 0 or size_b == 0:
-            raise ValueError("empty rectangle")
-        rect_mass = Fraction(int(sum(counts[k] for k in keys)), size_a * size_b)
-        return rect_mass / uniform_mass
     if mode == "mc":
         if trials is None or rng is None:
             raise ValueError("mc mode needs trials and rng")
@@ -212,6 +209,22 @@ def relative_weight(
                 hits += 1
         return (hits / trials) / float(uniform_mass)
     raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
+
+
+def relative_weights(rect: RectangleSpec, dist_sets: Iterable[Iterable[int]]) -> list[Fraction]:
+    """Exact rw(S) for each distance set S, from one distance spectrum of
+    the rectangle."""
+    counts = distance_counts(rect)
+    size_a, size_b = rect.sizes()
+    if size_a == 0 or size_b == 0:
+        raise ValueError("empty rectangle")
+    weights = []
+    for dist_set in dist_sets:
+        keys = sorted({int(k) for k in dist_set})
+        uniform_mass = uniform_distance_mass(rect.n, keys)
+        rect_mass = Fraction(int(sum(counts[k] for k in keys)), size_a * size_b)
+        weights.append(rect_mass / uniform_mass)
+    return weights
 
 
 def _rejection_sample(n: int, member: Callable[[BitString], bool], rng: Rng, cap: int = 100000) -> BitString:

@@ -7,7 +7,8 @@ per subcommand (HEADER_KEYS).  Output is a pure function of that header:
 reruns are byte-identical, including under different GHRLAB_THREADS settings.
 
 Exit codes: 0 success; 1 when a declared mathematical invariant fails the
-run's check (or output cannot be written); 2 for usage errors.
+run's check (the first violating point goes to stderr) or output cannot be
+written; 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .classical import (
     all_instances,
     estimate_baseline_success,
     reduction_xi,
-    relative_weight,
+    relative_weights,
     xi_parameters,
 )
 from .coupling import verify_independence
@@ -124,7 +125,7 @@ def replay_header(args) -> list[tuple[str, object]]:
 def _cmd_aleph_estimate(args):
     est = estimate_aleph_probability(args.n, args.trials, _root_rng(args.seed))
     schema = ("n", "trials", "seed", "estimate", "stderr")
-    return [(args.n, args.trials, args.seed, est.mean, est.stderr)], schema, True
+    return [(args.n, args.trials, args.seed, est.mean, est.stderr)], schema, None
 
 
 def _cmd_protocol_success(args):
@@ -132,7 +133,7 @@ def _cmd_protocol_success(args):
         args.t = answer_length(args.n)
     est = estimate_success(args.n, args.trials, _root_rng(args.seed), t=args.t)
     schema = ("n", "trials", "seed", "t", "estimate", "stderr")
-    return [(args.n, args.trials, args.seed, args.t, est.mean, est.stderr)], schema, True
+    return [(args.n, args.trials, args.seed, args.t, est.mean, est.stderr)], schema, None
 
 
 def _cmd_protocol_failure_exact(args):
@@ -146,27 +147,29 @@ def _cmd_protocol_failure_exact(args):
     for x, y in pairs:
         table = delta_table(x, y)
         rows.append((str(x), str(y), table.aleph(), float(table_failure_probability(table))))
-    return rows, ("x", "y", "aleph", "failure"), True
+    return rows, ("x", "y", "aleph", "failure"), None
 
 
 def _cmd_baseline_tghr(args):
     est = estimate_baseline_success(args.n, args.t, args.trials, _root_rng(args.seed))
     schema = ("n", "t", "trials", "seed", "estimate", "stderr")
-    return [(args.n, args.t, args.trials, args.seed, est.mean, est.stderr)], schema, True
+    return [(args.n, args.t, args.trials, args.seed, est.mean, est.stderr)], schema, None
 
 
 def _cmd_coupling_verify(args):
     if args.n < 2 or args.n % 2 or args.n > 12:
         raise ValueError(f"n must be even in [2, 12], got {args.n}")
-    if not args.tol >= 0:
-        raise ValueError(f"tol must be a nonnegative number, got {args.tol}")
     rows = []
-    all_ok = True
+    failure = None
     for value in range(1 << args.n):
         report = verify_independence(BitString(value, args.n), tol=args.tol)
         rows.append((str(report.s), float(report.max_tv), report.passed))
-        all_ok = all_ok and report.passed
-    return rows, ("s", "max_tv", "pass"), all_ok
+        if failure is None and not report.passed:
+            failure = (
+                f"coupling check failed at s={report.s}, k={report.worst_k}: "
+                f"max_tv {_fmt(report.max_tv)} > tol {_fmt(args.tol)}"
+            )
+    return rows, ("s", "max_tv", "pass"), failure
 
 
 def _cmd_bounds_validate(args):
@@ -182,12 +185,17 @@ def _cmd_bounds_validate(args):
         *sampled,
     ]
     rows = []
-    all_ok = True
+    failure = None
     for name, report in reports:
         worst = min(p.bound_value - p.observed for p in report.points)
         rows.append((name, len(report.points), worst, report.passed))
-        all_ok = all_ok and report.passed
-    return rows, ("suite", "points", "worst_margin", "pass"), all_ok
+        if failure is None and not report.passed:
+            point = report.violations()[0]
+            failure = (
+                f"{name} check failed at {point.label}: observed {_fmt(point.observed)}, "
+                f"bound {_fmt(point.bound_value)}"
+            )
+    return rows, ("suite", "points", "worst_margin", "pass"), failure
 
 
 def _set_string(members, l: int) -> BitString:
@@ -216,17 +224,15 @@ def _cmd_reduction_demo(args):
                 )
             )
     schema = ("trial", "x_set", "y_set", "intersection", "d3", "d5", "accepted")
-    return rows, schema, True
+    return rows, schema, None
 
 
 def _cmd_rect_spectrum(args):
     rect = parse_rect(args.rect, args.n)
-    rows = []
-    for k in range(args.n + 1):
-        rows.append((str(k), float(relative_weight(rect, {k}))))
-    for k in range(args.n):
-        rows.append((f"{k}+{k + 1}", float(relative_weight(rect, {k, k + 1}))))
-    return rows, ("dist_set", "rw"), True
+    dist_sets = [{k} for k in range(args.n + 1)] + [{k, k + 1} for k in range(args.n)]
+    weights = relative_weights(rect, dist_sets)  # one distance spectrum for every row
+    rows = [("+".join(map(str, sorted(d))), float(w)) for d, w in zip(dist_sets, weights)]
+    return rows, ("dist_set", "rw"), None
 
 
 _HANDLERS = {
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("baseline-tghr", "shared-randomness baseline success rate")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--t", type=_int_at_least(1), required=True, help="shared samples per run")
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -319,7 +325,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rows, schema, ok = _HANDLERS[args.subcommand](args)
+        rows, schema, failure = _HANDLERS[args.subcommand](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -331,7 +337,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0 if ok else 1
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 import math
 
 from .bitkit import BitString, Rng
@@ -183,24 +184,42 @@ def fair_binomial_masses(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(math.comb(n, w), 1 << n) for w in range(n + 1))
 
 
+def _require_dp_length(n: int) -> None:
+    if n % 2:
+        raise ValueError(f"n must be even, got {n}")
+    if n > 16:
+        raise ValueError(f"DP table limited to n <= 16, got {n}")
+
+
 def exact_coupled_distribution(s: BitString, _force_z_zero: bool = False) -> CoupledDistTable:
     """DP marginalisation of the sampler over all a of each fixed weight.
 
     The keyword _force_z_zero disables stage-2 flips; it exists so tests can
     show the verification REJECTS a broken sampler.  State space is
     (remaining weight, accumulated output weight) per step; n above 16 is
-    refused (the intended use is n <= 12).
+    refused (the intended use is n <= 12).  The DP reads s only through its
+    length and weight, so its rows are built once per weight class and shared
+    by every selector of that class.
     """
-    if s.n % 2:
-        raise ValueError(f"n must be even, got {s.n}")
-    if s.n > 16:
-        raise ValueError(f"DP table limited to n <= 16, got {s.n}")
+    _require_dp_length(s.n)
+    return CoupledDistTable(s.n, s, _class_rows(s.n, s.weight(), _force_z_zero))
+
+
+@lru_cache(maxsize=None)  # bounded: even n <= 16, weight in [0, n], two flags
+def _class_rows(n: int, weight: int, _force_z_zero: bool) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows shared by every selector of length n and this weight."""
+    return _coupled_rows(BitString((1 << weight) - 1, n), _force_z_zero)
+
+
+def _coupled_rows(s: BitString, _force_z_zero: bool) -> tuple[tuple[Fraction, ...], ...]:
+    """The DP rows of one selector.  A selector with |s| >= n/2 runs the DP
+    itself, uncached; tests compare it with the weight-class rows of every
+    selector.  One with |s| < n/2 reverses its complement's class rows."""
     n = s.n
     if 2 * s.weight() < n:
-        inner = exact_coupled_distribution(~s, _force_z_zero)
+        inner = _class_rows(n, n - s.weight(), _force_z_zero)
         # complementing a maps weight k to n - k and leaves the output law
-        rows = tuple(inner.rows[n - k] for k in range(n + 1))
-        return CoupledDistTable(n, s, rows)
+        return inner[::-1]
 
     two_d = 2 * s.weight() - n
     pair_count = (n - two_d) // 2
@@ -256,7 +275,7 @@ def exact_coupled_distribution(s: BitString, _force_z_zero: bool = False) -> Cou
                 raise InvariantError(f"DP for s={s} ended with {k} unconsumed weight")
             dist[w] += pr
         rows.append(tuple(dist))
-    return CoupledDistTable(n, s, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -273,17 +292,24 @@ def verify_independence(
     """Compare every conditional row of the DP table against Binomial(n, 1/2).
 
     Reports the worst total-variation distance over the |a| = k rows; with
-    the real sampler the distance is exactly zero."""
-    table = exact_coupled_distribution(s, _force_z_zero)
-    fair = fair_binomial_masses(s.n)
-    worst = Fraction(0)
-    worst_k = 0
-    for k in range(s.n + 1):
-        tv = sum(abs(p - q) for p, q in zip(table.rows[k], fair)) / 2
-        if tv > worst:
-            worst = tv
-            worst_k = k
-    return IndependenceReport(s, float(worst), worst_k, float(worst) <= tol)
+    the real sampler the distance is exactly zero.  passed compares that
+    distance with tol exactly, so tol must be finite."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
+    _require_dp_length(s.n)
+    distances = _class_distances(s.n, s.weight(), _force_z_zero)
+    worst = max(distances)
+    return IndependenceReport(s, float(worst), distances.index(worst), worst <= Fraction(tol))
+
+
+@lru_cache(maxsize=None)  # the same keys as _class_rows
+def _class_distances(n: int, weight: int, _force_z_zero: bool) -> tuple[Fraction, ...]:
+    """Total-variation distance of each row of a weight class from Binomial(n, 1/2)."""
+    fair = fair_binomial_masses(n)
+    return tuple(
+        sum(abs(p - q) for p, q in zip(row, fair)) / 2
+        for row in _class_rows(n, weight, _force_z_zero)
+    )
 
 
 def tilde_weight_tail_bound(n: int, d: int, t: float) -> float:

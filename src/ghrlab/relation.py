@@ -231,14 +231,38 @@ class DeviationRows:
         return not delta_table(self.x, self.y).aleph()
 
 
+# Blocks of the streamed statistic hold 2**14 cells, so up to n = 1024 no array
+# of a block exceeds 64 KiB and the allocator serves every block from heap
+# memory it already holds.  A full n = 256 table instead grows the heap by about
+# 900 KiB per pair, and whether that memory was returned and faulted in again
+# for every pair depended on unrelated heap layout.  A block has at least 16
+# shifts, so at n = 4096 the transform's per-call cost stays small.
+_STAT_BLOCK_CELLS = 1 << 14
+_STAT_MIN_SHIFTS = 16
+
+
 def aleph_statistic(x: BitString, y: BitString) -> int:
-    """Scaled in-window deviation sum of the pair's full table."""
-    return delta_table(x, y).aleph_statistic()
+    """Scaled in-window deviation sum of the pair's table: (2*delta - n)**2
+    over the cells where it is at most n.
+
+    Streamed over blocks of consecutive shifts, so no n x n array is built;
+    every row is still checked to sum to n**2.  DeltaTable.aleph_statistic is
+    the full-table oracle."""
+    _check_pair(x, y)
+    n = x.n
+    px, windows = _signs(x, y)
+    step = max(_STAT_MIN_SHIFTS, _STAT_BLOCK_CELLS // n)
+    total = 0
+    for start in range(1, n + 1, step):
+        squares = _spectra(px, windows, range(start, min(start + step, n + 1)))[1]
+        total += int(np.multiply(squares, squares <= n).sum(dtype=np.int64))
+    return total
 
 
 def aleph(x: BitString, y: BitString) -> bool:
-    """Typicality predicate of an input pair."""
-    return delta_table(x, y).aleph()
+    """Typicality predicate of an input pair: 9 * aleph_statistic <= 4 * n**3,
+    an exact integer test."""
+    return 9 * aleph_statistic(x, y) <= 4 * x.n**3
 
 
 def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -> bool:
@@ -325,13 +349,13 @@ def estimate_over_pairs(
 def estimate_aleph_probability(n: int, trials: int, rng: Rng) -> McEstimate:
     """Probability that a uniform pair is typical, by Monte Carlo."""
     require_transform_size(n)
-    return estimate_over_pairs(n, trials, rng, lambda x, y, _: delta_table(x, y).aleph())
+    return estimate_over_pairs(n, trials, rng, lambda x, y, _: aleph(x, y))
 
 
 def exact_aleph_probability(n: int) -> Fraction:
     """Exact typical-pair probability by exhausting all 4**n input pairs."""
     require_transform_size(n)
-    count = sum(delta_table(x, y).aleph() for x, y in enumerate_pairs(n))
+    count = sum(aleph(x, y) for x, y in enumerate_pairs(n))
     return Fraction(count, 1 << (2 * n))
 
 

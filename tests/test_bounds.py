@@ -2,12 +2,15 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from scipy import stats
 
 from ghrlab.bitkit import Rng
 from ghrlab.bounds import (
+    _excess,
+    _fair_cumulative,
     DEFAULT_WINDOW_C,
     anticorrelated_expectation_holds,
     binomial_window_lower,
@@ -143,6 +146,49 @@ def test_dominance_reports_small_grids():
     assert hoeffding_dominance_report(range(10, 60)).passed
     assert chernoff_dominance_report(range(10, 60)).passed
     assert window_lower_dominance_report(tuple(range(50, 121, 2))).passed
+
+
+def test_fair_cumulative_equals_comb_prefix_sums():
+    for m in range(501):
+        expect = tuple(accumulate(math.comb(m, k) for k in range(m + 1)))
+        assert _fair_cumulative.__wrapped__(m) == expect  # uncached
+
+
+def test_hoisted_hoeffding_equals_hoeffding_bound():
+    points = hoeffding_dominance_report().points
+    grid = [(m, t) for m in range(10, 401) for t in range(1, m // 4 + 1)]
+    assert len(points) == len(grid) == 19892
+    for point, (m, t) in zip(points, grid):
+        assert point.label == f"m={m},t={t}"
+        assert point.bound_value == hoeffding_bound([(0.0, 1.0)] * m, t)
+
+
+def test_excess_decides_ties_the_float_quotient_hides():
+    # (2**59 + 1) / 2**60 rounds to the float 0.5, yet it exceeds 0.5
+    assert float((2**59 + 1) / 2**60) == 0.5
+    assert _excess(2**59 + 1, 60, 0.5) > 0
+    assert _excess(2**59, 60, 0.5) == 0
+    assert _excess(2**59 - 1, 60, 0.5) < 0
+    assert _excess(3, 4, -0.25) > 0  # a negative bound (the window lower bound)
+
+
+def test_grid_verdicts_equal_fraction_comparisons():
+    report = hoeffding_dominance_report(range(10, 41))
+    grid = [(m, t) for m in range(10, 41) for t in range(1, m // 4 + 1)]
+    for point, (m, t) in zip(report.points, grid):
+        exact = exact_binomial_deviation(m, t)
+        assert point.satisfied == (exact <= Fraction(point.bound_value))
+
+
+def test_window_grid_has_no_float_slack():
+    # shift the bound up to 1e-13 above the exact mass of m=50's worst window:
+    # a margin that 1e-12 of float slack used to forgive
+    base = window_lower_dominance_report((50,), c_term=0.0).points[0]
+    gap = base.observed - base.bound_value
+    assert gap > 0
+    close = window_lower_dominance_report((50,), c_term=-(gap + 1e-13) * 50).points[0]
+    assert -1e-12 < close.observed - close.bound_value < 0
+    assert not close.satisfied
 
 
 def test_dominance_report_flags_violations():

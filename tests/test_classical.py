@@ -16,6 +16,7 @@ from ghrlab.classical import (
     estimate_baseline_success,
     reduction_xi,
     relative_weight,
+    relative_weights,
     tghr_baseline,
     uniform_distance_mass,
     xi_k_repetition,
@@ -68,6 +69,12 @@ def test_estimate_baseline_success_deterministic(monkeypatch):
     assert a == b
     monkeypatch.setenv("GHRLAB_THREADS", "4")
     assert estimate_baseline_success(64, 16, 50, Rng(4)) == a
+
+
+def test_estimate_baseline_success_checks_n_before_drawing():
+    # a draw of a 0-bit pair would fail first, with Rng.bits' own message
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        estimate_baseline_success(0, 2, 3, Rng(4))
 
 
 # ---------------------------------------------------------------- rectangles
@@ -135,6 +142,24 @@ def test_relative_weight_normalization():
             relative_weight(r, {k}) * uniform_distance_mass(6, {k}) for k in range(7)
         )
         assert total == 1
+
+
+def test_relative_weights_equal_pair_count_oracle():
+    n = 5
+    cube = [BitString(v, n) for v in range(1 << n)]
+    sets = [{k} for k in range(n + 1)] + [{k, k + 1} for k in range(n)] + [{0, 3, 5}]
+    for rect in (RectangleSpec.parity_even(n), RectangleSpec.prefix_zeros(n, 2)):
+        side_a = [z for z in cube if rect.member_a(z)]
+        side_b = [z for z in cube if rect.member_b(z)]
+        expect = []
+        for dist_set in sets:
+            inside = sum((a ^ b).weight() in dist_set for a in side_a for b in side_b)
+            uniform = sum((a ^ b).weight() in dist_set for a in cube for b in cube)
+            expect.append(
+                Fraction(inside, len(side_a) * len(side_b)) / Fraction(uniform, 4**n)
+            )
+        assert relative_weights(rect, sets) == expect
+        assert [relative_weight(rect, d) for d in sets] == expect
 
 
 def test_relative_weight_mc_close_to_exact():

@@ -9,7 +9,10 @@ import sys
 
 import pytest
 
+import ghrlab.bounds as bounds
+import ghrlab.classical as classical
 import ghrlab.cli as cli
+import ghrlab.coupling as coupling
 import ghrlab.protocol as protocol
 import ghrlab.relation as relation
 from ghrlab.bitkit import RNG_ALGORITHM, fwht
@@ -103,6 +106,48 @@ def test_coupling_verify_all_pass(capsys):
     assert all(l.endswith(",1") for l in lines[1:])
 
 
+def test_coupling_verify_runs_one_dp_per_weight_class(monkeypatch, capsys):
+    coupling._class_rows.cache_clear()
+    coupling._class_distances.cache_clear()
+    built = []
+    real = coupling._coupled_rows
+    monkeypatch.setattr(
+        coupling, "_coupled_rows", lambda s, force: built.append(s.weight()) or real(s, force)
+    )
+    assert main(["coupling-verify", "--n", "6"]) == 0
+    capsys.readouterr()
+    assert sorted(built) == list(range(7))  # 64 selectors, 7 weight classes
+
+
+def test_coupling_failure_names_selector_and_k(monkeypatch, capsys):
+    broken = lambda s, tol: coupling.verify_independence(s, tol, _force_z_zero=True)
+    monkeypatch.setattr(cli, "verify_independence", broken)
+    assert main(["coupling-verify", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("# subcommand=coupling-verify")  # the CSV is still written
+    first = next(l for l in captured.out.splitlines()[4:] if l.endswith(",0"))
+    assert first.startswith("0001,")
+    assert captured.err == "error: coupling check failed at s=0001, k=2: max_tv 0.333333333333 > tol 1e-09\n"
+
+
+def test_bounds_failure_names_grid_and_point(monkeypatch, capsys):
+    broken = lambda: bounds.window_lower_dominance_report(c_term=-5.0)
+    monkeypatch.setattr(cli, "window_lower_dominance_report", broken)
+    assert main(["bounds-validate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("window_lower,226,")
+    assert captured.err.startswith("error: window_lower check failed at m=50: observed ")
+
+
+def test_rect_spectrum_computes_one_spectrum(monkeypatch, capsys):
+    calls = []
+    real = classical.distance_counts
+    monkeypatch.setattr(classical, "distance_counts", lambda rect: calls.append(1) or real(rect))
+    assert main(["rect-spectrum", "--rect", "parity_even", "--n", "12"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3 + 1 + 25
+    assert len(calls) == 1
+
+
 def test_reduction_demo_dichotomy(capsys):
     assert main(
         ["reduction-demo", "--c1", "6", "--c2", "8", "--n", "16", "--trials", "2"]
@@ -159,6 +204,7 @@ def test_usage_errors_exit_two(capsys):
         ["protocol-failure-exact", "--n", "16", "--trials", "0"],
         ["baseline-tghr", "--n", "64", "--t", "8", "--trials", "0"],
         ["baseline-tghr", "--n", "64", "--t", "0", "--trials", "5"],
+        ["baseline-tghr", "--t", "2", "--trials", "3", "--n", "0"],
         ["bounds-validate", "--trials", "-3"],
         ["reduction-demo", "--c1", "6", "--c2", "8", "--n", "16", "--trials", "-1"],
     ],
@@ -177,7 +223,7 @@ def test_bounds_validate_trials_below_n8_is_usage_error(capsys):
 
 
 def test_negative_or_nan_tolerance_is_usage_error(capsys):
-    for tol in ("-1", "nan"):
+    for tol in ("-1", "nan", "inf"):
         assert main(["coupling-verify", "--n", "4", "--tol", tol]) == 2
         assert capsys.readouterr().err.startswith("error: tol must be")
 

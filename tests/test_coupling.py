@@ -1,11 +1,13 @@
 """Weight-decoupling sampler: exact tables, sampled histograms, tail cap."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ghrlab import coupling
 from ghrlab.bitkit import BitString, Rng, random_bitstring
 from ghrlab.coupling import (
     exact_coupled_distribution,
@@ -48,6 +50,15 @@ def test_every_selector_gives_exact_binomial_rows(n):
             assert table.row(k) == fair
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_weight_class_rows_equal_uncached_per_selector_dp(n):
+    for value in range(1 << n):
+        s = BitString(value, n)
+        table = exact_coupled_distribution(s)
+        assert table.s == s
+        assert table.rows == coupling._coupled_rows(s, False)
+
+
 def test_rows_are_distributions():
     table = exact_coupled_distribution(bs("110100"))
     for k in range(7):
@@ -61,6 +72,17 @@ def test_verify_independence_passes_and_has_teeth():
     broken = verify_independence(bs("1100"), _force_z_zero=True)
     assert not broken.passed
     assert broken.max_tv > 0.1
+
+
+def test_tolerance_is_finite_and_compared_exactly():
+    s = bs("0001")  # broken sampler: worst TV exactly 1/3, whose float rounds down
+    broken = verify_independence(s, tol=0.5, _force_z_zero=True)
+    assert broken.passed and broken.worst_k == 2
+    assert Fraction(broken.max_tv) < Fraction(1, 3)
+    assert not verify_independence(s, tol=broken.max_tv, _force_z_zero=True).passed
+    for tol in (math.inf, math.nan, -1e-9):
+        with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
+            verify_independence(s, tol=tol)
 
 
 def test_complement_selector_agrees():

@@ -99,9 +99,12 @@ def test_parseval_property(n, data):
     yv = data.draw(st.integers(0, 2**n - 1))
     x, y = BitString(xv, n), BitString(yv, n)
     table = delta_table(x, y)
+    naive = delta_table_naive(x, y)
     assert table.parseval_sum() == n**3
     # the transform agrees with the definition cell by cell
-    assert np.array_equal(table.values, delta_table_naive(x, y).values)
+    assert np.array_equal(table.values, naive.values)
+    # and so does the streamed typicality statistic
+    assert aleph_statistic(x, y) == naive.aleph_statistic()
 
 
 def test_window_mask_is_squared_deviation_test():
@@ -126,6 +129,25 @@ def test_aleph_statistic_consistency():
         s4 = int((dev[table.window_mask()] ** 2).sum())
         assert aleph_statistic(x, y) == s4
         assert aleph(x, y) == (9 * s4 <= 4 * 16**3)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_streamed_statistic_equals_full_table(n):
+    # several blocks of shifts per pair (4 at n = 256, 64 at n = 1024), on
+    # random pairs, x = y, x = ~y, and a bent x against y = 0: every shift's
+    # spectrum is then flat at sqrt(n), all n**2 cells lie in the window, and
+    # the pair is atypical
+    half = (n.bit_length() - 1) // 2
+    bent = BitString.from_bits([bin((i >> half) & i).count("1") % 2 for i in range(n)])
+    zero = BitString(0, n)
+    rng = Rng(n)
+    x, y = random_bitstring(n, rng), random_bitstring(n, rng)
+    for a, b in ((x, y), (y, x), (x, x), (x, ~x), (bent, zero)):
+        table = delta_table(a, b)
+        assert aleph_statistic(a, b) == table.aleph_statistic()
+        assert aleph(a, b) == table.aleph()
+    assert aleph_statistic(bent, zero) == n**3
+    assert not aleph(bent, zero)
 
 
 def test_ghr_valid_counts_outside_entries():
@@ -188,6 +210,8 @@ def test_corrupted_row_trips_parseval_check(monkeypatch):
     # a full table runs the same check on every row; here every row is off
     with pytest.raises(InvariantError, match="row j=1 .*n\\*\\*2 = 16"):
         delta_table(x, y)
+    with pytest.raises(InvariantError, match="row j=1 .*n\\*\\*2 = 16"):
+        aleph(x, y)
 
 
 def test_ghr_valid_equals_full_table_reference():
