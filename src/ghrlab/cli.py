@@ -36,12 +36,13 @@ from .classical import (
     xi_parameters,
 )
 from .coupling import verify_independence
-from .protocol import estimate_success, table_failure_probability
+from .protocol import estimate_success, failure_probability
 from .relation import (
+    aleph_statistic,
     answer_length,
-    delta_table,
     enumerate_pairs,
     estimate_aleph_probability,
+    is_typical,
     require_transform_size,
     trial_pair,
 )
@@ -145,8 +146,8 @@ def _cmd_protocol_failure_exact(args):
         pairs = [trial_pair(args.n, rng, i)[:2] for i in range(args.trials)]
     rows = []
     for x, y in pairs:
-        table = delta_table(x, y)
-        rows.append((str(x), str(y), table.aleph(), float(table_failure_probability(table))))
+        stat = aleph_statistic(x, y)
+        rows.append((str(x), str(y), is_typical(args.n, stat), float(failure_probability(args.n, stat))))
     return rows, ("x", "y", "aleph", "failure"), None
 
 

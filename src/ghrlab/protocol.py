@@ -6,8 +6,8 @@ OutcomeDistribution stores the integer numerators over the fixed denominator
 n**3, so normalization is the exact table identity and sampling reduces to
 one uniform integer draw below n**3 per outcome.  Every row of numerators
 sums to exactly n**2, so a draw r lands in row r // n**2 and protocol runs
-build only the rows their draws land in (sample_outcomes); the full table
-is built only when the relation check needs typicality.  The explicit state
+build only the rows their draws land in (sample_outcomes), and typicality
+and failure come from the streamed in-window statistic.  The explicit state
 vectors (phi on n coordinates, u on n**2) are provided so the closed form
 can be checked against squared inner products.
 
@@ -30,10 +30,12 @@ from .relation import (
     DeviationRows,
     McEstimate,
     TransformIndex,
+    aleph_statistic,
     answer_length,
     delta_table,
     enumerate_pairs,
     estimate_over_pairs,
+    is_typical,
     require_transform_size,
 )
 
@@ -200,30 +202,29 @@ def repetition_failure_probability(m: int, p: Fraction) -> Fraction:
     return total
 
 
-def table_failure_probability(table: DeltaTable) -> Fraction:
-    """Exact probability that a full protocol run on the table's pair yields
-    an invalid answer.
+def failure_probability(n: int, statistic: int) -> Fraction:
+    """Exact probability that a full protocol run yields an invalid answer,
+    from the pair's in-window statistic (relation.aleph_statistic).
 
     Atypical pairs never fail.  Typical pairs fail iff more than half of the
     log2 n sampled cells are in-window, each independently with the exact
-    rational in-window mass p."""
-    if not table.aleph():
+    in-window mass p = statistic / n**3 (OutcomeDistribution.in_window_mass)."""
+    if not is_typical(n, statistic):
         return Fraction(0)
-    dist = OutcomeDistribution.from_table(table)
-    return repetition_failure_probability(answer_length(table.n), dist.in_window_mass())
+    return repetition_failure_probability(answer_length(n), Fraction(statistic, n**3))
 
 
 def failure_probability_exact(x: BitString, y: BitString) -> Fraction:
-    """table_failure_probability of the pair (x, y)."""
-    return table_failure_probability(delta_table(x, y))
+    """failure_probability of the pair (x, y)."""
+    return failure_probability(x.n, aleph_statistic(x, y))
 
 
 def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McEstimate:
     """Monte Carlo success rate of full runs on uniform input pairs.
 
     Trial i draws inputs and outcomes from rng.child(i); the sampled answer
-    is checked against the relation with the same exact rows, and the full
-    table is built only when the answer alone does not settle validity.
+    is checked against the relation with the same exact rows, and typicality
+    is computed only when the answer alone does not settle validity.
     With t set, each run draws only t outcomes and tiles them to log2 n
     entries."""
     m = answer_length(n)  # rejects a size outside the allowed powers of 4

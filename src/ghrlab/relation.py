@@ -5,9 +5,8 @@ cyclic shift j in [1, n] and a (log2 n)-bit Walsh selector s;
 delta(x, y, (j, s)) is the Hamming distance between sigma_j(tau_s xor x) and
 y.  The relation layer works in exact integer arithmetic throughout: a
 distance enters as its scaled deviation 2*delta - n, the center window test
-is (2*delta - n)**2 <= n, and the typicality predicate compares
-9 * statistic <= 4 * n**3 where statistic sums (2*delta - n)**2 over
-in-window cells.  Summed over ALL cells that square deviation always equals
+is (2*delta - n)**2 <= n, and the typicality predicate (is_typical) bounds
+the statistic, the sum of (2*delta - n)**2 over in-window cells, by 4n**3/9.  Summed over ALL cells that square deviation always equals
 n**3 exactly, which the table type exposes for verification; summed along
 one shift row it equals n**2, which every table and row is checked for as
 one integer Walsh-Hadamard transform (bitkit.fwht) builds it.
@@ -99,8 +98,8 @@ class DeltaTable:
         return int(self.squares.sum(where=self.window_mask(), dtype=np.int64))
 
     def aleph(self) -> bool:
-        """Typicality: 9 * statistic <= 4 * n**3, an exact integer test."""
-        return 9 * self.aleph_statistic() <= 4 * self.n**3
+        """Typicality of the table's pair (is_typical)."""
+        return is_typical(self.n, self.aleph_statistic())
 
 
 def delta(x: BitString, y: BitString, t: TransformIndex) -> int:
@@ -181,12 +180,6 @@ def _spectra(
     return corr, squares
 
 
-def row_square_deviations(x: BitString, y: BitString, j: int) -> np.ndarray:
-    """(2*delta - n)**2 along row j - 1 of the pair's table, without the
-    table: the transform of shift j alone, checked to sum to n**2."""
-    return DeviationRows(x, y).squares(j)
-
-
 class DeviationRows:
     """Rows of one pair's squared deviations, each built once on first use.
 
@@ -223,12 +216,12 @@ class DeviationRows:
 
         At least half of the entries outside the center window is valid for
         any pair; otherwise the answer is valid only if the pair is atypical,
-        which alone needs the full table."""
+        which the streamed statistic decides."""
         n = self.n
         outside = sum(1 for t in answer if self.squares(t.j)[t.s.as_unsigned()] > n)
         if 2 * outside >= answer_length(n):
             return True
-        return not delta_table(self.x, self.y).aleph()
+        return not aleph(self.x, self.y)
 
 
 # Blocks of the streamed statistic hold 2**14 cells, so up to n = 1024 no array
@@ -259,10 +252,14 @@ def aleph_statistic(x: BitString, y: BitString) -> int:
     return total
 
 
+def is_typical(n: int, statistic: int) -> bool:
+    """Typicality of a pair from its in-window statistic (aleph_statistic), exactly."""
+    return 9 * statistic <= 4 * n**3
+
+
 def aleph(x: BitString, y: BitString) -> bool:
-    """Typicality predicate of an input pair: 9 * aleph_statistic <= 4 * n**3,
-    an exact integer test."""
-    return 9 * aleph_statistic(x, y) <= 4 * x.n**3
+    """Typicality predicate of an input pair."""
+    return is_typical(x.n, aleph_statistic(x, y))
 
 
 def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -> bool:

@@ -85,14 +85,17 @@ def test_protocol_failure_exact_exhaustive(capsys):
     assert all(l.split(",")[3] == "0" for l in lines[1:])
 
 
-def test_protocol_failure_exact_builds_one_table_per_pair(monkeypatch, capsys):
-    built = []
-    real = relation.delta_table
+def test_protocol_failure_exact_streams_one_statistic_per_pair(monkeypatch, capsys):
+    built, streamed = [], []
+    real_table, real_stat = relation.delta_table, relation.aleph_statistic
+    for module in (protocol, relation):
+        monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
     for module in (cli, protocol, relation):
-        monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real(x, y))
+        monkeypatch.setattr(module, "aleph_statistic", lambda x, y: streamed.append(1) or real_stat(x, y))
     assert main(["protocol-failure-exact", "--n", "64", "--trials", "20"]) == 0
     capsys.readouterr()
-    assert len(built) == 20
+    assert len(streamed) == 20
+    assert not built
 
 
 def test_coupling_verify_all_pass(capsys):
@@ -229,7 +232,7 @@ def test_negative_or_nan_tolerance_is_usage_error(capsys):
 
 
 def test_oversized_n_is_usage_error(capsys):
-    for sub in ("aleph-estimate", "protocol-success"):
+    for sub in ("aleph-estimate", "protocol-success", "protocol-failure-exact"):
         assert main([sub, "--n", "16384", "--trials", "1"]) == 2
         assert "size cap 4096" in capsys.readouterr().err
 
@@ -322,9 +325,19 @@ def argv_from_header(data: bytes) -> list[str]:
     return argv
 
 
+def refuse_table(x, y):
+    raise AssertionError("a CLI run built a full delta table")
+
+
 @pytest.mark.parametrize("command", GOLDEN)
-def test_csv_bytes_match_golden(command):
+def test_csv_bytes_match_golden(command, monkeypatch):
     assert hashlib.sha256(csv_bytes(command)).hexdigest() == GOLDEN[command]
+    # the same bytes again with delta_table refused wherever it is imported:
+    # every verdict comes from the streamed statistic or single rows
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ghrlab" and "delta_table" in vars(module):
+            monkeypatch.setattr(module, "delta_table", refuse_table)
+    assert hashlib.sha256(run_stdout(command.split())).hexdigest() == GOLDEN[command]
 
 
 @pytest.mark.parametrize("command", GOLDEN)

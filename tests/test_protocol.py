@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import ghrlab.protocol as protocol
 import ghrlab.relation as relation
 from ghrlab.bitkit import BitString, Rng, random_bitstring
 from ghrlab.protocol import (
@@ -31,6 +32,7 @@ from ghrlab.relation import (
     answer_length,
     delta_table,
     enumerate_pairs,
+    is_typical,
 )
 
 
@@ -153,25 +155,28 @@ def test_failure_probability_exact_n4_values():
     assert exact_success_probability(4) == 1
 
 
-def test_failure_probability_positive_case():
-    """A larger pair with nonzero in-window mass fails with p_in**window share."""
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+def test_failure_probability_positive_case(n):
+    """The streamed statistic gives the full table's failure probability and
+    typicality verdict, on random pairs, x = y, and a bent x against y = 0
+    (statistic n**3, so atypical).  Typical pairs with nonzero in-window mass
+    occur from n = 16 on; at n = 4 every typical pair has none."""
+    m = answer_length(n)
+    half = m // 2
+    bent = BitString.from_bits([bin((i >> half) & i).count("1") % 2 for i in range(n)])
     rng = Rng(21)
+    pairs = [(random_bitstring(n, rng), random_bitstring(n, rng)) for _ in range(40)]
+    pairs += [(pairs[0][0], pairs[0][0]), (bent, BitString(0, n))]
     found = False
-    for _ in range(40):
-        x = random_bitstring(16, rng)
-        y = random_bitstring(16, rng)
+    for x, y in pairs:
         table = delta_table(x, y)
-        if not table.aleph():
-            continue
-        d = OutcomeDistribution.from_table(table)
-        p = d.in_window_mass()
-        if p == 0:
-            continue
-        found = True
-        expect = repetition_failure_probability(4, p)
+        p = OutcomeDistribution.from_table(table).in_window_mass()
+        expect = 0 if not table.aleph() else repetition_failure_probability(m, p)
         assert failure_probability_exact(x, y) == expect
-        assert 0 < expect < 1
-    assert found
+        assert is_typical(n, relation.aleph_statistic(x, y)) == table.aleph()
+        found = found or 0 < expect < 1
+    assert not table.aleph()  # the bent pair
+    assert found == (n > 4)
 
 
 def test_estimate_success_deterministic_and_thread_invariant(monkeypatch):
@@ -244,9 +249,13 @@ def reference_success(n, trials, rng, t):
 @pytest.mark.parametrize("t", [None, 1, 3])
 def test_estimate_success_equals_full_table_reference(monkeypatch, n, trials, t):
     expect, unsettled = reference_success(n, trials, Rng(13), answer_length(n) if t is None else t)
-    built = []
-    real = relation.delta_table
-    monkeypatch.setattr(relation, "delta_table", lambda x, y: built.append(1) or real(x, y))
+    built, streamed = [], []
+    real_table, real_stat = relation.delta_table, relation.aleph_statistic
+    for module in (protocol, relation):
+        monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
+    monkeypatch.setattr(relation, "aleph_statistic", lambda x, y: streamed.append(1) or real_stat(x, y))
     assert estimate_success(n, trials, Rng(13), t=t) == expect
-    # the full table is built exactly for the trials the answer leaves open
-    assert len(built) == unsettled
+    # typicality is streamed exactly for the trials the answer leaves open,
+    # and no trial builds the full table
+    assert len(streamed) == unsettled
+    assert not built

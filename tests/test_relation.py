@@ -26,7 +26,6 @@ from ghrlab.relation import (
     ghd_value,
     ghr_is_valid,
     require_transform_size,
-    row_square_deviations,
     tghr_is_valid,
 )
 from ghrlab.util import InvariantError
@@ -192,7 +191,7 @@ def test_rows_equal_table_rows(n, seed):
     together = DeviationRows(x, y)
     together.build(reversed(shifts))  # every row from one transform
     for j in shifts:
-        assert np.array_equal(row_square_deviations(x, y, j), dev[j - 1] ** 2)
+        assert np.array_equal(DeviationRows(x, y).squares(j), dev[j - 1] ** 2)
         assert np.array_equal(rows.squares(j), dev[j - 1] ** 2)
         assert np.array_equal(together.squares(j), dev[j - 1] ** 2)
 
@@ -206,7 +205,7 @@ def test_corrupted_row_trips_parseval_check(monkeypatch):
     monkeypatch.setattr(relation, "fwht", corrupted)
     x, y = bs("0100"), bs("1110")
     with pytest.raises(InvariantError, match="n\\*\\*2 = 16"):
-        row_square_deviations(x, y, 3)
+        DeviationRows(x, y).squares(3)
     # a full table runs the same check on every row; here every row is off
     with pytest.raises(InvariantError, match="row j=1 .*n\\*\\*2 = 16"):
         delta_table(x, y)
