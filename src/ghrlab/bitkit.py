@@ -239,6 +239,24 @@ class Rng:
         raw = self.generator.bytes(nbytes)
         return int.from_bytes(raw, "big") & ((1 << count) - 1)
 
+    def bit_rows(self, rows: int, count: int) -> np.ndarray:
+        """rows draws of bits(count) in one call, as a (rows, ceil(count/8))
+        uint8 array whose row i holds the big-endian bytes of the i-th draw.
+
+        The stream is read exactly as rows calls of bits(count) read it, and
+        is left at the same position: Generator.bytes(k) takes ceil(k/4)
+        full-range uint32 draws and keeps the first k of their little-endian
+        bytes, and here every row takes the same uint32 draws in turn."""
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        nbytes = (count + 7) // 8
+        words = self.generator.integers(
+            0, 1 << 32, size=(rows, (nbytes + 3) // 4), dtype=np.uint32
+        )
+        out = words.astype("<u4", copy=False).view(np.uint8)[:, :nbytes]
+        out[:, 0] &= 0xFF >> (8 * nbytes - count)
+        return out
+
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
         if not 1 <= bound <= (1 << 63):

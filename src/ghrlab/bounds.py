@@ -92,9 +92,7 @@ def relaxed_chernoff_bound(
             # degenerate mean cap: the lower tail is impossible to miss by
             # t > 0, the upper denominator stays positive through t
             return 0.0 if side == "lower_tail" else min(1.0, math.exp(-t))
-        if side == "lower_tail":
-            return min(1.0, math.exp(-t * t / (2.0 * a)))
-        return min(1.0, math.exp(-t * t / (2.0 * a + t)))
+        return _exp_tail(side == "lower_tail", 2.0 * a, t)
     if form == "ratio":
         if m is None or mu is None or level is None:
             raise ValueError("ratio form needs m, mu, level")
@@ -109,6 +107,13 @@ def relaxed_chernoff_bound(
     raise ValueError(f"form must be 'exp' or 'ratio', got {form!r}")
 
 
+def _exp_tail(lower: bool, two_a: float, t: float) -> float:
+    """Exp-form relaxed Chernoff tail for a > 0 and t > 0, given two_a = 2.0 * a."""
+    if lower:
+        return min(1.0, math.exp(-t * t / two_a))
+    return min(1.0, math.exp(-t * t / (two_a + t)))
+
+
 def _ratio_power(num: float, den: float, expo: float) -> float:
     """(num/den)**expo with the 0**0 = 1 convention used by the ratio form."""
     if expo == 0:
@@ -117,7 +122,12 @@ def _ratio_power(num: float, den: float, expo: float) -> float:
         return 0.0
     if den == 0:
         raise ValueError("zero denominator with nonzero exponent")
-    return math.exp(expo * (math.log(num) - math.log(den)))
+    return _ratio_exp(expo, math.log(num), math.log(den))
+
+
+def _ratio_exp(expo: float, log_num: float, log_den: float) -> float:
+    """_ratio_power past its edge cases, given the two logarithms."""
+    return math.exp(expo * (log_num - log_den))
 
 
 @lru_cache(maxsize=1024)
@@ -138,6 +148,24 @@ def _excess(count: int, m: int, bound: float) -> int:
     return count * q - (p << m)
 
 
+def _exact_excess(count: int, m: int, observed: float, bound: float) -> int:
+    """_excess(count, m, bound), deciding from floats whenever they differ.
+
+    observed must be the float count / 2**m and bound must be finite.
+    Python's int / int is correctly rounded, and rounding is monotone: a
+    float bound rounds to itself, so count / 2**m <= bound forces observed
+    <= bound, and count / 2**m >= bound forces observed >= bound.  Hence
+    observed > bound proves the exact quotient exceeds bound, observed <
+    bound proves it falls short, and only a tie observed == bound leaves the
+    sign open, which _excess settles with integers.  This is a theorem, not
+    a tolerance: the result always has the sign of the exact difference."""
+    if observed > bound:
+        return 1
+    if observed < bound:
+        return -1
+    return _excess(count, m, bound)
+
+
 def _tail_counts(m: int, t: int) -> tuple[int, int]:
     """Integer counts C(m, k) summed over k <= m/2 - t and over k >= m/2 + t,
     for an integer t >= 1; over 2**m they are the fair binomial's two tails."""
@@ -149,20 +177,38 @@ def _tail_counts(m: int, t: int) -> tuple[int, int]:
     return lower, upper
 
 
-def _windows(m: int):
-    """(a, b, hits, exact) for every window a < b inside m/2 +- sqrt(m), in
-    (a, b) order: hits is the integer count C(m, a) + ... + C(m, b), and
-    exact = hits / 2**m as a float."""
+def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
+    """binomial_window_lower's terms that depend on m alone: m/2, the two
+    square-root coefficients and c_term/m."""
+    return (
+        m / 2.0,
+        math.sqrt(2.0 / (math.pi * m)),
+        math.sqrt(8.0 / (9.0 * math.pi * m**3)),
+        c_term / m,
+    )
+
+
+def _windows(m: int, c_term: float):
+    """(hits, exact, bound) for every window a < b inside m/2 +- sqrt(m), in
+    (a, b) order: hits is the integer count C(m, a) + ... + C(m, b), exact =
+    hits / 2**m as a float and bound = binomial_window_lower(m, a, b, c_term)
+    bit for bit.  The per-m constants and each (k - m/2)**3 are computed once,
+    with the operations binomial_window_lower applies to them."""
     cum = _fair_cumulative(m)
     denom = 1 << m
     root = math.sqrt(m)
     lo = max(math.ceil(m / 2 - root), 0)
     hi = min(math.floor(m / 2 + root), m)
-    for a in range(lo, hi):
+    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
+    ks = range(lo, hi + 1)
+    cubes = [(k - half) ** 3 for k in ks]
+    for i, a in enumerate(ks[:-1]):
         base_cum = cum[a - 1] if a > 0 else 0
-        for b in range(a + 1, hi + 1):
+        cube_a = cubes[i]
+        for b, cube_b in zip(ks[i + 1:], cubes[i + 1:]):
             hits = cum[b] - base_cum
-            yield a, b, hits, hits / denom
+            bound = main_coef * (b - a) - cubic_coef * (cube_b - cube_a) - shift
+            yield hits, hits / denom, bound
 
 
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
@@ -200,10 +246,8 @@ def binomial_window_lower(m: int, a: int, b: int, c_term: float = DEFAULT_WINDOW
         raise ValueError(f"m must be even and >= 2, got {m}")
     if not 0 <= a < b <= m:
         raise ValueError(f"window [{a}, {b}] invalid for m={m}")
-    half = m / 2.0
-    main = math.sqrt(2.0 / (math.pi * m)) * (b - a)
-    cubic = math.sqrt(8.0 / (9.0 * math.pi * m**3)) * ((b - half) ** 3 - (a - half) ** 3)
-    return main - cubic - c_term / m
+    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
+    return main_coef * (b - a) - cubic_coef * ((b - half) ** 3 - (a - half) ** 3) - shift
 
 
 def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2))) -> float:
@@ -213,8 +257,8 @@ def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2)))
     """
     worst = 0.0
     for m in m_values:
-        for a, b, _, exact in _windows(m):
-            gap = (binomial_window_lower(m, a, b, c_term=0.0) - exact) * m
+        for _, exact, bound in _windows(m, 0.0):
+            gap = (bound - exact) * m
             if gap > worst:
                 worst = gap
     return worst
@@ -256,14 +300,14 @@ def hoeffding_dominance_report(
     bound's exact value."""
     points = []
     for m in m_values:
-        denom = float(m)
+        variance = float(m)
+        denom = 1 << m
         for t in range(1, m // t_max_divisor + 1):
             count = sum(_tail_counts(m, t))
-            bound = _hoeffding_tail(denom, t)
-            exact = count / (1 << m)
-            points.append(
-                BoundPoint(f"m={m},t={t}", bound, exact, _excess(count, m, bound) <= 0)
-            )
+            bound = _hoeffding_tail(variance, t)
+            exact = count / denom
+            satisfied = _exact_excess(count, m, exact, bound) <= 0
+            points.append(BoundPoint(f"m={m},t={t}", bound, exact, satisfied))
     return BoundReport("two-sided binomial tail vs hoeffding_bound", tuple(points))
 
 
@@ -272,35 +316,48 @@ def chernoff_dominance_report(
 ) -> BoundReport:
     """Exact one-sided fair-binomial tails never exceed the relaxed Chernoff
     bounds, in both the exp and the ratio form; each verdict compares the
-    integer count with the bound's exact value."""
+    integer count with the bound's exact value.
+
+    Each bound equals relaxed_chernoff_bound at its point bit for bit: the
+    grid feeds the same floats through the same helpers, computing 2a,
+    log(mu) and log(m - mu) once per m and log(mu - t), log(mu + t) once per
+    t.  The latter also serve as log(m - level) of the other side, since
+    m - (mu + t) and m - (mu - t) are exactly mu - t and mu + t: all are
+    half-integers far below 2**53.  t_max_divisor must be at least 3, which
+    keeps every ratio level strictly inside (0, m)."""
+    if t_max_divisor < 3:
+        raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
     points = []
     for m in m_values:
         denom = 1 << m
         mu = m / 2.0
+        two_a = 2.0 * mu
+        log_mu = math.log(mu)
+        log_rest = math.log(m - mu)
         for t in range(1, m // t_max_divisor + 1):
             lower, upper = _tail_counts(m, t)
-            lo = (lower, lower / denom)
-            hi = (upper, upper / denom)
-            checks = (
-                ("exp_lo", lo, relaxed_chernoff_bound("lower_tail", a=mu, t=t)),
-                ("exp_hi", hi, relaxed_chernoff_bound("upper_tail", a=mu, t=t)),
-                (
-                    "ratio_lo",
-                    lo,
-                    relaxed_chernoff_bound(
-                        "lower_tail", form="ratio", m=m, mu=mu, level=mu - t
-                    ),
-                ),
-                (
-                    "ratio_hi",
-                    hi,
-                    relaxed_chernoff_bound(
-                        "upper_tail", form="ratio", m=m, mu=mu, level=mu + t
-                    ),
-                ),
+            lo_exact = lower / denom
+            hi_exact = upper / denom
+            below, above = mu - t, mu + t
+            log_below, log_above = math.log(below), math.log(above)
+            ratio_lo = min(
+                1.0,
+                _ratio_exp(below, log_mu, log_below)
+                * _ratio_exp(m - below, log_rest, log_above),
             )
-            for name, (count, exact), bound in checks:
-                satisfied = _excess(count, m, bound) <= 0
+            ratio_hi = min(
+                1.0,
+                _ratio_exp(above, log_mu, log_above)
+                * _ratio_exp(m - above, log_rest, log_below),
+            )
+            checks = (
+                ("exp_lo", lower, lo_exact, _exp_tail(True, two_a, t)),
+                ("exp_hi", upper, hi_exact, _exp_tail(False, two_a, t)),
+                ("ratio_lo", lower, lo_exact, ratio_lo),
+                ("ratio_hi", upper, hi_exact, ratio_hi),
+            )
+            for name, count, exact, bound in checks:
+                satisfied = _exact_excess(count, m, exact, bound) <= 0
                 points.append(BoundPoint(f"{name},m={m},t={t}", bound, exact, satisfied))
     return BoundReport("one-sided binomial tails vs relaxed_chernoff_bound", tuple(points))
 
@@ -320,9 +377,8 @@ def window_lower_dominance_report(
         worst_bound = 0.0
         worst_exact = 0.0
         holds = True
-        for a, b, hits, exact in _windows(m):
-            bound = binomial_window_lower(m, a, b, c_term=c)
-            holds = holds and _excess(hits, m, bound) >= 0
+        for hits, exact, bound in _windows(m, c):
+            holds = holds and _exact_excess(hits, m, exact, bound) >= 0
             if exact - bound < worst_margin:
                 worst_margin = exact - bound
                 worst_bound = bound

@@ -39,6 +39,19 @@ from .bitkit import BitString, Rng, fwht, random_bitstring
 from .relation import McEstimate, estimate_over_pairs, tghr_is_valid
 
 
+# Exact spectrum operations enumerate all 2**n strings of each side.
+MAX_ENUMERATION_N = 20
+
+
+def require_enumerable(n: int) -> None:
+    """Reject n outside [1, MAX_ENUMERATION_N]: explicit enumeration of a
+    rectangle over {0,1}^n takes 2**n membership calls per side."""
+    if not 1 <= n <= MAX_ENUMERATION_N:
+        raise ValueError(
+            f"explicit enumeration needs 1 <= n <= {MAX_ENUMERATION_N}, got n={n}"
+        )
+
+
 def tghr_baseline(
     x: BitString, y: BitString, t: int, shared_rng: Rng
 ) -> tuple[BitString, bool]:
@@ -47,20 +60,20 @@ def tghr_baseline(
     Both parties read Z_1..Z_t off the shared stream; Alice picks the index
     minimising |Z_i xor x| (lowest index on ties), Bob answers Z_i0 xor y.
     Returns (answer, validity against tghr_is_valid).
+
+    The t samples are drawn in one Rng.bit_rows call, which reads the same
+    stream as t calls of random_bitstring(n, shared_rng); their distances to
+    x are one byte-popcount pass, and only the winner becomes a BitString.
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     if t < 1:
         raise ValueError("t must be >= 1")
-    best_index = 0
-    best_weight = x.n + 1
-    best_z = None
-    for i in range(t):
-        z = random_bitstring(x.n, shared_rng)
-        w = (z ^ x).weight()
-        if w < best_weight:
-            best_index, best_weight, best_z = i, w, z
-    tau = best_z ^ y
+    samples = shared_rng.bit_rows(t, x.n)
+    x_bytes = np.frombuffer(x.value.to_bytes(samples.shape[1], "big"), dtype=np.uint8)
+    weights = _BYTE_WEIGHTS[samples ^ x_bytes].sum(axis=1)
+    best = samples[int(np.argmin(weights))]  # argmin keeps the first minimum
+    tau = BitString(int.from_bytes(best.tobytes(), "big"), x.n) ^ y
     return tau, tghr_is_valid(x, y, tau)
 
 
@@ -80,7 +93,7 @@ class RectangleSpec:
     """A product set A x B over {0,1}^n given by membership predicates.
 
     Named families carry explicit enumerations lazily; exact spectrum
-    operations need them (guideline n <= 16, hard cap n <= 20)."""
+    operations need them (guideline n <= 16, hard cap MAX_ENUMERATION_N)."""
 
     def __init__(
         self,
@@ -116,8 +129,7 @@ class RectangleSpec:
     def indicator_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """0/1 indicators indexed by the packed value, enumerated once."""
         if self._sets is None:
-            if self.n > 20:
-                raise ValueError(f"explicit enumeration refused for n={self.n}")
+            require_enumerable(self.n)
             size = 1 << self.n
             ind_a = np.zeros(size, dtype=np.int64)
             ind_b = np.zeros(size, dtype=np.int64)
@@ -154,6 +166,10 @@ def _popcounts(n: int) -> np.ndarray:
         out += (np.arange(1 << n) >> b) & 1
     out.setflags(write=False)
     return out
+
+
+# popcount of every byte value, as uint8 so one lookup per sample byte stays small
+_BYTE_WEIGHTS = _popcounts(8).astype(np.uint8)
 
 
 def distance_counts(rect: RectangleSpec) -> np.ndarray:

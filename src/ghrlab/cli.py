@@ -33,6 +33,7 @@ from .classical import (
     estimate_baseline_success,
     reduction_xi,
     relative_weights,
+    require_enumerable,
     xi_parameters,
 )
 from .coupling import verify_independence
@@ -138,7 +139,6 @@ def _cmd_protocol_success(args):
 
 
 def _cmd_protocol_failure_exact(args):
-    require_transform_size(args.n)
     if args.exhaustive:
         pairs = list(enumerate_pairs(args.n))
     else:
@@ -158,8 +158,6 @@ def _cmd_baseline_tghr(args):
 
 
 def _cmd_coupling_verify(args):
-    if args.n < 2 or args.n % 2 or args.n > 12:
-        raise ValueError(f"n must be even in [2, 12], got {args.n}")
     rows = []
     failure = None
     for value in range(1 << args.n):
@@ -248,16 +246,36 @@ _HANDLERS = {
 }
 
 
-def _int_at_least(low: int):
-    """argparse type: an int >= low, else a usage error (exit 2)."""
+def _checked_int(guard):
+    """argparse type: an int that guard accepts, else a usage error (exit 2).
+
+    guard raises ValueError for a refused value; argparse prefixes its
+    message with the flag, and a refused value never reaches a handler."""
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        try:
+            guard(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         return value
 
     parse.__name__ = "int"  # argparse names the type in its message for a non-integer
     return parse
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= low, else a usage error (exit 2)."""
+    def guard(value: int) -> None:
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+
+    return _checked_int(guard)
+
+
+def _require_sweep_size(n: int) -> None:
+    """coupling-verify sweeps all 2**n selectors through the DP."""
+    if n < 2 or n % 2 or n > 12:
+        raise ValueError(f"n must be even in [2, 12], got {n}")
 
 
 @functools.cache
@@ -273,19 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         return p
 
+    transform_n = _checked_int(require_transform_size)
+
     p = add("aleph-estimate", "Monte Carlo estimate of the typicality probability")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=transform_n, required=True)
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("protocol-success", "Monte Carlo protocol success rate on uniform pairs")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=transform_n, required=True)
     p.add_argument("--trials", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=_int_at_least(1), default=None, help="outcome samples per run (default log2 n)")
 
     p = add("protocol-failure-exact", "exact per-pair failure probabilities")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=transform_n, required=True)
     p.add_argument("--exhaustive", action="store_true", help="all pairs (small n)")
     p.add_argument("--trials", type=_int_at_least(1), default=100, help="sampled pairs when not exhaustive")
     p.add_argument("--seed", type=int, default=0)
@@ -297,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("coupling-verify", "exact coupled-mixture check for every selector")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_checked_int(_require_sweep_size), required=True)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("bounds-validate", "tail-bound dominance grids, plus sampled shift tails")
@@ -315,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rect-spectrum", "relative distance weights of a rectangle")
     p.add_argument("--rect", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_checked_int(require_enumerable), required=True)
 
     return parser
 

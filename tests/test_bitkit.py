@@ -205,6 +205,23 @@ def test_random_bitstring_in_range(n, seed):
     assert 0 <= x.as_unsigned() < (1 << n)
 
 
+@pytest.mark.parametrize("count", [1, 7, 8, 13, 31, 32, 33, 64, 1000, 1024])
+@pytest.mark.parametrize("rows", [0, 1, 5])
+@pytest.mark.parametrize("offset", [0, 7])  # 7: a prior odd uint32 draw
+def test_bit_rows_equal_bits_calls(count, rows, offset):
+    batched, single = Rng(21), Rng(21)
+    if offset:
+        assert batched.bits(offset) == single.bits(offset)
+    got = batched.bit_rows(rows, count)
+    nbytes = (count + 7) // 8
+    assert got.shape == (rows, nbytes) and got.dtype == np.uint8
+    for row in got:
+        assert int.from_bytes(row.tobytes(), "big") == single.bits(count)
+    assert batched.bits(64) == single.bits(64)  # same stream position after
+    with pytest.raises(ValueError):
+        batched.bit_rows(1, 0)
+
+
 def test_random_bitstring_uniform_bits():
     rng = Rng(9)
     counts = np.zeros(8, dtype=int)

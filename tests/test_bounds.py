@@ -5,12 +5,16 @@ from fractions import Fraction
 from itertools import accumulate
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from ghrlab.bitkit import Rng
 from ghrlab.bounds import (
+    _exact_excess,
     _excess,
     _fair_cumulative,
+    _windows,
     DEFAULT_WINDOW_C,
     anticorrelated_expectation_holds,
     binomial_window_lower,
@@ -145,6 +149,9 @@ def test_window_calibration_regression():
 def test_dominance_reports_small_grids():
     assert hoeffding_dominance_report(range(10, 60)).passed
     assert chernoff_dominance_report(range(10, 60)).passed
+    assert chernoff_dominance_report(range(1, 60), t_max_divisor=3).passed
+    with pytest.raises(ValueError, match="t_max_divisor"):  # t = m/2 puts a level at 0
+        chernoff_dominance_report(range(10, 60), t_max_divisor=2)
     assert window_lower_dominance_report(tuple(range(50, 121, 2))).passed
 
 
@@ -170,6 +177,107 @@ def test_excess_decides_ties_the_float_quotient_hides():
     assert _excess(2**59, 60, 0.5) == 0
     assert _excess(2**59 - 1, 60, 0.5) < 0
     assert _excess(3, 4, -0.25) > 0  # a negative bound (the window lower bound)
+
+
+def sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+@st.composite
+def counts_and_bounds(draw):
+    """(count, m, bound): bound is arbitrary, the float count / 2**m itself
+    (a tie), one of its float neighbours, or an exact dyadic value."""
+    m = draw(st.integers(0, 600))
+    count = draw(st.integers(0, 1 << m))
+    observed = count / (1 << m)
+    bound = draw(
+        st.one_of(
+            st.floats(-2.0, 2.0),
+            st.just(observed),
+            st.sampled_from([math.nextafter(observed, -1.0), math.nextafter(observed, 2.0)]),
+            st.builds(lambda k, j: k / (1 << j), st.integers(-(1 << 60), 1 << 60), st.integers(0, 620)),
+        )
+    )
+    return count, m, bound
+
+
+@given(counts_and_bounds())
+@example((2**59 + 1, 60, 0.5))  # the quotient rounds to 0.5 yet exceeds it
+@example((2**59 - 1, 60, 0.5))  # and falls short of it
+@example((2**59, 60, 0.5))  # an exact dyadic tie
+@example((3, 4, -0.25))  # a negative bound
+@example((0, 10, 0.0))
+@example((0, 10, -0.0))
+@example((1 << 500, 500, 1.0))
+def test_float_first_verdict_has_the_exact_sign(case):
+    count, m, bound = case
+    observed = count / (1 << m)
+    assert sign(_exact_excess(count, m, observed, bound)) == sign(_excess(count, m, bound))
+    assert sign(_excess(count, m, bound)) == sign(Fraction(count, 1 << m) - Fraction(bound))
+
+
+def test_chernoff_grid_equals_relaxed_chernoff_bound():
+    points = chernoff_dominance_report().points
+    grid = [(m, t) for m in range(10, 401) for t in range(1, m // 4 + 1)]
+    assert len(points) == 4 * len(grid) == 79568
+    for i, (m, t) in enumerate(grid):
+        mu = m / 2.0
+        lower, upper = (
+            _fair_cumulative(m)[(m - 2 * t) // 2],
+            (1 << m) - _fair_cumulative(m)[(m + 2 * t + 1) // 2 - 1],
+        )
+        expect = (
+            ("exp_lo", lower, relaxed_chernoff_bound("lower_tail", a=mu, t=t)),
+            ("exp_hi", upper, relaxed_chernoff_bound("upper_tail", a=mu, t=t)),
+            ("ratio_lo", lower, relaxed_chernoff_bound("lower_tail", form="ratio", m=m, mu=mu, level=mu - t)),
+            ("ratio_hi", upper, relaxed_chernoff_bound("upper_tail", form="ratio", m=m, mu=mu, level=mu + t)),
+        )
+        for point, (name, count, bound) in zip(points[4 * i: 4 * i + 4], expect):
+            assert point.label == f"{name},m={m},t={t}"
+            assert point.bound_value == bound
+            assert point.observed == count / (1 << m)
+            assert point.satisfied == (_excess(count, m, bound) <= 0)
+
+
+def reference_windows(m, c_term):
+    """(hits, exact, bound) of every window a < b inside m/2 +- sqrt(m), from
+    binomial_window_lower itself."""
+    cum = _fair_cumulative(m)
+    lo = max(math.ceil(m / 2 - math.sqrt(m)), 0)
+    hi = min(math.floor(m / 2 + math.sqrt(m)), m)
+    windows = []
+    for a in range(lo, hi):
+        for b in range(a + 1, hi + 1):
+            hits = cum[b] - (cum[a - 1] if a > 0 else 0)
+            windows.append((hits, hits / (1 << m), binomial_window_lower(m, a, b, c_term)))
+    return windows
+
+
+@pytest.mark.parametrize("c_term", [None, -5.0])
+def test_window_grid_equals_reference_loop(c_term):
+    m_values = tuple(range(50, 501, 2))
+    c = DEFAULT_WINDOW_C if c_term is None else c_term
+    expect = []
+    for m in m_values:
+        windows = reference_windows(m, c)
+        assert list(_windows(m, c)) == windows
+        worst = min(windows, key=lambda w: w[1] - w[2])  # first minimum, like the report
+        holds = all(_excess(hits, m, bound) >= 0 for hits, _, bound in windows)
+        expect.append((f"m={m}", worst[2], worst[1], holds))
+    report = window_lower_dominance_report(m_values, c_term=c_term)
+    got = [(p.label, p.bound_value, p.observed, p.satisfied) for p in report.points]
+    assert got == expect
+    # the CLI reports violations()[0], so the order of violations matters too
+    assert [p.label for p in report.violations()] == [p[0] for p in expect if not p[3]]
+    assert report.passed == (c_term is None)
+
+
+def test_calibration_equals_reference_loop():
+    worst = 0.0
+    for m in range(50, 501, 2):
+        for _, exact, bound in reference_windows(m, 0.0):
+            worst = max(worst, (bound - exact) * m)
+    assert calibrate_window_lower_c() == worst == 0.0
 
 
 def test_grid_verdicts_equal_fraction_comparisons():

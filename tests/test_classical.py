@@ -45,6 +45,43 @@ def test_baseline_replays_shared_stream():
     assert valid == tghr_is_valid(x, y, tau)
 
 
+def baseline_reference(x, y, t, shared_rng):
+    """tghr_baseline drawn one random_bitstring at a time."""
+    best_weight, best_z = x.n + 1, None
+    for _ in range(t):
+        z = random_bitstring(x.n, shared_rng)
+        if (z ^ x).weight() < best_weight:  # strict: the lowest index wins ties
+            best_weight, best_z = (z ^ x).weight(), z
+    tau = best_z ^ y
+    return tau, tghr_is_valid(x, y, tau)
+
+
+@pytest.mark.parametrize("n", [1, 7, 13, 64, 1000, 1024])
+@pytest.mark.parametrize("t", [1, 5, 256])
+def test_batched_baseline_equals_per_draw_loop(n, t):
+    for seed in range(3):
+        x = random_bitstring(n, Rng(seed).child(0))
+        y = random_bitstring(n, Rng(seed).child(1))
+        batched, single = Rng(seed).child(2), Rng(seed).child(2)
+        assert tghr_baseline(x, y, t, batched) == baseline_reference(x, y, t, single)
+        assert batched.bits(64) == single.bits(64)  # same stream position after
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_baseline_ties_go_to_the_lowest_index(n):
+    # x is a value no draw hits, so the closest draws can differ in value
+    t, y, split_ties = n + 1, BitString.zeros(n), 0
+    for seed in range(30):
+        stream = Rng(seed)
+        zs = [random_bitstring(n, stream) for _ in range(t)]
+        x = next(BitString(v, n) for v in range(1 << n) if BitString(v, n) not in zs)
+        weights = [(z ^ x).weight() for z in zs]
+        split_ties += len({z for z, w in zip(zs, weights) if w == min(weights)}) > 1
+        tau, _ = tghr_baseline(x, y, t, Rng(seed))
+        assert tau == zs[weights.index(min(weights))]
+    assert split_ties > 0
+
+
 def test_baseline_exact_hit_is_valid():
     n = 16
     x = random_bitstring(n, Rng(7))

@@ -237,6 +237,41 @@ def test_oversized_n_is_usage_error(capsys):
         assert "size cap 4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["aleph-estimate", "--n", "8", "--trials", "1"], "power of 4"),
+        (["aleph-estimate", "--n", "0", "--trials", "1"], "power of 4"),
+        (["aleph-estimate", "--n", "-16", "--trials", "1"], "power of 4"),
+        (["protocol-success", "--n", "2", "--trials", "1"], "power of 4"),
+        (["protocol-success", "--n", str(4**7), "--trials", "1"], "size cap 4096"),
+        (["protocol-failure-exact", "--n", str(4**40)], "size cap 4096"),
+        (["coupling-verify", "--n", "3"], "even in [2, 12]"),
+        (["coupling-verify", "--n", "0"], "even in [2, 12]"),
+        (["coupling-verify", "--n", "14"], "even in [2, 12]"),
+        (["rect-spectrum", "--rect", "full", "--n", "0"], "1 <= n <= 20"),
+        (["rect-spectrum", "--rect", "full", "--n", "21"], "1 <= n <= 20"),
+        (["rect-spectrum", "--rect", "full", "--n", str(10**9)], "1 <= n <= 20"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_size_guards_refuse_n_at_parse_time(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_HANDLERS", {})  # no subcommand may start
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: argument --n: " in err and message in err
+
+
+def test_size_guards_accept_their_largest_n():
+    parse = build_parser().parse_args
+    assert parse(["aleph-estimate", "--n", "4096", "--trials", "1"]).n == 4096
+    assert parse(["protocol-failure-exact", "--n", "4"]).n == 4
+    assert parse(["coupling-verify", "--n", "12"]).n == 12
+    assert parse(["coupling-verify", "--n", "2"]).n == 2
+    assert parse(["rect-spectrum", "--rect", "full", "--n", "20"]).n == 20
+    assert parse(["rect-spectrum", "--rect", "full", "--n", "1"]).n == 1
+
+
 def test_runtime_invariant_failure_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(relation, "fwht", lambda v: fwht(v) + 1)
     assert main(["protocol-success", "--n", "16", "--trials", "2"]) == 1
