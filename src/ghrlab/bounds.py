@@ -10,10 +10,10 @@ so dominance checks against them carry no float-summation risk.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -53,11 +53,6 @@ def hoeffding_bound(ranges: Iterable[tuple[float, float]], t: float) -> float:
         if b < a:
             raise ValueError(f"invalid range ({a}, {b})")
         denom += (b - a) ** 2
-    return _hoeffding_tail(denom, t)
-
-
-def _hoeffding_tail(denom: float, t: float) -> float:
-    """hoeffding_bound given its variance sum denom = sum (b-a)**2."""
     if denom == 0.0:
         return 0.0 if t > 0 else 1.0
     return min(1.0, 2.0 * math.exp(-2.0 * t * t / denom))
@@ -92,7 +87,10 @@ def relaxed_chernoff_bound(
             # degenerate mean cap: the lower tail is impossible to miss by
             # t > 0, the upper denominator stays positive through t
             return 0.0 if side == "lower_tail" else min(1.0, math.exp(-t))
-        return _exp_tail(side == "lower_tail", 2.0 * a, t)
+        two_a = 2.0 * a
+        if side == "lower_tail":
+            return min(1.0, math.exp(-t * t / two_a))
+        return min(1.0, math.exp(-t * t / (two_a + t)))
     if form == "ratio":
         if m is None or mu is None or level is None:
             raise ValueError("ratio form needs m, mu, level")
@@ -107,13 +105,6 @@ def relaxed_chernoff_bound(
     raise ValueError(f"form must be 'exp' or 'ratio', got {form!r}")
 
 
-def _exp_tail(lower: bool, two_a: float, t: float) -> float:
-    """Exp-form relaxed Chernoff tail for a > 0 and t > 0, given two_a = 2.0 * a."""
-    if lower:
-        return min(1.0, math.exp(-t * t / two_a))
-    return min(1.0, math.exp(-t * t / (two_a + t)))
-
-
 def _ratio_power(num: float, den: float, expo: float) -> float:
     """(num/den)**expo with the 0**0 = 1 convention used by the ratio form."""
     if expo == 0:
@@ -122,12 +113,7 @@ def _ratio_power(num: float, den: float, expo: float) -> float:
         return 0.0
     if den == 0:
         raise ValueError("zero denominator with nonzero exponent")
-    return _ratio_exp(expo, math.log(num), math.log(den))
-
-
-def _ratio_exp(expo: float, log_num: float, log_den: float) -> float:
-    """_ratio_power past its edge cases, given the two logarithms."""
-    return math.exp(expo * (log_num - log_den))
+    return math.exp(expo * (math.log(num) - math.log(den)))
 
 
 @lru_cache(maxsize=1024)
@@ -166,15 +152,78 @@ def _exact_excess(count: int, m: int, observed: float, bound: float) -> int:
     return _excess(count, m, bound)
 
 
-def _tail_counts(m: int, t: int) -> tuple[int, int]:
-    """Integer counts C(m, k) summed over k <= m/2 - t and over k >= m/2 + t,
-    for an integer t >= 1; over 2**m they are the fair binomial's two tails."""
+def _excess_signs(
+    counts: Sequence[int], e: int | np.ndarray, observed: np.ndarray, bounds: np.ndarray
+) -> np.ndarray:
+    """The sign of counts[i] / 2**e[i] - bounds[i, j] at every entry, as
+    int8: _exact_excess over columns.
+
+    e is one int or one per row, and observed[i] must be the float
+    counts[i] / 2**e[i].  By _exact_excess's theorem the floats decide every
+    entry where they differ; _excess settles the rest, each a tie or a NaN
+    bound, which it refuses with ValueError."""
+    column = observed[:, None]
+    signs = (column > bounds).astype(np.int8) - (column < bounds)
+    exps = np.broadcast_to(e, observed.shape)
+    for i, j in zip(*np.nonzero(signs == 0)):
+        excess = _excess(counts[i], int(exps[i]), float(bounds[i, j]))
+        signs[i, j] = (excess > 0) - (excess < 0)
+    return signs
+
+
+def _dyadic_floats(counts: Sequence[int], e: int) -> np.ndarray:
+    """count / 2**e for every 0 <= count <= 2**e, each equal to Python's
+    correctly rounded int / int.
+
+    float(count), which the object-to-float cast calls, rounds correctly,
+    and scaling by 2.0**-e is exact while the result stays normal, which
+    holds for every count >= 1 when e <= 1000 (a zero count gives 0.0 either
+    way).  Past that the ints are divided."""
+    if e <= 1000:
+        return np.asarray(counts, dtype=object).astype(np.float64) * 2.0**-e
+    denom = 1 << e
+    return np.array([c / denom for c in counts], dtype=np.float64)
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp at every entry; numpy's exp is not bit-identical to it."""
+    return np.fromiter(map(math.exp, x.tolist()), np.float64, x.size)
+
+
+def _cap(x: np.ndarray) -> np.ndarray:
+    """min(1.0, x) at every entry, as Python's min picks it."""
+    return np.where(x < 1.0, x, 1.0)
+
+
+def _lower_tails(m: int, t_max: int) -> list[int]:
+    """The integer count C(m, 0) + ... + C(m, floor(m/2 - t)) for t = 1 ..
+    t_max, 0 once floor(m/2 - t) < 0.  Over 2**m it is the fair binomial's
+    tail at or below m/2 - t and, by symmetry, the one at or above m/2 + t."""
     cum = _fair_cumulative(m)
-    k_lo = (m - 2 * t) // 2          # floor(m/2 - t)
-    k_hi = (m + 2 * t + 1) // 2      # ceil(m/2 + t)
-    lower = cum[k_lo] if k_lo >= 0 else 0
-    upper = cum[m] - cum[k_hi - 1] if k_hi <= m else 0
-    return lower, upper
+    half = m // 2  # floor(m/2 - t) = m // 2 - t
+    return list(cum[max(half - t_max, 0):half][::-1]) + [0] * max(t_max - half, 0)
+
+
+def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
+    """Columns over the points (m, t), 1 <= t <= m // t_max_divisor, in
+    (m, t) order: m and t as int arrays, each point's _lower_tails count, the
+    exponent e = m + 1 - sides, and observed = count / 2**e as a float.
+
+    As the two tails hold equally many outcomes, observed is the float of
+    one tail (sides=1) or of both (sides=2) over 2**m."""
+    ms, ts, counts, observed = [], [], [], []
+    for m in m_values:
+        t_max = m // t_max_divisor
+        if t_max < 1:
+            continue
+        lower = _lower_tails(m, t_max)
+        ms.append(np.full(t_max, m, dtype=np.int64))
+        ts.append(np.arange(1, t_max + 1, dtype=np.int64))
+        counts += lower
+        observed.append(_dyadic_floats(lower, m + 1 - sides))
+    m_col = np.concatenate([np.empty(0, np.int64), *ms])
+    t_col = np.concatenate([np.empty(0, np.int64), *ts])
+    return m_col, t_col, counts, m_col + 1 - sides, np.concatenate([np.empty(0), *observed])
 
 
 def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
@@ -188,27 +237,26 @@ def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float
     )
 
 
-def _windows(m: int, c_term: float):
-    """(hits, exact, bound) for every window a < b inside m/2 +- sqrt(m), in
-    (a, b) order: hits is the integer count C(m, a) + ... + C(m, b), exact =
-    hits / 2**m as a float and bound = binomial_window_lower(m, a, b, c_term)
-    bit for bit.  The per-m constants and each (k - m/2)**3 are computed once,
-    with the operations binomial_window_lower applies to them."""
+def _windows(m: int, c_term: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns over every window a < b inside m/2 +- sqrt(m), in (a, b)
+    order: hits, the integer count C(m, a) + ... + C(m, b), as an object
+    array of Python ints; exact = hits / 2**m as a float; and bound =
+    binomial_window_lower(m, a, b, c_term) bit for bit.  The per-m constants
+    and each (k - m/2)**3 are computed once, with the operations
+    binomial_window_lower applies to them."""
     cum = _fair_cumulative(m)
-    denom = 1 << m
     root = math.sqrt(m)
     lo = max(math.ceil(m / 2 - root), 0)
     hi = min(math.floor(m / 2 + root), m)
     half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
-    ks = range(lo, hi + 1)
-    cubes = [(k - half) ** 3 for k in ks]
-    for i, a in enumerate(ks[:-1]):
-        base_cum = cum[a - 1] if a > 0 else 0
-        cube_a = cubes[i]
-        for b, cube_b in zip(ks[i + 1:], cubes[i + 1:]):
-            hits = cum[b] - base_cum
-            bound = main_coef * (b - a) - cubic_coef * (cube_b - cube_a) - shift
-            yield hits, hits / denom, bound
+    cubes = np.array([(k - half) ** 3 for k in range(lo, hi + 1)])
+    ks = np.arange(hi - lo + 1)
+    a, b = np.nonzero(np.less.outer(ks, ks))  # offsets from lo, in (a, b) order
+    bound = main_coef * (b - a) - cubic_coef * (cubes[b] - cubes[a]) - shift
+    tops = np.array(cum[lo:hi + 1], dtype=object)  # cum[k] for each k
+    bases = np.array((cum[lo - 1] if lo > 0 else 0,) + cum[lo:hi], dtype=object)  # cum[k - 1]
+    hits = tops[b] - bases[a]
+    return hits, _dyadic_floats(hits, m), bound
 
 
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
@@ -257,10 +305,8 @@ def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2)))
     """
     worst = 0.0
     for m in m_values:
-        for _, exact, bound in _windows(m, 0.0):
-            gap = (bound - exact) * m
-            if gap > worst:
-                worst = gap
+        _, exact, bound = _windows(m, 0.0)
+        worst = max(worst, float(((bound - exact) * m).max()))
     return worst
 
 
@@ -274,19 +320,61 @@ class BoundPoint:
     satisfied: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
-    """A named batch of bound-vs-reference comparisons."""
+    """A named batch of bound-vs-reference comparisons, held as columns.
+
+    bound_value, observed and satisfied hold one entry per point, in point
+    order, and label(i) names point i.  A BoundPoint is built only when
+    points is indexed or iterated; len(points) reads the columns."""
 
     description: str
-    points: tuple[BoundPoint, ...]
+    label: Callable[[int], str]
+    bound_value: np.ndarray
+    observed: np.ndarray
+    satisfied: np.ndarray
+
+    @property
+    def points(self) -> Sequence[BoundPoint]:
+        return _Points(self)
 
     @property
     def passed(self) -> bool:
-        return all(p.satisfied for p in self.points)
+        return bool(self.satisfied.all())
+
+    def worst_margin(self) -> float:
+        """The least bound_value - observed over the points."""
+        return float((self.bound_value - self.observed).min())
+
+    def first_violation(self) -> int | None:
+        """The index of the first unsatisfied point, or None."""
+        bad = np.flatnonzero(~self.satisfied)
+        return int(bad[0]) if bad.size else None
 
     def violations(self) -> tuple[BoundPoint, ...]:
-        return tuple(p for p in self.points if not p.satisfied)
+        return tuple(self.points[i] for i in np.flatnonzero(~self.satisfied))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BoundReport):
+            return NotImplemented
+        return self.description == other.description and tuple(self.points) == tuple(other.points)
+
+
+class _Points(Sequence):
+    """A report's points, each built from its columns when it is read."""
+
+    def __init__(self, report: BoundReport) -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.satisfied)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        i = range(len(self))[index]  # a negative index counts from the end; past it raises IndexError
+        r = self._report
+        return BoundPoint(r.label(i), float(r.bound_value[i]), float(r.observed[i]), bool(r.satisfied[i]))
 
 
 def hoeffding_dominance_report(
@@ -298,17 +386,20 @@ def hoeffding_dominance_report(
     The bound is hoeffding_bound([(0.0, 1.0)] * m, t), whose variance sum is
     exactly float(m); each verdict compares the integer count with the
     bound's exact value."""
-    points = []
-    for m in m_values:
-        variance = float(m)
-        denom = 1 << m
-        for t in range(1, m // t_max_divisor + 1):
-            count = sum(_tail_counts(m, t))
-            bound = _hoeffding_tail(variance, t)
-            exact = count / denom
-            satisfied = _exact_excess(count, m, exact, bound) <= 0
-            points.append(BoundPoint(f"m={m},t={t}", bound, exact, satisfied))
-    return BoundReport("two-sided binomial tail vs hoeffding_bound", tuple(points))
+    m, t, counts, e, observed = _tail_grid(m_values, t_max_divisor, sides=2)
+    tf = t.astype(np.float64)
+    bound = _cap(2.0 * _exp(-2.0 * tf * tf / m.astype(np.float64)))
+    satisfied = _excess_signs(counts, e, observed, bound[:, None])[:, 0] <= 0
+    return BoundReport(
+        "two-sided binomial tail vs hoeffding_bound",
+        lambda i: f"m={m[i]},t={t[i]}",
+        bound,
+        observed,
+        satisfied,
+    )
+
+
+_CHERNOFF_CHECKS = ("exp_lo", "exp_hi", "ratio_lo", "ratio_hi")
 
 
 def chernoff_dominance_report(
@@ -319,47 +410,36 @@ def chernoff_dominance_report(
     integer count with the bound's exact value.
 
     Each bound equals relaxed_chernoff_bound at its point bit for bit: the
-    grid feeds the same floats through the same helpers, computing 2a,
-    log(mu) and log(m - mu) once per m and log(mu - t), log(mu + t) once per
-    t.  The latter also serve as log(m - level) of the other side, since
-    m - (mu + t) and m - (mu - t) are exactly mu - t and mu + t: all are
-    half-integers far below 2**53.  t_max_divisor must be at least 3, which
-    keeps every ratio level strictly inside (0, m)."""
+    grid applies the same float operations to the same floats, in columns,
+    with math.exp.  log(mu +- t) = log(j / 2) for j = m +- 2t comes from one
+    table per call.  m - mu, m - (mu + t) and m - (mu - t) are exactly mu,
+    mu - t and mu + t, as all are half-integers far below 2**53; so the two
+    ratio bounds multiply the same two factors, in swapped order, and are
+    equal.  t_max_divisor must be at least 3, which keeps every ratio level
+    strictly inside (0, m)."""
     if t_max_divisor < 3:
         raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
-    points = []
-    for m in m_values:
-        denom = 1 << m
-        mu = m / 2.0
-        two_a = 2.0 * mu
-        log_mu = math.log(mu)
-        log_rest = math.log(m - mu)
-        for t in range(1, m // t_max_divisor + 1):
-            lower, upper = _tail_counts(m, t)
-            lo_exact = lower / denom
-            hi_exact = upper / denom
-            below, above = mu - t, mu + t
-            log_below, log_above = math.log(below), math.log(above)
-            ratio_lo = min(
-                1.0,
-                _ratio_exp(below, log_mu, log_below)
-                * _ratio_exp(m - below, log_rest, log_above),
-            )
-            ratio_hi = min(
-                1.0,
-                _ratio_exp(above, log_mu, log_above)
-                * _ratio_exp(m - above, log_rest, log_below),
-            )
-            checks = (
-                ("exp_lo", lower, lo_exact, _exp_tail(True, two_a, t)),
-                ("exp_hi", upper, hi_exact, _exp_tail(False, two_a, t)),
-                ("ratio_lo", lower, lo_exact, ratio_lo),
-                ("ratio_hi", upper, hi_exact, ratio_hi),
-            )
-            for name, count, exact, bound in checks:
-                satisfied = _exact_excess(count, m, exact, bound) <= 0
-                points.append(BoundPoint(f"{name},m={m},t={t}", bound, exact, satisfied))
-    return BoundReport("one-sided binomial tails vs relaxed_chernoff_bound", tuple(points))
+    m, t, counts, e, observed = _tail_grid(m_values, t_max_divisor, sides=1)
+    top = int((m + 2 * t).max(initial=0))
+    log_half = np.array([-math.inf] + [math.log(j / 2) for j in range(1, top + 1)])  # no level is 0
+    tf = t.astype(np.float64)
+    mu = m.astype(np.float64) / 2.0
+    two_a = 2.0 * mu
+    log_mu = log_half[m]
+    below, above = mu - tf, mu + tf
+    exp_lo = _cap(_exp(-tf * tf / two_a))
+    exp_hi = _cap(_exp(-tf * tf / (two_a + tf)))
+    # the _ratio_power factors of level mu - t and of level mu + t
+    ratio = _cap(_exp(below * (log_mu - log_half[m - 2 * t])) * _exp(above * (log_mu - log_half[m + 2 * t])))
+    bounds = np.stack([exp_lo, exp_hi, ratio, ratio], axis=1)
+    satisfied = _excess_signs(counts, e, observed, bounds) <= 0
+    return BoundReport(
+        "one-sided binomial tails vs relaxed_chernoff_bound",
+        lambda i: f"{_CHERNOFF_CHECKS[i % 4]},m={m[i // 4]},t={t[i // 4]}",
+        bounds.ravel(),
+        np.repeat(observed, 4),
+        satisfied.ravel(),
+    )
 
 
 def window_lower_dominance_report(
@@ -367,24 +447,36 @@ def window_lower_dominance_report(
 ) -> BoundReport:
     """binomial_window_lower with the calibrated constant stays below the
     exact window on the calibration grid.  One summary point per m, keyed to
-    that m's worst window by float margin; it is satisfied when every window
-    of that m holds exactly, comparing the integer count with the bound's
-    exact value, with no slack."""
+    that m's first worst window by float margin; it is satisfied when every
+    window of that m holds exactly, comparing the integer count with the
+    bound's exact value, with no slack."""
     c = DEFAULT_WINDOW_C if c_term is None else c_term
-    points = []
+    ms, bounds, observed, holds = [], [], [], []
     for m in m_values:
-        worst_margin = math.inf
-        worst_bound = 0.0
-        worst_exact = 0.0
-        holds = True
-        for hits, exact, bound in _windows(m, c):
-            holds = holds and _exact_excess(hits, m, exact, bound) >= 0
-            if exact - bound < worst_margin:
-                worst_margin = exact - bound
-                worst_bound = bound
-                worst_exact = exact
-        points.append(BoundPoint(f"m={m}", worst_bound, worst_exact, holds))
-    return BoundReport("exact window vs binomial_window_lower (calibrated)", tuple(points))
+        hits, exact, bound = _windows(m, c)
+        signs = _excess_signs(hits, m, exact, bound[:, None])
+        worst = int(np.argmin(exact - bound))
+        ms.append(m)
+        bounds.append(bound[worst])
+        observed.append(exact[worst])
+        holds.append(bool((signs >= 0).all()))
+    return BoundReport(
+        "exact window vs binomial_window_lower (calibrated)",
+        lambda i: f"m={ms[i]}",
+        np.array(bounds, dtype=np.float64),
+        np.array(observed, dtype=np.float64),
+        np.array(holds, dtype=bool),
+    )
+
+
+MAX_SHIFT_N = 4096
+
+
+def require_shift_size(n: int) -> None:
+    """Reject n outside [2, MAX_SHIFT_N]: shift_xor_tail_check draws a
+    (trials, n) byte array for each of its n - 1 shifts."""
+    if not 2 <= n <= MAX_SHIFT_N:
+        raise ValueError(f"shift tails need 2 <= n <= {MAX_SHIFT_N}, got n={n}")
 
 
 def shift_xor_tail_check(
@@ -399,14 +491,14 @@ def shift_xor_tail_check(
     a are sampled from rng.child(i-1); the frequency of deviation >= t is
     compared against min(1, 4*exp(-t**2/2n)) plus three standard errors.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    require_shift_size(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not t_values:
         raise ValueError(f"no t values to check at n={n}")
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be nonnegative")
+    t_values = tuple(t_values)
 
     def one_shift(idx: int) -> list[int]:
         child = rng.child(idx)
@@ -417,18 +509,16 @@ def shift_xor_tail_check(
         dev2 = np.abs(2 * mixed.sum(axis=1, dtype=np.int64) - n)
         return [int(np.count_nonzero(dev2 >= 2 * t)) for t in t_values]
 
-    counts = map_trials(one_shift, n - 1)
-    points = []
-    for idx, row in enumerate(counts):
-        for t, c in zip(t_values, row):
-            p_hat = c / trials
-            bound = min(1.0, 4.0 * math.exp(-t * t / (2.0 * n)))
-            slack = 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
-            points.append(
-                BoundPoint(f"i={idx + 1},t={t}", bound, p_hat, p_hat <= bound + slack)
-            )
+    p_hat = np.array(map_trials(one_shift, n - 1), dtype=np.int64) / trials  # (shift, t)
+    bound = np.array([min(1.0, 4.0 * math.exp(-t * t / (2.0 * n))) for t in t_values])
+    slack = 3.0 * np.sqrt(p_hat * (1.0 - p_hat) / trials)
+    k = len(t_values)
     return BoundReport(
-        f"xor-shift deviation tails at n={n}, trials={trials}", tuple(points)
+        f"xor-shift deviation tails at n={n}, trials={trials}",
+        lambda i: f"i={i // k + 1},t={t_values[i % k]}",
+        np.broadcast_to(bound, p_hat.shape).ravel(),
+        p_hat.ravel(),
+        (p_hat <= bound + slack).ravel(),
     )
 
 

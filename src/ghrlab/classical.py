@@ -52,6 +52,17 @@ def require_enumerable(n: int) -> None:
         )
 
 
+MAX_REDUCTION_N = 1 << 16
+
+
+def require_reduction_size(n: int) -> None:
+    """Reject n outside [1, MAX_REDUCTION_N]: reduction_xi draws a
+    permutation of n entries and builds lists of n bits for every instance
+    it encodes."""
+    if not 1 <= n <= MAX_REDUCTION_N:
+        raise ValueError(f"the reduction needs 1 <= n <= {MAX_REDUCTION_N}, got n={n}")
+
+
 def tghr_baseline(
     x: BitString, y: BitString, t: int, shared_rng: Rng
 ) -> tuple[BitString, bool]:
@@ -92,8 +103,10 @@ def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstima
 class RectangleSpec:
     """A product set A x B over {0,1}^n given by membership predicates.
 
-    Named families carry explicit enumerations lazily; exact spectrum
-    operations need them (guideline n <= 16, hard cap MAX_ENUMERATION_N)."""
+    Exact spectrum operations need the explicit 0/1 indicators (guideline
+    n <= 16, hard cap MAX_ENUMERATION_N), built lazily: a named family
+    builds its own from array arithmetic, a custom one calls its predicates
+    on all 2**n strings."""
 
     def __init__(
         self,
@@ -109,37 +122,54 @@ class RectangleSpec:
         self.member_b = member_b
         self.name = name
         self._sets: tuple[np.ndarray, np.ndarray] | None = None
+        self._indicator: Callable[[], np.ndarray] | None = None
+
+    @classmethod
+    def _named(
+        cls, n: int, member: Callable[[BitString], bool], name: str, indicator: Callable[[], np.ndarray]
+    ) -> "RectangleSpec":
+        """A square family A = B whose indicator() equals member's enumeration."""
+        rect = cls(n, member, member, name=name)
+        rect._indicator = indicator
+        return rect
 
     @classmethod
     def full(cls, n: int) -> "RectangleSpec":
-        return cls(n, lambda z: True, lambda z: True, name="full")
+        return cls._named(n, lambda z: True, "full", lambda: np.ones(1 << n, dtype=np.int64))
 
     @classmethod
     def parity_even(cls, n: int) -> "RectangleSpec":
         even = lambda z: z.weight() % 2 == 0
-        return cls(n, even, even, name="parity_even")
+        return cls._named(n, even, "parity_even", lambda: 1 - (_popcounts(n) & 1))
 
     @classmethod
     def prefix_zeros(cls, n: int, m: int) -> "RectangleSpec":
         if not 0 <= m <= n:
             raise ValueError(f"prefix length {m} outside [0, {n}]")
         zero_prefix = lambda z: z.as_unsigned() >> (n - m) == 0 if m else True
-        return cls(n, zero_prefix, zero_prefix, name=f"prefix_zeros({m})")
+        indicator = lambda: (np.arange(1 << n) >> (n - m) == 0).astype(np.int64)
+        return cls._named(n, zero_prefix, f"prefix_zeros({m})", indicator)
 
     def indicator_vectors(self) -> tuple[np.ndarray, np.ndarray]:
-        """0/1 indicators indexed by the packed value, enumerated once."""
-        if self._sets is None:
-            require_enumerable(self.n)
-            size = 1 << self.n
-            ind_a = np.zeros(size, dtype=np.int64)
-            ind_b = np.zeros(size, dtype=np.int64)
-            for v in range(size):
-                z = BitString(v, self.n)
-                if self.member_a(z):
-                    ind_a[v] = 1
-                if self.member_b(z):
-                    ind_b[v] = 1
-            self._sets = (ind_a, ind_b)
+        """0/1 indicators indexed by the packed value, built once."""
+        if self._sets is not None:
+            return self._sets
+        require_enumerable(self.n)
+        if self._indicator is not None:
+            ind = self._indicator()
+            ind.setflags(write=False)  # one array serves as A's and as B's
+            self._sets = (ind, ind)
+            return self._sets
+        size = 1 << self.n
+        ind_a = np.zeros(size, dtype=np.int64)
+        ind_b = np.zeros(size, dtype=np.int64)
+        for v in range(size):
+            z = BitString(v, self.n)
+            if self.member_a(z):
+                ind_a[v] = 1
+            if self.member_b(z):
+                ind_b[v] = 1
+        self._sets = (ind_a, ind_b)
         return self._sets
 
     def sizes(self) -> tuple[int, int]:
@@ -302,6 +332,7 @@ def xi_parameters(c1: int, c2: int, n: int) -> XiParameters:
     difference, 3*c2 <= 4*c1, and both zero pads nonnegative with the three
     Bob segments summing exactly to n.
     """
+    require_reduction_size(n)
     if not 0 < c1 < c2:
         raise ValueError(f"need 0 < c1 < c2, got ({c1}, {c2})")
     if (c2 - c1) % 2:

@@ -24,6 +24,7 @@ from .bitkit import RNG_ALGORITHM, BitString, Rng
 from .bounds import (
     chernoff_dominance_report,
     hoeffding_dominance_report,
+    require_shift_size,
     shift_xor_tail_check,
     window_lower_dominance_report,
 )
@@ -34,6 +35,7 @@ from .classical import (
     reduction_xi,
     relative_weights,
     require_enumerable,
+    require_reduction_size,
     xi_parameters,
 )
 from .coupling import verify_independence
@@ -186,13 +188,12 @@ def _cmd_bounds_validate(args):
     rows = []
     failure = None
     for name, report in reports:
-        worst = min(p.bound_value - p.observed for p in report.points)
-        rows.append((name, len(report.points), worst, report.passed))
-        if failure is None and not report.passed:
-            point = report.violations()[0]
+        rows.append((name, len(report.points), report.worst_margin(), report.passed))
+        bad = report.first_violation()
+        if failure is None and bad is not None:
             failure = (
-                f"{name} check failed at {point.label}: observed {_fmt(point.observed)}, "
-                f"bound {_fmt(point.bound_value)}"
+                f"{name} check failed at {report.label(bad)}: observed {_fmt(report.observed[bad])}, "
+                f"bound {_fmt(report.bound_value[bad])}"
             )
     return rows, ("suite", "points", "worst_margin", "pass"), failure
 
@@ -321,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("bounds-validate", "tail-bound dominance grids, plus sampled shift tails")
-    p.add_argument("--n", type=int, default=256)
+    p.add_argument("--n", type=_checked_int(require_shift_size), default=256)
     p.add_argument("--trials", type=_int_at_least(0), default=0, help="samples per shift (0 skips)")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("reduction-demo", "set-disjointness encoding over all instances")
     p.add_argument("--c1", type=int, required=True)
     p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_checked_int(require_reduction_size), required=True)
     p.add_argument("--rect", default="full")
     p.add_argument("--trials", type=_int_at_least(1), default=1, help="independent seeds")
     p.add_argument("--seed", type=int, default=0)

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from scipy import stats
 
 from ghrlab.bitkit import Rng
 from ghrlab.bounds import (
+    _dyadic_floats,
     _exact_excess,
     _excess,
+    _excess_signs,
     _fair_cumulative,
     _windows,
     DEFAULT_WINDOW_C,
@@ -168,6 +171,9 @@ def test_hoisted_hoeffding_equals_hoeffding_bound():
     for point, (m, t) in zip(points, grid):
         assert point.label == f"m={m},t={t}"
         assert point.bound_value == hoeffding_bound([(0.0, 1.0)] * m, t)
+        exact = exact_binomial_deviation(m, t)
+        assert point.observed == float(exact)
+        assert point.satisfied == (_excess(int(exact * (1 << m)), m, point.bound_value) <= 0)
 
 
 def test_excess_decides_ties_the_float_quotient_hides():
@@ -209,11 +215,17 @@ def counts_and_bounds(draw):
 @example((0, 10, 0.0))
 @example((0, 10, -0.0))
 @example((1 << 500, 500, 1.0))
+@example((2**60 + 1, 1100, 0.0))  # a subnormal quotient, which is divided as ints
 def test_float_first_verdict_has_the_exact_sign(case):
     count, m, bound = case
     observed = count / (1 << m)
     assert sign(_exact_excess(count, m, observed, bound)) == sign(_excess(count, m, bound))
     assert sign(_excess(count, m, bound)) == sign(Fraction(count, 1 << m) - Fraction(bound))
+    # the column forms: the float quotient and the float-first verdict
+    column = _dyadic_floats([count], m)
+    assert column.tolist() == [observed]
+    signs = _excess_signs([count], m, column, np.array([[bound, bound]]))
+    assert signs.tolist() == [[sign(_excess(count, m, bound))] * 2]
 
 
 def test_chernoff_grid_equals_relaxed_chernoff_bound():
@@ -260,16 +272,36 @@ def test_window_grid_equals_reference_loop(c_term):
     expect = []
     for m in m_values:
         windows = reference_windows(m, c)
-        assert list(_windows(m, c)) == windows
+        hits, exact, bound = _windows(m, c)
+        assert list(zip(hits.tolist(), exact.tolist(), bound.tolist())) == windows
         worst = min(windows, key=lambda w: w[1] - w[2])  # first minimum, like the report
         holds = all(_excess(hits, m, bound) >= 0 for hits, _, bound in windows)
         expect.append((f"m={m}", worst[2], worst[1], holds))
     report = window_lower_dominance_report(m_values, c_term=c_term)
     got = [(p.label, p.bound_value, p.observed, p.satisfied) for p in report.points]
     assert got == expect
-    # the CLI reports violations()[0], so the order of violations matters too
+    # the CLI reports the first violation, so the order of violations matters too
     assert [p.label for p in report.violations()] == [p[0] for p in expect if not p[3]]
     assert report.passed == (c_term is None)
+    # points built one at a time from the columns, by index and by slice
+    points = report.points
+    assert len(points) == len(expect) == 226
+    for i in (0, 1, 113, 225, -1, -226):
+        p = points[i]
+        assert (p.label, p.bound_value, p.observed, p.satisfied) == expect[i]
+    assert [(p.label, p.bound_value, p.observed, p.satisfied) for p in points[3:9:2]] == expect[3:9:2]
+    with pytest.raises(IndexError):
+        points[226]
+    bad = report.first_violation()
+    assert (bad is None) == report.passed
+    if bad is not None:
+        assert report.label(bad) == report.violations()[0].label
+    assert report.worst_margin() == min(bound - exact for _, bound, exact, _ in expect)
+
+
+def test_nan_bound_is_never_satisfied():
+    with pytest.raises(ValueError):
+        window_lower_dominance_report((50,), c_term=float("nan"))
 
 
 def test_calibration_equals_reference_loop():

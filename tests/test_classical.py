@@ -124,6 +124,16 @@ def test_named_rectangle_sizes():
     assert RectangleSpec.prefix_zeros(6, 0).sizes() == (64, 64)
 
 
+@pytest.mark.parametrize("n", [1, 4, 12])
+def test_named_indicators_equal_predicate_enumeration(n):
+    named = [RectangleSpec.full(n), RectangleSpec.parity_even(n)]
+    named += [RectangleSpec.prefix_zeros(n, m) for m in range(n + 1)]
+    for rect in named:
+        custom = RectangleSpec(n, rect.member_a, rect.member_b)  # enumerates the predicates
+        for got, want in zip(rect.indicator_vectors(), custom.indicator_vectors()):
+            assert got.dtype == want.dtype and np.array_equal(got, want), rect.name
+
+
 def test_density_and_mu():
     r = RectangleSpec.parity_even(4)
     assert r.density() == Fraction(64, 256)
@@ -248,6 +258,8 @@ def test_xi_parameters_rejects_bad_triples():
         xi_parameters(6, 10, 64)  # 3*c2 > 4*c1
     with pytest.raises(ValueError):
         xi_parameters(6, 8, 10)  # no room for the segments
+    with pytest.raises(ValueError, match="n <= 65536"):
+        xi_parameters(6, 8, 10**8)  # refused before reduction_xi draws a permutation
 
 
 def test_reduction_hand_examples():

@@ -252,6 +252,13 @@ def test_oversized_n_is_usage_error(capsys):
         (["rect-spectrum", "--rect", "full", "--n", "0"], "1 <= n <= 20"),
         (["rect-spectrum", "--rect", "full", "--n", "21"], "1 <= n <= 20"),
         (["rect-spectrum", "--rect", "full", "--n", str(10**9)], "1 <= n <= 20"),
+        (["bounds-validate", "--n", "-5"], "2 <= n <= 4096"),
+        (["bounds-validate", "--n", "1"], "2 <= n <= 4096"),
+        (["bounds-validate", "--n", "4097", "--trials", "1"], "2 <= n <= 4096"),
+        (["bounds-validate", "--n", str(10**9)], "2 <= n <= 4096"),
+        (["reduction-demo", "--c1", "6", "--c2", "8", "--n", "0"], "1 <= n <= 65536"),
+        (["reduction-demo", "--c1", "6", "--c2", "8", "--n", "65537"], "1 <= n <= 65536"),
+        (["reduction-demo", "--c1", "6", "--c2", "8", "--n", str(10**8)], "1 <= n <= 65536"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else "",
 )
@@ -270,6 +277,9 @@ def test_size_guards_accept_their_largest_n():
     assert parse(["coupling-verify", "--n", "2"]).n == 2
     assert parse(["rect-spectrum", "--rect", "full", "--n", "20"]).n == 20
     assert parse(["rect-spectrum", "--rect", "full", "--n", "1"]).n == 1
+    assert parse(["bounds-validate", "--n", "4096"]).n == 4096
+    assert parse(["bounds-validate", "--n", "2"]).n == 2
+    assert parse(["reduction-demo", "--c1", "6", "--c2", "8", "--n", "65536"]).n == 65536
 
 
 def test_runtime_invariant_failure_exits_one(monkeypatch, capsys):
@@ -364,14 +374,20 @@ def refuse_table(x, y):
     raise AssertionError("a CLI run built a full delta table")
 
 
+def refuse_point(*args):
+    raise AssertionError("a CLI run built a BoundPoint")
+
+
 @pytest.mark.parametrize("command", GOLDEN)
 def test_csv_bytes_match_golden(command, monkeypatch):
     assert hashlib.sha256(csv_bytes(command)).hexdigest() == GOLDEN[command]
     # the same bytes again with delta_table refused wherever it is imported:
-    # every verdict comes from the streamed statistic or single rows
+    # every verdict comes from the streamed statistic or single rows; and
+    # with BoundPoint refused: bounds-validate reads the reports' columns
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ghrlab" and "delta_table" in vars(module):
             monkeypatch.setattr(module, "delta_table", refuse_table)
+    monkeypatch.setattr(bounds, "BoundPoint", refuse_point)
     assert hashlib.sha256(run_stdout(command.split())).hexdigest() == GOLDEN[command]
 
 
