@@ -178,7 +178,9 @@ def fourier_pattern(s: BitString, n: int) -> BitString:
     return BitString(acc, n)
 
 
-def fwht(v: np.ndarray) -> np.ndarray:
+def fwht(
+    v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Walsh-Hadamard transform along axis 0, whose length is 2**k, in
     natural order: out[s, ...] = sum_i (-1)**popcount(s & i) * v[i, ...].
 
@@ -186,13 +188,18 @@ def fwht(v: np.ndarray) -> np.ndarray:
     every column of a 2-D input is transformed on its own.  Butterflies run in
     v's own dtype, so integer input stays exact while no value overflows;
     applying it twice scales by the length.  Each stage reads one buffer and
-    writes the other over contiguous blocks of whole rows; v is not written."""
+    writes the other over contiguous blocks of whole rows; v is not written.
+    buffers, when given, are two distinct C-contiguous arrays of v's shape
+    and dtype that the stages write in turn in place of fresh ones, and the
+    result is one of them.  Only the first stage reads v, so the second
+    buffer may be v itself, which is then overwritten."""
     src = np.ascontiguousarray(v)
     size = src.shape[0]
     if size == 1:
         return src.copy()
     cols = src.size // size
-    buffers = (np.empty_like(src), np.empty_like(src))
+    if buffers is None:
+        buffers = (np.empty_like(src), np.empty_like(src))
     for stage in range(size.bit_length() - 1):
         a = src.reshape(-1, 2, cols << stage)
         dst = buffers[stage & 1]

@@ -10,10 +10,10 @@ so dominance checks against them carry no float-summation risk.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,16 +116,39 @@ def _ratio_power(num: float, den: float, expo: float) -> float:
     return math.exp(expo * (math.log(num) - math.log(den)))
 
 
-@lru_cache(maxsize=1024)
+# Rows of _fair_cumulative built so far, by m, up to _FAIR_ROWS_KEPT of them
+# (the CLI's grids ask for 441).  Two threads building the same row store
+# the same value, so the dict needs no lock.
+_FAIR_ROWS_KEPT = 1024
+_fair_rows: dict[int, tuple[int, ...]] = {}
+
+
 def _fair_cumulative(m: int) -> tuple[int, ...]:
-    """cum[k] = sum_{i <= k} C(m, i) as exact integers."""
-    coeff = acc = 1
-    out = [1]
-    for k in range(m):
-        coeff = coeff * (m - k) // (k + 1)  # C(m, k + 1); the division is exact
-        acc += coeff
-        out.append(acc)
-    return tuple(out)
+    """cum[k] = sum_{i <= k} C(m, i) as exact integers, kept once built.
+
+    With row m - 1 kept, row m comes from it by Pascal's rule summed over
+    i <= k: cum_m[k] = cum_{m-1}[k] + cum_{m-1}[k-1] for 0 < k < m, with
+    cum_m[0] = 1 and cum_m[m] = 2**m, one big-int addition per entry; a grid
+    over consecutive m builds every row but its first that way.  Any other
+    row comes from C(m, k+1) = C(m, k)(m - k)/(k + 1), a multiplication and
+    an exact division per entry, so a row asked for alone costs O(m) steps."""
+    cum = _fair_rows.get(m)
+    if cum is not None:
+        return cum
+    prev = _fair_rows.get(m - 1)
+    if prev is not None:
+        cum = (1, *map(operator.add, prev[1:], prev), 1 << m)
+    else:
+        coeff = acc = 1
+        out = [1]
+        for k in range(m):
+            coeff = coeff * (m - k) // (k + 1)
+            acc += coeff
+            out.append(acc)
+        cum = tuple(out)
+    if len(_fair_rows) < _FAIR_ROWS_KEPT:
+        _fair_rows[m] = cum
+    return cum
 
 
 def _excess(count: int, m: int, bound: float) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,7 +151,10 @@ def _signs(x: BitString, y: BitString) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spectra(
-    px: np.ndarray, windows: np.ndarray, shifts: range | list[int]
+    px: np.ndarray,
+    windows: np.ndarray,
+    shifts: range | list[int],
+    buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walsh spectra of the pair given by _signs at the shifts, and their
     squares.
@@ -161,15 +164,27 @@ def _spectra(
     (2*delta - n)**2 along table row j - 1.  A range of shifts is read as a
     slice view of windows, so a full table copies no n x n window block.
     Every butterfly value is a sum of at most n signs, so int16 is exact for
-    n <= MAX_TRANSFORM_SIZE; squares are int32.  By Parseval every column
-    sums to exactly n**2; the first that does not raises InvariantError."""
+    n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring in int16
+    would wrap from n = 256 on).  By Parseval every column sums to exactly
+    n**2; the first that does not raises InvariantError.
+
+    Given buffers (from _block_buffers, with room for n * len(shifts)
+    cells), the sign product goes into the first butterfly buffer, the
+    butterflies alternate between the two and the squares fill the third,
+    and corr and squares are views of them; otherwise they are fresh
+    arrays, which a table or a rows object may keep."""
     n = px.size
     if isinstance(shifts, range):
         picked = windows[shifts.start:shifts.stop]
     else:
         picked = windows[shifts]
-    corr = fwht(px[:, None] * picked.T)
-    squares = np.square(corr, dtype=np.int32)
+    if buffers is None:
+        corr = fwht(px[:, None] * picked.T)
+        squares = np.square(corr, dtype=np.int32)
+    else:
+        a, b, squares = (buf[: n * len(shifts)].reshape(n, -1) for buf in buffers)
+        corr = fwht(np.multiply(px[:, None], picked.T, out=a), (b, a))
+        np.square(corr, out=squares, dtype=np.int32)
     totals = squares.sum(axis=0, dtype=np.int64)
     bad = np.flatnonzero(totals != n * n)
     if bad.size:
@@ -221,35 +236,75 @@ class DeviationRows:
         outside = sum(1 for t in answer if self.squares(t.j)[t.s.as_unsigned()] > n)
         if 2 * outside >= answer_length(n):
             return True
-        return not aleph(self.x, self.y)
+        return not _typical(*self._signs)
 
 
-# Blocks of the streamed statistic hold 2**14 cells, so up to n = 1024 no array
-# of a block exceeds 64 KiB and the allocator serves every block from heap
-# memory it already holds.  A full n = 256 table instead grows the heap by about
-# 900 KiB per pair, and whether that memory was returned and faulted in again
-# for every pair depended on unrelated heap layout.  A block has at least 16
-# shifts, so at n = 4096 the transform's per-call cost stays small.
-_STAT_BLOCK_CELLS = 1 << 14
-_STAT_MIN_SHIFTS = 16
+# The streamed statistic reads the table in blocks of consecutive shifts,
+# min(n, max(_STAT_MIN_SHIFTS, _STAT_BLOCK_CELLS // n)) of them: the whole
+# table up to n = 64, 128 shifts at n = 256 and 64 from n = 1024 on.  A block costs about 30 numpy calls (the sign product, two per
+# butterfly stage, the square, the row checks and the window sum) whatever
+# its width: at n = 1024 a 64-shift block took 189 us against 105 us for 16
+# shifts, a quarter of the cells.  A sweep over n = 16 ... 4096 and widths
+# 16 ... 256 (CHANGES.md) found 64 shifts about twice as fast as 16 at
+# n = 1024 and n = 4096, and wider blocks faster again by up to a quarter.
+# The 2**15 cell cap stops there so that one block holds 256 KiB at
+# n = 256, about what a block of the old 2**14-cell stream held with its
+# temporaries, and the workload that runs aleph at n = 256 keeps its peak
+# memory; 64 shifts hold 512 KiB at n = 1024 and 2 MiB at n = 4096.
+#
+# Each call allocates its buffers once, as one allocation of 8 bytes per
+# cell, and reuses them for every block: two int16 butterfly buffers, the
+# first of which takes the sign product, and the int32 squares; the bool
+# window mask reuses the butterfly memory, free once the squares are taken.
+# As separate arrays, earlier sweeps saw 128 to 672 minor faults per pair at
+# n = 1024, depending on heap layout, and none as one allocation.  The
+# buffers live per call, never per module, because map_trials may run pairs
+# on threads.
+_STAT_BLOCK_CELLS = 1 << 15
+_STAT_MIN_SHIFTS = 64
+
+
+def _block_buffers(n: int, shifts: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for a block of up to `shifts` shifts, carved from one
+    allocation of 8 bytes per cell: two int16 butterfly buffers and the
+    int32 squares."""
+    cells = n * shifts
+    raw = np.empty(8 * cells, dtype=np.uint8)
+    a, b = raw[: 2 * cells].view(np.int16), raw[2 * cells:4 * cells].view(np.int16)
+    return a, b, raw[4 * cells:].view(np.int32)
+
+
+def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(in-window sum, shifts) per block of consecutive shifts, in shift
+    order, for the pair given by _signs.  Every row transformed is checked
+    to sum to n**2 (_spectra); rows of blocks never asked for are never
+    transformed."""
+    n = px.size
+    step = min(n, max(_STAT_MIN_SHIFTS, _STAT_BLOCK_CELLS // n))
+    buffers = _block_buffers(n, step)
+    masks = buffers[1].view(np.bool_)  # both butterfly buffers are free once squared
+    for start in range(1, n + 1, step):
+        shifts = range(start, min(start + step, n + 1))
+        squares = _spectra(px, windows, shifts, buffers)[1]
+        mask = masks[: squares.size].reshape(squares.shape)
+        np.less_equal(squares, n, out=mask)
+        np.multiply(squares, mask, out=squares)
+        yield int(squares.sum(dtype=np.int64)), len(shifts)
 
 
 def aleph_statistic(x: BitString, y: BitString) -> int:
     """Scaled in-window deviation sum of the pair's table: (2*delta - n)**2
     over the cells where it is at most n.
 
-    Streamed over blocks of consecutive shifts, so no n x n array is built;
-    every row is still checked to sum to n**2.  DeltaTable.aleph_statistic is
-    the full-table oracle."""
+    Streamed through _window_sums in blocks of consecutive shifts (the
+    whole table up to n = 64, 128 shifts at n = 256, 64 beyond),
+    and summed over all n rows, each checked to sum to n**2: protocol
+    failure probabilities need the exact value, so this never stops early.
+    Beyond the sign arrays it holds one block's buffers, 8 bytes per cell:
+    256 KiB at n = 256, 512 KiB at n = 1024 and 2 MiB at n = 4096.
+    DeltaTable.aleph_statistic is the full-table oracle."""
     _check_pair(x, y)
-    n = x.n
-    px, windows = _signs(x, y)
-    step = max(_STAT_MIN_SHIFTS, _STAT_BLOCK_CELLS // n)
-    total = 0
-    for start in range(1, n + 1, step):
-        squares = _spectra(px, windows, range(start, min(start + step, n + 1)))[1]
-        total += int(np.multiply(squares, squares <= n).sum(dtype=np.int64))
-    return total
+    return sum(total for total, _ in _window_sums(*_signs(x, y)))
 
 
 def is_typical(n: int, statistic: int) -> bool:
@@ -258,8 +313,33 @@ def is_typical(n: int, statistic: int) -> bool:
 
 
 def aleph(x: BitString, y: BitString) -> bool:
-    """Typicality predicate of an input pair."""
-    return is_typical(x.n, aleph_statistic(x, y))
+    """Typicality predicate of an input pair:
+    is_typical(n, aleph_statistic(x, y)), decided exactly from the fewest
+    blocks of _window_sums that settle it.
+
+    After each block, stat is the in-window sum over the rows read so far.
+    Cells only add to the statistic, so once 9 * stat > 4 * n**3 the pair is
+    atypical.  An unread row has n cells and an in-window cell adds at most
+    n, so the rows left add at most n**2 * rows_left; once
+    9 * (stat + n**2 * rows_left) <= 4 * n**3 the pair is typical.  Rows
+    after the stop are never transformed; every row read is checked to sum
+    to n**2.  A uniform pair at n = 1024 settles typical after 768 of its
+    1024 rows.  Memory is aleph_statistic's.  DeltaTable.aleph is the
+    full-table oracle."""
+    _check_pair(x, y)
+    return _typical(*_signs(x, y))
+
+
+def _typical(px: np.ndarray, windows: np.ndarray) -> bool:
+    """aleph of the pair given by _signs, with its early stop."""
+    n = px.size
+    stat, rows_left = 0, n
+    for total, rows in _window_sums(px, windows):
+        stat += total
+        rows_left -= rows
+        if not is_typical(n, stat) or is_typical(n, stat + n * n * rows_left):
+            break  # after the last block the two tests are one
+    return is_typical(n, stat)
 
 
 def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -> bool:

@@ -1,6 +1,7 @@
 """Tail calculators against exact and scipy oracles."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import accumulate
 
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
+import ghrlab.bounds as bounds
 from ghrlab.bitkit import Rng
 from ghrlab.bounds import (
     _dyadic_floats,
@@ -158,10 +160,21 @@ def test_dominance_reports_small_grids():
     assert window_lower_dominance_report(tuple(range(50, 121, 2))).passed
 
 
-def test_fair_cumulative_equals_comb_prefix_sums():
-    for m in range(501):
-        expect = tuple(accumulate(math.comb(m, k) for k in range(m + 1)))
-        assert _fair_cumulative.__wrapped__(m) == expect  # uncached
+def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
+    expect = [tuple(accumulate(math.comb(m, k) for k in range(m + 1))) for m in range(601)]
+    shuffled = list(range(601))
+    random.Random(7).shuffle(shuffled)
+    # from an empty cache in ascending, descending and shuffled order, so
+    # rows come from row m - 1 (ascending), directly (descending) or mixed
+    for order in (range(601), range(600, -1, -1), shuffled):
+        monkeypatch.setattr(bounds, "_fair_rows", {})
+        for m in order:
+            assert _fair_cumulative(m) == expect[m]
+            assert _fair_cumulative(m) is _fair_cumulative(m)  # kept
+    # past the cap, rows are built but no longer kept
+    monkeypatch.setattr(bounds, "_FAIR_ROWS_KEPT", 601)
+    assert _fair_cumulative(700) == tuple(accumulate(math.comb(700, k) for k in range(701)))
+    assert 700 not in bounds._fair_rows
 
 
 def test_hoisted_hoeffding_equals_hoeffding_bound():

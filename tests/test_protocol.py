@@ -250,10 +250,10 @@ def reference_success(n, trials, rng, t):
 def test_estimate_success_equals_full_table_reference(monkeypatch, n, trials, t):
     expect, unsettled = reference_success(n, trials, Rng(13), answer_length(n) if t is None else t)
     built, streamed = [], []
-    real_table, real_stat = relation.delta_table, relation.aleph_statistic
+    real_table, real_typical = relation.delta_table, relation._typical
     for module in (protocol, relation):
         monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
-    monkeypatch.setattr(relation, "aleph_statistic", lambda x, y: streamed.append(1) or real_stat(x, y))
+    monkeypatch.setattr(relation, "_typical", lambda *signs: streamed.append(1) or real_typical(*signs))
     assert estimate_success(n, trials, Rng(13), t=t) == expect
     # typicality is streamed exactly for the trials the answer leaves open,
     # and no trial builds the full table

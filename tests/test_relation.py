@@ -25,6 +25,7 @@ from ghrlab.relation import (
     exact_aleph_probability,
     ghd_value,
     ghr_is_valid,
+    is_typical,
     require_transform_size,
     tghr_is_valid,
 )
@@ -130,23 +131,107 @@ def test_aleph_statistic_consistency():
         assert aleph(x, y) == (9 * s4 <= 4 * 16**3)
 
 
-@pytest.mark.parametrize("n", [256, 1024])
-def test_streamed_statistic_equals_full_table(n):
-    # several blocks of shifts per pair (4 at n = 256, 64 at n = 1024), on
-    # random pairs, x = y, x = ~y, and a bent x against y = 0: every shift's
-    # spectrum is then flat at sqrt(n), all n**2 cells lie in the window, and
-    # the pair is atypical
+def bent(n):
+    """A bent function of log2 n bits as an n-bit string: its Walsh spectrum
+    is flat at sqrt(n), so against y = 0 every one of the n**2 cells lies in
+    the window with square n, and the pair is atypical."""
     half = (n.bit_length() - 1) // 2
-    bent = BitString.from_bits([bin((i >> half) & i).count("1") % 2 for i in range(n)])
-    zero = BitString(0, n)
-    rng = Rng(n)
+    return BitString.from_bits([bin((i >> half) & i).count("1") % 2 for i in range(n)])
+
+
+def transformed_shifts(monkeypatch):
+    """Counts the table rows every later FWHT call of the relation builds."""
+    count = [0]
+    real = relation.fwht
+
+    def counting(v, *buffers):
+        count[0] += v.shape[1]
+        return real(v, *buffers)
+
+    monkeypatch.setattr(relation, "fwht", counting)
+    return count
+
+
+def fix_block_shifts(monkeypatch, shifts):
+    """Makes every block of the streamed statistic min(n, shifts) shifts wide."""
+    monkeypatch.setattr(relation, "_STAT_MIN_SHIFTS", shifts)
+    monkeypatch.setattr(relation, "_STAT_BLOCK_CELLS", 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 16, 64]), st.sampled_from([1, 3, 64]), st.data())
+def test_early_verdict_equals_full_statistic_property(n, shifts, data):
+    x = BitString(data.draw(st.integers(0, 2**n - 1)), n)
+    y = BitString(data.draw(st.integers(0, 2**n - 1)), n)
+    with pytest.MonkeyPatch.context() as mp:
+        fix_block_shifts(mp, shifts)  # blocks narrow enough to stop early
+        verdict = aleph(x, y)
+        assert verdict == is_typical(n, aleph_statistic(x, y)) == delta_table_naive(x, y).aleph()
+
+
+@pytest.mark.parametrize("shifts", [1, 3])
+def test_early_verdict_equals_table_on_many_pairs(monkeypatch, shifts):
+    # at n = 16 up to one pair in 150 has a statistic close enough to the
+    # threshold that a typical-side bound looser than n**2 per unread row
+    # would settle it wrongly
+    fix_block_shifts(monkeypatch, shifts)
+    rng = Rng(shifts)
+    for _ in range(600):
+        x, y = random_bitstring(16, rng), random_bitstring(16, rng)
+        assert aleph(x, y) == delta_table(x, y).aleph()
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_early_verdict_on_adversarial_pairs(monkeypatch, n):
+    x = random_bitstring(n, Rng(n + 1))
+    for a, b in ((x, x), (x, ~x), (bent(n), BitString(0, n))):
+        assert aleph(a, b) == delta_table(a, b).aleph()
+    # every row of the bent pair adds n**2, so it is atypical once more than
+    # 4n/9 rows are read: after 1 of 2 blocks at n = 256, 8 of 16 at n = 1024
+    count = transformed_shifts(monkeypatch)
+    assert not aleph(bent(n), BitString(0, n))
+    assert count[0] == n // 2
+
+
+def test_early_verdict_reads_fewer_rows_than_the_statistic(monkeypatch):
+    n = 1024
+    rng = Rng(5)
     x, y = random_bitstring(n, rng), random_bitstring(n, rng)
-    for a, b in ((x, y), (y, x), (x, x), (x, ~x), (bent, zero)):
+    count = transformed_shifts(monkeypatch)
+    assert aleph(x, y)
+    # a uniform pair's statistic is about n**3 / 5, so the typical side
+    # settles after 768 of the 1024 rows
+    assert count[0] < n
+    count[0] = 0
+    assert is_typical(n, aleph_statistic(x, y))
+    assert count[0] == n
+
+
+@pytest.mark.parametrize("n,shifts", [(16, 1), (256, 1), (256, 48), (256, 256), (1024, 1024)])
+def test_streamed_statistic_does_not_depend_on_block_shape(monkeypatch, n, shifts):
+    # 48 shifts leave a last block of 16 at n = 256
+    fix_block_shifts(monkeypatch, shifts)
+    x = random_bitstring(n, Rng(n + shifts))
+    for a, b in ((x, ~x), (bent(n), BitString(0, n))):
         table = delta_table(a, b)
         assert aleph_statistic(a, b) == table.aleph_statistic()
         assert aleph(a, b) == table.aleph()
-    assert aleph_statistic(bent, zero) == n**3
-    assert not aleph(bent, zero)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_streamed_statistic_equals_full_table(n):
+    # two blocks of shifts at n = 256 and 16 at n = 1024, on random pairs,
+    # x = y, x = ~y, and a bent x against y = 0 (bent)
+    bent_x = bent(n)
+    zero = BitString(0, n)
+    rng = Rng(n)
+    x, y = random_bitstring(n, rng), random_bitstring(n, rng)
+    for a, b in ((x, y), (y, x), (x, x), (x, ~x), (bent_x, zero)):
+        table = delta_table(a, b)
+        assert aleph_statistic(a, b) == table.aleph_statistic()
+        assert aleph(a, b) == table.aleph()
+    assert aleph_statistic(bent_x, zero) == n**3
+    assert not aleph(bent_x, zero)
 
 
 def test_ghr_valid_counts_outside_entries():
@@ -157,6 +242,23 @@ def test_ghr_valid_counts_outside_entries():
     assert ghr_is_valid(x, y, outside)
     assert ghr_is_valid(x, y, [outside[0], inside[0]])  # half outside is enough
     assert not ghr_is_valid(x, y, inside)
+
+
+def test_ghr_valid_builds_the_pair_signs_once(monkeypatch):
+    signs, typical = [], []
+    real_signs, real_typical = relation._signs, relation._typical
+    monkeypatch.setattr(relation, "_signs", lambda x, y: signs.append(1) or real_signs(x, y))
+    monkeypatch.setattr(relation, "_typical", lambda *s: typical.append(1) or real_typical(*s))
+    x, y = bs("0000"), bs("1100")
+    outside = [TransformIndex(4, bs("10")), TransformIndex(2, bs("10"))]
+    inside = [TransformIndex(1, bs("00")), TransformIndex(2, bs("00"))]
+    # the second answer leaves validity to the typicality fallback, which
+    # reads the rows object's signs
+    for answer, fallback in ((outside, 0), (inside, 1)):
+        signs.clear()
+        ghr_is_valid(x, y, answer)
+        assert len(signs) == 1
+        assert len(typical) == fallback
 
 
 def test_ghr_vacuous_when_atypical():
@@ -197,8 +299,8 @@ def test_rows_equal_table_rows(n, seed):
 
 
 def test_corrupted_row_trips_parseval_check(monkeypatch):
-    def corrupted(v):
-        out = fwht(v)
+    def corrupted(v, *buffers):
+        out = fwht(v, *buffers)
         out[0] += 2
         return out
 
