@@ -157,55 +157,40 @@ def _excess(count: int, m: int, bound: float) -> int:
     return count * q - (p << m)
 
 
-def _exact_excess(count: int, m: int, observed: float, bound: float) -> int:
-    """_excess(count, m, bound), deciding from floats whenever they differ.
-
-    observed must be the float count / 2**m and bound must be finite.
-    Python's int / int is correctly rounded, and rounding is monotone: a
-    float bound rounds to itself, so count / 2**m <= bound forces observed
-    <= bound, and count / 2**m >= bound forces observed >= bound.  Hence
-    observed > bound proves the exact quotient exceeds bound, observed <
-    bound proves it falls short, and only a tie observed == bound leaves the
-    sign open, which _excess settles with integers.  This is a theorem, not
-    a tolerance: the result always has the sign of the exact difference."""
-    if observed > bound:
-        return 1
-    if observed < bound:
-        return -1
-    return _excess(count, m, bound)
-
-
 def _excess_signs(
-    counts: Sequence[int], e: int | np.ndarray, observed: np.ndarray, bounds: np.ndarray
+    counts: Sequence[int], e: int | np.ndarray, observed: np.ndarray, bound: np.ndarray
 ) -> np.ndarray:
-    """The sign of counts[i] / 2**e[i] - bounds[i, j] at every entry, as
-    int8: _exact_excess over columns.
+    """The sign of counts[i] / 2**e[i] - bound[i] at every point, as int8.
 
-    e is one int or one per row, and observed[i] must be the float
-    counts[i] / 2**e[i].  By _exact_excess's theorem the floats decide every
-    entry where they differ; _excess settles the rest, each a tie or a NaN
-    bound, which it refuses with ValueError."""
-    column = observed[:, None]
-    signs = (column > bounds).astype(np.int8) - (column < bounds)
+    e is one int or one per point, and observed[i] must be the float
+    counts[i] / 2**e[i].  Python's int / int is correctly rounded, and
+    rounding is monotone: a float bound rounds to itself, so a quotient <=
+    bound forces observed <= bound, and a quotient >= bound forces observed
+    >= bound.  Hence observed > bound proves the exact quotient exceeds
+    bound, observed < bound proves it falls short, and only a tie observed
+    == bound, or a NaN bound, leaves the sign open.  _excess settles each
+    of those with integers, refusing a NaN bound with ValueError.  This is a
+    theorem, not a tolerance: every sign is that of the exact difference."""
+    signs = (observed > bound).astype(np.int8) - (observed < bound)
     exps = np.broadcast_to(e, observed.shape)
-    for i, j in zip(*np.nonzero(signs == 0)):
-        excess = _excess(counts[i], int(exps[i]), float(bounds[i, j]))
-        signs[i, j] = (excess > 0) - (excess < 0)
+    for i in np.flatnonzero(signs == 0):
+        excess = _excess(counts[i], int(exps[i]), float(bound[i]))
+        signs[i] = (excess > 0) - (excess < 0)
     return signs
 
 
-def _dyadic_floats(counts: Sequence[int], e: int) -> np.ndarray:
-    """count / 2**e for every 0 <= count <= 2**e, each equal to Python's
-    correctly rounded int / int.
+def _dyadic_floats(counts: Sequence[int], e: int | np.ndarray) -> np.ndarray:
+    """counts[i] / 2**e[i] for every 0 <= counts[i] <= 2**e[i], each equal
+    to Python's correctly rounded int / int; e is one int or one per point.
 
     float(count), which the object-to-float cast calls, rounds correctly,
-    and scaling by 2.0**-e is exact while the result stays normal, which
-    holds for every count >= 1 when e <= 1000 (a zero count gives 0.0 either
-    way).  Past that the ints are divided."""
-    if e <= 1000:
-        return np.asarray(counts, dtype=object).astype(np.float64) * 2.0**-e
-    denom = 1 << e
-    return np.array([c / denom for c in counts], dtype=np.float64)
+    and np.ldexp scales it by 2**-e exactly while the result stays normal,
+    which holds for every count >= 1 when e <= 1000 (a zero count gives 0.0
+    either way).  Past that, anywhere in the grid, the ints are divided."""
+    exps = np.broadcast_to(e, (len(counts),))
+    if exps.max() <= 1000:
+        return np.ldexp(np.asarray(counts, dtype=object).astype(np.float64), -exps)
+    return np.array([c / (1 << int(k)) for c, k in zip(counts, exps)], dtype=np.float64)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -218,40 +203,38 @@ def _cap(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, x, 1.0)
 
 
-def _lower_tails(m: int, t_max: int) -> list[int]:
-    """The integer count C(m, 0) + ... + C(m, floor(m/2 - t)) for t = 1 ..
-    t_max, 0 once floor(m/2 - t) < 0.  Over 2**m it is the fair binomial's
-    tail at or below m/2 - t and, by symmetry, the one at or above m/2 + t."""
-    cum = _fair_cumulative(m)
-    half = m // 2  # floor(m/2 - t) = m // 2 - t
-    return list(cum[max(half - t_max, 0):half][::-1]) + [0] * max(t_max - half, 0)
-
-
 def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     """Columns over the points (m, t), 1 <= t <= m // t_max_divisor, in
-    (m, t) order: m and t as int arrays, each point's _lower_tails count, the
-    exponent e = m + 1 - sides, and observed = count / 2**e as a float.
+    (m, t) order: m and t as int arrays; each point's count, the integer
+    C(m, 0) + ... + C(m, floor(m/2 - t)), 0 once floor(m/2 - t) < 0; the
+    exponent e = m + 1 - sides; and observed = count / 2**e as a float.
 
-    As the two tails hold equally many outcomes, observed is the float of
-    one tail (sides=1) or of both (sides=2) over 2**m."""
-    ms, ts, counts, observed = [], [], [], []
+    Over 2**m the count is the fair binomial's tail at or below m/2 - t
+    and, by symmetry, the one at or above m/2 + t.  As the two tails hold
+    equally many outcomes, observed is the float of one tail (sides=1) or
+    of both (sides=2) over 2**m.  A grid with no point is refused."""
+    ms, ts, counts = [], [], []
     for m in m_values:
         t_max = m // t_max_divisor
         if t_max < 1:
             continue
-        lower = _lower_tails(m, t_max)
-        ms.append(np.full(t_max, m, dtype=np.int64))
-        ts.append(np.arange(1, t_max + 1, dtype=np.int64))
-        counts += lower
-        observed.append(_dyadic_floats(lower, m + 1 - sides))
-    m_col = np.concatenate([np.empty(0, np.int64), *ms])
-    t_col = np.concatenate([np.empty(0, np.int64), *ts])
-    return m_col, t_col, counts, m_col + 1 - sides, np.concatenate([np.empty(0), *observed])
+        half = m // 2  # floor(m/2 - t) = m // 2 - t
+        counts += _fair_cumulative(m)[max(half - t_max, 0):half][::-1]
+        counts += [0] * max(t_max - half, 0)
+        ms += [m] * t_max
+        ts += range(1, t_max + 1)
+    if not counts:
+        raise ValueError(f"no point with 1 <= t <= m // {t_max_divisor} for m in {m_values!r}")
+    m_col = np.array(ms, dtype=np.int64)
+    e = m_col + 1 - sides
+    return m_col, np.array(ts, dtype=np.int64), counts, e, _dyadic_floats(counts, e)
 
 
 def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
     """binomial_window_lower's terms that depend on m alone: m/2, the two
-    square-root coefficients and c_term/m."""
+    square-root coefficients and c_term/m.  Refuses odd m and m < 2."""
+    if m < 2 or m % 2:
+        raise ValueError(f"m must be even and >= 2, got {m}")
     return (
         m / 2.0,
         math.sqrt(2.0 / (math.pi * m)),
@@ -267,11 +250,11 @@ def _windows(m: int, c_term: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     binomial_window_lower(m, a, b, c_term) bit for bit.  The per-m constants
     and each (k - m/2)**3 are computed once, with the operations
     binomial_window_lower applies to them."""
+    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
     cum = _fair_cumulative(m)
     root = math.sqrt(m)
     lo = max(math.ceil(m / 2 - root), 0)
     hi = min(math.floor(m / 2 + root), m)
-    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
     cubes = np.array([(k - half) ** 3 for k in range(lo, hi + 1)])
     ks = np.arange(hi - lo + 1)
     a, b = np.nonzero(np.less.outer(ks, ks))  # offsets from lo, in (a, b) order
@@ -313,11 +296,9 @@ def binomial_window_lower(m: int, a: int, b: int, c_term: float = DEFAULT_WINDOW
 
     sqrt(2/pi m)(b - a) - sqrt(8/(9 pi m**3))((b - m/2)**3 - (a - m/2)**3)
     - c_term/m.  Requires even m and 0 <= a < b <= m; may be negative."""
-    if m < 2 or m % 2:
-        raise ValueError(f"m must be even and >= 2, got {m}")
+    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
     if not 0 <= a < b <= m:
         raise ValueError(f"window [{a}, {b}] invalid for m={m}")
-    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
     return main_coef * (b - a) - cubic_coef * ((b - half) ** 3 - (a - half) ** 3) - shift
 
 
@@ -325,12 +306,13 @@ def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2)))
     """Smallest nonnegative c such that binomial_window_lower(m, a, b, c)
     never exceeds the exact window, over all windows inside m/2 +- sqrt(m)
     of the given m.  Clamped at zero: the correction only ever tightens.
+
+    Read off window_lower_dominance_report at c = 0: fl(exact - bound) =
+    -fl(bound - exact), and scaling by m > 0 is monotone, so the largest
+    (bound - exact) * m of each m sits at the worst window its point keys to.
     """
-    worst = 0.0
-    for m in m_values:
-        _, exact, bound = _windows(m, 0.0)
-        worst = max(worst, float(((bound - exact) * m).max()))
-    return worst
+    report = window_lower_dominance_report(m_values, 0.0)
+    return max(0.0, float(((report.bound_value - report.observed) * np.asarray(m_values)).max()))
 
 
 @dataclass(frozen=True)
@@ -412,7 +394,7 @@ def hoeffding_dominance_report(
     m, t, counts, e, observed = _tail_grid(m_values, t_max_divisor, sides=2)
     tf = t.astype(np.float64)
     bound = _cap(2.0 * _exp(-2.0 * tf * tf / m.astype(np.float64)))
-    satisfied = _excess_signs(counts, e, observed, bound[:, None])[:, 0] <= 0
+    satisfied = _excess_signs(counts, e, observed, bound) <= 0
     return BoundReport(
         "two-sided binomial tail vs hoeffding_bound",
         lambda i: f"m={m[i]},t={t[i]}",
@@ -443,7 +425,7 @@ def chernoff_dominance_report(
     if t_max_divisor < 3:
         raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
     m, t, counts, e, observed = _tail_grid(m_values, t_max_divisor, sides=1)
-    top = int((m + 2 * t).max(initial=0))
+    top = int((m + 2 * t).max())
     log_half = np.array([-math.inf] + [math.log(j / 2) for j in range(1, top + 1)])  # no level is 0
     tf = t.astype(np.float64)
     mu = m.astype(np.float64) / 2.0
@@ -454,14 +436,13 @@ def chernoff_dominance_report(
     exp_hi = _cap(_exp(-tf * tf / (two_a + tf)))
     # the _ratio_power factors of level mu - t and of level mu + t
     ratio = _cap(_exp(below * (log_mu - log_half[m - 2 * t])) * _exp(above * (log_mu - log_half[m + 2 * t])))
-    bounds = np.stack([exp_lo, exp_hi, ratio, ratio], axis=1)
-    satisfied = _excess_signs(counts, e, observed, bounds) <= 0
+    holds = [_excess_signs(counts, e, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
     return BoundReport(
         "one-sided binomial tails vs relaxed_chernoff_bound",
         lambda i: f"{_CHERNOFF_CHECKS[i % 4]},m={m[i // 4]},t={t[i // 4]}",
-        bounds.ravel(),
+        np.stack([exp_lo, exp_hi, ratio, ratio], axis=1).ravel(),
         np.repeat(observed, 4),
-        satisfied.ravel(),
+        np.stack([*holds, holds[2]], axis=1).ravel(),
     )
 
 
@@ -472,17 +453,20 @@ def window_lower_dominance_report(
     exact window on the calibration grid.  One summary point per m, keyed to
     that m's first worst window by float margin; it is satisfied when every
     window of that m holds exactly, comparing the integer count with the
-    bound's exact value, with no slack."""
+    bound's exact value, with no slack.  Every m must be even and >= 2, as
+    binomial_window_lower requires, and m_values must not be empty."""
     c = DEFAULT_WINDOW_C if c_term is None else c_term
     ms, bounds, observed, holds = [], [], [], []
     for m in m_values:
         hits, exact, bound = _windows(m, c)
-        signs = _excess_signs(hits, m, exact, bound[:, None])
+        signs = _excess_signs(hits, m, exact, bound)
         worst = int(np.argmin(exact - bound))
         ms.append(m)
         bounds.append(bound[worst])
         observed.append(exact[worst])
         holds.append(bool((signs >= 0).all()))
+    if not ms:
+        raise ValueError(f"no m values to check: m_values={m_values!r}")
     return BoundReport(
         "exact window vs binomial_window_lower (calibrated)",
         lambda i: f"m={ms[i]}",

@@ -38,7 +38,7 @@ from .classical import (
     require_reduction_size,
     xi_parameters,
 )
-from .coupling import verify_independence
+from .coupling import require_dp_length, verify_independence
 from .protocol import estimate_success, failure_probability
 from .relation import (
     aleph_statistic,
@@ -273,12 +273,6 @@ def _int_at_least(low: int):
     return _checked_int(guard)
 
 
-def _require_sweep_size(n: int) -> None:
-    """coupling-verify sweeps all 2**n selectors through the DP."""
-    if n < 2 or n % 2 or n > 12:
-        raise ValueError(f"n must be even in [2, 12], got {n}")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parsing never changes it."""
@@ -318,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("coupling-verify", "exact coupled-mixture check for every selector")
-    p.add_argument("--n", type=_checked_int(_require_sweep_size), required=True)
+    p.add_argument("--n", type=_checked_int(require_dp_length), required=True)
     p.add_argument("--tol", type=float, default=1e-9)
 
     p = add("bounds-validate", "tail-bound dominance grids, plus sampled shift tails")

@@ -184,11 +184,11 @@ def fair_binomial_masses(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(math.comb(n, w), 1 << n) for w in range(n + 1))
 
 
-def _require_dp_length(n: int) -> None:
-    if n % 2:
-        raise ValueError(f"n must be even, got {n}")
-    if n > 16:
-        raise ValueError(f"DP table limited to n <= 16, got {n}")
+def require_dp_length(n: int) -> None:
+    """Reject n outside the DP's range: it needs an even n >= 2, and its
+    table is limited to n <= 16."""
+    if n < 2 or n % 2 or n > 16:
+        raise ValueError(f"n must be even in [2, 16], got {n}")
 
 
 def exact_coupled_distribution(s: BitString, _force_z_zero: bool = False) -> CoupledDistTable:
@@ -196,12 +196,12 @@ def exact_coupled_distribution(s: BitString, _force_z_zero: bool = False) -> Cou
 
     The keyword _force_z_zero disables stage-2 flips; it exists so tests can
     show the verification REJECTS a broken sampler.  State space is
-    (remaining weight, accumulated output weight) per step; n above 16 is
-    refused (the intended use is n <= 12).  The DP reads s only through its
+    (remaining weight, accumulated output weight) per step; n must be even
+    in [2, 16] (require_dp_length).  The DP reads s only through its
     length and weight, so its rows are built once per weight class and shared
     by every selector of that class.
     """
-    _require_dp_length(s.n)
+    require_dp_length(s.n)
     return CoupledDistTable(s.n, s, _class_rows(s.n, s.weight(), _force_z_zero))
 
 
@@ -296,7 +296,7 @@ def verify_independence(
     distance with tol exactly, so tol must be finite."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
-    _require_dp_length(s.n)
+    require_dp_length(s.n)
     distances = _class_distances(s.n, s.weight(), _force_z_zero)
     worst = max(distances)
     return IndependenceReport(s, float(worst), distances.index(worst), worst <= Fraction(tol))

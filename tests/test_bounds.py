@@ -15,7 +15,6 @@ import ghrlab.bounds as bounds
 from ghrlab.bitkit import Rng
 from ghrlab.bounds import (
     _dyadic_floats,
-    _exact_excess,
     _excess,
     _excess_signs,
     _fair_cumulative,
@@ -149,6 +148,8 @@ def test_window_lower_formula_and_validation():
 def test_window_calibration_regression():
     # shipped constant must still satisfy its defining grid search
     assert calibrate_window_lower_c(tuple(range(50, 201, 2))) <= DEFAULT_WINDOW_C
+    with pytest.raises(ValueError, match="no m values"):  # it reads an empty report
+        calibrate_window_lower_c(())
 
 
 def test_dominance_reports_small_grids():
@@ -158,6 +159,25 @@ def test_dominance_reports_small_grids():
     with pytest.raises(ValueError, match="t_max_divisor"):  # t = m/2 puts a level at 0
         chernoff_dominance_report(range(10, 60), t_max_divisor=2)
     assert window_lower_dominance_report(tuple(range(50, 121, 2))).passed
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        # grids with no point, which would pass vacuously
+        (lambda: hoeffding_dominance_report(range(1, 4)), r"m // 4 for m in range\(1, 4\)"),
+        (lambda: chernoff_dominance_report(()), r"m // 4 for m in \(\)"),
+        (lambda: chernoff_dominance_report(range(1, 6), t_max_divisor=7), r"m // 7"),
+        (lambda: window_lower_dominance_report(()), r"m_values=\(\)"),
+        # window m that binomial_window_lower refuses
+        (lambda: window_lower_dominance_report((0,)), "got 0"),
+        (lambda: window_lower_dominance_report((50, 51)), "got 51"),
+        (lambda: window_lower_dominance_report((-4,)), "got -4"),
+    ],
+)
+def test_dominance_reports_refuse_empty_or_invalid_grids(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
@@ -177,10 +197,18 @@ def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
     assert 700 not in bounds._fair_rows
 
 
-def test_hoisted_hoeffding_equals_hoeffding_bound():
-    points = hoeffding_dominance_report().points
-    grid = [(m, t) for m in range(10, 401) for t in range(1, m // 4 + 1)]
-    assert len(points) == len(grid) == 19892
+# the default grid, and one whose exponents straddle e = 1000, past which
+# _dyadic_floats divides ints for the whole grid
+GRIDS = pytest.mark.parametrize(
+    "m_values, size", [(range(10, 401), 19892), (range(998, 1004), 1498)], ids=["default", "m998-1003"]
+)
+
+
+@GRIDS
+def test_hoisted_hoeffding_equals_hoeffding_bound(m_values, size):
+    points = hoeffding_dominance_report(m_values).points
+    grid = [(m, t) for m in m_values for t in range(1, m // 4 + 1)]
+    assert len(points) == len(grid) == size
     for point, (m, t) in zip(points, grid):
         assert point.label == f"m={m},t={t}"
         assert point.bound_value == hoeffding_bound([(0.0, 1.0)] * m, t)
@@ -232,19 +260,20 @@ def counts_and_bounds(draw):
 def test_float_first_verdict_has_the_exact_sign(case):
     count, m, bound = case
     observed = count / (1 << m)
-    assert sign(_exact_excess(count, m, observed, bound)) == sign(_excess(count, m, bound))
     assert sign(_excess(count, m, bound)) == sign(Fraction(count, 1 << m) - Fraction(bound))
-    # the column forms: the float quotient and the float-first verdict
+    # the column forms: the float quotient, with one exponent for all points
+    # or one per point, and the float-first verdict
     column = _dyadic_floats([count], m)
-    assert column.tolist() == [observed]
-    signs = _excess_signs([count], m, column, np.array([[bound, bound]]))
-    assert signs.tolist() == [[sign(_excess(count, m, bound))] * 2]
+    assert column.tolist() == _dyadic_floats([count], np.array([m])).tolist() == [observed]
+    signs = _excess_signs([count], m, column, np.array([bound]))
+    assert signs.tolist() == [sign(_excess(count, m, bound))]
 
 
-def test_chernoff_grid_equals_relaxed_chernoff_bound():
-    points = chernoff_dominance_report().points
-    grid = [(m, t) for m in range(10, 401) for t in range(1, m // 4 + 1)]
-    assert len(points) == 4 * len(grid) == 79568
+@GRIDS
+def test_chernoff_grid_equals_relaxed_chernoff_bound(m_values, size):
+    points = chernoff_dominance_report(m_values).points
+    grid = [(m, t) for m in m_values for t in range(1, m // 4 + 1)]
+    assert len(points) == 4 * len(grid) == 4 * size
     for i, (m, t) in enumerate(grid):
         mu = m / 2.0
         lower, upper = (

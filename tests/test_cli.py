@@ -246,9 +246,9 @@ def test_oversized_n_is_usage_error(capsys):
         (["protocol-success", "--n", "2", "--trials", "1"], "power of 4"),
         (["protocol-success", "--n", str(4**7), "--trials", "1"], "size cap 4096"),
         (["protocol-failure-exact", "--n", str(4**40)], "size cap 4096"),
-        (["coupling-verify", "--n", "3"], "even in [2, 12]"),
-        (["coupling-verify", "--n", "0"], "even in [2, 12]"),
-        (["coupling-verify", "--n", "14"], "even in [2, 12]"),
+        (["coupling-verify", "--n", "3"], "even in [2, 16]"),
+        (["coupling-verify", "--n", "0"], "even in [2, 16]"),
+        (["coupling-verify", "--n", "18"], "even in [2, 16]"),
         (["rect-spectrum", "--rect", "full", "--n", "0"], "1 <= n <= 20"),
         (["rect-spectrum", "--rect", "full", "--n", "21"], "1 <= n <= 20"),
         (["rect-spectrum", "--rect", "full", "--n", str(10**9)], "1 <= n <= 20"),
@@ -273,7 +273,7 @@ def test_size_guards_accept_their_largest_n():
     parse = build_parser().parse_args
     assert parse(["aleph-estimate", "--n", "4096", "--trials", "1"]).n == 4096
     assert parse(["protocol-failure-exact", "--n", "4"]).n == 4
-    assert parse(["coupling-verify", "--n", "12"]).n == 12
+    assert parse(["coupling-verify", "--n", "16"]).n == 16  # parsed only: the sweep takes seconds
     assert parse(["coupling-verify", "--n", "2"]).n == 2
     assert parse(["rect-spectrum", "--rect", "full", "--n", "20"]).n == 20
     assert parse(["rect-spectrum", "--rect", "full", "--n", "1"]).n == 1

@@ -101,6 +101,9 @@ def test_odd_length_rejected():
         sample_a_tilde(bs("101"), bs("110"), Rng(0))
     with pytest.raises(ValueError):
         sample_a_tilde(bs("10"), bs("1100"), Rng(0))
+    for dp in (exact_coupled_distribution, verify_independence):  # past the DP's cap
+        with pytest.raises(ValueError, match=r"even in \[2, 16\], got 18"):
+            dp(BitString(0, 18))
 
 
 def test_transcript_structure():
