@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,11 +186,15 @@ def _dyadic_floats(counts: Sequence[int], e: int | np.ndarray) -> np.ndarray:
     float(count), which the object-to-float cast calls, rounds correctly,
     and np.ldexp scales it by 2**-e exactly while the result stays normal,
     which holds for every count >= 1 when e <= 1000 (a zero count gives 0.0
-    either way).  Past that, anywhere in the grid, the ints are divided."""
+    either way).  The points with e > 1000, and only those, are divided as
+    ints."""
     exps = np.broadcast_to(e, (len(counts),))
-    if exps.max() <= 1000:
-        return np.ldexp(np.asarray(counts, dtype=object).astype(np.float64), -exps)
-    return np.array([c / (1 << int(k)) for c, k in zip(counts, exps)], dtype=np.float64)
+    big = np.flatnonzero(exps > 1000)
+    cast = np.array(counts, dtype=object)
+    cast[big] = 0  # float() of a count past 2**1024 would overflow
+    out = np.ldexp(cast.astype(np.float64), -exps)
+    out[big] = [counts[i] / (1 << int(exps[i])) for i in big]
+    return out
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -230,11 +234,16 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     return m_col, np.array(ts, dtype=np.int64), counts, e, _dyadic_floats(counts, e)
 
 
+def _require_window_m(m: int) -> None:
+    """Refuse odd m and m < 2, as binomial_window_lower does."""
+    if m < 2 or m % 2:
+        raise ValueError(f"m must be even and >= 2, got {m}")
+
+
 def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
     """binomial_window_lower's terms that depend on m alone: m/2, the two
     square-root coefficients and c_term/m.  Refuses odd m and m < 2."""
-    if m < 2 or m % 2:
-        raise ValueError(f"m must be even and >= 2, got {m}")
+    _require_window_m(m)
     return (
         m / 2.0,
         math.sqrt(2.0 / (math.pi * m)),
@@ -243,26 +252,98 @@ def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float
     )
 
 
-def _windows(m: int, c_term: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns over every window a < b inside m/2 +- sqrt(m), in (a, b)
-    order: hits, the integer count C(m, a) + ... + C(m, b), as an object
-    array of Python ints; exact = hits / 2**m as a float; and bound =
-    binomial_window_lower(m, a, b, c_term) bit for bit.  The per-m constants
-    and each (k - m/2)**3 are computed once, with the operations
-    binomial_window_lower applies to them."""
-    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
-    cum = _fair_cumulative(m)
+def _window_span(m: int) -> tuple[int, int]:
+    """lo and hi, the least and greatest k inside m/2 +- sqrt(m), for even
+    m >= 2 (refusing any other m); there are (hi - lo)(hi - lo + 1)/2
+    windows lo <= a < b <= hi."""
+    _require_window_m(m)
     root = math.sqrt(m)
-    lo = max(math.ceil(m / 2 - root), 0)
-    hi = min(math.floor(m / 2 + root), m)
-    cubes = np.array([(k - half) ** 3 for k in range(lo, hi + 1)])
-    ks = np.arange(hi - lo + 1)
-    a, b = np.nonzero(np.less.outer(ks, ks))  # offsets from lo, in (a, b) order
-    bound = main_coef * (b - a) - cubic_coef * (cubes[b] - cubes[a]) - shift
-    tops = np.array(cum[lo:hi + 1], dtype=object)  # cum[k] for each k
-    bases = np.array((cum[lo - 1] if lo > 0 else 0,) + cum[lo:hi], dtype=object)  # cum[k - 1]
-    hits = tops[b] - bases[a]
-    return hits, _dyadic_floats(hits, m), bound
+    return max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m)
+
+
+# At most this many windows go into one chunk of consecutive m, unless one
+# m alone holds more (the default grid's largest m holds 990).
+_CHUNK_WINDOWS = 4096
+
+# The margin error bound of _window_grid, relative to 1 + |bound|.
+_TIE_TOL = 2.0**-50
+
+
+def _window_chunks(m_values: Iterable[int]) -> Iterator[list[int]]:
+    """m_values in runs of consecutive entries, each holding at most
+    _CHUNK_WINDOWS windows or a single m; every m is checked as it comes."""
+    chunk, size = [], 0
+    for m in m_values:
+        lo, hi = _window_span(m)
+        windows = (hi - lo) * (hi - lo + 1) // 2
+        if chunk and size + windows > _CHUNK_WINDOWS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(m)
+        size += windows
+    if chunk:
+        yield chunk
+
+
+def _window_grid(ms: Sequence[int], c_term: float):
+    """Columns over every window a < b inside m/2 +- sqrt(m) of each m in
+    ms, m by m and each m's windows in (a, b) order: seg, the position in ms
+    of the window's m; top and bot, positions in counts; bound; margin; and
+    tol.  counts holds, for each m, cum[lo - 1] (0 when lo = 0) and then
+    cum[lo], ..., cum[hi] as Python ints, so a window's hits C(m, a) + ...
+    + C(m, b) is counts[top] - counts[bot] = cum[b] - cum[a - 1].
+
+    bound is binomial_window_lower(m, a, b, c_term) bit for bit: the same
+    float operations on the same floats, since k - m/2 is an integer of
+    magnitude at most sqrt(m) + 1, whose cube is exact in int64 and in
+    float for every m below 2**34.
+
+    margin = fl(fl(P[b] - P[a - 1]) - bound), where P[k] is the correctly
+    rounded cum[k] / 2**m from one _dyadic_floats call, and it lies within
+    tol = 2**-50 (1 + |bound|) of the exact hits / 2**m - bound, as does
+    fl(fl(hits / 2**m) - bound).  Proof, with u = 2**-53, W = hits / 2**m
+    and B = |bound|: each P[k] is within u P[k] <= u of cum[k] / 2**m, so
+    P[b] - P[a - 1] is within 2u of W in [0, 1], and rounding it adds at
+    most u (1 + 2u), so w = fl(P[b] - P[a - 1]) is within 3u + 2u**2 of W;
+    rounding w - bound adds at most u (1 + B + 3u + 2u**2), so margin is
+    within 4u + uB + 6u**2 of W - bound.  Likewise fl(W) is within u of
+    W and fl(fl(W) - bound) within 2u + uB + u**2 of W - bound, so the two
+    are within 6u (1 + B) + 7u**2 < 7.9u (1 + B) of each other, and the
+    computed tol = fl(8u fl(1 + B)) is at least 8u (1 + B)(1 - u).  A cast
+    to a subnormal float adds at most 2**-1075 to the error, which the
+    spare 0.9u (1 + B) covers.  An infinite bound gets tol 0: there margin
+    is -bound and its sign is exact; a NaN bound gets tol 0 as well, and
+    fails every comparison."""
+    counts, sizes, los, consts = [], [], [], []
+    for m in ms:
+        lo, hi = _window_span(m)
+        cum = _fair_cumulative(m)
+        counts.append(cum[lo - 1] if lo > 0 else 0)
+        counts += cum[lo:hi + 1]
+        sizes.append(hi - lo + 2)
+        los.append(lo)
+        consts.append(_window_constants(m, c_term)[1:])
+    m_col = np.array(ms, dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
+    first = np.cumsum(sizes) - sizes  # position of each m's cum[lo - 1]
+    p = np.arange(len(counts))
+    p_seg = np.repeat(np.arange(len(ms)), sizes)
+    k = np.array(los, dtype=np.int64)[p_seg] - 1 + p - first[p_seg]  # counts[p] = cum[k]
+    d = k - m_col[p_seg] // 2
+    cubes = (d * d * d).astype(np.float64)  # (k - m/2)**3
+    prefix = _dyadic_floats(counts, m_col[p_seg])
+    # bot is the position of cum[a - 1] for a = lo, ..., hi - 1, once for
+    # each of its tops, which run from bot + 2 (b = a + 1) to that m's last
+    # position (b = hi)
+    tops = np.maximum(first[p_seg] + sizes[p_seg] - 2 - p, 0)
+    bot = np.repeat(p, tops)
+    top = bot + 2 + np.arange(bot.size) - np.repeat(np.cumsum(tops) - tops, tops)
+    seg = p_seg[bot]
+    main_coef, cubic_coef, shift = np.array(consts).T
+    bound = main_coef[seg] * (top - bot - 1) - cubic_coef[seg] * (cubes[top] - cubes[bot + 1]) - shift[seg]
+    margin = (prefix[top] - prefix[bot]) - bound
+    tol = np.where(np.isfinite(bound), _TIE_TOL * (1.0 + np.abs(bound)), 0.0)
+    return seg, top, bot, np.array(counts, dtype=object), bound, margin, tol
 
 
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
@@ -446,6 +527,37 @@ def chernoff_dominance_report(
     )
 
 
+def _window_summaries(ms: Sequence[int], c_term: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each m in ms: the bound and the float fl(hits / 2**m) of its
+    first worst window by float margin fl(fl(hits / 2**m) - bound), and
+    whether every window of that m holds exactly.
+
+    A window whose margin (_window_grid) exceeds its tol in magnitude has
+    the sign of that margin; every other one is decided exactly by
+    _excess_signs.  Each m's worst window is among its candidates, the
+    windows whose margin minus tol is at most the least margin plus tol of
+    that m: every window's float margin lies within tol of its margin, so
+    the worst window's margin minus tol is at most its float margin, which
+    is at most every window's margin plus tol.  Only the candidates' float
+    margins are computed, and the first least of them is the worst."""
+    seg, top, bot, counts, bound, margin, tol = _window_grid(ms, c_term)
+    m_col = np.array(ms, dtype=np.int64)
+    signs = (margin > tol).astype(np.int8) - (margin < -tol)
+    near = np.flatnonzero(signs == 0)
+    if near.size:
+        hits, e = counts[top[near]] - counts[bot[near]], m_col[seg[near]]
+        signs[near] = _excess_signs(hits, e, _dyadic_floats(hits, e), bound[near])
+    each = np.arange(len(ms))
+    upper = np.minimum.reduceat(margin + tol, np.searchsorted(seg, each))
+    cand = np.flatnonzero(margin - tol <= upper[seg])  # every m has one
+    cand_seg = seg[cand]
+    exact = _dyadic_floats(counts[top[cand]] - counts[bot[cand]], m_col[cand_seg])
+    gap = exact - bound[cand]
+    least = np.flatnonzero(gap == np.minimum.reduceat(gap, np.searchsorted(cand_seg, each))[cand_seg])
+    worst = least[np.searchsorted(cand_seg[least], each)]  # the first least of each m
+    return bound[cand[worst]], exact[worst], np.bincount(seg[signs < 0], minlength=len(ms)) == 0
+
+
 def window_lower_dominance_report(
     m_values: Sequence[int] = tuple(range(50, 501, 2)), c_term: float | None = None
 ) -> BoundReport:
@@ -454,25 +566,23 @@ def window_lower_dominance_report(
     that m's first worst window by float margin; it is satisfied when every
     window of that m holds exactly, comparing the integer count with the
     bound's exact value, with no slack.  Every m must be even and >= 2, as
-    binomial_window_lower requires, and m_values must not be empty."""
+    binomial_window_lower requires, and m_values must not be empty.  The
+    windows are built and decided in chunks of consecutive m, one chunk's
+    columns at a time."""
     c = DEFAULT_WINDOW_C if c_term is None else c_term
-    ms, bounds, observed, holds = [], [], [], []
-    for m in m_values:
-        hits, exact, bound = _windows(m, c)
-        signs = _excess_signs(hits, m, exact, bound)
-        worst = int(np.argmin(exact - bound))
-        ms.append(m)
-        bounds.append(bound[worst])
-        observed.append(exact[worst])
-        holds.append(bool((signs >= 0).all()))
+    ms, columns = [], []
+    for chunk in _window_chunks(m_values):
+        ms += chunk
+        columns.append(_window_summaries(chunk, c))
     if not ms:
         raise ValueError(f"no m values to check: m_values={m_values!r}")
+    bounds, observed, holds = (np.concatenate(column) for column in zip(*columns))
     return BoundReport(
         "exact window vs binomial_window_lower (calibrated)",
         lambda i: f"m={ms[i]}",
-        np.array(bounds, dtype=np.float64),
-        np.array(observed, dtype=np.float64),
-        np.array(holds, dtype=bool),
+        bounds,
+        observed,
+        holds,
     )
 
 

@@ -29,6 +29,7 @@ from .bounds import (
     window_lower_dominance_report,
 )
 from .classical import (
+    MAX_REDUCTION_N,
     RectangleSpec,
     all_instances,
     estimate_baseline_success,
@@ -335,9 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_reduction_flags(args) -> None:
+    """Refuse, as a usage error naming the flags, a --c1/--c2 pair that
+    xi_parameters refuses at every n, or at the --n given.  The pads only
+    grow with n and the other rules do not depend on it, so a pair refused
+    at MAX_REDUCTION_N is refused at every n."""
+    for flags, n in (("--c1/--c2", MAX_REDUCTION_N), ("--n", args.n)):
+        try:
+            xi_parameters(args.c1, args.c2, n)
+        except ValueError as exc:
+            build_parser().error(f"argument {flags}: {exc}")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.subcommand == "reduction-demo":
+            _check_reduction_flags(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,9 +1,14 @@
 """Tail calculators against exact and scipy oracles."""
 
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +23,8 @@ from ghrlab.bounds import (
     _excess,
     _excess_signs,
     _fair_cumulative,
-    _windows,
+    _window_chunks,
+    _window_grid,
     DEFAULT_WINDOW_C,
     anticorrelated_expectation_holds,
     binomial_window_lower,
@@ -198,7 +204,7 @@ def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
 
 
 # the default grid, and one whose exponents straddle e = 1000, past which
-# _dyadic_floats divides ints for the whole grid
+# _dyadic_floats divides ints
 GRIDS = pytest.mark.parametrize(
     "m_values, size", [(range(10, 401), 19892), (range(998, 1004), 1498)], ids=["default", "m998-1003"]
 )
@@ -269,6 +275,14 @@ def test_float_first_verdict_has_the_exact_sign(case):
     assert signs.tolist() == [sign(_excess(count, m, bound))]
 
 
+def test_dyadic_floats_divides_only_the_points_past_e_1000():
+    counts = [1, 3, 2**1001 - 1, 0, 2**1100, 7, 2**60 + 1]
+    e = [1, 1000, 1001, 1100, 1100, 3, 1100]  # the last is subnormal
+    expect = [c / (1 << k) for c, k in zip(counts, e)]
+    assert _dyadic_floats(counts, np.array(e)).tolist() == expect
+    assert counts[2] == 2**1001 - 1  # the caller's counts are left as they were
+
+
 @GRIDS
 def test_chernoff_grid_equals_relaxed_chernoff_bound(m_values, size):
     points = chernoff_dominance_report(m_values).points
@@ -307,38 +321,204 @@ def reference_windows(m, c_term):
     return windows
 
 
-@pytest.mark.parametrize("c_term", [None, -5.0])
-def test_window_grid_equals_reference_loop(c_term):
-    m_values = tuple(range(50, 501, 2))
-    c = DEFAULT_WINDOW_C if c_term is None else c_term
+DEFAULT_MS = tuple(range(50, 501, 2))
+SMALL_MS = tuple(range(2, 121, 2)) + (498, 500)
+STRADDLE_MS = (996, 998, 1000, 1002, 1004)  # a default chunk holds 1000 and 1002
+
+
+@functools.cache
+def near_tie_c(side=0):
+    """A c_term that puts the bound of m=50's worst window (at c = 0) on
+    the float of its exact mass (side 0), or on the nearest float above
+    (side 1) or below (side -1) it that some c_term reaches."""
+    m = 50
+    lo, hi = math.ceil(m / 2 - math.sqrt(m)), math.floor(m / 2 + math.sqrt(m))
+    a, b = min(
+        ((a, b) for a in range(lo, hi) for b in range(a + 1, hi + 1)),
+        key=lambda w: float(exact_binomial_window(m, *w)) - binomial_window_lower(m, *w, 0.0),
+    )
+    target = float(exact_binomial_window(m, a, b))
+
+    def bound(c):
+        return binomial_window_lower(m, a, b, c)  # falls as c rises
+
+    c = (bound(0.0) - target) * m
+    while bound(c) < target:
+        c = math.nextafter(c, -math.inf)
+    while bound(c) > target:
+        c = math.nextafter(c, math.inf)
+    while side > 0 and bound(c) <= target:
+        c = math.nextafter(c, -math.inf)
+    while side < 0 and bound(c) >= target:
+        c = math.nextafter(c, math.inf)
+    assert (bound(c) > target) - (bound(c) < target) == side
+    return c
+
+
+NEAR_TIES = {"near-tie": 0, "near-tie-above": 1, "near-tie-below": -1}
+
+
+@functools.cache
+def reference_report(m_values, c_term):
+    """(label, bound_value, observed, satisfied) per m, from the reference loop."""
     expect = []
     for m in m_values:
-        windows = reference_windows(m, c)
-        hits, exact, bound = _windows(m, c)
-        assert list(zip(hits.tolist(), exact.tolist(), bound.tolist())) == windows
+        windows = reference_windows(m, c_term)
         worst = min(windows, key=lambda w: w[1] - w[2])  # first minimum, like the report
-        holds = all(_excess(hits, m, bound) >= 0 for hits, _, bound in windows)
+        # an infinite bound is decided by its sign; _excess needs a finite one
+        holds = all(bound < 0 if math.isinf(bound) else _excess(hits, m, bound) >= 0 for hits, _, bound in windows)
         expect.append((f"m={m}", worst[2], worst[1], holds))
+    return expect
+
+
+def report_rows(m_values, c_term):
     report = window_lower_dominance_report(m_values, c_term=c_term)
-    got = [(p.label, p.bound_value, p.observed, p.satisfied) for p in report.points]
+    return [(p.label, p.bound_value, p.observed, p.satisfied) for p in report.points]
+
+
+def scaled(x, s):
+    """x * 2**s as an int, for a float x that is a multiple of 2**-s."""
+    n, q = x.as_integer_ratio()
+    return n << (s - q.bit_length() + 1)
+
+
+@pytest.mark.parametrize(
+    "c_term, m_values",
+    [
+        (None, DEFAULT_MS),
+        (-5.0, DEFAULT_MS),
+        (math.inf, SMALL_MS),
+        (-math.inf, SMALL_MS),
+        (1e300, SMALL_MS),
+        (-1e300, SMALL_MS),
+        ("near-tie", SMALL_MS),
+        ("near-tie-above", SMALL_MS),
+        ("near-tie-below", SMALL_MS),
+        (3e16, SMALL_MS),  # float margins tie across windows of different mass
+    ],
+    ids=["None", "-5.0", "inf", "-inf", "1e+300", "-1e+300", "near-tie", "near-tie-above", "near-tie-below", "3e+16"],
+)
+def test_window_grid_equals_reference_loop(c_term, m_values):
+    tie = NEAR_TIES.get(c_term)
+    if tie is not None:
+        c_term = near_tie_c(tie)
+    c = DEFAULT_WINDOW_C if c_term is None else c_term
+    near = 0
+    for m in m_values:
+        windows = reference_windows(m, c)
+        seg, top, bot, counts, bound, margin, tol = _window_grid((m,), c)
+        hits = (counts[top] - counts[bot]).tolist()
+        assert list(zip(hits, bound.tolist())) == [(h, b) for h, _, b in windows]
+        assert not seg.any()
+        # the approximate margin is within tol of the exact one, hits / 2**m - bound
+        s = 1074 + m  # every float is a multiple of 2**-1074
+        for h, d, t, b in zip(hits, margin.tolist(), tol.tolist(), bound.tolist()):
+            if math.isinf(b):
+                assert d == -b and t == 0.0
+            else:
+                assert abs(scaled(d, s) - (h << 1074) + scaled(b, s)) <= scaled(t, s)
+        near += int((np.abs(margin) <= tol).sum())
+    if tie is not None:
+        assert near > 0  # so the exact verdict runs
+    expect = reference_report(m_values, c)
+    got = report_rows(m_values, c_term)
     assert got == expect
+    report = window_lower_dominance_report(m_values, c_term=c_term)
     # the CLI reports the first violation, so the order of violations matters too
     assert [p.label for p in report.violations()] == [p[0] for p in expect if not p[3]]
-    assert report.passed == (c_term is None)
-    # points built one at a time from the columns, by index and by slice
-    points = report.points
-    assert len(points) == len(expect) == 226
-    for i in (0, 1, 113, 225, -1, -226):
-        p = points[i]
-        assert (p.label, p.bound_value, p.observed, p.satisfied) == expect[i]
-    assert [(p.label, p.bound_value, p.observed, p.satisfied) for p in points[3:9:2]] == expect[3:9:2]
-    with pytest.raises(IndexError):
-        points[226]
+    assert report.passed == all(p[3] for p in expect)
     bad = report.first_violation()
     assert (bad is None) == report.passed
     if bad is not None:
         assert report.label(bad) == report.violations()[0].label
-    assert report.worst_margin() == min(bound - exact for _, bound, exact, _ in expect)
+    if m_values == DEFAULT_MS:
+        assert report.passed == (c_term is None)
+        assert report.worst_margin() == min(bound - exact for _, bound, exact, _ in expect)
+        # points built one at a time from the columns, by index and by slice
+        points = report.points
+        assert len(points) == len(expect) == 226
+        for i in (0, 1, 113, 225, -1, -226):
+            p = points[i]
+            assert (p.label, p.bound_value, p.observed, p.satisfied) == expect[i]
+        assert [(p.label, p.bound_value, p.observed, p.satisfied) for p in points[3:9:2]] == expect[3:9:2]
+        with pytest.raises(IndexError):
+            points[226]
+
+
+@pytest.mark.parametrize("cap", [1, 990, 10**9], ids=["one-m-per-chunk", "990", "one-chunk"])
+@pytest.mark.parametrize(
+    "m_values, c_term", [(DEFAULT_MS, None), (STRADDLE_MS, -0.5)], ids=["default", "straddle-1000"]
+)
+def test_window_report_ignores_chunk_shape(cap, m_values, c_term, monkeypatch):
+    chunks = list(_window_chunks(m_values))
+    assert [m for chunk in chunks for m in chunk] == list(m_values)
+    if m_values == STRADDLE_MS:
+        assert any(min(chunk) <= 1000 < max(chunk) for chunk in chunks)
+    monkeypatch.setattr(bounds, "_CHUNK_WINDOWS", cap)
+    chunks = list(_window_chunks(m_values))
+    assert [m for chunk in chunks for m in chunk] == list(m_values)
+    if cap == 1:
+        assert len(chunks) == len(m_values)
+    if cap == 10**9:
+        assert len(chunks) == 1
+    assert report_rows(m_values, c_term) == reference_report(m_values, DEFAULT_WINDOW_C if c_term is None else c_term)
+
+
+@pytest.mark.parametrize("c_term", [None, -5.0, *NEAR_TIES])
+def test_window_report_with_every_window_exact(c_term, monkeypatch):
+    # an infinite tolerance sends every window to _excess_signs and makes
+    # every window a candidate for its m's worst
+    m_values = DEFAULT_MS
+    if c_term in NEAR_TIES:
+        c_term, m_values = near_tie_c(NEAR_TIES[c_term]), SMALL_MS
+    c = DEFAULT_WINDOW_C if c_term is None else c_term
+    monkeypatch.setattr(bounds, "_TIE_TOL", math.inf)
+    assert report_rows(m_values, c_term) == reference_report(m_values, c)
+
+
+@pytest.mark.parametrize("c_term", [1e300, 3e16, "near-tie"])
+def test_window_report_takes_any_margin_within_tol(c_term, monkeypatch):
+    # the report relies only on each margin lying within tol of the exact
+    # margin and of the float margin fl(fl(hits / 2**m) - bound): move every
+    # margin tol / 2 off the float margin, up at each m's first worst window
+    # and down at every other one, and the report stays the same
+    if c_term in NEAR_TIES:
+        c_term = near_tie_c(NEAR_TIES[c_term])
+    grid = bounds._window_grid
+
+    def skewed(ms, c):
+        seg, top, bot, counts, bound, margin, tol = grid(ms, c)
+        e = np.array(ms)[seg].tolist()
+        gap = np.array([(counts[t] - counts[b]) / (1 << k) for t, b, k in zip(top, bot, e)]) - bound
+        worst = {}
+        for i, j in enumerate(seg.tolist()):
+            if j not in worst or gap[i] < gap[worst[j]]:
+                worst[j] = i
+        push = np.full(seg.size, -0.5)
+        push[list(worst.values())] = 0.5
+        return seg, top, bot, counts, bound, gap + push * tol, tol
+
+    monkeypatch.setattr(bounds, "_window_grid", skewed)
+    assert report_rows(SMALL_MS, c_term) == reference_report(SMALL_MS, c_term)
+
+
+def test_bounds_validate_leaves_numpy_ma_unloaded():
+    # numpy 2.x loads numpy.ma lazily (np.unique does), which keeps about
+    # 1 MB resident; bounds-validate stays clear of it
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout.strip() == "True":
+        pytest.skip("a bare import numpy loads numpy.ma")
+    run = (
+        "import os, sys, tempfile; from ghrlab.cli import main\n"
+        "with tempfile.TemporaryDirectory() as tmp:\n"
+        "    assert main(['bounds-validate', '--out', os.path.join(tmp, 'b.csv')]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", run], capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_nan_bound_is_never_satisfied():

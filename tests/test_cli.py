@@ -269,6 +269,29 @@ def test_size_guards_refuse_n_at_parse_time(argv, message, monkeypatch, capsys):
     assert "error: argument --n: " in err and message in err
 
 
+@pytest.mark.parametrize(
+    "c1, c2, n, message",
+    [
+        (8, 6, 16, "argument --c1/--c2: need 0 < c1 < c2, got (8, 6)"),
+        (6, 9, 100, "argument --c1/--c2: c2 - c1 must be even, got 3"),
+        (4, 8, 100, "argument --c1/--c2: need 3*c2 <= 4*c1, got (4, 8)"),
+        (6, 8, 10, "argument --n: n=10 too small for (c1, c2)=(6, 8): pads (1, -1)"),
+    ],
+)
+def test_reduction_flags_refused_at_parse_time(c1, c2, n, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_HANDLERS", {})  # no subcommand may start
+    assert main(["reduction-demo", "--c1", str(c1), "--c2", str(c2), "--n", str(n)]) == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_reduction_flags_accept_the_least_n_that_fits(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(cli._HANDLERS, "reduction-demo", lambda args: ran.append(args.n) or ([], ("trial",), None))
+    assert main(["reduction-demo", "--c1", "6", "--c2", "8", "--n", "11"]) == 0
+    assert ran == [11]
+    assert capsys.readouterr().out.endswith("\ntrial\n")
+
+
 def test_size_guards_accept_their_largest_n():
     parse = build_parser().parse_args
     assert parse(["aleph-estimate", "--n", "4096", "--trials", "1"]).n == 4096
