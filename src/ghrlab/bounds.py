@@ -328,10 +328,11 @@ def _window_grid(ms: Sequence[int], c_term: float):
     first = np.cumsum(sizes) - sizes  # position of each m's cum[lo - 1]
     p = np.arange(len(counts))
     p_seg = np.repeat(np.arange(len(ms)), sizes)
+    e = m_col[p_seg]
     k = np.array(los, dtype=np.int64)[p_seg] - 1 + p - first[p_seg]  # counts[p] = cum[k]
-    d = k - m_col[p_seg] // 2
+    d = k - e // 2
     cubes = (d * d * d).astype(np.float64)  # (k - m/2)**3
-    prefix = _dyadic_floats(counts, m_col[p_seg])
+    prefix = _dyadic_floats(counts, e)
     # bot is the position of cum[a - 1] for a = lo, ..., hi - 1, once for
     # each of its tops, which run from bot + 2 (b = a + 1) to that m's last
     # position (b = hi)
