@@ -234,31 +234,17 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     return m_col, np.array(ts, dtype=np.int64), counts, e, _dyadic_floats(counts, e)
 
 
-def _require_window_m(m: int) -> None:
-    """Refuse odd m and m < 2, as binomial_window_lower does."""
-    if m < 2 or m % 2:
-        raise ValueError(f"m must be even and >= 2, got {m}")
-
-
 def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
     """binomial_window_lower's terms that depend on m alone: m/2, the two
     square-root coefficients and c_term/m.  Refuses odd m and m < 2."""
-    _require_window_m(m)
+    if m < 2 or m % 2:
+        raise ValueError(f"m must be even and >= 2, got {m}")
     return (
         m / 2.0,
         math.sqrt(2.0 / (math.pi * m)),
         math.sqrt(8.0 / (9.0 * math.pi * m**3)),
         c_term / m,
     )
-
-
-def _window_span(m: int) -> tuple[int, int]:
-    """lo and hi, the least and greatest k inside m/2 +- sqrt(m), for even
-    m >= 2 (refusing any other m); there are (hi - lo)(hi - lo + 1)/2
-    windows lo <= a < b <= hi."""
-    _require_window_m(m)
-    root = math.sqrt(m)
-    return max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m)
 
 
 # At most this many windows go into one chunk of consecutive m, unless one
@@ -269,34 +255,40 @@ _CHUNK_WINDOWS = 4096
 _TIE_TOL = 2.0**-50
 
 
-def _window_chunks(m_values: Iterable[int]) -> Iterator[list[int]]:
+def _window_chunks(m_values: Iterable[int], c_term: float) -> Iterator[list[tuple]]:
     """m_values in runs of consecutive entries, each holding at most
-    _CHUNK_WINDOWS windows or a single m; every m is checked as it comes."""
+    _CHUNK_WINDOWS windows or a single m.  Each m comes as (m, lo, hi,
+    main_coef, cubic_coef, shift): lo and hi are the least and greatest k
+    inside m/2 +- sqrt(m), so m has (hi - lo)(hi - lo + 1)/2 windows
+    lo <= a < b <= hi, and the rest are _window_constants', which checks
+    each m as it comes."""
     chunk, size = [], 0
     for m in m_values:
-        lo, hi = _window_span(m)
+        _, *consts = _window_constants(m, c_term)
+        root = math.sqrt(m)
+        lo, hi = max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m)
         windows = (hi - lo) * (hi - lo + 1) // 2
         if chunk and size + windows > _CHUNK_WINDOWS:
             yield chunk
             chunk, size = [], 0
-        chunk.append(m)
+        chunk.append((m, lo, hi, *consts))
         size += windows
     if chunk:
         yield chunk
 
 
-def _window_grid(ms: Sequence[int], c_term: float):
-    """Columns over every window a < b inside m/2 +- sqrt(m) of each m in
-    ms, m by m and each m's windows in (a, b) order: seg, the position in ms
-    of the window's m; top and bot, positions in counts; bound; margin; and
-    tol.  counts holds, for each m, cum[lo - 1] (0 when lo = 0) and then
+def _window_grid(chunk: Sequence[tuple]):
+    """Columns over every window a < b inside m/2 +- sqrt(m) of each m of
+    a _window_chunks chunk, m by m and each m's windows in (a, b) order:
+    seg, the position in the chunk of the window's m; top and bot,
+    positions in counts; bound; margin; and tol.  counts holds, for each m, cum[lo - 1] (0 when lo = 0) and then
     cum[lo], ..., cum[hi] as Python ints, so a window's hits C(m, a) + ...
     + C(m, b) is counts[top] - counts[bot] = cum[b] - cum[a - 1].
 
-    bound is binomial_window_lower(m, a, b, c_term) bit for bit: the same
-    float operations on the same floats, since k - m/2 is an integer of
-    magnitude at most sqrt(m) + 1, whose cube is exact in int64 and in
-    float for every m below 2**34.
+    bound is binomial_window_lower(m, a, b, c_term) bit for bit, at the
+    chunk's c_term: the same float operations on the same floats, since
+    k - m/2 is an integer of magnitude at most sqrt(m) + 1, whose cube is
+    exact in int64 and in float for every m below 2**34.
 
     margin = fl(fl(P[b] - P[a - 1]) - bound), where P[k] is the correctly
     rounded cum[k] / 2**m from one _dyadic_floats call, and it lies within
@@ -314,22 +306,20 @@ def _window_grid(ms: Sequence[int], c_term: float):
     spare 0.9u (1 + B) covers.  An infinite bound gets tol 0: there margin
     is -bound and its sign is exact; a NaN bound gets tol 0 as well, and
     fails every comparison."""
-    counts, sizes, los, consts = [], [], [], []
-    for m in ms:
-        lo, hi = _window_span(m)
+    counts = []
+    for m, lo, hi, *_ in chunk:
         cum = _fair_cumulative(m)
         counts.append(cum[lo - 1] if lo > 0 else 0)
         counts += cum[lo:hi + 1]
-        sizes.append(hi - lo + 2)
-        los.append(lo)
-        consts.append(_window_constants(m, c_term)[1:])
-    m_col = np.array(ms, dtype=np.int64)
-    sizes = np.array(sizes, dtype=np.int64)
+    columns = list(zip(*chunk))
+    ms, los, his = (np.array(column, dtype=np.int64) for column in columns[:3])
+    main_coef, cubic_coef, shift = (np.array(column) for column in columns[3:])
+    sizes = his - los + 2
     first = np.cumsum(sizes) - sizes  # position of each m's cum[lo - 1]
     p = np.arange(len(counts))
-    p_seg = np.repeat(np.arange(len(ms)), sizes)
-    e = m_col[p_seg]
-    k = np.array(los, dtype=np.int64)[p_seg] - 1 + p - first[p_seg]  # counts[p] = cum[k]
+    p_seg = np.repeat(np.arange(len(chunk)), sizes)
+    e = ms[p_seg]
+    k = los[p_seg] - 1 + p - first[p_seg]  # counts[p] = cum[k]
     d = k - e // 2
     cubes = (d * d * d).astype(np.float64)  # (k - m/2)**3
     prefix = _dyadic_floats(counts, e)
@@ -340,7 +330,6 @@ def _window_grid(ms: Sequence[int], c_term: float):
     bot = np.repeat(p, tops)
     top = bot + 2 + np.arange(bot.size) - np.repeat(np.cumsum(tops) - tops, tops)
     seg = p_seg[bot]
-    main_coef, cubic_coef, shift = np.array(consts).T
     bound = main_coef[seg] * (top - bot - 1) - cubic_coef[seg] * (cubes[top] - cubes[bot + 1]) - shift[seg]
     margin = (prefix[top] - prefix[bot]) - bound
     tol = np.where(np.isfinite(bound), _TIE_TOL * (1.0 + np.abs(bound)), 0.0)
@@ -528,8 +517,8 @@ def chernoff_dominance_report(
     )
 
 
-def _window_summaries(ms: Sequence[int], c_term: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each m in ms: the bound and the float fl(hits / 2**m) of its
+def _window_summaries(chunk: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each m of a _window_chunks chunk: the bound and the float fl(hits / 2**m) of its
     first worst window by float margin fl(fl(hits / 2**m) - bound), and
     whether every window of that m holds exactly.
 
@@ -541,14 +530,14 @@ def _window_summaries(ms: Sequence[int], c_term: float) -> tuple[np.ndarray, np.
     the worst window's margin minus tol is at most its float margin, which
     is at most every window's margin plus tol.  Only the candidates' float
     margins are computed, and the first least of them is the worst."""
-    seg, top, bot, counts, bound, margin, tol = _window_grid(ms, c_term)
-    m_col = np.array(ms, dtype=np.int64)
+    seg, top, bot, counts, bound, margin, tol = _window_grid(chunk)
+    m_col = np.array([row[0] for row in chunk], dtype=np.int64)
     signs = (margin > tol).astype(np.int8) - (margin < -tol)
     near = np.flatnonzero(signs == 0)
     if near.size:
         hits, e = counts[top[near]] - counts[bot[near]], m_col[seg[near]]
         signs[near] = _excess_signs(hits, e, _dyadic_floats(hits, e), bound[near])
-    each = np.arange(len(ms))
+    each = np.arange(len(chunk))
     upper = np.minimum.reduceat(margin + tol, np.searchsorted(seg, each))
     cand = np.flatnonzero(margin - tol <= upper[seg])  # every m has one
     cand_seg = seg[cand]
@@ -556,7 +545,7 @@ def _window_summaries(ms: Sequence[int], c_term: float) -> tuple[np.ndarray, np.
     gap = exact - bound[cand]
     least = np.flatnonzero(gap == np.minimum.reduceat(gap, np.searchsorted(cand_seg, each))[cand_seg])
     worst = least[np.searchsorted(cand_seg[least], each)]  # the first least of each m
-    return bound[cand[worst]], exact[worst], np.bincount(seg[signs < 0], minlength=len(ms)) == 0
+    return bound[cand[worst]], exact[worst], np.bincount(seg[signs < 0], minlength=len(chunk)) == 0
 
 
 def window_lower_dominance_report(
@@ -572,9 +561,9 @@ def window_lower_dominance_report(
     columns at a time."""
     c = DEFAULT_WINDOW_C if c_term is None else c_term
     ms, columns = [], []
-    for chunk in _window_chunks(m_values):
-        ms += chunk
-        columns.append(_window_summaries(chunk, c))
+    for chunk in _window_chunks(m_values, c):
+        ms += [row[0] for row in chunk]
+        columns.append(_window_summaries(chunk))
     if not ms:
         raise ValueError(f"no m values to check: m_values={m_values!r}")
     bounds, observed, holds = (np.concatenate(column) for column in zip(*columns))

@@ -328,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", default="full")
     p.add_argument("--trials", type=_int_at_least(1), default=1, help="independent seeds")
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(usage_error=p.error)  # this command's usage, for _check_reduction_flags
 
     p = add("rect-spectrum", "relative distance weights of a rectangle")
     p.add_argument("--rect", required=True)
@@ -340,12 +341,13 @@ def _check_reduction_flags(args) -> None:
     """Refuse, as a usage error naming the flags, a --c1/--c2 pair that
     xi_parameters refuses at every n, or at the --n given.  The pads only
     grow with n and the other rules do not depend on it, so a pair refused
-    at MAX_REDUCTION_N is refused at every n."""
+    at MAX_REDUCTION_N is refused at every n.  The refusal prints
+    reduction-demo's usage, as its other flags' refusals do."""
     for flags, n in (("--c1/--c2", MAX_REDUCTION_N), ("--n", args.n)):
         try:
             xi_parameters(args.c1, args.c2, n)
         except ValueError as exc:
-            build_parser().error(f"argument {flags}: {exc}")
+            args.usage_error(f"argument {flags}: {exc}")
 
 
 def main(argv=None) -> int:

@@ -406,7 +406,8 @@ def test_window_grid_equals_reference_loop(c_term, m_values):
     near = 0
     for m in m_values:
         windows = reference_windows(m, c)
-        seg, top, bot, counts, bound, margin, tol = _window_grid((m,), c)
+        (chunk,) = _window_chunks((m,), c)
+        seg, top, bot, counts, bound, margin, tol = _window_grid(chunk)
         hits = (counts[top] - counts[bot]).tolist()
         assert list(zip(hits, bound.tolist())) == [(h, b) for h, _, b in windows]
         assert not seg.any()
@@ -450,12 +451,12 @@ def test_window_grid_equals_reference_loop(c_term, m_values):
     "m_values, c_term", [(DEFAULT_MS, None), (STRADDLE_MS, -0.5)], ids=["default", "straddle-1000"]
 )
 def test_window_report_ignores_chunk_shape(cap, m_values, c_term, monkeypatch):
-    chunks = list(_window_chunks(m_values))
+    chunks = [[row[0] for row in chunk] for chunk in _window_chunks(m_values, 0.0)]
     assert [m for chunk in chunks for m in chunk] == list(m_values)
     if m_values == STRADDLE_MS:
         assert any(min(chunk) <= 1000 < max(chunk) for chunk in chunks)
     monkeypatch.setattr(bounds, "_CHUNK_WINDOWS", cap)
-    chunks = list(_window_chunks(m_values))
+    chunks = [[row[0] for row in chunk] for chunk in _window_chunks(m_values, 0.0)]
     assert [m for chunk in chunks for m in chunk] == list(m_values)
     if cap == 1:
         assert len(chunks) == len(m_values)
@@ -486,9 +487,9 @@ def test_window_report_takes_any_margin_within_tol(c_term, monkeypatch):
         c_term = near_tie_c(NEAR_TIES[c_term])
     grid = bounds._window_grid
 
-    def skewed(ms, c):
-        seg, top, bot, counts, bound, margin, tol = grid(ms, c)
-        e = np.array(ms)[seg].tolist()
+    def skewed(chunk):
+        seg, top, bot, counts, bound, margin, tol = grid(chunk)
+        e = np.array([row[0] for row in chunk])[seg].tolist()
         gap = np.array([(counts[t] - counts[b]) / (1 << k) for t, b, k in zip(top, bot, e)]) - bound
         worst = {}
         for i, j in enumerate(seg.tolist()):

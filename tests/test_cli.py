@@ -281,7 +281,13 @@ def test_size_guards_refuse_n_at_parse_time(argv, message, monkeypatch, capsys):
 def test_reduction_flags_refused_at_parse_time(c1, c2, n, message, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_HANDLERS", {})  # no subcommand may start
     assert main(["reduction-demo", "--c1", str(c1), "--c2", str(c2), "--n", str(n)]) == 2
-    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n")
+    # the same usage line as the command's other parse-time refusals
+    assert main(["reduction-demo", "--c1", str(c1), "--c2", str(c2), "--n", "0"]) == 2
+    usage = capsys.readouterr().err.splitlines()[0]
+    assert usage.startswith("usage: ghrlab reduction-demo ")
+    assert err.splitlines()[0] == usage
 
 
 def test_reduction_flags_accept_the_least_n_that_fits(monkeypatch, capsys):
