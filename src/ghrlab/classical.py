@@ -82,7 +82,7 @@ def tghr_baseline(
         raise ValueError("t must be >= 1")
     samples = shared_rng.bit_rows(t, x.n)
     x_bytes = np.frombuffer(x.value.to_bytes(samples.shape[1], "big"), dtype=np.uint8)
-    weights = _BYTE_WEIGHTS[samples ^ x_bytes].sum(axis=1)
+    weights = np.take(_BYTE_WEIGHTS, samples ^ x_bytes).sum(axis=1)
     best = samples[int(np.argmin(weights))]  # argmin keeps the first minimum
     tau = BitString(int.from_bytes(best.tobytes(), "big"), x.n) ^ y
     return tau, tghr_is_valid(x, y, tau)

@@ -40,7 +40,7 @@ from .classical import (
     xi_parameters,
 )
 from .coupling import require_dp_length, verify_independence
-from .protocol import estimate_success, failure_probability
+from .protocol import estimate_success, failure_probability, require_repetitions
 from .relation import (
     aleph_statistic,
     answer_length,
@@ -285,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+        p.set_defaults(usage_error=p.error)  # this command's usage, for _FLAG_CHECKS
         return p
 
     transform_n = _checked_int(require_transform_size)
@@ -328,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", default="full")
     p.add_argument("--trials", type=_int_at_least(1), default=1, help="independent seeds")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(usage_error=p.error)  # this command's usage, for _check_reduction_flags
 
     p = add("rect-spectrum", "relative distance weights of a rectangle")
     p.add_argument("--rect", required=True)
@@ -350,11 +350,29 @@ def _check_reduction_flags(args) -> None:
             args.usage_error(f"argument {flags}: {exc}")
 
 
+def _check_protocol_flags(args) -> None:
+    """Refuse, as a usage error naming the flag, a --t that
+    require_repetitions refuses at the --n given."""
+    if args.t is not None:
+        try:
+            require_repetitions(args.n, args.t)
+        except ValueError as exc:
+            args.usage_error(f"argument --t: {exc}")
+
+
+# Checks of flags that depend on each other, run right after parsing; a
+# refusal prints the command's usage and exits 2, like any parse error.
+_FLAG_CHECKS = {
+    "protocol-success": _check_protocol_flags,
+    "reduction-demo": _check_reduction_flags,
+}
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.subcommand == "reduction-demo":
-            _check_reduction_flags(args)
+        if args.subcommand in _FLAG_CHECKS:
+            _FLAG_CHECKS[args.subcommand](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -6,8 +6,9 @@ OutcomeDistribution stores the integer numerators over the fixed denominator
 n**3, so normalization is the exact table identity and sampling reduces to
 one uniform integer draw below n**3 per outcome.  Every row of numerators
 sums to exactly n**2, so a draw r lands in row r // n**2 and protocol runs
-build only the rows their draws land in (sample_outcomes), and typicality
-and failure come from the streamed in-window statistic.  The explicit state
+build only the rows their draws land in, for a chunk of trials at a time
+(_outcomes; sample_outcomes is its one-pair case), and typicality and
+failure come from the streamed in-window statistic.  The explicit state
 vectors (phi on n coordinates, u on n**2) are provided so the closed form
 can be checked against squared inner products.
 
@@ -21,23 +22,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .bitkit import BitString, Rng, fourier_pattern
 from .relation import (
+    _STAT_BLOCK_CELLS,
     DeltaTable,
-    DeviationRows,
     McEstimate,
     TransformIndex,
+    _answer_valid,
+    _check_pair,
+    _spectra,
+    _stacked_signs,
     aleph_statistic,
     answer_length,
     delta_table,
     enumerate_pairs,
-    estimate_over_pairs,
     is_typical,
     require_transform_size,
+    trial_pair,
 )
+from .util import map_trials
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,51 +147,81 @@ def outcome_distribution(x: BitString, y: BitString) -> OutcomeDistribution:
     return OutcomeDistribution.from_table(delta_table(x, y))
 
 
-def sample_outcomes(rows: DeviationRows, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
-    """count independent outcomes, identical to OutcomeDistribution.sample
-    on the full table for the same rng state.
+def require_repetitions(n: int, t: int) -> None:
+    """Reject an outcome count t per run outside [1, log2 n].  An answer has
+    log2 n entries, so draws past that many would be thrown away, and a
+    huge t would allocate its draws before that."""
+    m = answer_length(n)
+    if not 1 <= t <= m:
+        raise ValueError(f"t must be in [1, log2 n = {m}] for n={n}, got {t}")
 
-    The full table's row-major cumulative sum reaches exactly k * n**2 at the
-    end of row k - 1, so draw r lands in row r // n**2 at the first cell whose
-    cumulative sum within that row exceeds r mod n**2."""
+
+def _draws(rng: Rng, n: int, count: int) -> np.ndarray:
+    """count outcome draws, each uniform below n**3, as
+    OutcomeDistribution.sample takes them."""
+    return rng.generator.integers(0, n**3, size=count, dtype=np.int64)
+
+
+def _outcomes(
+    xs: Sequence[BitString], ys: Sequence[BitString], draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The cells that the pairs' outcome draws land in, from one transform.
+
+    draws[i] holds the draws of the pair (xs[i], ys[i]).  The full table's
+    row-major cumulative sum reaches exactly k * n**2 at the end of row
+    k - 1, so, as in OutcomeDistribution.sample, draw r lands in shift
+    j = r // n**2 + 1 at selector s, the first cell whose prefix sum within
+    that row exceeds r mod n**2, which is the number of prefix sums at most
+    r mod n**2 (searchsorted with side="right").
+
+    Each pair's distinct rows are the columns of one (n, columns) block,
+    transformed and checked by relation._spectra, and their prefix sums are
+    one int32 cumulative sum down the columns.  That is exact: every prefix
+    is at most n**2, and n**2 <= MAX_TRANSFORM_SIZE**2 = 2**24 < 2**31.
+
+    Returns j and s shaped like draws, outside, True where the drawn cell
+    lies outside the center window, and the pairs' stacked signs."""
+    n = xs[0].n
+    per_row = n * n
+    px, windows = _stacked_signs(xs, ys)
+    j = draws // per_row + 1
+    keys = np.arange(len(xs))[:, None] * (n + 1) + j  # one key per (pair, shift)
+    ordered = np.sort(keys, axis=None)
+    columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    pair, shift = np.divmod(columns, n + 1)
+    squares = _spectra(px[pair, :, 0].T, windows[pair, shift], shift)[1]
+    prefix = np.cumsum(squares, axis=0, dtype=np.int32)
+    col = np.searchsorted(columns, keys)
+    s = np.count_nonzero(prefix[:, col] <= (draws % per_row).astype(np.int32), axis=0)
+    return j, s, squares[s, col] > n, (px, windows)
+
+
+def sample_outcomes(x: BitString, y: BitString, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
+    """count independent outcomes for the pair (x, y), identical to
+    OutcomeDistribution.sample on its full table for the same rng state:
+    the one-pair case of _outcomes."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = rows.n
-    per_row = n * n
-    k = answer_length(n)
-    draws = rng.generator.integers(0, n**3, size=count, dtype=np.int64).tolist()
-    rows.build(r // per_row + 1 for r in draws)
-    cumulative: dict[int, np.ndarray] = {}
-    out = []
-    for r in draws:
-        j = r // per_row + 1
-        if j not in cumulative:
-            cumulative[j] = np.cumsum(rows.squares(j), dtype=np.int64)
-        s = int(np.searchsorted(cumulative[j], r % per_row, side="right"))
-        out.append(TransformIndex(j, BitString(s, k)))
-    return tuple(out)
-
-
-def _run(rows: DeviationRows, rng: Rng, t: int) -> tuple[TransformIndex, ...]:
-    """t outcome samples tiled to a log2 n entry answer: the block repeats in
-    order ceil(log2(n) / t) times and the last copy is trimmed."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    m = answer_length(rows.n)
-    return (sample_outcomes(rows, rng, t) * -(-m // t))[:m]
+    _check_pair(x, y)
+    j, s, _, _ = _outcomes([x], [y], _draws(rng, x.n, count)[None])
+    k = answer_length(x.n)
+    return tuple(TransformIndex(int(a), BitString(int(b), k)) for a, b in zip(j[0], s[0]))
 
 
 def run_protocol(x: BitString, y: BitString, rng: Rng) -> tuple[TransformIndex, ...]:
     """One full protocol run: log2 n independent outcome samples."""
-    return _run(DeviationRows(x, y), rng, answer_length(x.n))
+    return run_protocol_trep(x, y, answer_length(x.n), rng)
 
 
 def run_protocol_trep(x: BitString, y: BitString, t: int, rng: Rng) -> tuple[TransformIndex, ...]:
-    """Repetition-limited run: t samples tiled to log2 n entries.
+    """Repetition-limited run: t samples, 1 <= t <= log2 n, tiled to log2 n
+    entries.
 
     The tiling keeps sample order, repeating the block ceil(log2(n)/t) times
     and trimming the last copy."""
-    return _run(DeviationRows(x, y), rng, t)
+    require_repetitions(x.n, t)
+    m = answer_length(x.n)
+    return (sample_outcomes(x, y, rng, t) * -(-m // t))[:m]
 
 
 def repetition_failure_probability(m: int, p: Fraction) -> Fraction:
@@ -222,19 +259,35 @@ def failure_probability_exact(x: BitString, y: BitString) -> Fraction:
 def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McEstimate:
     """Monte Carlo success rate of full runs on uniform input pairs.
 
-    Trial i draws inputs and outcomes from rng.child(i); the sampled answer
-    is checked against the relation with the same exact rows, and typicality
-    is computed only when the answer alone does not settle validity.
-    With t set, each run draws only t outcomes and tiles them to log2 n
-    entries."""
+    Trial i draws its pair (trial_pair) and then its outcome draws from
+    rng.child(i).  With t set, each run draws only t outcomes and tiles them
+    to log2 n entries.  A t above log2 n gives the same runs as log2 n,
+    since a run keeps only its first log2 n draws, so only those are drawn;
+    the CLI refuses such a t (require_repetitions), as run_protocol_trep
+    does.
+
+    Trials are decided in chunks of consecutive trials, as many as keep a
+    chunk's rows within _STAT_BLOCK_CELLS cells and at least one: 3 trials
+    at n = 1024 with t = 10.  A chunk's outcomes come from one transform
+    (_outcomes), each answer is checked against the same rows, and
+    typicality is streamed only for the trials whose answer alone does not
+    settle validity.  map_trials hands out whole chunks, so the estimate is
+    a pure function of (n, trials, t, seed) regardless of thread count."""
     m = answer_length(n)  # rejects a size outside the allowed powers of 4
-    samples = m if t is None else t
+    t = m if t is None else min(t, m)
+    require_repetitions(n, t)
+    per_chunk = max(1, _STAT_BLOCK_CELLS // (n * t))
+    uses = np.bincount(np.arange(m) % t)  # entries of the tiled answer per draw
 
-    def accept(x: BitString, y: BitString, child: Rng) -> bool:
-        rows = DeviationRows(x, y)
-        return rows.accepts(_run(rows, child, samples))
+    def decide(chunk: int) -> int:
+        indices = range(chunk * per_chunk, min((chunk + 1) * per_chunk, trials))
+        xs, ys, children = zip(*(trial_pair(n, rng, i) for i in indices))
+        draws = np.array([_draws(child, n, t) for child in children])
+        _, _, outside, (px, windows) = _outcomes(xs, ys, draws)
+        return sum(_answer_valid(int(k), (px[i], windows[i])) for i, k in enumerate(outside @ uses))
 
-    return estimate_over_pairs(n, trials, rng, accept)
+    hits = sum(map_trials(decide, -(-trials // per_chunk)))
+    return McEstimate.from_successes(hits, trials, rng.seed)
 
 
 def exact_success_probability(n: int) -> Fraction:

@@ -22,7 +22,7 @@ import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .bitkit import BitString, Rng, fourier_pattern, fwht, random_bitstring
 from .util import InvariantError, map_trials
@@ -115,7 +115,8 @@ def delta_table(x: BitString, y: BitString) -> DeltaTable:
     per shift, and returned as transposed views, which spares a copy."""
     _check_pair(x, y)
     n = x.n
-    corr, squares = _spectra(*_signs(x, y), range(1, n + 1))
+    px, windows = _signs(x, y)
+    corr, squares = _spectra(px, windows[1:], range(1, n + 1))  # a view: no n x n window copy
     values = np.subtract(n, corr, dtype=np.int64)
     values >>= 1
     return DeltaTable(n, values.T, squares.T)
@@ -143,47 +144,58 @@ def _check_pair(x: BitString, y: BitString) -> None:
 
 
 def _signs(x: BitString, y: BitString) -> tuple[np.ndarray, np.ndarray]:
-    """px = 1 - 2 * x as int16, and windows with windows[j] = roll(py, -j),
-    views into one buffer of length 2n."""
-    px = 1 - 2 * x.to_array().astype(np.int16)
-    py = 1 - 2 * y.to_array().astype(np.int16)
-    return px, sliding_window_view(np.concatenate([py, py]), x.n)
+    """The pair's signs as _stacked_signs gives them for a one-pair stack."""
+    px, windows = _stacked_signs([x], [y])
+    return px[0], windows[0]
+
+
+def _stacked_signs(xs: Sequence[BitString], ys: Sequence[BitString]) -> tuple[np.ndarray, np.ndarray]:
+    """Signs of the pairs (xs[i], ys[i]), all of one length n: px[i] is the
+    int16 column 1 - 2 * xs[i] of shape (n, 1), and windows[i, j] is
+    roll(py_i, -j) for py_i = 1 - 2 * ys[i], j = 0 ... n, a read-only view
+    into one buffer of length 2n per pair (the strides of
+    sliding_window_view, without its per-call checks)."""
+    n = xs[0].n
+    px = 1 - 2 * np.array([x.to_array() for x in xs], dtype=np.int16)
+    py = 1 - 2 * np.array([y.to_array() for y in ys], dtype=np.int16)
+    doubled = np.concatenate([py, py], axis=1)
+    pair, cell = doubled.strides
+    windows = as_strided(doubled, (len(ys), n + 1, n), (pair, cell, cell), writeable=False)
+    return px[:, :, None], windows
 
 
 def _spectra(
     px: np.ndarray,
-    windows: np.ndarray,
-    shifts: range | list[int],
+    picked: np.ndarray,
+    shifts: Sequence[int],
     buffers: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Walsh spectra of the pair given by _signs at the shifts, and their
-    squares.
+    """Walsh spectra of sign products, and their squares.
 
-    Column k is the integer FWHT of px * roll(py, -j) for j = shifts[k],
-    so corr[s, k] = n - 2 * delta(x, y, (j, s)) and squares[:, k] is
-    (2*delta - n)**2 along table row j - 1.  A range of shifts is read as a
-    slice view of windows, so a full table copies no n x n window block.
-    Every butterfly value is a sum of at most n signs, so int16 is exact for
-    n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring in int16
-    would wrap from n = 256 on).  By Parseval every column sums to exactly
-    n**2; the first that does not raises InvariantError.
+    picked[k] is the window roll(py, -j) of shift j = shifts[k] of some pair
+    (_stacked_signs), and px its pair's column of x signs: one (n, 1) column
+    for a single pair, or an (n, len(shifts)) block with each pair's column
+    at its windows' places.  Column k of corr is the integer FWHT of
+    px[:, k] * picked[k], so corr[s, k] = n - 2 * delta(x, y, (j, s)) and
+    squares[:, k] is (2*delta - n)**2 along table row j - 1.  Every
+    butterfly value is a sum of at most n signs, so int16 is exact for
+    n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring in
+    int16 would wrap from n = 256 on).  By Parseval every column sums to
+    exactly n**2; the first that does not raises InvariantError naming its
+    shift.
 
     Given buffers (from _block_buffers, with room for n * len(shifts)
     cells), the sign product goes into the first butterfly buffer, the
     butterflies alternate between the two and the squares fill the third,
     and corr and squares are views of them; otherwise they are fresh
     arrays, which a table or a rows object may keep."""
-    n = px.size
-    if isinstance(shifts, range):
-        picked = windows[shifts.start:shifts.stop]
-    else:
-        picked = windows[shifts]
+    n = picked.shape[1]
     if buffers is None:
-        corr = fwht(px[:, None] * picked.T)
+        corr = fwht(px * picked.T)
         squares = np.square(corr, dtype=np.int32)
     else:
         a, b, squares = (buf[: n * len(shifts)].reshape(n, -1) for buf in buffers)
-        corr = fwht(np.multiply(px[:, None], picked.T, out=a), (b, a))
+        corr = fwht(np.multiply(px, picked.T, out=a), (b, a))
         np.square(corr, out=squares, dtype=np.int32)
     totals = squares.sum(axis=0, dtype=np.int64)
     bad = np.flatnonzero(totals != n * n)
@@ -218,7 +230,8 @@ class DeviationRows:
         for j in (missing[0], missing[-1]):
             if not 1 <= j <= self.n:
                 raise ValueError(f"shift {j} outside [1, {self.n}]")
-        squares = _spectra(*self._signs, missing)[1]
+        px, windows = self._signs
+        squares = _spectra(px, windows[missing], missing)[1]
         for k, j in enumerate(missing):
             self._rows[j] = squares[:, k]
 
@@ -227,16 +240,21 @@ class DeviationRows:
         return self._rows[j]
 
     def accepts(self, answer: Sequence[TransformIndex]) -> bool:
-        """Relation check of a log2 n entry answer, answer first.
-
-        At least half of the entries outside the center window is valid for
-        any pair; otherwise the answer is valid only if the pair is atypical,
-        which the streamed statistic decides."""
+        """Relation check of a log2 n entry answer (_answer_valid)."""
         n = self.n
         outside = sum(1 for t in answer if self.squares(t.j)[t.s.as_unsigned()] > n)
-        if 2 * outside >= answer_length(n):
-            return True
-        return not _typical(*self._signs)
+        return _answer_valid(outside, self._signs)
+
+
+def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Relation verdict of a log2 n entry answer with `outside` entries
+    outside the center window, for the pair whose signs are given (_signs),
+    answer first.
+
+    At least half of the entries outside the window is valid for any pair;
+    otherwise the answer is valid only if the pair is atypical, which the
+    streamed statistic decides."""
+    return 2 * outside >= answer_length(signs[0].shape[0]) or not _typical(*signs)
 
 
 # The streamed statistic reads the table in blocks of consecutive shifts,
@@ -260,6 +278,9 @@ class DeviationRows:
 # n = 1024, depending on heap layout, and none as one allocation.  The
 # buffers live per call, never per module, because map_trials may run pairs
 # on threads.
+#
+# protocol.estimate_success reuses the cell cap for its chunks of trials,
+# whose rows go through one transform: 3 trials of 10 rows at n = 1024.
 _STAT_BLOCK_CELLS = 1 << 15
 _STAT_MIN_SHIFTS = 64
 
@@ -285,7 +306,7 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[int, int
     masks = buffers[1].view(np.bool_)  # both butterfly buffers are free once squared
     for start in range(1, n + 1, step):
         shifts = range(start, min(start + step, n + 1))
-        squares = _spectra(px, windows, shifts, buffers)[1]
+        squares = _spectra(px, windows[start:shifts.stop], shifts, buffers)[1]
         mask = masks[: squares.size].reshape(squares.shape)
         np.less_equal(squares, n, out=mask)
         np.multiply(squares, mask, out=squares)

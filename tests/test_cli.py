@@ -290,6 +290,26 @@ def test_reduction_flags_refused_at_parse_time(c1, c2, n, message, monkeypatch, 
     assert err.splitlines()[0] == usage
 
 
+@pytest.mark.parametrize("n, t, m", [(16, 5, 4), (4, 3, 2), (1024, 10**12, 10)])
+def test_protocol_t_refused_at_parse_time(n, t, m, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_HANDLERS", {})  # no subcommand may start
+    assert main(["protocol-success", "--n", str(n), "--trials", "1", "--t", str(t)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith("usage: ghrlab protocol-success ")
+    assert err.endswith(f"error: argument --t: t must be in [1, log2 n = {m}] for n={n}, got {t}\n")
+
+
+def test_protocol_t_accepts_log2_n(monkeypatch, capsys):
+    ran = []
+    handler = lambda args: ran.append(args.t) or ([], ("n",), None)  # noqa: E731
+    monkeypatch.setitem(cli._HANDLERS, "protocol-success", handler)
+    for t in ("1", "4"):
+        assert main(["protocol-success", "--n", "16", "--trials", "1", "--t", t]) == 0
+    assert main(["protocol-success", "--n", "16", "--trials", "1"]) == 0
+    assert ran == [1, 4, None]
+    assert capsys.readouterr().out.count("\nn\n") == 3
+
+
 def test_reduction_flags_accept_the_least_n_that_fits(monkeypatch, capsys):
     ran = []
     monkeypatch.setitem(cli._HANDLERS, "reduction-demo", lambda args: ran.append(args.n) or ([], ("trial",), None))

@@ -26,7 +26,6 @@ from ghrlab.protocol import (
     u_vector,
 )
 from ghrlab.relation import (
-    DeviationRows,
     McEstimate,
     TransformIndex,
     answer_length,
@@ -34,6 +33,7 @@ from ghrlab.relation import (
     enumerate_pairs,
     is_typical,
 )
+from ghrlab.util import InvariantError
 
 
 def bs(text):
@@ -206,12 +206,12 @@ def test_row_sampler_equals_full_table_sampler(n, pair_seed, seed, count):
     x = random_bitstring(n, pair_rng)
     y = random_bitstring(n, pair_rng)
     expect = OutcomeDistribution.from_table(delta_table(x, y)).sample(Rng(seed), count)
-    assert sample_outcomes(DeviationRows(x, y), Rng(seed), count) == expect
+    assert sample_outcomes(x, y, Rng(seed), count) == expect
 
 
 def test_row_sampler_rejects_empty_count():
     with pytest.raises(ValueError):
-        sample_outcomes(DeviationRows(bs("0100"), bs("1110")), Rng(1), 0)
+        sample_outcomes(bs("0100"), bs("1110"), Rng(1), 0)
 
 
 def test_row_sampler_builds_its_rows_in_one_transform(monkeypatch):
@@ -219,11 +219,8 @@ def test_row_sampler_builds_its_rows_in_one_transform(monkeypatch):
     real = relation.fwht
     monkeypatch.setattr(relation, "fwht", lambda v: calls.append(v.shape) or real(v))
     pair_rng = Rng(5)
-    rows = DeviationRows(random_bitstring(64, pair_rng), random_bitstring(64, pair_rng))
-    answer = sample_outcomes(rows, Rng(9), 6)
+    answer = sample_outcomes(random_bitstring(64, pair_rng), random_bitstring(64, pair_rng), Rng(9), 6)
     assert calls == [(64, len({t.j for t in answer}))]
-    sample_outcomes(rows, Rng(9), 6)  # the same rows again: nothing rebuilt
-    assert len(calls) == 1
 
 
 def reference_success(n, trials, rng, t):
@@ -259,3 +256,117 @@ def test_estimate_success_equals_full_table_reference(monkeypatch, n, trials, t)
     # and no trial builds the full table
     assert len(streamed) == unsettled
     assert not built
+
+
+def count_chunks(monkeypatch):
+    """Counts the chunk transforms of the protocol path (typicality
+    streaming goes through relation._spectra directly and is not counted)."""
+    calls = []
+    real = protocol._spectra
+    monkeypatch.setattr(protocol, "_spectra", lambda *a: calls.append(a[2]) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("n,trials", [(4, 40), (16, 40), (64, 30), (256, 12)])
+@pytest.mark.parametrize("t", [None, 1, 3])
+def test_estimate_success_ignores_chunk_shape(n, trials, t):
+    """One trial per chunk, an odd number per chunk and the whole run in one
+    chunk, on one thread and on four, all equal the full-table oracle."""
+    draws = answer_length(n) if t is None else min(t, answer_length(n))
+    expect, _ = reference_success(n, trials, Rng(29), draws)
+    per_trial = n * draws
+    for cap, chunks in ((1, trials), (3 * per_trial, -(-trials // 3)), (10**9, 1)):
+        for threads in ("1", "4"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(protocol, "_STAT_BLOCK_CELLS", cap)
+                mp.setenv("GHRLAB_THREADS", threads)
+                calls = count_chunks(mp)
+                assert estimate_success(n, trials, Rng(29), t=t) == expect
+                assert len(calls) == chunks
+
+
+def test_draws_sharing_a_row_share_its_column(monkeypatch):
+    """40 draws at n = 16 land in at most 16 rows, each built once."""
+    calls = count_chunks(monkeypatch)
+    answer = sample_outcomes(bs("0110100111010001"), bs("1011000111100100"), Rng(9), 40)
+    assert list(calls[0]) == sorted({o.j for o in answer})
+
+
+def test_chunk_of_default_cap_at_n1024(monkeypatch):
+    """2**15 cells hold 3 trials of 10 rows at n = 1024."""
+    calls = count_chunks(monkeypatch)
+    estimate_success(1024, 7, Rng(3))
+    assert len(calls) == 3
+    assert sum(len(c) for c in calls) <= 70
+
+
+def test_corrupted_chunk_column_names_its_shift(monkeypatch):
+    """A chunk column that breaks Parseval raises InvariantError naming the
+    shift of its own pair's row: the first column of trial 1 here."""
+    n, t = 16, 4
+    shifts = []
+    for i in range(2):
+        _, _, child = relation.trial_pair(n, Rng(3), i)
+        shifts.append(sorted({int(r) // (n * n) + 1 for r in child.generator.integers(0, n**3, size=t)}))
+    column = len(shifts[0])
+    real = relation.fwht
+
+    def corrupted(v, *buffers):
+        out = real(v, *buffers)
+        if not buffers:  # the chunk's own transform
+            out[0, column] += 2
+        return out
+
+    monkeypatch.setattr(relation, "fwht", corrupted)
+    with pytest.raises(InvariantError, match=f"^row j={shifts[1][0]} .*n\\*\\*2 = 256"):
+        estimate_success(n, 5, Rng(3))
+
+
+def test_corrupted_sampler_column_names_its_shift(monkeypatch):
+    pair_rng = Rng(5)
+    x, y = random_bitstring(64, pair_rng), random_bitstring(64, pair_rng)
+    shifts = sorted({o.j for o in sample_outcomes(x, y, Rng(9), 6)})
+    assert len(shifts) > 1
+    real = relation.fwht
+
+    def corrupted(v):
+        out = real(v)
+        out[3, 1] -= 2
+        return out
+
+    monkeypatch.setattr(relation, "fwht", corrupted)
+    with pytest.raises(InvariantError, match=f"^row j={shifts[1]} "):
+        sample_outcomes(x, y, Rng(9), 6)
+
+
+def test_prefix_sums_fit_int32():
+    """The chunk's int32 cumulative sums are exact: a row's prefix sums reach
+    at most n**2, which is 2**24 at the largest allowed n, and no larger n
+    passes the size guard."""
+    largest = relation.MAX_TRANSFORM_SIZE
+    assert largest**2 == 2**24 < np.iinfo(np.int32).max
+    relation.require_transform_size(largest)
+    with pytest.raises(ValueError):
+        relation.require_transform_size(4 * largest)
+
+
+def test_repetition_guard():
+    x, y = random_bitstring(16, Rng(2)), random_bitstring(16, Rng(3))
+    for t in (0, 5, 10**12):
+        with pytest.raises(ValueError, match="t must be in \\[1, log2 n = 4\\]"):
+            run_protocol_trep(x, y, t, Rng(9))
+        with pytest.raises(ValueError, match="log2 n = 4"):
+            protocol.require_repetitions(16, t)
+    protocol.require_repetitions(16, 4)
+    with pytest.raises(ValueError):
+        estimate_success(16, 3, Rng(1), t=0)
+
+
+def test_estimate_success_draws_at_most_log2_n(monkeypatch):
+    """A t above log2 n runs as log2 n, whose draws are all a run keeps, and
+    never draws more: a huge t allocates nothing."""
+    sizes = []
+    real = protocol._draws
+    monkeypatch.setattr(protocol, "_draws", lambda rng, n, count: sizes.append(count) or real(rng, n, count))
+    assert estimate_success(16, 20, Rng(4), t=10**12) == estimate_success(16, 20, Rng(4))
+    assert set(sizes) == {4}

@@ -298,6 +298,20 @@ def test_rows_equal_table_rows(n, seed):
         assert np.array_equal(together.squares(j), dev[j - 1] ** 2)
 
 
+def test_rows_are_built_once(monkeypatch):
+    count = transformed_shifts(monkeypatch)
+    rng = Rng(5)
+    rows = DeviationRows(random_bitstring(64, rng), random_bitstring(64, rng))
+    rows.build([9, 3, 9])
+    assert count == [2]
+    for j in (3, 9):
+        rows.squares(j)
+    rows.build([9, 3])
+    assert count == [2]  # the same rows again: nothing rebuilt
+    rows.squares(4)
+    assert count == [3]
+
+
 def test_corrupted_row_trips_parseval_check(monkeypatch):
     def corrupted(v, *buffers):
         out = fwht(v, *buffers)
