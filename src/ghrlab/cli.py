@@ -42,7 +42,7 @@ from .classical import (
 from .coupling import require_dp_length, verify_independence
 from .protocol import estimate_success, failure_probability, require_repetitions
 from .relation import (
-    aleph_statistic,
+    aleph_statistics,
     answer_length,
     enumerate_pairs,
     estimate_aleph_probability,
@@ -147,10 +147,11 @@ def _cmd_protocol_failure_exact(args):
     else:
         rng = _root_rng(args.seed)
         pairs = [trial_pair(args.n, rng, i)[:2] for i in range(args.trials)]
-    rows = []
-    for x, y in pairs:
-        stat = aleph_statistic(x, y)
-        rows.append((str(x), str(y), is_typical(args.n, stat), float(failure_probability(args.n, stat))))
+    xs, ys = zip(*pairs)
+    rows = [
+        (str(x), str(y), is_typical(args.n, stat), float(failure_probability(args.n, stat)))
+        for x, y, stat in zip(xs, ys, aleph_statistics(xs, ys))
+    ]
     return rows, ("x", "y", "aleph", "failure"), None
 
 

@@ -34,6 +34,7 @@ from .relation import (
     TransformIndex,
     _answer_valid,
     _check_pair,
+    _estimate_in_chunks,
     _spectra,
     _stacked_signs,
     aleph_statistic,
@@ -44,7 +45,6 @@ from .relation import (
     require_transform_size,
     trial_pair,
 )
-from .util import map_trials
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +189,7 @@ def _outcomes(
     ordered = np.sort(keys, axis=None)
     columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     pair, shift = np.divmod(columns, n + 1)
-    squares = _spectra(px[pair, :, 0].T, windows[pair, shift], shift)[1]
+    squares = _spectra(px[pair], windows[pair, shift][:, None], shift[:, None], pair[:, None])[1]
     prefix = np.cumsum(squares, axis=0, dtype=np.int32)
     col = np.searchsorted(columns, keys)
     s = np.count_nonzero(prefix[:, col] <= (draws % per_row).astype(np.int32), axis=0)
@@ -267,27 +267,27 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
     does.
 
     Trials are decided in chunks of consecutive trials, as many as keep a
-    chunk's rows within _STAT_BLOCK_CELLS cells and at least one: 3 trials
+    chunk's rows within _STAT_BLOCK_CELLS cells and at least one: 6 trials
     at n = 1024 with t = 10.  A chunk's outcomes come from one transform
     (_outcomes), each answer is checked against the same rows, and
     typicality is streamed only for the trials whose answer alone does not
-    settle validity.  map_trials hands out whole chunks, so the estimate is
-    a pure function of (n, trials, t, seed) regardless of thread count."""
+    settle validity.  map_trials hands out whole chunks (_estimate_in_chunks),
+    so the estimate is a pure function of (n, trials, t, seed) regardless of
+    thread count."""
     m = answer_length(n)  # rejects a size outside the allowed powers of 4
     t = m if t is None else min(t, m)
     require_repetitions(n, t)
-    per_chunk = max(1, _STAT_BLOCK_CELLS // (n * t))
     uses = np.bincount(np.arange(m) % t)  # entries of the tiled answer per draw
 
-    def decide(chunk: int) -> int:
-        indices = range(chunk * per_chunk, min((chunk + 1) * per_chunk, trials))
+    def valid(indices: range) -> int:
         xs, ys, children = zip(*(trial_pair(n, rng, i) for i in indices))
         draws = np.array([_draws(child, n, t) for child in children])
         _, _, outside, (px, windows) = _outcomes(xs, ys, draws)
-        return sum(_answer_valid(int(k), (px[i], windows[i])) for i, k in enumerate(outside @ uses))
+        return sum(
+            _answer_valid(int(k), (px[i:i + 1], windows[i:i + 1])) for i, k in enumerate(outside @ uses)
+        )
 
-    hits = sum(map_trials(decide, -(-trials // per_chunk)))
-    return McEstimate.from_successes(hits, trials, rng.seed)
+    return _estimate_in_chunks(trials, max(1, _STAT_BLOCK_CELLS // (n * t)), rng, valid)
 
 
 def exact_success_probability(n: int) -> Fraction:

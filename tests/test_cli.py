@@ -87,15 +87,27 @@ def test_protocol_failure_exact_exhaustive(capsys):
 
 def test_protocol_failure_exact_streams_one_statistic_per_pair(monkeypatch, capsys):
     built, streamed = [], []
-    real_table, real_stat = relation.delta_table, relation.aleph_statistic
+    real_table, real_sums = relation.delta_table, relation._window_sums
     for module in (protocol, relation):
         monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
-    for module in (cli, protocol, relation):
-        monkeypatch.setattr(module, "aleph_statistic", lambda x, y: streamed.append(1) or real_stat(x, y))
+    monkeypatch.setattr(relation, "_window_sums", lambda px, w: streamed.append(len(px)) or real_sums(px, w))
     assert main(["protocol-failure-exact", "--n", "64", "--trials", "20"]) == 0
     capsys.readouterr()
-    assert len(streamed) == 20
+    # the 20 pairs' statistics come from one stack, streamed once
+    assert streamed == [20]
     assert not built
+
+
+def test_aleph_estimate_transforms_at_n256(monkeypatch, capsys):
+    """Two stacks of 16 pairs, each stopped after 13 blocks of 16 shifts per
+    pair: 26 transforms of 256 columns, where one pair per stream in blocks
+    of 128 shifts took 64 transforms and 8,192 columns."""
+    calls, columns = [], []
+    real = relation.fwht
+    monkeypatch.setattr(relation, "fwht", lambda v, *b: calls.append(1) or columns.append(v.shape[1]) or real(v, *b))
+    assert main(["aleph-estimate", "--n", "256", "--trials", "32", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert (len(calls), sum(columns)) == (26, 6656)
 
 
 def test_coupling_verify_all_pass(capsys):
@@ -361,6 +373,14 @@ def test_console_script_runs(tmp_path):
 GOLDEN = {
     "aleph-estimate --n 16 --trials 20 --seed 3":
         "b29eae11dff29ec4909eb27fb5d903d5e358efbc18b5d68466b0648fa0f3f46c",
+    # several chunks of stacked pairs, about half of them typical
+    "aleph-estimate --n 16 --trials 300 --seed 9":
+        "27b753660b97244911266ebd167cb6b3215b0a2832bd74843c813aab37724f76",
+    # a short last chunk
+    "aleph-estimate --n 256 --trials 37 --seed 0":
+        "ac3219fbff6fc3d65a6ff238fa42af3573e2fd79190f3bb74a64199870fc90a1",
+    "protocol-failure-exact --n 64 --trials 20 --seed 0":
+        "9964ee19409f2b0651b77ddc8299695fb88da0b7b59177fa3bc95d5200ce3a7f",
     "protocol-success --n 64 --trials 10 --seed 1":
         "ff0bccfa971a7993ecbfe16522d33f3c28c23485077755634ccb8e38839a41fb",
     "protocol-success --n 64 --trials 10 --seed 1 --t 3":

@@ -293,11 +293,11 @@ def test_draws_sharing_a_row_share_its_column(monkeypatch):
 
 
 def test_chunk_of_default_cap_at_n1024(monkeypatch):
-    """2**15 cells hold 3 trials of 10 rows at n = 1024."""
+    """2**16 cells hold 6 trials of 10 rows at n = 1024."""
     calls = count_chunks(monkeypatch)
-    estimate_success(1024, 7, Rng(3))
+    estimate_success(1024, 13, Rng(3))
     assert len(calls) == 3
-    assert sum(len(c) for c in calls) <= 70
+    assert sum(len(c) for c in calls) <= 130
 
 
 def test_corrupted_chunk_column_names_its_shift(monkeypatch):

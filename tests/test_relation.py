@@ -187,10 +187,11 @@ def test_early_verdict_on_adversarial_pairs(monkeypatch, n):
     for a, b in ((x, x), (x, ~x), (bent(n), BitString(0, n))):
         assert aleph(a, b) == delta_table(a, b).aleph()
     # every row of the bent pair adds n**2, so it is atypical once more than
-    # 4n/9 rows are read: after 1 of 2 blocks at n = 256, 8 of 16 at n = 1024
+    # 4n/9 rows are read: after its one block of the whole table at n = 256,
+    # after 8 of 16 blocks at n = 1024
     count = transformed_shifts(monkeypatch)
     assert not aleph(bent(n), BitString(0, n))
-    assert count[0] == n // 2
+    assert count[0] == {256: n, 1024: n // 2}[n]
 
 
 def test_early_verdict_reads_fewer_rows_than_the_statistic(monkeypatch):
@@ -232,6 +233,109 @@ def test_streamed_statistic_equals_full_table(n):
         assert aleph(a, b) == table.aleph()
     assert aleph_statistic(bent_x, zero) == n**3
     assert not aleph(bent_x, zero)
+
+
+def stack_of(pairs):
+    xs, ys = zip(*pairs)
+    return relation._stacked_signs(xs, ys)
+
+
+@st.composite
+def stacks(draw):
+    """1 to 9 pairs of one size, random ones mixed with x = y, x = ~y and a
+    bent x against 0."""
+    n = draw(st.sampled_from([4, 16, 64]))
+    word = st.integers(0, 2**n - 1).map(lambda v: BitString(v, n))
+    x = draw(word)
+    special = [(x, x), (x, ~x), (bent(n), BitString(0, n))]
+    pair = st.one_of(st.tuples(word, word), st.sampled_from(special))
+    return n, draw(st.lists(pair, min_size=1, max_size=9))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks())
+def test_stacked_stream_equals_naive_table_property(case):
+    n, pairs = case
+    stats = relation._statistics(*stack_of(pairs))
+    verdicts = relation._typical(*stack_of(pairs))
+    assert len(stats) == len(verdicts) == len(pairs)
+    for (x, y), stat, verdict in zip(pairs, stats, verdicts):
+        table = delta_table_naive(x, y)
+        assert stat == table.aleph_statistic()
+        assert verdict == table.aleph()
+    xs, ys = zip(*pairs)
+    assert relation.aleph_statistics(xs, ys) == [int(v) for v in stats]
+
+
+def fix_block_cells(monkeypatch, cells):
+    """Makes every block of the streamed statistic hold at most `cells`
+    cells, and at least one shift of each pair of its stack."""
+    monkeypatch.setattr(relation, "_STAT_BLOCK_CELLS", cells)
+    monkeypatch.setattr(relation, "_STAT_MIN_SHIFTS", 0)
+
+
+# at n = 256 the default cap gives Monte Carlo stacks of 16 pairs, so 37
+# trials run as 16, 16 and 5; 3 * 4096 + 1000 cells give stacks of 3 pairs in
+# blocks of 17 shifts, the last of which has 1, and a last stack of 1 pair
+@pytest.mark.parametrize("cells", [None, 1, 3 * 4096 + 1000, 10**9])
+def test_stacked_stream_does_not_depend_on_block_shape(monkeypatch, cells):
+    n = 256
+    rng = Rng(17)
+    pairs = [(x, y) for x, y, _ in (relation.trial_pair(n, rng, i) for i in range(37))]
+    x = pairs[0][0]
+    pairs += [(x, x), (x, ~x), (bent(n), BitString(0, n))]
+    tables = [delta_table(x, y) for x, y in pairs]
+    xs, ys = zip(*pairs)
+    if cells is not None:
+        fix_block_cells(monkeypatch, cells)
+    assert relation.aleph_statistics(xs, ys) == [t.aleph_statistic() for t in tables]
+    assert list(relation._typical(*stack_of(pairs))) == [t.aleph() for t in tables]
+    expect = sum(tables[i].aleph() for i in range(37))
+    for threads in ("1", "4"):
+        monkeypatch.setenv("GHRLAB_THREADS", threads)
+        assert estimate_aleph_probability(n, 37, Rng(17)) == McEstimate.from_successes(expect, 37, 17)
+
+
+def test_stack_of_bent_pairs_stops_after_128_rows_each(monkeypatch):
+    """8 bent pairs at n = 256 go in blocks of 32 shifts each, and every row
+    adds n**2: all 8 are atypical after 4 blocks, 128 of their 256 rows."""
+    n = 256
+    pairs = [(bent(n), BitString(0, n))] * 8
+    calls = []
+    real = relation.fwht
+    monkeypatch.setattr(relation, "fwht", lambda v, *b: calls.append(v.shape[1]) or real(v, *b))
+    assert not relation._typical(*stack_of(pairs)).any()
+    assert calls == [8 * 32] * 4
+
+
+def test_corrupted_column_names_its_pair_and_shift(monkeypatch):
+    """In a stack of 3 pairs at n = 16, one block holds every pair's 16
+    shifts; column 16 + 4 is pair 1's shift 5."""
+    rng = Rng(6)
+    pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
+    real = relation.fwht
+
+    def corrupted(v, *buffers):
+        out = real(v, *buffers)
+        out[0, 16 + 4] += 2
+        return out
+
+    monkeypatch.setattr(relation, "fwht", corrupted)
+    for stream in (relation._statistics, relation._typical):
+        with pytest.raises(InvariantError, match="^row j=5 of pair 1 in its stack .*n\\*\\*2 = 256"):
+            stream(*stack_of(pairs))
+
+
+def test_aleph_statistics_rejects_mixed_stacks():
+    four, sixteen = BitString(0, 4), BitString(0, 16)
+    with pytest.raises(ValueError, match="equally many"):
+        relation.aleph_statistics([four], [])
+    with pytest.raises(ValueError, match="equally many"):
+        relation.aleph_statistics([], [])
+    with pytest.raises(ValueError, match="length mismatch"):
+        relation.aleph_statistics([four, sixteen], [four, sixteen])
+    with pytest.raises(ValueError, match="length mismatch"):
+        relation.aleph_statistics([four], [sixteen])
 
 
 def test_ghr_valid_counts_outside_entries():
