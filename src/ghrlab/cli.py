@@ -52,8 +52,6 @@ from .relation import (
 )
 from .util import InvariantError
 
-_SEED_LIMIT = 1 << 64
-
 
 def parse_rect(text: str, n: int) -> RectangleSpec:
     """Named rectangle families: full, parity_even, prefix_zeros(m)."""
@@ -89,12 +87,6 @@ def write_csv(rows, schema, path, header) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _root_rng(seed: int) -> Rng:
-    if not 0 <= seed < _SEED_LIMIT:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return Rng(seed)
-
-
 # Replay header of each subcommand: after subcommand=, these keys in order,
 # each a parsed flag or "rng" for the generator algorithm.
 HEADER_KEYS = {
@@ -128,7 +120,7 @@ def replay_header(args) -> list[tuple[str, object]]:
 
 
 def _cmd_aleph_estimate(args):
-    est = estimate_aleph_probability(args.n, args.trials, _root_rng(args.seed))
+    est = estimate_aleph_probability(args.n, args.trials, Rng(args.seed))
     schema = ("n", "trials", "seed", "estimate", "stderr")
     return [(args.n, args.trials, args.seed, est.mean, est.stderr)], schema, None
 
@@ -136,7 +128,7 @@ def _cmd_aleph_estimate(args):
 def _cmd_protocol_success(args):
     if args.t is None:  # resolved here so that the header records the t run
         args.t = answer_length(args.n)
-    est = estimate_success(args.n, args.trials, _root_rng(args.seed), t=args.t)
+    est = estimate_success(args.n, args.trials, Rng(args.seed), t=args.t)
     schema = ("n", "trials", "seed", "t", "estimate", "stderr")
     return [(args.n, args.trials, args.seed, args.t, est.mean, est.stderr)], schema, None
 
@@ -145,7 +137,7 @@ def _cmd_protocol_failure_exact(args):
     if args.exhaustive:
         pairs = list(enumerate_pairs(args.n))
     else:
-        rng = _root_rng(args.seed)
+        rng = Rng(args.seed)
         pairs = [trial_pair(args.n, rng, i)[:2] for i in range(args.trials)]
     xs, ys = zip(*pairs)
     rows = [
@@ -156,7 +148,7 @@ def _cmd_protocol_failure_exact(args):
 
 
 def _cmd_baseline_tghr(args):
-    est = estimate_baseline_success(args.n, args.t, args.trials, _root_rng(args.seed))
+    est = estimate_baseline_success(args.n, args.t, args.trials, Rng(args.seed))
     schema = ("n", "t", "trials", "seed", "estimate", "stderr")
     return [(args.n, args.t, args.trials, args.seed, est.mean, est.stderr)], schema, None
 
@@ -179,7 +171,7 @@ def _cmd_bounds_validate(args):
     sampled = []
     if args.trials > 0:  # first, so that an n too small to sample fails fast
         t_values = [t for t in (args.n // 16, args.n // 8, 3 * args.n // 16) if t >= 1]
-        report = shift_xor_tail_check(args.n, t_values, args.trials, _root_rng(args.seed))
+        report = shift_xor_tail_check(args.n, t_values, args.trials, Rng(args.seed))
         sampled.append(("shift_xor_tail", report))
     reports = [
         ("hoeffding", hoeffding_dominance_report()),
@@ -207,13 +199,12 @@ def _set_string(members, l: int) -> BitString:
 def _cmd_reduction_demo(args):
     params = xi_parameters(args.c1, args.c2, args.n)
     rect = parse_rect(args.rect, args.n)
+    root = Rng(args.seed)
     rows = []
     for r in range(args.trials):
         for inst in all_instances(params.l):
-            # fresh Rng per instance: one trial shares (S, T) across instances
-            tr = reduction_xi(
-                inst, args.c1, args.c2, args.n, rect, _root_rng(args.seed).child(r)
-            )
+            # fresh child stream per instance: one trial shares (S, T) across instances
+            tr = reduction_xi(inst, args.c1, args.c2, args.n, rect, root.child(r))
             rows.append(
                 (
                     r,

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -33,17 +32,18 @@ from .relation import (
     McEstimate,
     TransformIndex,
     _answer_valid,
+    _block_buffers,
     _check_pair,
     _estimate_in_chunks,
+    _signs,
     _spectra,
-    _stacked_signs,
+    _trial_signs,
     aleph_statistic,
     answer_length,
     delta_table,
     enumerate_pairs,
     is_typical,
     require_transform_size,
-    trial_pair,
 )
 
 
@@ -162,38 +162,51 @@ def _draws(rng: Rng, n: int, count: int) -> np.ndarray:
     return rng.generator.integers(0, n**3, size=count, dtype=np.int64)
 
 
-def _outcomes(
-    xs: Sequence[BitString], ys: Sequence[BitString], draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The cells that the pairs' outcome draws land in, from one transform.
+def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cells that the outcome draws of a stack of pairs land in, from
+    one transform.
 
-    draws[i] holds the draws of the pair (xs[i], ys[i]).  The full table's
-    row-major cumulative sum reaches exactly k * n**2 at the end of row
-    k - 1, so, as in OutcomeDistribution.sample, draw r lands in shift
-    j = r // n**2 + 1 at selector s, the first cell whose prefix sum within
-    that row exceeds r mod n**2, which is the number of prefix sums at most
-    r mod n**2 (searchsorted with side="right").
+    px and windows are the stack's signs (relation._stacked_signs), and
+    draws[i] holds the draws of its pair i.  The full table's row-major
+    cumulative sum reaches exactly k * n**2 at the end of row k - 1, so, as
+    in OutcomeDistribution.sample, draw r lands in shift j = r // n**2 + 1
+    at selector s, the first cell whose prefix sum within that row exceeds
+    rem = r mod n**2, which is the number of prefix sums at most rem
+    (searchsorted with side="right").
 
     Each pair's distinct rows are the columns of one (n, columns) block,
-    transformed and checked by relation._spectra, and their prefix sums are
-    one int32 cumulative sum down the columns.  That is exact: every prefix
-    is at most n**2, and n**2 <= MAX_TRANSFORM_SIZE**2 = 2**24 < 2**31.
+    transformed by relation._spectra in one _block_buffers allocation.  Its
+    int64 sums over blocks of sqrt(n) rows, cumulated down each column
+    (ends), check every column against n**2 and also index the search:
+    prefix sums only grow, so every prefix sum of a block whose end is at
+    most rem is at most rem, and every one past the first block whose end
+    exceeds rem exceeds it.  So s is sqrt(n) times the number of block ends
+    at most rem, plus the prefix sums at most rem within that first block,
+    an int32 cumulative sum of sqrt(n) cells: exact, since a checked
+    column's prefix sums reach at most n**2 <= 4096**2 = 2**24 < 2**31.
 
-    Returns j and s shaped like draws, outside, True where the drawn cell
-    lies outside the center window, and the pairs' stacked signs."""
-    n = xs[0].n
+    Returns j and s shaped like draws, and outside, True where the drawn
+    cell lies outside the center window."""
+    n = px.shape[1]
     per_row = n * n
-    px, windows = _stacked_signs(xs, ys)
+    height = math.isqrt(n)
     j = draws // per_row + 1
-    keys = np.arange(len(xs))[:, None] * (n + 1) + j  # one key per (pair, shift)
+    keys = np.arange(len(px))[:, None] * (n + 1) + j  # one key per (pair, shift)
     ordered = np.sort(keys, axis=None)
     columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     pair, shift = np.divmod(columns, n + 1)
-    squares = _spectra(px[pair], windows[pair, shift][:, None], shift[:, None], pair[:, None])[1]
-    prefix = np.cumsum(squares, axis=0, dtype=np.int32)
+    buffers = _block_buffers(n * columns.size)
+    _, squares, ends = _spectra(
+        px[pair], windows[pair, shift][:, None], shift[:, None], pair[:, None], buffers, height
+    )
     col = np.searchsorted(columns, keys)
-    s = np.count_nonzero(prefix[:, col] <= (draws % per_row).astype(np.int32), axis=0)
-    return j, s, squares[s, col] > n, (px, windows)
+    rem = draws % per_row
+    block = np.count_nonzero(ends[:, col] <= rem, axis=0)  # below n / height: ends[-1] = n**2 > rem
+    before = np.where(block > 0, ends[block - 1, col], 0)
+    cells = squares[block[..., None] * height + np.arange(height), col[..., None]]
+    within = np.cumsum(cells, axis=-1, dtype=np.int32) <= (rem - before)[..., None]
+    s = block * height + np.count_nonzero(within, axis=-1)
+    return j, s, squares[s, col] > n
 
 
 def sample_outcomes(x: BitString, y: BitString, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
@@ -203,7 +216,7 @@ def sample_outcomes(x: BitString, y: BitString, rng: Rng, count: int) -> tuple[T
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(x, y)
-    j, s, _, _ = _outcomes([x], [y], _draws(rng, x.n, count)[None])
+    j, s, _ = _outcomes(*_signs(x, y), _draws(rng, x.n, count)[None])
     k = answer_length(x.n)
     return tuple(TransformIndex(int(a), BitString(int(b), k)) for a, b in zip(j[0], s[0]))
 
@@ -259,9 +272,9 @@ def failure_probability_exact(x: BitString, y: BitString) -> Fraction:
 def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McEstimate:
     """Monte Carlo success rate of full runs on uniform input pairs.
 
-    Trial i draws its pair (trial_pair) and then its outcome draws from
-    rng.child(i).  With t set, each run draws only t outcomes and tiles them
-    to log2 n entries.  A t above log2 n gives the same runs as log2 n,
+    Trial i draws its pair as trial_pair does (relation._trial_signs) and
+    then its outcome draws from rng.child(i).  With t set, each run draws
+    only t outcomes and tiles them to log2 n entries.  A t above log2 n gives the same runs as log2 n,
     since a run keeps only its first log2 n draws, so only those are drawn;
     the CLI refuses such a t (require_repetitions), as run_protocol_trep
     does.
@@ -280,9 +293,9 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
     uses = np.bincount(np.arange(m) % t)  # entries of the tiled answer per draw
 
     def valid(indices: range) -> int:
-        xs, ys, children = zip(*(trial_pair(n, rng, i) for i in indices))
+        px, windows, children = _trial_signs(n, rng, indices)
         draws = np.array([_draws(child, n, t) for child in children])
-        _, _, outside, (px, windows) = _outcomes(xs, ys, draws)
+        outside = _outcomes(px, windows, draws)[2]
         return sum(
             _answer_valid(int(k), (px[i:i + 1], windows[i:i + 1])) for i, k in enumerate(outside @ uses)
         )

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bitkit import BitString, Rng, fourier_pattern, fwht, random_bitstring
+from .bitkit import BitString, Rng, fourier_pattern, fwht
 from .util import InvariantError, map_trials
 
 MAX_TRANSFORM_SIZE = 4096
@@ -116,7 +116,7 @@ def delta_table(x: BitString, y: BitString) -> DeltaTable:
     _check_pair(x, y)
     n = x.n
     px, windows = _signs(x, y)
-    corr, squares = _spectra(px, windows[:, 1:], np.arange(1, n + 1), 0)  # a view: no n x n window copy
+    corr, squares, _ = _spectra(px, windows[:, 1:], np.arange(1, n + 1), 0)  # a view: no n x n window copy
     values = np.subtract(n, corr, dtype=np.int64)
     values >>= 1
     return DeltaTable(n, values.T, squares.T)
@@ -151,16 +151,35 @@ def _signs(x: BitString, y: BitString) -> tuple[np.ndarray, np.ndarray]:
 def _stacked_signs(xs: Sequence[BitString], ys: Sequence[BitString]) -> tuple[np.ndarray, np.ndarray]:
     """Signs of the stack of pairs (xs[i], ys[i]), all of one length n:
     px[i] is the int16 row 1 - 2 * xs[i], and windows[i, j] is
-    roll(py_i, -j) for py_i = 1 - 2 * ys[i], j = 0 ... n, a read-only view
-    into one buffer of length 2n per pair (the strides of
-    sliding_window_view, without its per-call checks)."""
-    n = xs[0].n
+    roll(py_i, -j) for py_i = 1 - 2 * ys[i], j = 0 ... n (_windows)."""
     px = 1 - 2 * np.array([x.to_array() for x in xs], dtype=np.int16)
     py = 1 - 2 * np.array([y.to_array() for y in ys], dtype=np.int16)
-    doubled = np.concatenate([py, py], axis=1)
+    return px, _windows(np.concatenate([py, py], axis=1))
+
+
+def _windows(doubled: np.ndarray) -> np.ndarray:
+    """windows[i, j] = roll(py_i, -j) for j = 0 ... n, given doubled[i], the
+    row py_i twice over with its cells adjacent: a read-only view into
+    doubled (the strides of sliding_window_view, without its per-call
+    checks)."""
+    stack, n = doubled.shape[0], doubled.shape[1] // 2
     pair, cell = doubled.strides
-    windows = as_strided(doubled, (len(ys), n + 1, n), (pair, cell, cell), writeable=False)
-    return px, windows
+    return as_strided(doubled, (stack, n + 1, n), (pair, cell, cell), writeable=False)
+
+
+def _trial_signs(n: int, rng: Rng, indices: range) -> tuple[np.ndarray, np.ndarray, list[Rng]]:
+    """The stacked signs (_stacked_signs) of the pairs trial_pair(n, rng, i)
+    draws for i in indices, and the trials' child streams, left where
+    trial_pair leaves them.
+
+    Each child draws its x and y bytes with one bit_rows(2, n), which reads
+    the stream as trial_pair's draws do, and the bytes become signs
+    directly, without a BitString: one (pairs, 3, n) int16 array holds x, y
+    and y again, so px and the windows' doubled rows are views of it."""
+    children = [rng.child(i) for i in indices]
+    bits = np.unpackbits(np.array([child.bit_rows(2, n) for child in children]), axis=2)
+    signs = 1 - 2 * bits[:, [0, 1, 1], -n:].astype(np.int16)
+    return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n)), children
 
 
 def _spectra(
@@ -169,8 +188,10 @@ def _spectra(
     shifts: np.ndarray | int,
     pairs: np.ndarray | int,
     buffers: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walsh spectra of sign products, and their squares.
+    height: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walsh spectra of sign products, their squares, and the squares'
+    cumulative block sums.
 
     picked[p, k] is a window roll(py, -j) of some pair (_stacked_signs) and
     px[p] that pair's x signs; shifts[p, k] is the window's shift j and
@@ -182,8 +203,14 @@ def _spectra(
     (2*delta - n)**2 along table row j - 1.  Every butterfly value is a sum
     of at most n signs, so int16 is exact for n <= MAX_TRANSFORM_SIZE;
     squares are computed in int32 (squaring in int16 would wrap from
-    n = 256 on).  By Parseval every column sums to exactly n**2; the first
-    that does not raises InvariantError naming its shift and its pair.
+    n = 256 on).
+
+    ends[k, c] is the sum of column c of squares over its first
+    (k + 1) * height rows, for a height that divides n (all n rows, one
+    block, by default), from int64 sums over blocks of height rows: exact
+    for any int32 squares.  By Parseval every column sums to exactly n**2,
+    so ends[-1] is n**2 throughout; the first column where it is not raises
+    InvariantError naming its shift and its pair.
 
     Given buffers (from _block_buffers, with room for the block's cells),
     the sign product goes into the first butterfly buffer, the butterflies
@@ -211,16 +238,18 @@ def _spectra(
     else:
         corr = fwht(a, (b, a))
         np.square(corr, out=squares, dtype=np.int32)
-    totals = squares.sum(axis=0, dtype=np.int64)
-    bad = np.flatnonzero(totals != n * n)
+    height = n if height is None else height
+    ends = squares.reshape(n // height, height, -1).sum(axis=1, dtype=np.int64)
+    np.cumsum(ends, axis=0, out=ends)
+    bad = np.flatnonzero(ends[-1] != n * n)
     if bad.size:
         p, k = divmod(int(bad[0]), width)
         j, pair = (np.broadcast_to(w, (stack, width))[p, k] for w in (shifts, pairs))
         raise InvariantError(
-            f"row j={j} of pair {pair} in its stack sums to {int(totals[bad[0]])}, "
+            f"row j={j} of pair {pair} in its stack sums to {int(ends[-1, bad[0]])}, "
             f"not n**2 = {n * n}"
         )
-    return corr, squares
+    return corr, squares, ends
 
 
 class DeviationRows:
@@ -481,11 +510,12 @@ class McEstimate:
 
 
 def trial_pair(n: int, rng: Rng, i: int) -> tuple[BitString, BitString, Rng]:
-    """Trial i's input pair: x, then y, drawn from rng.child(i), returned
-    with that child stream for the trial's further draws."""
+    """Trial i's input pair: x, then y, drawn from rng.child(i) as two
+    random_bitstring(n, child) calls draw them, returned with that child
+    stream for the trial's further draws."""
     child = rng.child(i)
-    x = random_bitstring(n, child)
-    return x, random_bitstring(n, child), child
+    x, y = (BitString(int.from_bytes(row.tobytes(), "big"), n) for row in child.bit_rows(2, n))
+    return x, y, child
 
 
 def estimate_over_pairs(
@@ -521,14 +551,14 @@ def _estimate_in_chunks(
 def estimate_aleph_probability(n: int, trials: int, rng: Rng) -> McEstimate:
     """Probability that a uniform pair is typical, by Monte Carlo.
 
-    Trial i draws its pair with trial_pair(n, rng, i).  Trials are decided
-    in chunks of _pairs_per_chunk(n), each chunk one stack through _typical
-    with its early stop: 16 pairs in blocks of 16 shifts at n = 256."""
+    Trial i draws its pair as trial_pair(n, rng, i) does (_trial_signs).
+    Trials are decided in chunks of _pairs_per_chunk(n), each chunk one
+    stack through _typical with its early stop: 16 pairs in blocks of 16
+    shifts at n = 256."""
     require_transform_size(n)
 
     def typical(indices: range) -> int:
-        xs, ys, _ = zip(*(trial_pair(n, rng, i) for i in indices))
-        return int(np.count_nonzero(_typical(*_stacked_signs(xs, ys))))
+        return int(np.count_nonzero(_typical(*_trial_signs(n, rng, indices)[:2])))
 
     return _estimate_in_chunks(trials, _pairs_per_chunk(n), rng, typical)
 

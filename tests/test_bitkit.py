@@ -1,10 +1,13 @@
 """Bit-string algebra and seeded randomness."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghrlab import bitkit
 from ghrlab.bitkit import BitString, Rng, fourier_pattern, fwht, inner_mod2, random_bitstring
 
 
@@ -132,6 +135,48 @@ def test_rng_reproducible_and_children_disjoint():
     parent = Rng(7)
     parent.u64()
     assert parent.child(0).u64() == Rng(7).child(0).u64()
+
+
+ROOT = 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 7, ROOT])
+def test_key_seeded_stream_equals_philox_key(seed, stream):
+    """A stream seeded through the key alone is Generator(Philox(key=...))'s
+    stream, for every way Rng reads it."""
+    ours = Rng(seed, stream=stream)
+    ref = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    assert ours.generator.bytes(13) == ref.bytes(13)
+    assert np.array_equal(ours.generator.integers(0, 10**12, size=9), ref.integers(0, 10**12, size=9))
+    for row in ours.bit_rows(3, 33):
+        assert int.from_bytes(row.tobytes(), "big") == int.from_bytes(ref.bytes(5), "big") % 2**33
+    assert ours.u64() == int(ref.integers(0, 1 << 64, dtype=np.uint64))
+    if stream != ROOT:
+        assert Rng(seed).child(stream).u64() == Rng(seed, stream=stream).u64()
+
+
+def test_key_seed_sequence_answers_only_the_philox_key():
+    key = bitkit._Key(5, 9)
+    assert key.generate_state(2, np.uint64).tolist() == [5, 9]
+    for request in ((4, np.uint64), (2, np.uint32), (1, np.uint64)):
+        with pytest.raises(ValueError, match="2 uint64 words"):
+            key.generate_state(*request)
+
+
+def test_deepcopy_continues_the_stream():
+    rng = Rng(11).child(4)
+    rng.bits(13)
+    twin = copy.deepcopy(rng)
+    assert (twin.seed, twin.stream) == (rng.seed, rng.stream)
+    assert [twin.u64() for _ in range(4)] == [rng.u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, -(2**63)])
+def test_seed_outside_64_bits_is_refused(seed):
+    """Masking would make Rng(2**64 + 3) replay Rng(3)."""
+    with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+        Rng(seed)
 
 
 def test_nested_child_streams_raise():

@@ -213,6 +213,24 @@ def test_usage_errors_exit_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["aleph-estimate", "--n", "16", "--trials", "3"],
+        ["protocol-success", "--n", "16", "--trials", "3"],
+        ["protocol-failure-exact", "--n", "16", "--trials", "3"],
+        ["baseline-tghr", "--n", "16", "--t", "2", "--trials", "3"],
+        ["bounds-validate", "--n", "16", "--trials", "3"],
+        ["reduction-demo", "--c1", "6", "--c2", "8", "--n", "16"],
+    ],
+)
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_two(capsys, argv, seed):
+    """Rng refuses the seed, so 2**64 never replays seed 0."""
+    assert main(argv + ["--seed", seed]) == 2
+    assert capsys.readouterr().err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["aleph-estimate", "--n", "16", "--trials", "0"],
         ["protocol-success", "--n", "16", "--trials", "-2"],
         ["protocol-success", "--n", "16", "--trials", "4", "--t", "0"],
@@ -344,7 +362,7 @@ def test_size_guards_accept_their_largest_n():
 
 
 def test_runtime_invariant_failure_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(relation, "fwht", lambda v: fwht(v) + 1)
+    monkeypatch.setattr(relation, "fwht", lambda v, *buffers: fwht(v, *buffers) + 1)
     assert main(["protocol-success", "--n", "16", "--trials", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: invariant failed: row j=")
 

@@ -217,7 +217,7 @@ def test_row_sampler_rejects_empty_count():
 def test_row_sampler_builds_its_rows_in_one_transform(monkeypatch):
     calls = []
     real = relation.fwht
-    monkeypatch.setattr(relation, "fwht", lambda v: calls.append(v.shape) or real(v))
+    monkeypatch.setattr(relation, "fwht", lambda v, *b: calls.append(v.shape) or real(v, *b))
     pair_rng = Rng(5)
     answer = sample_outcomes(random_bitstring(64, pair_rng), random_bitstring(64, pair_rng), Rng(9), 6)
     assert calls == [(64, len({t.j for t in answer}))]
@@ -310,11 +310,13 @@ def test_corrupted_chunk_column_names_its_shift(monkeypatch):
         shifts.append(sorted({int(r) // (n * n) + 1 for r in child.generator.integers(0, n**3, size=t)}))
     column = len(shifts[0])
     real = relation.fwht
+    transforms = []
 
     def corrupted(v, *buffers):
         out = real(v, *buffers)
-        if not buffers:  # the chunk's own transform
+        if not transforms:  # the chunk's own transform comes before any typicality stream
             out[0, column] += 2
+        transforms.append(v.shape)
         return out
 
     monkeypatch.setattr(relation, "fwht", corrupted)
@@ -329,8 +331,8 @@ def test_corrupted_sampler_column_names_its_shift(monkeypatch):
     assert len(shifts) > 1
     real = relation.fwht
 
-    def corrupted(v):
-        out = real(v)
+    def corrupted(v, *buffers):
+        out = real(v, *buffers)
         out[3, 1] -= 2
         return out
 
@@ -339,15 +341,65 @@ def test_corrupted_sampler_column_names_its_shift(monkeypatch):
         sample_outcomes(x, y, Rng(9), 6)
 
 
-def test_prefix_sums_fit_int32():
-    """The chunk's int32 cumulative sums are exact: a row's prefix sums reach
-    at most n**2, which is 2**24 at the largest allowed n, and no larger n
-    passes the size guard."""
+def test_prefix_sums_fit_int32(monkeypatch):
+    """The blocked search's sums are exact.  A square of an int16 butterfly
+    value is at most 2**30, so a block of sqrt(n) squares, even of a
+    corrupted column, can pass 2**31 and is summed in int64, where a whole
+    column fits.  The int32 prefix sums within a block run only on columns
+    checked to sum to n**2, so they reach at most n**2, which is 2**24 at
+    the largest allowed n, and no larger n passes the size guard."""
     largest = relation.MAX_TRANSFORM_SIZE
+    square = np.iinfo(np.int16).min ** 2
+    assert square == 2**30 and math.isqrt(largest) * square > np.iinfo(np.int32).max
+    assert largest * square < np.iinfo(np.int64).max
     assert largest**2 == 2**24 < np.iinfo(np.int32).max
     relation.require_transform_size(largest)
     with pytest.raises(ValueError):
         relation.require_transform_size(4 * largest)
+
+    def wrapping(v, *buffers):
+        """Columns whose squares 4 * 2**30 + 16**2 sum to n**2 in int32."""
+        out = np.zeros_like(v)
+        out[:4], out[4] = np.iinfo(np.int16).min, 16
+        return out
+
+    monkeypatch.setattr(relation, "fwht", wrapping)
+    with pytest.raises(InvariantError, match=f"sums to {4 * 2**30 + 256}, not n\\*\\*2 = 256"):
+        sample_outcomes(BitString(0, 16), BitString(0, 16), Rng(1), 3)
+
+
+class CraftedDraws:
+    """An rng whose one outcome draw call returns the given draws."""
+
+    def __init__(self, draws):
+        self.generator = self
+        self.draws = np.asarray(draws, dtype=np.int64)
+
+    def integers(self, low, high, size, dtype):
+        assert low == 0 and size == len(self.draws) and dtype == np.int64
+        return self.draws.copy()
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+def test_blocked_search_equals_full_table_sample(n):
+    """At the ends of the table and of a row, and at every block's end
+    prefix, one below it and the middle of its range, in three rows, the
+    blocked search picks OutcomeDistribution.sample's cell."""
+    x, y, _ = relation.trial_pair(n, Rng(41), 0)
+    dist = outcome_distribution(x, y)
+    height = math.isqrt(n)
+    per_row = n * n
+    draws = [0, per_row - 1, per_row, n**3 - 1]
+    for j in (1, n // 2, n):
+        ends = np.cumsum(dist.numerators[j - 1], dtype=np.int64)[height - 1::height]
+        assert ends[-1] == per_row
+        for before, end in zip([0, *ends[:-1]], ends[:-1]):
+            picks = {end - 1, end, (before + end) // 2}
+            draws += [(j - 1) * per_row + int(r) for r in picks if 0 <= r < per_row]
+    expect = dist.sample(CraftedDraws(draws), len(draws))
+    assert sample_outcomes(x, y, CraftedDraws(draws), len(draws)) == expect
+    with_mass = np.flatnonzero(dist.numerators[0].reshape(height, height).sum(axis=1))
+    assert {o.s.as_unsigned() // height for o in expect if o.j == 1} == set(with_mass.tolist())
 
 
 def test_repetition_guard():

@@ -267,6 +267,26 @@ def test_stacked_stream_equals_naive_table_property(case):
     assert relation.aleph_statistics(xs, ys) == [int(v) for v in stats]
 
 
+@pytest.mark.parametrize("n", [4, 16, 64, 1024])
+def test_trial_signs_equal_trial_pair(n):
+    """trial_pair draws x, then y, as two random_bitstring calls on the
+    trial's child stream; the chunk helper's sign rows are its BitStrings,
+    and both leave every child stream where those calls leave it."""
+    rng = Rng(23)
+    px, windows, children = relation._trial_signs(n, rng, range(5, 12))
+    xs, ys, streams = zip(*(relation.trial_pair(n, rng, i) for i in range(5, 12)))
+    assert px.dtype == windows.dtype == np.int16
+    for k, (x, y) in enumerate(zip(xs, ys)):
+        stream = rng.child(5 + k)
+        assert (x, y) == (random_bitstring(n, stream), random_bitstring(n, stream))
+        assert np.array_equal(px[k], 1 - 2 * x.to_array().astype(np.int16))
+        for j in (0, 1, n - 1, n):
+            assert np.array_equal(windows[k, j], np.roll(1 - 2 * y.to_array().astype(np.int16), -j))
+        assert children[k].u64() == streams[k].u64() == stream.u64()
+    expect_px, expect_windows = relation._stacked_signs(xs, ys)
+    assert np.array_equal(px, expect_px) and np.array_equal(windows, expect_windows)
+
+
 def fix_block_cells(monkeypatch, cells):
     """Makes every block of the streamed statistic hold at most `cells`
     cells, and at least one shift of each pair of its stack."""
