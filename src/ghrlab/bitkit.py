@@ -255,13 +255,12 @@ class Rng:
     shared across call sites by design.
     """
 
-    def __init__(self, seed: int, algorithm: str = RNG_ALGORITHM, stream: int = _ROOT_STREAM) -> None:
-        if algorithm != RNG_ALGORITHM:
-            raise ValueError(f"unknown rng algorithm {algorithm!r}")
+    algorithm = RNG_ALGORITHM
+
+    def __init__(self, seed: int, stream: int = _ROOT_STREAM) -> None:
         if not 0 <= seed < 1 << 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = int(seed)
-        self.algorithm = algorithm
         self.stream = stream
         bits = np.random.Philox(_key_type()(self.seed, stream), counter=_ZERO_COUNTER)
         self.generator = np.random.Generator(bits)
@@ -272,7 +271,7 @@ class Rng:
             raise ValueError(f"stream {self.stream} is a child; nested splitting is unsupported")
         if not 0 <= index < _ROOT_STREAM:
             raise ValueError(f"child index {index} out of range")
-        return Rng(self.seed, self.algorithm, stream=index)
+        return Rng(self.seed, stream=index)
 
     def bits(self, count: int) -> int:
         """count independent fair bits packed into an int."""

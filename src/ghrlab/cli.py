@@ -119,18 +119,22 @@ def replay_header(args) -> list[tuple[str, object]]:
     return header
 
 
+def _estimate_row(args, est):
+    """The one-row result of a Monte Carlo estimate: its replay keys other
+    than rng (HEADER_KEYS), then the estimate and its standard error."""
+    keys = [key for key in HEADER_KEYS[args.subcommand] if key != "rng"]
+    row = (*(getattr(args, key) for key in keys), est.mean, est.stderr)
+    return [row], (*keys, "estimate", "stderr"), None
+
+
 def _cmd_aleph_estimate(args):
-    est = estimate_aleph_probability(args.n, args.trials, Rng(args.seed))
-    schema = ("n", "trials", "seed", "estimate", "stderr")
-    return [(args.n, args.trials, args.seed, est.mean, est.stderr)], schema, None
+    return _estimate_row(args, estimate_aleph_probability(args.n, args.trials, Rng(args.seed)))
 
 
 def _cmd_protocol_success(args):
     if args.t is None:  # resolved here so that the header records the t run
         args.t = answer_length(args.n)
-    est = estimate_success(args.n, args.trials, Rng(args.seed), t=args.t)
-    schema = ("n", "trials", "seed", "t", "estimate", "stderr")
-    return [(args.n, args.trials, args.seed, args.t, est.mean, est.stderr)], schema, None
+    return _estimate_row(args, estimate_success(args.n, args.trials, Rng(args.seed), t=args.t))
 
 
 def _cmd_protocol_failure_exact(args):
@@ -148,9 +152,7 @@ def _cmd_protocol_failure_exact(args):
 
 
 def _cmd_baseline_tghr(args):
-    est = estimate_baseline_success(args.n, args.t, args.trials, Rng(args.seed))
-    schema = ("n", "t", "trials", "seed", "estimate", "stderr")
-    return [(args.n, args.t, args.trials, args.seed, est.mean, est.stderr)], schema, None
+    return _estimate_row(args, estimate_baseline_success(args.n, args.t, args.trials, Rng(args.seed)))
 
 
 def _cmd_coupling_verify(args):

@@ -191,33 +191,31 @@ def require_dp_length(n: int) -> None:
         raise ValueError(f"n must be even in [2, 16], got {n}")
 
 
-def exact_coupled_distribution(s: BitString, _force_z_zero: bool = False) -> CoupledDistTable:
+def exact_coupled_distribution(s: BitString) -> CoupledDistTable:
     """DP marginalisation of the sampler over all a of each fixed weight.
 
-    The keyword _force_z_zero disables stage-2 flips; it exists so tests can
-    show the verification REJECTS a broken sampler.  State space is
-    (remaining weight, accumulated output weight) per step; n must be even
-    in [2, 16] (require_dp_length).  The DP reads s only through its
-    length and weight, so its rows are built once per weight class and shared
-    by every selector of that class.
+    State space is (remaining weight, accumulated output weight) per step;
+    n must be even in [2, 16] (require_dp_length).  The DP reads s only
+    through its length and weight, so its rows are built once per weight
+    class and shared by every selector of that class.
     """
     require_dp_length(s.n)
-    return CoupledDistTable(s.n, s, _class_rows(s.n, s.weight(), _force_z_zero))
+    return CoupledDistTable(s.n, s, _class_rows(s.n, s.weight()))
 
 
-@lru_cache(maxsize=None)  # bounded: even n <= 16, weight in [0, n], two flags
-def _class_rows(n: int, weight: int, _force_z_zero: bool) -> tuple[tuple[Fraction, ...], ...]:
+@lru_cache(maxsize=None)  # bounded: even n <= 16, weight in [0, n]
+def _class_rows(n: int, weight: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows shared by every selector of length n and this weight."""
-    return _coupled_rows(BitString((1 << weight) - 1, n), _force_z_zero)
+    return _coupled_rows(BitString((1 << weight) - 1, n))
 
 
-def _coupled_rows(s: BitString, _force_z_zero: bool) -> tuple[tuple[Fraction, ...], ...]:
+def _coupled_rows(s: BitString) -> tuple[tuple[Fraction, ...], ...]:
     """The DP rows of one selector.  A selector with |s| >= n/2 runs the DP
     itself, uncached; tests compare it with the weight-class rows of every
     selector.  One with |s| < n/2 reverses its complement's class rows."""
     n = s.n
     if 2 * s.weight() < n:
-        inner = _class_rows(n, n - s.weight(), _force_z_zero)
+        inner = _class_rows(n, n - s.weight())
         # complementing a maps weight k to n - k and leaves the output law
         return inner[::-1]
 
@@ -256,11 +254,7 @@ def _coupled_rows(s: BitString, _force_z_zero: bool) -> tuple[tuple[Fraction, ..
                     if weight_count == 0:
                         continue
                     p_pair = pr * Fraction(weight_count, ref)
-                    pz = (
-                        Fraction(0)
-                        if _force_z_zero
-                        else _stage_two_z_probability(m, k, a1 == a2)
-                    )
+                    pz = _stage_two_z_probability(m, k, a1 == a2)
                     key = (k - a1 - a2, 0)
                     base_w = w + (1 - a1) + a2
                     nxt[(key[0], base_w)] += p_pair * (1 - pz)
@@ -286,9 +280,7 @@ class IndependenceReport:
     passed: bool
 
 
-def verify_independence(
-    s: BitString, tol: float = 1e-9, _force_z_zero: bool = False
-) -> IndependenceReport:
+def verify_independence(s: BitString, tol: float = 1e-9) -> IndependenceReport:
     """Compare every conditional row of the DP table against Binomial(n, 1/2).
 
     Reports the worst total-variation distance over the |a| = k rows; with
@@ -297,18 +289,18 @@ def verify_independence(
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
     require_dp_length(s.n)
-    distances = _class_distances(s.n, s.weight(), _force_z_zero)
+    distances = _class_distances(s.n, s.weight())
     worst = max(distances)
     return IndependenceReport(s, float(worst), distances.index(worst), worst <= Fraction(tol))
 
 
 @lru_cache(maxsize=None)  # the same keys as _class_rows
-def _class_distances(n: int, weight: int, _force_z_zero: bool) -> tuple[Fraction, ...]:
+def _class_distances(n: int, weight: int) -> tuple[Fraction, ...]:
     """Total-variation distance of each row of a weight class from Binomial(n, 1/2)."""
     fair = fair_binomial_masses(n)
     return tuple(
         sum(abs(p - q) for p, q in zip(row, fair)) / 2
-        for row in _class_rows(n, weight, _force_z_zero)
+        for row in _class_rows(n, weight)
     )
 
 

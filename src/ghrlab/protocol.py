@@ -39,6 +39,7 @@ from .relation import (
     _spectra,
     _trial_signs,
     aleph_statistic,
+    aleph_statistics,
     answer_length,
     delta_table,
     enumerate_pairs,
@@ -304,7 +305,9 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
 
 
 def exact_success_probability(n: int) -> Fraction:
-    """Average success probability over ALL 4**n input pairs, exactly."""
+    """Average success probability over ALL 4**n input pairs, exactly,
+    from their statistics streamed as stacks (relation.aleph_statistics)."""
     require_transform_size(n)
-    failures = sum((failure_probability_exact(x, y) for x, y in enumerate_pairs(n)), Fraction(0))
+    stats = aleph_statistics(*zip(*enumerate_pairs(n)))
+    failures = sum((failure_probability(n, stat) for stat in stats), Fraction(0))
     return 1 - failures / 4**n

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -216,7 +216,7 @@ def _spectra(
     the sign product goes into the first butterfly buffer, the butterflies
     alternate between the two and the squares fill the third, and corr and
     squares are views of them; otherwise they are fresh arrays, which a
-    table or a rows object may keep."""
+    table may keep."""
     stack, width, n = picked.shape
     if buffers is None:
         a = np.empty((n, stack * width), dtype=np.int16)
@@ -250,45 +250,6 @@ def _spectra(
             f"not n**2 = {n * n}"
         )
     return corr, squares, ends
-
-
-class DeviationRows:
-    """Rows of one pair's squared deviations, each built once on first use.
-
-    squares(j) equals the squared scaled deviations of delta_table(x, y) at
-    row j - 1; only the rows asked for are ever computed, and build() makes
-    several at once from the pair's signs, which are kept."""
-
-    def __init__(self, x: BitString, y: BitString) -> None:
-        _check_pair(x, y)
-        self.x = x
-        self.y = y
-        self.n = x.n
-        self._signs = _signs(x, y)
-        self._rows: dict[int, np.ndarray] = {}
-
-    def build(self, shifts: Iterable[int]) -> None:
-        """Build every row among shifts not yet built, in one transform."""
-        missing = sorted({j for j in shifts if j not in self._rows})
-        if not missing:
-            return
-        for j in (missing[0], missing[-1]):
-            if not 1 <= j <= self.n:
-                raise ValueError(f"shift {j} outside [1, {self.n}]")
-        px, windows = self._signs
-        squares = _spectra(px, windows[:, missing], np.array(missing), 0)[1]
-        for k, j in enumerate(missing):
-            self._rows[j] = squares[:, k]
-
-    def squares(self, j: int) -> np.ndarray:
-        self.build((j,))
-        return self._rows[j]
-
-    def accepts(self, answer: Sequence[TransformIndex]) -> bool:
-        """Relation check of a log2 n entry answer (_answer_valid)."""
-        n = self.n
-        outside = sum(1 for t in answer if self.squares(t.j)[t.s.as_unsigned()] > n)
-        return _answer_valid(outside, self._signs)
 
 
 def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -452,7 +413,10 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
     """Gap-Hamming relation check for an answer of log2 n transform indices.
 
     Atypical pairs accept anything.  Typical pairs need at least half of the
-    entries to land outside the center window.
+    entries to land outside the center window.  The answer's rows are read
+    in one transform (_spectra), one column per entry, so a repeated shift
+    is a repeated column; typicality is streamed only when the entries
+    leave validity open (_answer_valid).
     """
     _check_pair(x, y)
     m = answer_length(x.n)
@@ -460,7 +424,14 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
         raise ValueError(f"answer must have {m} entries, got {len(answer)}")
     if any(t.s.n != m for t in answer):
         raise ValueError(f"selectors must have {m} bits")
-    return DeviationRows(x, y).accepts(answer)
+    for t in answer:
+        if not 1 <= t.j <= x.n:
+            raise ValueError(f"shift {t.j} outside [1, {x.n}]")
+    px, windows = signs = _signs(x, y)
+    shifts = np.array([t.j for t in answer])
+    squares = _spectra(px, windows[:, shifts], shifts, 0)[1]
+    cells = squares[[t.s.as_unsigned() for t in answer], np.arange(m)]
+    return _answer_valid(int(np.count_nonzero(cells > x.n)), signs)
 
 
 def tghr_is_valid(x: BitString, y: BitString, tau: BitString) -> bool:
@@ -564,9 +535,10 @@ def estimate_aleph_probability(n: int, trials: int, rng: Rng) -> McEstimate:
 
 
 def exact_aleph_probability(n: int) -> Fraction:
-    """Exact typical-pair probability by exhausting all 4**n input pairs."""
+    """Exact typical-pair probability by exhausting all 4**n input pairs,
+    streamed as stacks through aleph_statistics."""
     require_transform_size(n)
-    count = sum(aleph(x, y) for x, y in enumerate_pairs(n))
+    count = sum(is_typical(n, stat) for stat in aleph_statistics(*zip(*enumerate_pairs(n))))
     return Fraction(count, 1 << (2 * n))
 
 

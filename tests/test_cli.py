@@ -127,17 +127,16 @@ def test_coupling_verify_runs_one_dp_per_weight_class(monkeypatch, capsys):
     built = []
     real = coupling._coupled_rows
     monkeypatch.setattr(
-        coupling, "_coupled_rows", lambda s, force: built.append(s.weight()) or real(s, force)
+        coupling, "_coupled_rows", lambda s: built.append(s.weight()) or real(s)
     )
     assert main(["coupling-verify", "--n", "6"]) == 0
     capsys.readouterr()
     assert sorted(built) == list(range(7))  # 64 selectors, 7 weight classes
 
 
-def test_coupling_failure_names_selector_and_k(monkeypatch, capsys):
-    broken = lambda s, tol: coupling.verify_independence(s, tol, _force_z_zero=True)
-    monkeypatch.setattr(cli, "verify_independence", broken)
-    assert main(["coupling-verify", "--n", "4"]) == 1
+def test_coupling_failure_names_selector_and_k(broken_dp, capsys):
+    with broken_dp():
+        assert main(["coupling-verify", "--n", "4"]) == 1
     captured = capsys.readouterr()
     assert captured.out.startswith("# subcommand=coupling-verify")  # the CSV is still written
     first = next(l for l in captured.out.splitlines()[4:] if l.endswith(",0"))

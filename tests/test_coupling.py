@@ -56,7 +56,7 @@ def test_weight_class_rows_equal_uncached_per_selector_dp(n):
         s = BitString(value, n)
         table = exact_coupled_distribution(s)
         assert table.s == s
-        assert table.rows == coupling._coupled_rows(s, False)
+        assert table.rows == coupling._coupled_rows(s)
 
 
 def test_rows_are_distributions():
@@ -66,20 +66,25 @@ def test_rows_are_distributions():
         assert all(p >= 0 for p in table.row(k))
 
 
-def test_verify_independence_passes_and_has_teeth():
+def test_verify_independence_passes_and_has_teeth(broken_dp):
     good = verify_independence(bs("1100"))
     assert good.passed and good.max_tv == 0.0
-    broken = verify_independence(bs("1100"), _force_z_zero=True)
+    with broken_dp():
+        broken = verify_independence(bs("1100"))
     assert not broken.passed
-    assert broken.max_tv > 0.1
+    assert broken.max_tv == 0.625
+    # the cached rows of the broken DP are gone with it
+    again = verify_independence(bs("1100"))
+    assert again.passed and again.max_tv == 0.0
 
 
-def test_tolerance_is_finite_and_compared_exactly():
+def test_tolerance_is_finite_and_compared_exactly(broken_dp):
     s = bs("0001")  # broken sampler: worst TV exactly 1/3, whose float rounds down
-    broken = verify_independence(s, tol=0.5, _force_z_zero=True)
-    assert broken.passed and broken.worst_k == 2
-    assert Fraction(broken.max_tv) < Fraction(1, 3)
-    assert not verify_independence(s, tol=broken.max_tv, _force_z_zero=True).passed
+    with broken_dp():
+        broken = verify_independence(s, tol=0.5)
+        assert broken.passed and broken.worst_k == 2
+        assert Fraction(broken.max_tv) < Fraction(1, 3)
+        assert not verify_independence(s, tol=broken.max_tv).passed
     for tol in (math.inf, math.nan, -1e-9):
         with pytest.raises(ValueError, match="tol must be a finite nonnegative number"):
             verify_independence(s, tol=tol)

@@ -155,6 +155,15 @@ def test_failure_probability_exact_n4_values():
     assert exact_success_probability(4) == 1
 
 
+def test_exhaustive_probabilities_stream_all_pairs_as_one_stack(monkeypatch):
+    stacks = []
+    real = relation._window_sums
+    monkeypatch.setattr(relation, "_window_sums", lambda px, w: stacks.append(len(px)) or real(px, w))
+    assert relation.exact_aleph_probability(4) == Fraction(1, 2)
+    assert exact_success_probability(4) == 1
+    assert stacks == [256, 256]  # one block of the 256 pairs' 4 shifts each
+
+
 @pytest.mark.parametrize("n", [4, 16, 64, 256])
 def test_failure_probability_positive_case(n):
     """The streamed statistic gives the full table's failure probability and

@@ -11,7 +11,6 @@ import ghrlab.relation as relation
 from ghrlab.bitkit import BitString, Rng, fwht, random_bitstring
 from ghrlab.relation import (
     MAX_TRANSFORM_SIZE,
-    DeviationRows,
     McEstimate,
     TransformIndex,
     aleph,
@@ -377,7 +376,7 @@ def test_ghr_valid_builds_the_pair_signs_once(monkeypatch):
     outside = [TransformIndex(4, bs("10")), TransformIndex(2, bs("10"))]
     inside = [TransformIndex(1, bs("00")), TransformIndex(2, bs("00"))]
     # the second answer leaves validity to the typicality fallback, which
-    # reads the rows object's signs
+    # reads the same signs
     for answer, fallback in ((outside, 0), (inside, 1)):
         signs.clear()
         ghr_is_valid(x, y, answer)
@@ -398,42 +397,33 @@ def test_ghr_answer_length_enforced():
         ghr_is_valid(x, y, [TransformIndex(1, bs("00"))])
     with pytest.raises(ValueError):
         ghr_is_valid(x, y, [TransformIndex(1, bs("00")), TransformIndex(1, bs("000"))])
-    with pytest.raises(ValueError):
-        ghr_is_valid(x, y, [TransformIndex(1, bs("00")), TransformIndex(5, bs("00"))])
+    for j in (0, 5):
+        with pytest.raises(ValueError, match=rf"shift {j} outside \[1, 4\]"):
+            ghr_is_valid(x, y, [TransformIndex(1, bs("00")), TransformIndex(j, bs("00"))])
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([4, 16, 64, 256]),
-    st.integers(0, 2**64 - 1),
-)
-def test_rows_equal_table_rows(n, seed):
-    rng = Rng(seed)
-    x = random_bitstring(n, rng)
-    y = random_bitstring(n, rng)
-    dev = delta_table(x, y).scaled_deviations()
-    rows = DeviationRows(x, y)
-    shifts = sorted({1, 2, n // 2, n - 1, n, rng.below(n) + 1})
-    together = DeviationRows(x, y)
-    together.build(reversed(shifts))  # every row from one transform
-    for j in shifts:
-        assert np.array_equal(DeviationRows(x, y).squares(j), dev[j - 1] ** 2)
-        assert np.array_equal(rows.squares(j), dev[j - 1] ** 2)
-        assert np.array_equal(together.squares(j), dev[j - 1] ** 2)
-
-
-def test_rows_are_built_once(monkeypatch):
-    count = transformed_shifts(monkeypatch)
+def test_ghr_valid_reads_the_answer_in_one_transform(monkeypatch):
     rng = Rng(5)
-    rows = DeviationRows(random_bitstring(64, rng), random_bitstring(64, rng))
-    rows.build([9, 3, 9])
-    assert count == [2]
-    for j in (3, 9):
-        rows.squares(j)
-    rows.build([9, 3])
-    assert count == [2]  # the same rows again: nothing rebuilt
-    rows.squares(4)
-    assert count == [3]
+    n, m = 64, answer_length(64)
+    x, y = random_bitstring(n, rng), random_bitstring(n, rng)
+    squares = delta_table(x, y).squares
+
+    def answer(cells):
+        return [TransformIndex(int(j) + 1, BitString(int(s), m)) for j, s in cells[:m]]
+
+    columns = []
+    real = relation._spectra
+    monkeypatch.setattr(
+        relation, "_spectra", lambda px, picked, *rest: columns.append(picked.shape[:2]) or real(px, picked, *rest)
+    )
+    aleph(x, y)
+    stream = columns[:]  # the typicality stream's transforms
+    columns.clear()
+    assert ghr_is_valid(x, y, answer(np.argwhere(squares > n)))  # decided by its entries
+    assert columns == [(1, m)]
+    columns.clear()
+    ghr_is_valid(x, y, answer(np.argwhere(squares <= n)))  # left open: typicality decides
+    assert columns == [(1, m)] + stream
 
 
 def test_corrupted_row_trips_parseval_check(monkeypatch):
@@ -444,8 +434,8 @@ def test_corrupted_row_trips_parseval_check(monkeypatch):
 
     monkeypatch.setattr(relation, "fwht", corrupted)
     x, y = bs("0100"), bs("1110")
-    with pytest.raises(InvariantError, match="n\\*\\*2 = 16"):
-        DeviationRows(x, y).squares(3)
+    with pytest.raises(InvariantError, match="row j=3 .*n\\*\\*2 = 16"):
+        ghr_is_valid(x, y, [TransformIndex(3, bs("00"))] * 2)
     # a full table runs the same check on every row; here every row is off
     with pytest.raises(InvariantError, match="row j=1 .*n\\*\\*2 = 16"):
         delta_table(x, y)
@@ -454,21 +444,23 @@ def test_corrupted_row_trips_parseval_check(monkeypatch):
 
 
 def test_ghr_valid_equals_full_table_reference():
-    """Answer-first check against the table-first definition."""
+    """Answer-first check against the table-first definition, on answers of
+    random shifts, of the edge shifts 1 and n, and of one shift repeated."""
     rng = Rng(11)
-    n = 16
-    m = answer_length(n)
-    seen = set()
-    for _ in range(60):
-        x = random_bitstring(n, rng)
-        y = random_bitstring(n, rng)
-        table = delta_table(x, y)
-        answer = [TransformIndex(rng.below(n) + 1, BitString(rng.below(n), m)) for _ in range(m)]
-        outside = sum((2 * table.entry(t.j, t.s) - n) ** 2 > n for t in answer)
-        expect = (not table.aleph()) or 2 * outside >= m
-        assert ghr_is_valid(x, y, answer) == expect
-        seen.add(expect)
-    assert seen == {True, False}
+    for n in (4, 16, 64, 256):
+        m = answer_length(n)
+        seen = set()
+        for _ in range(60 if n == 16 else 20):
+            x = random_bitstring(n, rng)
+            y = random_bitstring(n, rng)
+            table = delta_table(x, y)
+            for shifts in ([rng.below(n) + 1 for _ in range(m)], [1, n] * (m // 2), [rng.below(n) + 1] * m):
+                answer = [TransformIndex(j, BitString(rng.below(n), m)) for j in shifts]
+                outside = sum((2 * table.entry(t.j, t.s) - n) ** 2 > n for t in answer)
+                expect = (not table.aleph()) or 2 * outside >= m
+                assert ghr_is_valid(x, y, answer) == expect
+                seen.add(expect)
+        assert seen == {True, False}, n
 
 
 def test_tghr_threshold_is_exact():
@@ -499,7 +491,8 @@ def test_ghd_value_three_zones():
 
 
 def test_exact_aleph_probability_small():
-    assert exact_aleph_probability(4) == Fraction(1, 2)
+    typical = sum(delta_table_naive(x, y).aleph() for x, y in enumerate_pairs(4))
+    assert exact_aleph_probability(4) == Fraction(typical, 256) == Fraction(1, 2)
     with pytest.raises(ValueError):
         exact_aleph_probability(64)
 
