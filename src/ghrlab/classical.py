@@ -245,6 +245,8 @@ def relative_weight(
     if mode == "mc":
         if trials is None or rng is None:
             raise ValueError("mc mode needs trials and rng")
+        if trials < 1:
+            raise ValueError(f"mc mode needs trials >= 1, got {trials}")
         key_set = set(keys)
         hits = 0
         for i in range(trials):
@@ -273,8 +275,12 @@ def relative_weights(rect: RectangleSpec, dist_sets: Iterable[Iterable[int]]) ->
     return weights
 
 
-def _rejection_sample(n: int, member: Callable[[BitString], bool], rng: Rng, cap: int = 100000) -> BitString:
-    for _ in range(cap):
+# Draws _rejection_sample makes before it gives up on a rectangle side
+_REJECTION_CAP = 100000
+
+
+def _rejection_sample(n: int, member: Callable[[BitString], bool], rng: Rng) -> BitString:
+    for _ in range(_REJECTION_CAP):
         z = random_bitstring(n, rng)
         if member(z):
             return z

@@ -1,16 +1,14 @@
 """Simultaneous-message protocol simulation via its exact outcome law.
 
 The joint measurement outcome (J, S) for inputs (x, y) has probability
-(2*delta - n)**2 / n**3 at cell (j, s), where delta = delta(x, y, (j, s)).
-OutcomeDistribution stores the integer numerators over the fixed denominator
-n**3, so normalization is the exact table identity and sampling reduces to
-one uniform integer draw below n**3 per outcome.  Every row of numerators
-sums to exactly n**2, so a draw r lands in row r // n**2 and protocol runs
-build only the rows their draws land in, for a chunk of trials at a time
-(_outcomes; sample_outcomes is its one-pair case), and typicality and
-failure come from the streamed in-window statistic.  The explicit state
-vectors (phi on n coordinates, u on n**2) are provided so the closed form
-can be checked against squared inner products.
+(2*delta - n)**2 / n**3 at cell (j, s), where delta = delta(x, y, (j, s)),
+so sampling reduces to one uniform integer draw below n**3 per outcome.
+Every row of those numerators sums to exactly n**2, so a draw r lands in row
+r // n**2 and protocol runs build only the rows their draws land in, for a
+chunk of trials at a time (_outcomes; sample_outcomes is its one-pair
+case), and typicality and failure come from the streamed in-window
+statistic.  The full-table law, oracle.OutcomeDistribution, and the
+explicit state vectors it is checked against live in ghrlab.oracle.
 
 A full protocol answer is log2 n independent outcomes; the t-repetition
 variant samples only t outcomes and tiles them in order (o_1..o_t, o_1..o_t,
@@ -20,15 +18,13 @@ variant samples only t outcomes and tiles them in order (o_1..o_t, o_1..o_t,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bitkit import BitString, Rng, fourier_pattern
+from .bitkit import BitString, Rng
 from .relation import (
     _STAT_BLOCK_CELLS,
-    DeltaTable,
     McEstimate,
     TransformIndex,
     _answer_valid,
@@ -41,111 +37,10 @@ from .relation import (
     aleph_statistic,
     aleph_statistics,
     answer_length,
-    delta_table,
     enumerate_pairs,
     is_typical,
     require_transform_size,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """A real amplitude vector with unit norm up to float error."""
-
-    dim: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def phi_vector(z: BitString) -> StateVector:
-    """Message state of input z: amplitude (-1)**z_i / sqrt(n) at i."""
-    signs = 1.0 - 2.0 * z.to_array().astype(np.float64)
-    return StateVector(z.n, signs / math.sqrt(z.n))
-
-
-def u_vector(t: TransformIndex, n: int) -> StateVector:
-    """Measurement basis vector for (j, s) on the n**2-dimensional pair space.
-
-    Support sits on coordinates (i, sigma_j(i)) with sign given by the Walsh
-    pattern of s, amplitude 1/sqrt(n) each.
-    """
-    require_transform_size(n)
-    j, s = t
-    if not 1 <= j <= n:
-        raise ValueError(f"shift {j} outside [1, {n}]")
-    tau = fourier_pattern(s, n).to_array()
-    amps = np.zeros(n * n)
-    root = 1.0 / math.sqrt(n)
-    for i0 in range(n):
-        target = (i0 + j) % n
-        amps[i0 * n + target] = root * (1.0 - 2.0 * float(tau[i0]))
-    return StateVector(n * n, amps)
-
-
-class OutcomeDistribution:
-    """Exact outcome law of the joint measurement for one input pair.
-
-    numerators[j - 1, s.as_unsigned()] over the denominator n**3, as exact
-    integers; probability() is a Fraction and probabilities() the float view.
-    """
-
-    def __init__(self, n: int, numerators: np.ndarray):
-        require_transform_size(n)
-        self.n = n
-        self.numerators = numerators
-        self._cumulative = None
-
-    @classmethod
-    def from_table(cls, table: DeltaTable) -> "OutcomeDistribution":
-        return cls(table.n, table.squares)
-
-    @property
-    def denominator(self) -> int:
-        return self.n**3
-
-    def probability(self, j: int, s: BitString) -> Fraction:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"shift {j} outside [1, {self.n}]")
-        return Fraction(int(self.numerators[j - 1, s.as_unsigned()]), self.denominator)
-
-    def probabilities(self) -> np.ndarray:
-        """Dense float probabilities, rows j - 1, columns s.as_unsigned()."""
-        return self.numerators / self.denominator
-
-    def total_mass(self) -> Fraction:
-        """Exact total; equals 1 by the table's deviation-square identity."""
-        return Fraction(int(np.sum(self.numerators, dtype=np.int64)), self.denominator)
-
-    def max_probability(self) -> Fraction:
-        """Largest single outcome probability; never exceeds 1/n."""
-        return Fraction(int(self.numerators.max()), self.denominator)
-
-    def in_window_mass(self) -> Fraction:
-        """Probability of landing in the center window; this is the success
-        parameter p of one repetition."""
-        flat = self.numerators
-        return Fraction(int(np.sum(flat[flat <= self.n], dtype=np.int64)), self.denominator)
-
-    def sample(self, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
-        """count independent outcomes, via exact inversion of the integer
-        cumulative row."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        if self._cumulative is None:
-            self._cumulative = np.cumsum(self.numerators.reshape(-1), dtype=np.int64)
-        draws = rng.generator.integers(0, self.denominator, size=count, dtype=np.int64)
-        idx = np.searchsorted(self._cumulative, draws, side="right")
-        k = answer_length(self.n)
-        return tuple(
-            TransformIndex(int(i) // self.n + 1, BitString(int(i) % self.n, k)) for i in idx
-        )
-
-
-def outcome_distribution(x: BitString, y: BitString) -> OutcomeDistribution:
-    """Exact outcome law for inputs (x, y)."""
-    return OutcomeDistribution.from_table(delta_table(x, y))
 
 
 def require_repetitions(n: int, t: int) -> None:
@@ -159,7 +54,7 @@ def require_repetitions(n: int, t: int) -> None:
 
 def _draws(rng: Rng, n: int, count: int) -> np.ndarray:
     """count outcome draws, each uniform below n**3, as
-    OutcomeDistribution.sample takes them."""
+    oracle.OutcomeDistribution.sample takes them."""
     return rng.generator.integers(0, n**3, size=count, dtype=np.int64)
 
 
@@ -170,10 +65,10 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
     px and windows are the stack's signs (relation._stacked_signs), and
     draws[i] holds the draws of its pair i.  The full table's row-major
     cumulative sum reaches exactly k * n**2 at the end of row k - 1, so, as
-    in OutcomeDistribution.sample, draw r lands in shift j = r // n**2 + 1
-    at selector s, the first cell whose prefix sum within that row exceeds
-    rem = r mod n**2, which is the number of prefix sums at most rem
-    (searchsorted with side="right").
+    in oracle.OutcomeDistribution.sample, draw r lands in shift
+    j = r // n**2 + 1 at selector s, the first cell whose prefix sum within
+    that row exceeds rem = r mod n**2, which is the number of prefix sums at
+    most rem (searchsorted with side="right").
 
     Each pair's distinct rows are the columns of one (n, columns) block,
     transformed by relation._spectra in one _block_buffers allocation.  Its
@@ -197,7 +92,7 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
     columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     pair, shift = np.divmod(columns, n + 1)
     buffers = _block_buffers(n * columns.size)
-    _, squares, ends = _spectra(
+    squares, ends = _spectra(
         px[pair], windows[pair, shift][:, None], shift[:, None], pair[:, None], buffers, height
     )
     col = np.searchsorted(columns, keys)
@@ -212,8 +107,8 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
 
 def sample_outcomes(x: BitString, y: BitString, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
     """count independent outcomes for the pair (x, y), identical to
-    OutcomeDistribution.sample on its full table for the same rng state:
-    the one-pair case of _outcomes."""
+    oracle.OutcomeDistribution.sample on its full table for the same rng
+    state: the one-pair case of _outcomes."""
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(x, y)
@@ -259,7 +154,8 @@ def failure_probability(n: int, statistic: int) -> Fraction:
 
     Atypical pairs never fail.  Typical pairs fail iff more than half of the
     log2 n sampled cells are in-window, each independently with the exact
-    in-window mass p = statistic / n**3 (OutcomeDistribution.in_window_mass)."""
+    in-window mass p = statistic / n**3
+    (oracle.OutcomeDistribution.in_window_mass)."""
     if not is_typical(n, statistic):
         return Fraction(0)
     return repetition_failure_probability(answer_length(n), Fraction(statistic, n**3))

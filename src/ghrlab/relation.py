@@ -6,10 +6,11 @@ delta(x, y, (j, s)) is the Hamming distance between sigma_j(tau_s xor x) and
 y.  The relation layer works in exact integer arithmetic throughout: a
 distance enters as its scaled deviation 2*delta - n, the center window test
 is (2*delta - n)**2 <= n, and the typicality predicate (is_typical) bounds
-the statistic, the sum of (2*delta - n)**2 over in-window cells, by 4n**3/9.  Summed over ALL cells that square deviation always equals
-n**3 exactly, which the table type exposes for verification; summed along
-one shift row it equals n**2, which every table and row is checked for as
-one integer Walsh-Hadamard transform (bitkit.fwht) builds it.
+the statistic, the sum of (2*delta - n)**2 over in-window cells, by 4n**3/9.
+Summed along one shift row the square deviation equals n**2 exactly, which
+every row is checked for as one integer Walsh-Hadamard transform
+(bitkit.fwht) builds it; no run path builds the whole n x n table, which
+lives in ghrlab.oracle.
 
 n must be a power of 4 so that sqrt(n) and log2(n)/2 are integers.
 """
@@ -24,20 +25,21 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bitkit import BitString, Rng, fourier_pattern, fwht
+from .bitkit import BitString, Rng, fwht
 from .util import InvariantError, map_trials
 
 MAX_TRANSFORM_SIZE = 4096
-# Bytes per cell alive when delta_table returns: the int16 spectrum, its int32
-# squares and the int64 distances (the transform peaks at three int16 arrays)
+# Bytes per cell alive when oracle.delta_table returns: the int16 spectrum,
+# its int32 squares and the int64 distances
 _TABLE_BYTES_PER_CELL = 2 + 4 + 8
 
 
 def require_transform_size(n: int) -> None:
     """Reject n that is not 4**k with 1 <= k <= 6.
 
-    The cap keeps one full table within memory: at n = 4096 building it
-    needs about 224 MiB, and every doubling of n multiplies that by four."""
+    The cap keeps one full table (oracle.delta_table) within memory: at
+    n = 4096 building it needs about 224 MiB, and every doubling of n
+    multiplies that by four."""
     if n < 4 or n & (n - 1) or (n.bit_length() - 1) % 2:
         raise ValueError(f"n must be a power of 4 and >= 4, got {n}")
     if n > MAX_TRANSFORM_SIZE:
@@ -59,82 +61,6 @@ class TransformIndex(NamedTuple):
 
     j: int
     s: BitString
-
-
-@dataclass(frozen=True, eq=False)
-class DeltaTable:
-    """All n**2 transformed distances of one input pair.
-
-    values[j - 1, s.as_unsigned()] = delta(x, y, (j, s)), as int64, and
-    squares holds (2*delta - n)**2 for the same cells, computed once with the
-    table; every predicate below reads squares.
-    """
-
-    n: int
-    values: np.ndarray
-    squares: np.ndarray
-
-    def entry(self, j: int, s: BitString) -> int:
-        if not 1 <= j <= self.n:
-            raise ValueError(f"shift {j} outside [1, {self.n}]")
-        if s.n != answer_length(self.n):
-            raise ValueError(f"selector must have {answer_length(self.n)} bits")
-        return int(self.values[j - 1, s.as_unsigned()])
-
-    def scaled_deviations(self) -> np.ndarray:
-        """2*delta - n for every cell."""
-        return 2 * self.values - self.n
-
-    def parseval_sum(self) -> int:
-        """Sum of (2*delta - n)**2 over all cells; equals n**3 exactly."""
-        return int(self.squares.sum(dtype=np.int64))
-
-    def window_mask(self) -> np.ndarray:
-        """True where (2*delta - n)**2 <= n, the inclusive center window."""
-        return self.squares <= self.n
-
-    def aleph_statistic(self) -> int:
-        """Sum of (2*delta - n)**2 over in-window cells."""
-        return int(self.squares.sum(where=self.window_mask(), dtype=np.int64))
-
-    def aleph(self) -> bool:
-        """Typicality of the table's pair (is_typical)."""
-        return is_typical(self.n, self.aleph_statistic())
-
-
-def delta(x: BitString, y: BitString, t: TransformIndex) -> int:
-    """Hamming distance |sigma_j(tau_s xor x) xor y|."""
-    _check_pair(x, y)
-    tau = fourier_pattern(t.s, x.n)
-    return ((tau ^ x).cyclic_shift(t.j) ^ y).weight()
-
-
-def delta_table(x: BitString, y: BitString) -> DeltaTable:
-    """Full table of transformed distances, from one transform over all n
-    shifts.  values and squares are built in the spectra's layout, one column
-    per shift, and returned as transposed views, which spares a copy."""
-    _check_pair(x, y)
-    n = x.n
-    px, windows = _signs(x, y)
-    corr, squares, _ = _spectra(px, windows[:, 1:], np.arange(1, n + 1), 0)  # a view: no n x n window copy
-    values = np.subtract(n, corr, dtype=np.int64)
-    values >>= 1
-    return DeltaTable(n, values.T, squares.T)
-
-
-def delta_table_naive(x: BitString, y: BitString) -> DeltaTable:
-    """Oracle for delta_table: every cell recomputed from the definition
-    with packed word operations."""
-    _check_pair(x, y)
-    n = x.n
-    k = answer_length(n)
-    values = np.empty((n, n), dtype=np.int64)
-    for s_val in range(n):
-        w = fourier_pattern(BitString(s_val, k), n) ^ x
-        for j in range(1, n + 1):
-            values[j - 1, s_val] = (w.cyclic_shift(j) ^ y).weight()
-    dev = 2 * values - n
-    return DeltaTable(n, values, dev * dev)
 
 
 def _check_pair(x: BitString, y: BitString) -> None:
@@ -187,23 +113,22 @@ def _spectra(
     picked: np.ndarray,
     shifts: np.ndarray | int,
     pairs: np.ndarray | int,
-    buffers: tuple[np.ndarray, ...] | None = None,
+    buffers: tuple[np.ndarray, ...],
     height: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walsh spectra of sign products, their squares, and the squares'
-    cumulative block sums.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squares of the Walsh spectra of sign products, and their cumulative
+    block sums.
 
     picked[p, k] is a window roll(py, -j) of some pair (_stacked_signs) and
     px[p] that pair's x signs; shifts[p, k] is the window's shift j and
     pairs[p, k] the pair's position in its stack, each given as anything
     that broadcasts to picked.shape[:2] and read only to name a failed
-    column.  Column p * K + k of corr, for K = picked.shape[1], is the
-    integer FWHT of px[p] * picked[p, k], so corr[s, p * K + k] =
-    n - 2 * delta(x, y, (j, s)) and that column of squares is
-    (2*delta - n)**2 along table row j - 1.  Every butterfly value is a sum
-    of at most n signs, so int16 is exact for n <= MAX_TRANSFORM_SIZE;
-    squares are computed in int32 (squaring in int16 would wrap from
-    n = 256 on).
+    column.  Column p * K + k, for K = picked.shape[1], is transformed from
+    px[p] * picked[p, k]: its integer FWHT at s is n - 2 * delta(x, y, (j, s)),
+    so that column of squares is (2*delta - n)**2 along table row j - 1.
+    Every butterfly value is a sum of at most n signs, so int16 is exact for
+    n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring in
+    int16 would wrap from n = 256 on).
 
     ends[k, c] is the sum of column c of squares over its first
     (k + 1) * height rows, for a height that divides n (all n rows, one
@@ -212,16 +137,12 @@ def _spectra(
     so ends[-1] is n**2 throughout; the first column where it is not raises
     InvariantError naming its shift and its pair.
 
-    Given buffers (from _block_buffers, with room for the block's cells),
-    the sign product goes into the first butterfly buffer, the butterflies
-    alternate between the two and the squares fill the third, and corr and
-    squares are views of them; otherwise they are fresh arrays, which a
-    table may keep."""
+    buffers come from _block_buffers, with room for the block's cells: the
+    sign product goes into the first butterfly buffer, the butterflies
+    alternate between the two and the squares fill the third, of which the
+    returned squares are a view."""
     stack, width, n = picked.shape
-    if buffers is None:
-        a = np.empty((n, stack * width), dtype=np.int16)
-    else:
-        a, b, squares = (buf[: n * stack * width].reshape(n, -1) for buf in buffers)
+    a, b, squares = (buf[: n * stack * width].reshape(n, -1) for buf in buffers)
     # The product goes into the transform's layout with one inner numpy loop
     # per `width` cells of a row.  From 8 cells on that is the faster way;
     # below, the loops cost more than forming the product in the pairs' own
@@ -232,12 +153,7 @@ def _spectra(
         np.multiply(px.T[:, :, None], picked.transpose(2, 0, 1), out=product)
     else:
         product[...] = (px[:, None] * picked).transpose(2, 0, 1)
-    if buffers is None:
-        corr = fwht(a)
-        squares = np.square(corr, dtype=np.int32)
-    else:
-        corr = fwht(a, (b, a))
-        np.square(corr, out=squares, dtype=np.int32)
+    np.square(fwht(a, (b, a)), out=squares, dtype=np.int32)
     height = n if height is None else height
     ends = squares.reshape(n // height, height, -1).sum(axis=1, dtype=np.int64)
     np.cumsum(ends, axis=0, out=ends)
@@ -249,7 +165,7 @@ def _spectra(
             f"row j={j} of pair {pair} in its stack sums to {int(ends[-1, bad[0]])}, "
             f"not n**2 = {n * n}"
         )
-    return corr, squares, ends
+    return squares, ends
 
 
 def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -322,7 +238,7 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
     pairs = np.arange(stack)[:, None]
     for start in range(1, n + 1, step):
         shifts = np.arange(start, min(start + step, n + 1))
-        squares = _spectra(px, windows[:, start:start + shifts.size], shifts, pairs, buffers)[1]
+        squares = _spectra(px, windows[:, start:start + shifts.size], shifts, pairs, buffers)[0]
         mask = masks[: squares.size].reshape(squares.shape)
         np.less_equal(squares, n, out=mask)
         np.multiply(squares, mask, out=squares)
@@ -365,8 +281,8 @@ def aleph_statistic(x: BitString, y: BitString) -> int:
     blocks of consecutive shifts (the whole table up to n = 256, 64 shifts
     beyond) and summed over all n rows, each checked to sum to n**2.  Beyond
     the sign arrays it holds one block's buffers, 8 bytes per cell: 512 KiB
-    at n = 256 and n = 1024, 2 MiB at n = 4096.  DeltaTable.aleph_statistic
-    is the full-table oracle."""
+    at n = 256 and n = 1024, 2 MiB at n = 4096.  oracle.DeltaTable's
+    aleph_statistic is the full-table oracle."""
     return aleph_statistics([x], [y])[0]
 
 
@@ -429,7 +345,7 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
             raise ValueError(f"shift {t.j} outside [1, {x.n}]")
     px, windows = signs = _signs(x, y)
     shifts = np.array([t.j for t in answer])
-    squares = _spectra(px, windows[:, shifts], shifts, 0)[1]
+    squares = _spectra(px, windows[:, shifts], shifts, 0, _block_buffers(x.n * m))[0]
     cells = squares[[t.s.as_unsigned() for t in answer], np.arange(m)]
     return _answer_valid(int(np.count_nonzero(cells > x.n)), signs)
 

@@ -28,17 +28,11 @@ from ghrlab.classical import (
 )
 from ghrlab.cli import main
 from ghrlab.coupling import exact_coupled_distribution, verify_independence
-from ghrlab.protocol import (
-    estimate_success,
-    exact_success_probability,
-    outcome_distribution,
-    phi_vector,
-    u_vector,
-)
+from ghrlab.oracle import delta_table, outcome_distribution, phi_vector, u_vector
+from ghrlab.protocol import estimate_success, exact_success_probability
 from ghrlab.relation import (
     TransformIndex,
     answer_length,
-    delta_table,
     enumerate_pairs,
     estimate_aleph_probability,
     exact_aleph_probability,

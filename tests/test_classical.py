@@ -216,6 +216,9 @@ def test_relative_weight_mc_close_to_exact():
     assert approx == pytest.approx(exact, abs=0.1)
     with pytest.raises(ValueError):
         relative_weight(r, {3}, mode="mc")
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials >= 1"):
+            relative_weight(RectangleSpec.full(6), {3}, mode="mc", trials=trials, rng=Rng(2))
     with pytest.raises(ValueError):
         relative_weight(r, {3}, mode="typo")
 

@@ -13,7 +13,7 @@ import ghrlab.bounds as bounds
 import ghrlab.classical as classical
 import ghrlab.cli as cli
 import ghrlab.coupling as coupling
-import ghrlab.protocol as protocol
+import ghrlab.oracle as oracle
 import ghrlab.relation as relation
 from ghrlab.bitkit import RNG_ALGORITHM, fwht
 from ghrlab.cli import build_parser, main
@@ -87,9 +87,8 @@ def test_protocol_failure_exact_exhaustive(capsys):
 
 def test_protocol_failure_exact_streams_one_statistic_per_pair(monkeypatch, capsys):
     built, streamed = [], []
-    real_table, real_sums = relation.delta_table, relation._window_sums
-    for module in (protocol, relation):
-        monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
+    real_table, real_sums = oracle.delta_table, relation._window_sums
+    monkeypatch.setattr(oracle, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
     monkeypatch.setattr(relation, "_window_sums", lambda px, w: streamed.append(len(px)) or real_sums(px, w))
     assert main(["protocol-failure-exact", "--n", "64", "--trials", "20"]) == 0
     capsys.readouterr()

@@ -9,27 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import ghrlab.oracle as oracle
 import ghrlab.protocol as protocol
 import ghrlab.relation as relation
 from ghrlab.bitkit import BitString, Rng, random_bitstring
+from ghrlab.oracle import OutcomeDistribution, delta_table, outcome_distribution, phi_vector, u_vector
 from ghrlab.protocol import (
-    OutcomeDistribution,
     estimate_success,
     exact_success_probability,
     failure_probability_exact,
-    outcome_distribution,
-    phi_vector,
     repetition_failure_probability,
     run_protocol,
     run_protocol_trep,
     sample_outcomes,
-    u_vector,
 )
 from ghrlab.relation import (
     McEstimate,
     TransformIndex,
     answer_length,
-    delta_table,
     enumerate_pairs,
     is_typical,
 )
@@ -256,9 +253,8 @@ def reference_success(n, trials, rng, t):
 def test_estimate_success_equals_full_table_reference(monkeypatch, n, trials, t):
     expect, unsettled = reference_success(n, trials, Rng(13), answer_length(n) if t is None else t)
     built, streamed = [], []
-    real_table, real_typical = relation.delta_table, relation._typical
-    for module in (protocol, relation):
-        monkeypatch.setattr(module, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
+    real_table, real_typical = oracle.delta_table, relation._typical
+    monkeypatch.setattr(oracle, "delta_table", lambda x, y: built.append(1) or real_table(x, y))
     monkeypatch.setattr(relation, "_typical", lambda *signs: streamed.append(1) or real_typical(*signs))
     assert estimate_success(n, trials, Rng(13), t=t) == expect
     # typicality is streamed exactly for the trials the answer leaves open,

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghrlab.oracle as oracle
 import ghrlab.relation as relation
 from ghrlab.bitkit import BitString, Rng, fwht, random_bitstring
+from ghrlab.oracle import delta, delta_table, delta_table_naive
 from ghrlab.relation import (
     MAX_TRANSFORM_SIZE,
     McEstimate,
@@ -16,9 +18,6 @@ from ghrlab.relation import (
     aleph,
     aleph_statistic,
     answer_length,
-    delta,
-    delta_table,
-    delta_table_naive,
     enumerate_pairs,
     estimate_aleph_probability,
     exact_aleph_probability,
@@ -433,6 +432,7 @@ def test_corrupted_row_trips_parseval_check(monkeypatch):
         return out
 
     monkeypatch.setattr(relation, "fwht", corrupted)
+    monkeypatch.setattr(oracle, "fwht", corrupted)
     x, y = bs("0100"), bs("1110")
     with pytest.raises(InvariantError, match="row j=3 .*n\\*\\*2 = 16"):
         ghr_is_valid(x, y, [TransformIndex(3, bs("00"))] * 2)
