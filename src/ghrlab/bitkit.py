@@ -274,21 +274,18 @@ class Rng:
         return Rng(self.seed, stream=index)
 
     def bits(self, count: int) -> int:
-        """count independent fair bits packed into an int."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        nbytes = (count + 7) // 8
-        raw = self.generator.bytes(nbytes)
-        return int.from_bytes(raw, "big") & ((1 << count) - 1)
+        """count independent fair bits packed into an int: one row of
+        bit_rows."""
+        return int.from_bytes(self.bit_rows(1, count).tobytes(), "big")
 
     def bit_rows(self, rows: int, count: int) -> np.ndarray:
-        """rows draws of bits(count) in one call, as a (rows, ceil(count/8))
+        """rows draws of count fair bits in one call, as a (rows, ceil(count/8))
         uint8 array whose row i holds the big-endian bytes of the i-th draw.
 
-        The stream is read exactly as rows calls of bits(count) read it, and
-        is left at the same position: Generator.bytes(k) takes ceil(k/4)
-        full-range uint32 draws and keeps the first k of their little-endian
-        bytes, and here every row takes the same uint32 draws in turn."""
+        Each row takes ceil(k/4) full-range uint32 draws in turn and keeps
+        the first k = ceil(count/8) of their little-endian bytes, the high
+        bits of its first byte cleared, so the stream is read exactly as rows
+        calls of bits(count) read it and is left at the same position."""
         if count < 1:
             raise ValueError("count must be >= 1")
         nbytes = (count + 7) // 8

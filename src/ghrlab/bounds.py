@@ -586,6 +586,21 @@ def require_shift_size(n: int) -> None:
         raise ValueError(f"shift tails need 2 <= n <= {MAX_SHIFT_N}, got n={n}")
 
 
+# Sampled bits per shift: each shift holds its (trials, n) uint8 draw, the
+# draw's roll and their xor, about 200 MiB at 2**26 bits, and GHRLAB_THREADS
+# shifts run at once.
+MAX_SHIFT_SAMPLES = 1 << 26
+
+
+def require_shift_samples(n: int, trials: int) -> None:
+    """Reject trials draws of n bits per shift above MAX_SHIFT_SAMPLES."""
+    if trials * n > MAX_SHIFT_SAMPLES:
+        raise ValueError(
+            f"trials * n = {trials * n} sampled bits per shift exceeds the cap 2**26, "
+            f"got n={n}, trials={trials}"
+        )
+
+
 def shift_xor_tail_check(
     n: int,
     t_values: Sequence[float],
@@ -601,6 +616,7 @@ def shift_xor_tail_check(
     require_shift_size(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    require_shift_samples(n, trials)
     if not t_values:
         raise ValueError(f"no t values to check at n={n}")
     if any(t < 0 for t in t_values):

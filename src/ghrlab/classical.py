@@ -63,6 +63,22 @@ def require_reduction_size(n: int) -> None:
         raise ValueError(f"the reduction needs 1 <= n <= {MAX_REDUCTION_N}, got n={n}")
 
 
+# Shared sample bytes per baseline run: the byte-popcount pass indexes
+# _BYTE_WEIGHTS with an intp array, so a run's peak memory grows by about 11
+# bytes per sample byte, about 176 MiB at 2**24 bytes.
+MAX_SHARED_SAMPLE_BYTES = 1 << 24
+
+
+def require_shared_samples(n: int, t: int) -> None:
+    """Reject t samples of n bits that hold more than MAX_SHARED_SAMPLE_BYTES
+    bytes: tghr_baseline draws all t * ceil(n/8) of them at once."""
+    size = t * ((n + 7) // 8)
+    if size > MAX_SHARED_SAMPLE_BYTES:
+        raise ValueError(
+            f"t * ceil(n/8) = {size} shared sample bytes exceeds the cap 2**24, got n={n}, t={t}"
+        )
+
+
 def tghr_baseline(
     x: BitString, y: BitString, t: int, shared_rng: Rng
 ) -> tuple[BitString, bool]:
@@ -80,6 +96,7 @@ def tghr_baseline(
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     if t < 1:
         raise ValueError("t must be >= 1")
+    require_shared_samples(x.n, t)
     samples = shared_rng.bit_rows(t, x.n)
     x_bytes = np.frombuffer(x.value.to_bytes(samples.shape[1], "big"), dtype=np.uint8)
     weights = np.take(_BYTE_WEIGHTS, samples ^ x_bytes).sum(axis=1)
@@ -93,6 +110,7 @@ def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstima
     shared stream is the rest of rng.child(i) after its pair."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    require_shared_samples(n, t)
 
     def accept(x: BitString, y: BitString, child: Rng) -> bool:
         return tghr_baseline(x, y, t, child)[1]

@@ -2,9 +2,10 @@
 
 Every run writes one CSV whose leading `# key=value` comment lines hold the
 full replay configuration (subcommand, numeric flags, rectangle family,
-generator algorithm), read off the parsed arguments through one key list
-per subcommand (HEADER_KEYS).  Output is a pure function of that header:
-reruns are byte-identical, including under different GHRLAB_THREADS settings.
+generator algorithm), read off the parsed arguments in the order that
+build_parser declares each subcommand's flags.  Output is a pure function of
+that header: reruns are byte-identical, including under different
+GHRLAB_THREADS settings.
 
 Exit codes: 0 success; 1 when a declared mathematical invariant fails the
 run's check (the first violating point goes to stderr) or output cannot be
@@ -24,6 +25,7 @@ from .bitkit import RNG_ALGORITHM, BitString, Rng
 from .bounds import (
     chernoff_dominance_report,
     hoeffding_dominance_report,
+    require_shift_samples,
     require_shift_size,
     shift_xor_tail_check,
     window_lower_dominance_report,
@@ -37,6 +39,7 @@ from .classical import (
     relative_weights,
     require_enumerable,
     require_reduction_size,
+    require_shared_samples,
     xi_parameters,
 )
 from .coupling import require_dp_length, verify_independence
@@ -87,22 +90,10 @@ def write_csv(rows, schema, path, header) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-# Replay header of each subcommand: after subcommand=, these keys in order,
-# each a parsed flag or "rng" for the generator algorithm.
-HEADER_KEYS = {
-    "aleph-estimate": ("n", "trials", "seed", "rng"),
-    "protocol-success": ("n", "trials", "seed", "t", "rng"),
-    "protocol-failure-exact": ("n", "trials", "seed", "exhaustive", "rng"),
-    "baseline-tghr": ("n", "t", "trials", "seed", "rng"),
-    "coupling-verify": ("n", "tol"),
-    "bounds-validate": ("n", "trials", "seed", "rng"),
-    "reduction-demo": ("n", "trials", "seed", "rect", "c1", "c2", "rng"),
-    "rect-spectrum": ("n", "rect"),
-}
-
-
 def replay_header(args) -> list[tuple[str, object]]:
-    """The (key, value) lines that replay a run from its parsed arguments.
+    """The (key, value) lines that replay a run from its parsed arguments:
+    the command's flags in declaration order, then rng for the generator
+    algorithm when it takes --seed.
 
     Keys for randomness a run does not use are left out: an exhaustive
     protocol-failure-exact has no trials or seed, and bounds-validate
@@ -113,18 +104,17 @@ def replay_header(args) -> list[tuple[str, object]]:
     elif args.subcommand == "bounds-validate" and args.trials == 0:
         skip = {"rng"}
     header = [("subcommand", args.subcommand)]
-    for key in HEADER_KEYS[args.subcommand]:
-        if key not in skip:
-            header.append((key, RNG_ALGORITHM if key == "rng" else getattr(args, key)))
+    header += [(key, getattr(args, key)) for key in args.replay if key not in skip]
+    if "seed" in args.replay and "rng" not in skip:
+        header.append(("rng", RNG_ALGORITHM))
     return header
 
 
 def _estimate_row(args, est):
-    """The one-row result of a Monte Carlo estimate: its replay keys other
-    than rng (HEADER_KEYS), then the estimate and its standard error."""
-    keys = [key for key in HEADER_KEYS[args.subcommand] if key != "rng"]
-    row = (*(getattr(args, key) for key in keys), est.mean, est.stderr)
-    return [row], (*keys, "estimate", "stderr"), None
+    """The one-row result of a Monte Carlo estimate: the command's flags in
+    declaration order, then the estimate and its standard error."""
+    row = (*(getattr(args, key) for key in args.replay), est.mean, est.stderr)
+    return [row], (*args.replay, "estimate", "stderr"), None
 
 
 def _cmd_aleph_estimate(args):
@@ -230,147 +220,117 @@ def _cmd_rect_spectrum(args):
     return rows, ("dist_set", "rw"), None
 
 
-_HANDLERS = {
-    "aleph-estimate": _cmd_aleph_estimate,
-    "protocol-success": _cmd_protocol_success,
-    "protocol-failure-exact": _cmd_protocol_failure_exact,
-    "baseline-tghr": _cmd_baseline_tghr,
-    "coupling-verify": _cmd_coupling_verify,
-    "bounds-validate": _cmd_bounds_validate,
-    "reduction-demo": _cmd_reduction_demo,
-    "rect-spectrum": _cmd_rect_spectrum,
-}
-
-
-def _checked_int(guard):
-    """argparse type: an int that guard accepts, else a usage error (exit 2).
-
-    guard raises ValueError for a refused value; argparse prefixes its
-    message with the flag, and a refused value never reaches a handler."""
-    def parse(text: str) -> int:
-        value = int(text)
-        try:
-            guard(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-        return value
-
-    parse.__name__ = "int"  # argparse names the type in its message for a non-integer
-    return parse
-
-
-def _int_at_least(low: int):
-    """argparse type: an int >= low, else a usage error (exit 2)."""
+def _at_least(low: int):
+    """A flag guard: refuse a value below low."""
     def guard(value: int) -> None:
         if value < low:
             raise ValueError(f"must be >= {low}, got {value}")
 
-    return _checked_int(guard)
+    return guard
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parsing never changes it."""
+    """The CLI's parser, built once per process; parsing never changes it.
+
+    Each subcommand is declared once: its handler, its cross-flag checks as
+    (flags, check(args)) pairs, then its flags in replay-header order, each
+    with an optional guard on its parsed value."""
     parser = argparse.ArgumentParser(
         prog="ghrlab", description="Gap-Hamming relation experiments, CSV out."
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, handler, *checks):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        p.set_defaults(usage_error=p.error)  # this command's usage, for _FLAG_CHECKS
-        return p
+        replay, guards = [], []
+        p.set_defaults(handler=handler, replay=replay, guards=guards, checks=checks, usage_error=p.error)
 
-    transform_n = _checked_int(require_transform_size)
+        def flag(key, guard=None, **options):
+            p.add_argument(f"--{key}", **options)
+            replay.append(key)
+            if guard is not None:  # a None default is the handler's to resolve
+                guards.append((f"--{key}", lambda a: getattr(a, key) is None or guard(getattr(a, key))))
 
-    p = add("aleph-estimate", "Monte Carlo estimate of the typicality probability")
-    p.add_argument("--n", type=transform_n, required=True)
-    p.add_argument("--trials", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=0)
+        return flag
 
-    p = add("protocol-success", "Monte Carlo protocol success rate on uniform pairs")
-    p.add_argument("--n", type=transform_n, required=True)
-    p.add_argument("--trials", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=_int_at_least(1), default=None, help="outcome samples per run (default log2 n)")
+    flag = add("aleph-estimate", "Monte Carlo estimate of the typicality probability", _cmd_aleph_estimate)
+    flag("n", require_transform_size, type=int, required=True)
+    flag("trials", _at_least(1), type=int, required=True)
+    flag("seed", type=int, default=0)
 
-    p = add("protocol-failure-exact", "exact per-pair failure probabilities")
-    p.add_argument("--n", type=transform_n, required=True)
-    p.add_argument("--exhaustive", action="store_true", help="all pairs (small n)")
-    p.add_argument("--trials", type=_int_at_least(1), default=100, help="sampled pairs when not exhaustive")
-    p.add_argument("--seed", type=int, default=0)
+    flag = add(
+        "protocol-success", "Monte Carlo protocol success rate on uniform pairs", _cmd_protocol_success,
+        ("--t", lambda a: a.t is None or require_repetitions(a.n, a.t)),
+    )
+    flag("n", require_transform_size, type=int, required=True)
+    flag("trials", _at_least(1), type=int, required=True)
+    flag("seed", type=int, default=0)
+    flag("t", _at_least(1), type=int, default=None, help="outcome samples per run (default log2 n)")
 
-    p = add("baseline-tghr", "shared-randomness baseline success rate")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--t", type=_int_at_least(1), required=True, help="shared samples per run")
-    p.add_argument("--trials", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    flag = add("protocol-failure-exact", "exact per-pair failure probabilities", _cmd_protocol_failure_exact)
+    flag("n", require_transform_size, type=int, required=True)
+    flag("trials", _at_least(1), type=int, default=100, help="sampled pairs when not exhaustive")
+    flag("seed", type=int, default=0)
+    flag("exhaustive", action="store_true", help="all pairs (small n)")
 
-    p = add("coupling-verify", "exact coupled-mixture check for every selector")
-    p.add_argument("--n", type=_checked_int(require_dp_length), required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    flag = add(
+        "baseline-tghr", "shared-randomness baseline success rate", _cmd_baseline_tghr,
+        ("--n/--t", lambda a: require_shared_samples(a.n, a.t)),
+    )
+    flag("n", _at_least(1), type=int, required=True)
+    flag("t", _at_least(1), type=int, required=True, help="shared samples per run")
+    flag("trials", _at_least(1), type=int, required=True)
+    flag("seed", type=int, default=0)
 
-    p = add("bounds-validate", "tail-bound dominance grids, plus sampled shift tails")
-    p.add_argument("--n", type=_checked_int(require_shift_size), default=256)
-    p.add_argument("--trials", type=_int_at_least(0), default=0, help="samples per shift (0 skips)")
-    p.add_argument("--seed", type=int, default=0)
+    flag = add("coupling-verify", "exact coupled-mixture check for every selector", _cmd_coupling_verify)
+    flag("n", require_dp_length, type=int, required=True)
+    flag("tol", type=float, default=1e-9)
 
-    p = add("reduction-demo", "set-disjointness encoding over all instances")
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--n", type=_checked_int(require_reduction_size), required=True)
-    p.add_argument("--rect", default="full")
-    p.add_argument("--trials", type=_int_at_least(1), default=1, help="independent seeds")
-    p.add_argument("--seed", type=int, default=0)
+    flag = add(
+        "bounds-validate", "tail-bound dominance grids, plus sampled shift tails", _cmd_bounds_validate,
+        ("--trials", lambda a: require_shift_samples(a.n, a.trials)),
+    )
+    flag("n", require_shift_size, type=int, default=256)
+    flag("trials", _at_least(0), type=int, default=0, help="samples per shift (0 skips)")
+    flag("seed", type=int, default=0)
 
-    p = add("rect-spectrum", "relative distance weights of a rectangle")
-    p.add_argument("--rect", required=True)
-    p.add_argument("--n", type=_checked_int(require_enumerable), required=True)
+    # A --c1/--c2 pair refused at MAX_REDUCTION_N is refused at every n: the
+    # pads only grow with n, and xi_parameters' other rules do not read it.
+    flag = add(
+        "reduction-demo", "set-disjointness encoding over all instances", _cmd_reduction_demo,
+        ("--c1/--c2", lambda a: xi_parameters(a.c1, a.c2, MAX_REDUCTION_N)),
+        ("--n", lambda a: xi_parameters(a.c1, a.c2, a.n)),
+    )
+    flag("n", require_reduction_size, type=int, required=True)
+    flag("trials", _at_least(1), type=int, default=1, help="independent seeds")
+    flag("seed", type=int, default=0)
+    flag("rect", default="full")
+    flag("c1", type=int, required=True)
+    flag("c2", type=int, required=True)
+
+    flag = add("rect-spectrum", "relative distance weights of a rectangle", _cmd_rect_spectrum)
+    flag("n", require_enumerable, type=int, required=True)
+    flag("rect", required=True)
 
     return parser
-
-
-def _check_reduction_flags(args) -> None:
-    """Refuse, as a usage error naming the flags, a --c1/--c2 pair that
-    xi_parameters refuses at every n, or at the --n given.  The pads only
-    grow with n and the other rules do not depend on it, so a pair refused
-    at MAX_REDUCTION_N is refused at every n.  The refusal prints
-    reduction-demo's usage, as its other flags' refusals do."""
-    for flags, n in (("--c1/--c2", MAX_REDUCTION_N), ("--n", args.n)):
-        try:
-            xi_parameters(args.c1, args.c2, n)
-        except ValueError as exc:
-            args.usage_error(f"argument {flags}: {exc}")
-
-
-def _check_protocol_flags(args) -> None:
-    """Refuse, as a usage error naming the flag, a --t that
-    require_repetitions refuses at the --n given."""
-    if args.t is not None:
-        try:
-            require_repetitions(args.n, args.t)
-        except ValueError as exc:
-            args.usage_error(f"argument --t: {exc}")
-
-
-# Checks of flags that depend on each other, run right after parsing; a
-# refusal prints the command's usage and exits 2, like any parse error.
-_FLAG_CHECKS = {
-    "protocol-success": _check_protocol_flags,
-    "reduction-demo": _check_reduction_flags,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.subcommand in _FLAG_CHECKS:
-            _FLAG_CHECKS[args.subcommand](args)
+        # each flag's guard, then the cross-flag checks; a refusal prints the
+        # command's usage and exits 2, like any parse error
+        for flags, check in (*args.guards, *args.checks):
+            try:
+                check(args)
+            except ValueError as exc:
+                args.usage_error(f"argument {flags}: {exc}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        rows, schema, failure = _HANDLERS[args.subcommand](args)
+        rows, schema, failure = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,6 +30,15 @@ def test_constructor_rejects_out_of_range():
         BitString(0, 0)
     with pytest.raises(ValueError):
         BitString.from_text("01x0")
+    with pytest.raises(ValueError, match="bits must be 0 or 1, got 2"):
+        BitString.from_bits([0, 2])
+    with pytest.raises(ValueError, match="at least one bit"):
+        BitString.from_bits([])
+    for arr in (np.zeros((2, 2)), np.zeros(0)):
+        with pytest.raises(ValueError, match="one-dimensional and nonempty"):
+            BitString.from_array(arr)
+    with pytest.raises(ValueError, match="entries must be 0 or 1"):
+        BitString.from_array(np.array([0, 2]))
 
 
 def test_positions_are_msb_first():
@@ -37,6 +46,9 @@ def test_positions_are_msb_first():
     assert [x.bit(i) for i in range(1, 5)] == [1, 0, 0, 0]
     assert x.as_unsigned() == 8
     assert bs("0011").as_unsigned() == 3
+    for i in (0, 5):
+        with pytest.raises(ValueError, match=f"position {i} outside"):
+            x.bit(i)
 
 
 def test_weight_and_xor():
@@ -97,6 +109,8 @@ def test_inner_mod2():
     assert inner_mod2(5, 3) == 1
     with pytest.raises(ValueError):
         inner_mod2(bs("10"), bs("100"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        inner_mod2(-1, 3)
 
 
 def test_fourier_pattern_worked_examples():
@@ -184,6 +198,9 @@ def test_nested_child_streams_raise():
     with pytest.raises(ValueError):
         Rng(5).child(3).child(0)
     assert Rng(5).child(3).stream == 3
+    # the root's own stream id is no child's
+    with pytest.raises(ValueError, match="child index"):
+        Rng(5).child(2**64 - 1)
 
 
 def walsh_matrix(size):
@@ -222,6 +239,9 @@ def test_rng_bits_and_below():
     seen = {r2.below(6) for _ in range(200)}
     assert seen <= set(range(6))
     assert len(seen) == 6
+    for bound in (0, 2**63 + 1):
+        with pytest.raises(ValueError, match="outside"):
+            r2.below(bound)
 
 
 def test_rng_chance_exact_threshold():
@@ -234,6 +254,9 @@ def test_rng_chance_exact_threshold():
     assert all(not r2.chance(Fraction(0)) for _ in range(10))
     r3 = Rng(3)
     assert all(r3.chance(Fraction(1)) for _ in range(10))
+    for p in (Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(ValueError, match="outside"):
+            r3.chance(p)
 
 
 def test_rng_permutation():

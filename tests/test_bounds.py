@@ -36,6 +36,7 @@ from ghrlab.bounds import (
     hoeffding_dominance_report,
     markov_chebyshev_bound,
     relaxed_chernoff_bound,
+    require_shift_samples,
     shift_xor_tail_check,
     window_lower_dominance_report,
 )
@@ -49,6 +50,8 @@ def test_markov_chebyshev():
         markov_chebyshev_bound("markov", 1.0, 0.0)
     with pytest.raises(ValueError):
         markov_chebyshev_bound("median", 1.0, 1.0)
+    with pytest.raises(ValueError, match="moment must be nonnegative"):
+        markov_chebyshev_bound("markov", -1.0, 1.0)
 
 
 def test_hoeffding_formula():
@@ -58,6 +61,8 @@ def test_hoeffding_formula():
     assert hoeffding_bound([(0, 0)], 1.0) == 0.0
     with pytest.raises(ValueError):
         hoeffding_bound([(1, 0)], 1.0)
+    with pytest.raises(ValueError, match="t must be nonnegative"):
+        hoeffding_bound([(0, 1)], -1.0)
 
 
 def test_relaxed_chernoff_exp_form():
@@ -76,6 +81,12 @@ def test_relaxed_chernoff_exp_form():
         relaxed_chernoff_bound("sideways", a=1.0, t=1.0)
     with pytest.raises(ValueError):
         relaxed_chernoff_bound("lower_tail", a=1.0, t=1.0, form="closed")
+    for kwargs in ({"a": 1.0}, {"t": 1.0}):
+        with pytest.raises(ValueError, match="exp form needs a and t"):
+            relaxed_chernoff_bound("lower_tail", **kwargs)
+    for a, t in ((-1.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="a and t must be nonnegative"):
+            relaxed_chernoff_bound("upper_tail", a=a, t=t)
 
 
 def test_relaxed_chernoff_ratio_form():
@@ -89,6 +100,11 @@ def test_relaxed_chernoff_ratio_form():
         relaxed_chernoff_bound("upper_tail", form="ratio", m=10, mu=5.0, level=4.0)
     with pytest.raises(ValueError):
         relaxed_chernoff_bound("lower_tail", form="ratio", m=10, mu=5.0, level=6.0)
+    with pytest.raises(ValueError, match="ratio form needs m, mu, level"):
+        relaxed_chernoff_bound("upper_tail", form="ratio", m=10, mu=5.0)
+    for mu in (-1.0, 11.0):
+        with pytest.raises(ValueError, match=f"mu={mu} outside"):
+            relaxed_chernoff_bound("upper_tail", form="ratio", m=10, mu=mu, level=10.0)
 
 
 def test_ratio_form_dominates_biased_binomial():
@@ -136,6 +152,8 @@ def test_exact_binomial_deviation():
     assert exact_binomial_deviation(4, Fraction(1, 2)) == Fraction(10, 16)
     ref = stats.binom.cdf(10, 31, 0.5) + stats.binom.sf(20, 31, 0.5)
     assert float(exact_binomial_deviation(31, 5.5)) == pytest.approx(ref, abs=1e-12)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        exact_binomial_deviation(0, 1)
 
 
 def test_window_lower_formula_and_validation():
@@ -570,6 +588,23 @@ def test_shift_xor_tail_check_small():
         shift_xor_tail_check(8, [-1], 10, Rng(0))
     with pytest.raises(ValueError, match="n=4"):  # an empty grid would pass vacuously
         shift_xor_tail_check(4, [], 10, Rng(0))
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        shift_xor_tail_check(32, [4], 0, Rng(0))
+
+
+def test_shift_samples_cap_refuses_before_drawing(monkeypatch):
+    # trials * n sampled bits per shift, at most 2**26; the guard is pure arithmetic
+    require_shift_samples(1024, 65536)
+    require_shift_samples(256, 0)  # bounds-validate without --trials
+    with pytest.raises(ValueError, match=r"exceeds the cap 2\*\*26, got n=1024, trials=65537"):
+        require_shift_samples(1024, 65537)
+
+    def refuse_draw(*args):
+        raise AssertionError("drew before the size check")
+
+    monkeypatch.setattr(Rng, "child", refuse_draw)
+    with pytest.raises(ValueError, match="trials=65537"):
+        shift_xor_tail_check(1024, [64], 65537, Rng(0))
 
 
 def test_shift_xor_tail_check_thread_invariant(monkeypatch):

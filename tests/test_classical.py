@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import ghrlab.classical as classical
 from ghrlab.bitkit import BitString, Rng, random_bitstring
 from ghrlab.classical import (
     DisjointnessInstance,
@@ -17,6 +18,7 @@ from ghrlab.classical import (
     reduction_xi,
     relative_weight,
     relative_weights,
+    require_shared_samples,
     tghr_baseline,
     uniform_distance_mass,
     xi_k_repetition,
@@ -98,6 +100,8 @@ def test_baseline_deterministic():
     assert tghr_baseline(x, y, 8, Rng(3)) == tghr_baseline(x, y, 8, Rng(3))
     with pytest.raises(ValueError):
         tghr_baseline(x, y, 0, Rng(3))
+    with pytest.raises(ValueError, match="length mismatch: 16 vs 15"):
+        tghr_baseline(x, BitString.zeros(15), 8, Rng(3))
 
 
 def test_estimate_baseline_success_deterministic(monkeypatch):
@@ -114,6 +118,27 @@ def test_estimate_baseline_success_checks_n_before_drawing():
         estimate_baseline_success(0, 2, 3, Rng(4))
 
 
+def refuse_draw(*args):
+    raise AssertionError("drew before the size check")
+
+
+def test_shared_samples_cap_refuses_before_drawing(monkeypatch):
+    # t * ceil(n/8) sample bytes, at most 2**24; the guard is pure arithmetic
+    require_shared_samples(1024, 131072)
+    require_shared_samples(1, 2**24)
+    require_shared_samples(1001, 2**24 // 126)  # ceil(1001/8) = 126
+    for n, t in ((1024, 131073), (1, 2**24 + 1), (1001, 2**24 // 126 + 1)):
+        with pytest.raises(ValueError, match=rf"shared sample bytes exceeds the cap 2\*\*24, got n={n}, t={t}"):
+            require_shared_samples(n, t)
+    monkeypatch.setattr(Rng, "bit_rows", refuse_draw)
+    monkeypatch.setattr(Rng, "child", refuse_draw)
+    x = BitString.zeros(1024)
+    with pytest.raises(ValueError, match="t=131073"):
+        tghr_baseline(x, x, 131073, Rng(0))
+    with pytest.raises(ValueError, match="t=131073"):
+        estimate_baseline_success(1024, 131073, 1, Rng(0))
+
+
 # ---------------------------------------------------------------- rectangles
 
 
@@ -122,6 +147,11 @@ def test_named_rectangle_sizes():
     assert RectangleSpec.parity_even(4).sizes() == (8, 8)
     assert RectangleSpec.prefix_zeros(6, 2).sizes() == (16, 16)
     assert RectangleSpec.prefix_zeros(6, 0).sizes() == (64, 64)
+    for m in (-1, 7):
+        with pytest.raises(ValueError, match=rf"prefix length {m} outside \[0, 6\]"):
+            RectangleSpec.prefix_zeros(6, m)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        RectangleSpec(0, lambda z: True, lambda z: True)
 
 
 @pytest.mark.parametrize("n", [1, 4, 12])
@@ -223,10 +253,14 @@ def test_relative_weight_mc_close_to_exact():
         relative_weight(r, {3}, mode="typo")
 
 
-def test_relative_weight_empty_rectangle_errors():
+def test_relative_weight_empty_rectangle_errors(monkeypatch):
     empty = RectangleSpec(4, lambda z: False, lambda z: True)
     with pytest.raises(ValueError):
         relative_weight(empty, {1})
+    # sampled, a side that accepts nothing gives up at the draw cap
+    monkeypatch.setattr(classical, "_REJECTION_CAP", 5)
+    with pytest.raises(ValueError, match="did not hit within the cap"):
+        relative_weight(empty, {1}, mode="mc", trials=1, rng=Rng(0))
 
 
 # ---------------------------------------------------------------- encoding
@@ -238,6 +272,8 @@ def test_instance_validation():
         DisjointnessInstance(1, frozenset({4}), frozenset({1}))
     with pytest.raises(ValueError):
         DisjointnessInstance(2, frozenset({1}), frozenset({2, 3}))
+    with pytest.raises(ValueError, match="l must be >= 1"):
+        DisjointnessInstance(0, frozenset(), frozenset())
 
 
 def test_all_instances_counts():

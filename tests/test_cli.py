@@ -25,6 +25,32 @@ def run_to_file(tmp_path, name, argv):
     return code, out.read_bytes()
 
 
+@pytest.fixture
+def handlers():
+    """Stand-in subcommand handlers: each refuses to start, until a test sets
+    its own with handlers(subcommand, fn).  The cached parser holds the
+    handlers, so build_parser's cache is cleared on entry, after each set and
+    on exit, and no stand-in outlives the test."""
+    names = [name for name in vars(cli) if name.startswith("_cmd_")]
+
+    def refuse(args):
+        raise AssertionError(f"{args.subcommand} started")
+
+    build_parser.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for name in names:
+                mp.setattr(cli, name, refuse)
+
+            def set_handler(subcommand, fn):
+                mp.setattr(cli, "_cmd_" + subcommand.replace("-", "_"), fn)
+                build_parser.cache_clear()
+
+            yield set_handler
+    finally:
+        build_parser.cache_clear()
+
+
 def test_csv_shape_and_metadata(tmp_path):
     code, data = run_to_file(
         tmp_path, "a.csv", ["aleph-estimate", "--n", "16", "--trials", "20", "--seed", "3"]
@@ -290,8 +316,8 @@ def test_oversized_n_is_usage_error(capsys):
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else "",
 )
-def test_size_guards_refuse_n_at_parse_time(argv, message, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_HANDLERS", {})  # no subcommand may start
+def test_size_guards_refuse_n_at_parse_time(argv, message, handlers, capsys):
+    # no subcommand may start
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error: argument --n: " in err and message in err
@@ -306,8 +332,8 @@ def test_size_guards_refuse_n_at_parse_time(argv, message, monkeypatch, capsys):
         (6, 8, 10, "argument --n: n=10 too small for (c1, c2)=(6, 8): pads (1, -1)"),
     ],
 )
-def test_reduction_flags_refused_at_parse_time(c1, c2, n, message, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_HANDLERS", {})  # no subcommand may start
+def test_reduction_flags_refused_at_parse_time(c1, c2, n, message, handlers, capsys):
+    # no subcommand may start
     assert main(["reduction-demo", "--c1", str(c1), "--c2", str(c2), "--n", str(n)]) == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: {message}\n")
@@ -319,18 +345,18 @@ def test_reduction_flags_refused_at_parse_time(c1, c2, n, message, monkeypatch, 
 
 
 @pytest.mark.parametrize("n, t, m", [(16, 5, 4), (4, 3, 2), (1024, 10**12, 10)])
-def test_protocol_t_refused_at_parse_time(n, t, m, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_HANDLERS", {})  # no subcommand may start
+def test_protocol_t_refused_at_parse_time(n, t, m, handlers, capsys):
+    # no subcommand may start
     assert main(["protocol-success", "--n", str(n), "--trials", "1", "--t", str(t)]) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[0].startswith("usage: ghrlab protocol-success ")
     assert err.endswith(f"error: argument --t: t must be in [1, log2 n = {m}] for n={n}, got {t}\n")
 
 
-def test_protocol_t_accepts_log2_n(monkeypatch, capsys):
+def test_protocol_t_accepts_log2_n(handlers, capsys):
     ran = []
     handler = lambda args: ran.append(args.t) or ([], ("n",), None)  # noqa: E731
-    monkeypatch.setitem(cli._HANDLERS, "protocol-success", handler)
+    handlers("protocol-success", handler)
     for t in ("1", "4"):
         assert main(["protocol-success", "--n", "16", "--trials", "1", "--t", t]) == 0
     assert main(["protocol-success", "--n", "16", "--trials", "1"]) == 0
@@ -338,12 +364,56 @@ def test_protocol_t_accepts_log2_n(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\nn\n") == 3
 
 
-def test_reduction_flags_accept_the_least_n_that_fits(monkeypatch, capsys):
+def test_reduction_flags_accept_the_least_n_that_fits(handlers, capsys):
     ran = []
-    monkeypatch.setitem(cli._HANDLERS, "reduction-demo", lambda args: ran.append(args.n) or ([], ("trial",), None))
+    handlers("reduction-demo", lambda args: ran.append(args.n) or ([], ("trial",), None))
     assert main(["reduction-demo", "--c1", "6", "--c2", "8", "--n", "11"]) == 0
     assert ran == [11]
     assert capsys.readouterr().out.endswith("\ntrial\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["baseline-tghr", "--n", "1024", "--t", "131073", "--trials", "1"],
+            "argument --n/--t: t * ceil(n/8) = 16777344 shared sample bytes exceeds the cap 2**24",
+        ),
+        (
+            ["bounds-validate", "--n", "1024", "--trials", "65537"],
+            "argument --trials: trials * n = 67109888 sampled bits per shift exceeds the cap 2**26",
+        ),
+    ],
+    ids=["baseline-tghr", "bounds-validate"],
+)
+def test_sample_caps_refused_at_parse_time(argv, message, handlers, capsys):
+    # no subcommand may start
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"usage: ghrlab {argv[0]} ")
+    assert f"error: {message}" in err
+
+
+def test_sample_caps_accept_their_edges(handlers, capsys):
+    # parsed and checked only: each edge run would take about 200 MiB
+    ran = []
+    for sub in ("baseline-tghr", "bounds-validate"):
+        handlers(sub, lambda args: ran.append(args.subcommand) or ([], ("n",), None))
+    for argv in (
+        ["baseline-tghr", "--n", "1024", "--t", "131072", "--trials", "1"],
+        ["bounds-validate", "--n", "1024", "--trials", "65536"],
+        ["baseline-tghr", "--n", "1024", "--t", "256", "--trials", "500"],  # README's
+        ["bounds-validate", "--n", "256", "--trials", "10000"],  # README's
+    ):
+        assert main(argv) == 0
+    assert ran == ["baseline-tghr", "bounds-validate"] * 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sub", ["aleph-estimate", "coupling-verify", "rect-spectrum"])
+def test_non_integer_n_gets_argparse_message(sub, capsys):
+    assert main([sub, "--n", "4.0"]) == 2
+    assert "error: argument --n: invalid int value: '4.0'" in capsys.readouterr().err
 
 
 def test_size_guards_accept_their_largest_n():
@@ -385,7 +455,8 @@ def test_console_script_runs(tmp_path):
 
 
 # SHA-256 of each run's CSV, recorded before the replay header was derived
-# from HEADER_KEYS; a change here changes the bytes every seeded run replays.
+# from the parsed arguments; a change here changes the bytes every seeded run
+# replays.
 GOLDEN = {
     "aleph-estimate --n 16 --trials 20 --seed 3":
         "b29eae11dff29ec4909eb27fb5d903d5e358efbc18b5d68466b0648fa0f3f46c",
@@ -485,7 +556,6 @@ def test_csv_replays_from_its_own_header(command):
 
 
 def test_header_keys_cover_every_flag():
-    assert set(subparsers()) == set(cli.HEADER_KEYS)
     for sub, parser in subparsers().items():
         flags = {a.dest for a in parser._actions if a.option_strings} - {"help", "out"}
-        assert flags == set(cli.HEADER_KEYS[sub]) - {"rng"}, sub
+        assert flags == set(parser.get_default("replay")), sub

@@ -1,5 +1,5 @@
-"""The full-table oracles stay off the run path, and importing the package
-stays light."""
+"""The full-table oracles stay off the run path, refuse bad arguments, and
+importing the package stays light."""
 
 import ast
 import os
@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import ghrlab
+from ghrlab.bitkit import BitString, Rng
+from ghrlab.oracle import delta_table, outcome_distribution, u_vector
 
 PACKAGE = Path(ghrlab.__file__).resolve().parent
 
@@ -84,3 +86,24 @@ def test_package_import_leaves_numpy_random_unloaded():
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert out.stdout.strip() == "False"
+
+
+def pair_n4():
+    return BitString.zeros(4), BitString.from_text("1100")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: delta_table(*pair_n4()).entry(0, BitString.zeros(2)), r"shift 0 outside \[1, 4\]"),
+        (lambda: delta_table(*pair_n4()).entry(5, BitString.zeros(2)), r"shift 5 outside \[1, 4\]"),
+        (lambda: delta_table(*pair_n4()).entry(1, BitString.zeros(3)), "selector must have 2 bits"),
+        (lambda: u_vector((0, BitString.zeros(2)), 4), r"shift 0 outside \[1, 4\]"),
+        (lambda: outcome_distribution(*pair_n4()).probability(5, BitString.zeros(2)), r"shift 5 outside"),
+        (lambda: outcome_distribution(*pair_n4()).sample(Rng(0), 0), "count must be >= 1"),
+    ],
+    ids=["entry-shift-0", "entry-shift-5", "entry-selector", "u-vector-shift", "probability-shift", "sample-count"],
+)
+def test_oracles_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -143,6 +143,8 @@ def test_repetition_failure_closed_cases():
     assert repetition_failure_probability(3, Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(ValueError):
         repetition_failure_probability(2, Fraction(3, 2))
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        repetition_failure_probability(0, Fraction(1, 2))
 
 
 def test_failure_probability_exact_n4_values():

@@ -490,6 +490,22 @@ def test_ghd_value_three_zones():
         assert ghd_value(x, y, d) == expect
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: tghr_is_valid(bs("0000"), bs("0000"), bs("000")), "equal lengths"),
+        (lambda: tghr_is_valid(bs("0000"), bs("000"), bs("0000")), "equal lengths"),
+        (lambda: ghd_value(bs("0000"), bs("000"), 1), "length mismatch: 4 vs 3"),
+        (lambda: ghd_value(bs("0000"), bs("0000"), 0), "gap parameter 0 outside"),
+        (lambda: ghd_value(bs("0000"), bs("0000"), 3), "gap parameter 3 outside"),
+    ],
+    ids=["tghr-y", "tghr-tau", "ghd-lengths", "ghd-gap-0", "ghd-gap-3"],
+)
+def test_plain_relations_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_exact_aleph_probability_small():
     typical = sum(delta_table_naive(x, y).aleph() for x, y in enumerate_pairs(4))
     assert exact_aleph_probability(4) == Fraction(typical, 256) == Fraction(1, 2)
