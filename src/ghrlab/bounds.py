@@ -596,8 +596,8 @@ def require_shift_samples(n: int, trials: int) -> None:
     """Reject trials draws of n bits per shift above MAX_SHIFT_SAMPLES."""
     if trials * n > MAX_SHIFT_SAMPLES:
         raise ValueError(
-            f"trials * n = {trials * n} sampled bits per shift exceeds the cap 2**26, "
-            f"got n={n}, trials={trials}"
+            f"trials * n = {trials * n} sampled bits per shift exceeds the cap "
+            f"2**{MAX_SHIFT_SAMPLES.bit_length() - 1}, got n={n}, trials={trials}"
         )
 
 

@@ -70,12 +70,16 @@ MAX_SHARED_SAMPLE_BYTES = 1 << 24
 
 
 def require_shared_samples(n: int, t: int) -> None:
-    """Reject t samples of n bits that hold more than MAX_SHARED_SAMPLE_BYTES
-    bytes: tghr_baseline draws all t * ceil(n/8) of them at once."""
+    """Reject t < 1, and t samples of n bits that hold more than
+    MAX_SHARED_SAMPLE_BYTES bytes: tghr_baseline draws all t * ceil(n/8) of
+    them at once."""
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
     size = t * ((n + 7) // 8)
     if size > MAX_SHARED_SAMPLE_BYTES:
         raise ValueError(
-            f"t * ceil(n/8) = {size} shared sample bytes exceeds the cap 2**24, got n={n}, t={t}"
+            f"t * ceil(n/8) = {size} shared sample bytes exceeds the cap "
+            f"2**{MAX_SHARED_SAMPLE_BYTES.bit_length() - 1}, got n={n}, t={t}"
         )
 
 
@@ -94,8 +98,6 @@ def tghr_baseline(
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    if t < 1:
-        raise ValueError("t must be >= 1")
     require_shared_samples(x.n, t)
     samples = shared_rng.bit_rows(t, x.n)
     x_bytes = np.frombuffer(x.value.to_bytes(samples.shape[1], "big"), dtype=np.uint8)

@@ -235,23 +235,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each subcommand is declared once: its handler, its cross-flag checks as
     (flags, check(args)) pairs, then its flags in replay-header order, each
-    with an optional guard on its parsed value."""
+    with an optional guard on its parsed value.  The flags' guards run
+    first, in declaration order, then the cross-flag checks."""
     parser = argparse.ArgumentParser(
         prog="ghrlab", description="Gap-Hamming relation experiments, CSV out."
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, help_text, handler, *checks):
+    def add(name, help_text, handler, *cross):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        replay, guards = [], []
-        p.set_defaults(handler=handler, replay=replay, guards=guards, checks=checks, usage_error=p.error)
+        replay, checks = [], list(cross)
+        p.set_defaults(handler=handler, replay=replay, checks=checks, usage_error=p.error)
 
         def flag(key, guard=None, **options):
             p.add_argument(f"--{key}", **options)
             replay.append(key)
-            if guard is not None:  # a None default is the handler's to resolve
-                guards.append((f"--{key}", lambda a: getattr(a, key) is None or guard(getattr(a, key))))
+            if guard is not None:  # after the flags declared so far, before the cross-flag checks
+                checks.insert(len(checks) - len(cross), (f"--{key}", lambda a: guard(getattr(a, key))))
 
         return flag
 
@@ -267,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     flag("n", require_transform_size, type=int, required=True)
     flag("trials", _at_least(1), type=int, required=True)
     flag("seed", type=int, default=0)
-    flag("t", _at_least(1), type=int, default=None, help="outcome samples per run (default log2 n)")
+    flag(
+        "t", lambda t: t is None or _at_least(1)(t),  # a None --t is the handler's to resolve
+        type=int, default=None, help="outcome samples per run (default log2 n)",
+    )
 
     flag = add("protocol-failure-exact", "exact per-pair failure probabilities", _cmd_protocol_failure_exact)
     flag("n", require_transform_size, type=int, required=True)
@@ -322,7 +326,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         # each flag's guard, then the cross-flag checks; a refusal prints the
         # command's usage and exits 2, like any parse error
-        for flags, check in (*args.guards, *args.checks):
+        for flags, check in args.checks:
             try:
                 check(args)
             except ValueError as exc:

@@ -137,6 +137,11 @@ def test_shared_samples_cap_refuses_before_drawing(monkeypatch):
         tghr_baseline(x, x, 131073, Rng(0))
     with pytest.raises(ValueError, match="t=131073"):
         estimate_baseline_success(1024, 131073, 1, Rng(0))
+    for t in (0, -1):
+        with pytest.raises(ValueError, match=f"t must be >= 1, got {t}"):
+            tghr_baseline(x, x, t, Rng(0))
+        with pytest.raises(ValueError, match=f"t must be >= 1, got {t}"):
+            estimate_baseline_success(1024, t, 1, Rng(0))
 
 
 # ---------------------------------------------------------------- rectangles

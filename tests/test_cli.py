@@ -416,17 +416,23 @@ def test_non_integer_n_gets_argparse_message(sub, capsys):
     assert "error: argument --n: invalid int value: '4.0'" in capsys.readouterr().err
 
 
-def test_size_guards_accept_their_largest_n():
-    parse = build_parser().parse_args
-    assert parse(["aleph-estimate", "--n", "4096", "--trials", "1"]).n == 4096
-    assert parse(["protocol-failure-exact", "--n", "4"]).n == 4
-    assert parse(["coupling-verify", "--n", "16"]).n == 16  # parsed only: the sweep takes seconds
-    assert parse(["coupling-verify", "--n", "2"]).n == 2
-    assert parse(["rect-spectrum", "--rect", "full", "--n", "20"]).n == 20
-    assert parse(["rect-spectrum", "--rect", "full", "--n", "1"]).n == 1
-    assert parse(["bounds-validate", "--n", "4096"]).n == 4096
-    assert parse(["bounds-validate", "--n", "2"]).n == 2
-    assert parse(["reduction-demo", "--c1", "6", "--c2", "8", "--n", "65536"]).n == 65536
+def test_size_guards_accept_their_largest_n(handlers, capsys):
+    # parsed and checked only: the coupling sweep at n = 16 takes seconds
+    ran = []
+    for sub in ("aleph-estimate", "protocol-failure-exact", "coupling-verify",
+                "rect-spectrum", "bounds-validate", "reduction-demo"):
+        handlers(sub, lambda args: ran.append(args.n) or ([], ("n",), None))
+    run = lambda argv: main(argv) == 0 and ran.pop()  # noqa: E731
+    assert run(["aleph-estimate", "--n", "4096", "--trials", "1"]) == 4096
+    assert run(["protocol-failure-exact", "--n", "4"]) == 4
+    assert run(["coupling-verify", "--n", "16"]) == 16
+    assert run(["coupling-verify", "--n", "2"]) == 2
+    assert run(["rect-spectrum", "--rect", "full", "--n", "20"]) == 20
+    assert run(["rect-spectrum", "--rect", "full", "--n", "1"]) == 1
+    assert run(["bounds-validate", "--n", "4096"]) == 4096
+    assert run(["bounds-validate", "--n", "2"]) == 2
+    assert run(["reduction-demo", "--c1", "6", "--c2", "8", "--n", "65536"]) == 65536
+    capsys.readouterr()
 
 
 def test_runtime_invariant_failure_exits_one(monkeypatch, capsys):
