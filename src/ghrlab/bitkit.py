@@ -243,13 +243,19 @@ def _key_type() -> type[_Key]:
     return _Key
 
 
+def require_seed(seed: int) -> None:
+    """Reject a seed outside [0, 2**64), so that no two seeds share a stream."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
 class Rng:
     """Seeded random source with replayable child streams.
 
     Streams are keyed by (seed, stream id): the root uses a reserved id and
     child(i) uses id i, so trial i's randomness depends only on (seed, i) and
     never on the parent's position in its own stream.  The seed must lie in
-    [0, 2**64), so no two seeds share a stream.  One level of splitting is
+    [0, 2**64) (require_seed).  One level of splitting is
     supported: a child's own child would reuse the id space of the root's
     children, so child() on a child raises.  Children of the same seed are
     shared across call sites by design.
@@ -258,8 +264,7 @@ class Rng:
     algorithm = RNG_ALGORITHM
 
     def __init__(self, seed: int, stream: int = _ROOT_STREAM) -> None:
-        if not 0 <= seed < 1 << 64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        require_seed(seed)
         self.seed = int(seed)
         self.stream = stream
         bits = np.random.Philox(_key_type()(self.seed, stream), counter=_ZERO_COUNTER)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,21 +217,20 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     and, by symmetry, the one at or above m/2 + t.  As the two tails hold
     equally many outcomes, observed is the float of one tail (sides=1) or
     of both (sides=2) over 2**m.  A grid with no point is refused."""
-    ms, ts, counts = [], [], []
-    for m in m_values:
-        t_max = m // t_max_divisor
-        if t_max < 1:
-            continue
+    ms = np.fromiter(m_values, np.int64)
+    t_max = ms // t_max_divisor
+    ms, t_max = ms[t_max >= 1], t_max[t_max >= 1]
+    counts = []
+    for m, top in zip(ms.tolist(), t_max.tolist()):
         half = m // 2  # floor(m/2 - t) = m // 2 - t
-        counts += _fair_cumulative(m)[max(half - t_max, 0):half][::-1]
-        counts += [0] * max(t_max - half, 0)
-        ms += [m] * t_max
-        ts += range(1, t_max + 1)
+        counts += _fair_cumulative(m)[max(half - top, 0):half][::-1]
+        counts += [0] * max(top - half, 0)
     if not counts:
         raise ValueError(f"no point with 1 <= t <= m // {t_max_divisor} for m in {m_values!r}")
-    m_col = np.array(ms, dtype=np.int64)
+    m_col = np.repeat(ms, t_max)
+    t_col = np.arange(1, m_col.size + 1) - np.repeat(np.cumsum(t_max) - t_max, t_max)
     e = m_col + 1 - sides
-    return m_col, np.array(ts, dtype=np.int64), counts, e, _dyadic_floats(counts, e)
+    return m_col, t_col, counts, e, _dyadic_floats(counts, e)
 
 
 def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
@@ -247,93 +246,79 @@ def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float
     )
 
 
-# At most this many windows go into one chunk of consecutive m, unless one
-# m alone holds more (the default grid's largest m holds 990).
-_CHUNK_WINDOWS = 4096
-
-# The margin error bound of _window_grid, relative to 1 + |bound|.
-_TIE_TOL = 2.0**-50
+# The window report's tol over 1 + |shift|: 16 times the bound that
+# _window_grid proves on its approximate margins' error.
+_TIE_TOL = 2.0**-44
 
 
-def _window_chunks(m_values: Iterable[int], c_term: float) -> Iterator[list[tuple]]:
-    """m_values in runs of consecutive entries, each holding at most
-    _CHUNK_WINDOWS windows or a single m.  Each m comes as (m, lo, hi,
-    main_coef, cubic_coef, shift): lo and hi are the least and greatest k
-    inside m/2 +- sqrt(m), so m has (hi - lo)(hi - lo + 1)/2 windows
-    lo <= a < b <= hi, and the rest are _window_constants', which checks
-    each m as it comes."""
-    chunk, size = [], 0
+def _window_grid(m_values: Iterable[int], c_term: float):
+    """The windows lo <= a < b <= hi inside m/2 +- sqrt(m) of each m, on
+    one grid with a row i per m and a column j per k = lo + j, padded to
+    the widest m.  Returns m and shift = c_term/m per row, the columns F
+    and G below (+inf and -inf past hi), tol per row, and windows(i, a, b),
+    the hits and binomial_window_lower's float bound of the windows
+    [lo + a, lo + b] of rows i, for columns a < b.  That bound is
+    binomial_window_lower's bit for bit: the same float operations on the
+    same floats, as d = k - m/2 is an integer of magnitude at most
+    sqrt(m), whose cube is exact in int64 and in float below m = 2**34.
+
+    With d = k - m/2, cum[k] = C(m, 0) + ... + C(m, k) and main and cubic
+    the bound's float coefficients, let F[k] = cum[k]/2**m - main d +
+    cubic d**3 and G[k] = cum[k - 1]/2**m - main d + cubic d**3 in real
+    arithmetic.  A window's hits/2**m less its bound, taken in real
+    arithmetic, is F[b] - G[a] + shift, so its approximate margin is
+    fl(F[b] - G[a]) + shift over the computed F and G.
+
+    That lies within 2**-48 (1 + |shift|) = tol/16 of the exact margin
+    hits/2**m - bound and of the float margin fl(fl(hits/2**m) - bound).
+    Proof, with u = 2**-53 and s = |shift|: |d| <= sqrt(m), so |main d| <=
+    0.8 and |cubic d**3| <= 0.54.  Each cum[k]/2**m in [0, 1] is rounded
+    once (_dyadic_floats), to within u; fl(fl(cubic d**3) - fl(main d)) is
+    within 2.7u of its real value; so a computed F or G is within 6.1u of
+    its own, and fl(F[b] - G[a]), below 4.7 in magnitude, within 17u of
+    F[b] - G[a].  The float bound rounds main (b - a) (at most 1.6), cubic
+    (d_b**3 - d_a**3) (at most 1.08; the cubes and their difference are
+    exact), their difference and its difference with shift, so it lies
+    within u (8.1 + s) of its real value, and the approximate margin within
+    u (26 + s) of the exact one.  fl(hits/2**m) is within u of hits/2**m,
+    and the float margin within u (4.8 + s) of the exact one, so within u
+    (31 + 2s) <= 32u (1 + s) of the approximate margin.  A subnormal result
+    keeps these bounds: it comes only from a rounded quotient, within u,
+    or from an exact difference.  An infinite shift gives an infinite
+    tol."""
+    rows = []
     for m in m_values:
         _, *consts = _window_constants(m, c_term)
         root = math.sqrt(m)
-        lo, hi = max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m)
-        windows = (hi - lo) * (hi - lo + 1) // 2
-        if chunk and size + windows > _CHUNK_WINDOWS:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append((m, lo, hi, *consts))
-        size += windows
-    if chunk:
-        yield chunk
-
-
-def _window_grid(chunk: Sequence[tuple]):
-    """Columns over every window a < b inside m/2 +- sqrt(m) of each m of
-    a _window_chunks chunk, m by m and each m's windows in (a, b) order:
-    seg, the position in the chunk of the window's m; top and bot,
-    positions in counts; bound; margin; and tol.  counts holds, for each m, cum[lo - 1] (0 when lo = 0) and then
-    cum[lo], ..., cum[hi] as Python ints, so a window's hits C(m, a) + ...
-    + C(m, b) is counts[top] - counts[bot] = cum[b] - cum[a - 1].
-
-    bound is binomial_window_lower(m, a, b, c_term) bit for bit, at the
-    chunk's c_term: the same float operations on the same floats, since
-    k - m/2 is an integer of magnitude at most sqrt(m) + 1, whose cube is
-    exact in int64 and in float for every m below 2**34.
-
-    margin = fl(fl(P[b] - P[a - 1]) - bound), where P[k] is the correctly
-    rounded cum[k] / 2**m from one _dyadic_floats call, and it lies within
-    tol = 2**-50 (1 + |bound|) of the exact hits / 2**m - bound, as does
-    fl(fl(hits / 2**m) - bound).  Proof, with u = 2**-53, W = hits / 2**m
-    and B = |bound|: each P[k] is within u P[k] <= u of cum[k] / 2**m, so
-    P[b] - P[a - 1] is within 2u of W in [0, 1], and rounding it adds at
-    most u (1 + 2u), so w = fl(P[b] - P[a - 1]) is within 3u + 2u**2 of W;
-    rounding w - bound adds at most u (1 + B + 3u + 2u**2), so margin is
-    within 4u + uB + 6u**2 of W - bound.  Likewise fl(W) is within u of
-    W and fl(fl(W) - bound) within 2u + uB + u**2 of W - bound, so the two
-    are within 6u (1 + B) + 7u**2 < 7.9u (1 + B) of each other, and the
-    computed tol = fl(8u fl(1 + B)) is at least 8u (1 + B)(1 - u).  A cast
-    to a subnormal float adds at most 2**-1075 to the error, which the
-    spare 0.9u (1 + B) covers.  An infinite bound gets tol 0: there margin
-    is -bound and its sign is exact; a NaN bound gets tol 0 as well, and
-    fails every comparison."""
-    counts = []
-    for m, lo, hi, *_ in chunk:
+        rows.append((m, max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m), *consts))
+    if not rows:
+        raise ValueError(f"no m values to check: m_values={m_values!r}")
+    counts = []  # per m: cum[lo - 1] (0 when lo = 0), then cum[lo], ..., cum[hi]
+    for m, lo, hi, *_ in rows:
         cum = _fair_cumulative(m)
         counts.append(cum[lo - 1] if lo > 0 else 0)
         counts += cum[lo:hi + 1]
-    columns = list(zip(*chunk))
+    columns = list(zip(*rows))
     ms, los, his = (np.array(column, dtype=np.int64) for column in columns[:3])
-    main_coef, cubic_coef, shift = (np.array(column) for column in columns[3:])
+    main, cubic, shift = (np.array(column) for column in columns[3:])
     sizes = his - los + 2
-    first = np.cumsum(sizes) - sizes  # position of each m's cum[lo - 1]
-    p = np.arange(len(counts))
-    p_seg = np.repeat(np.arange(len(chunk)), sizes)
-    e = ms[p_seg]
-    k = los[p_seg] - 1 + p - first[p_seg]  # counts[p] = cum[k]
-    d = k - e // 2
-    cubes = (d * d * d).astype(np.float64)  # (k - m/2)**3
-    prefix = _dyadic_floats(counts, e)
-    # bot is the position of cum[a - 1] for a = lo, ..., hi - 1, once for
-    # each of its tops, which run from bot + 2 (b = a + 1) to that m's last
-    # position (b = hi)
-    tops = np.maximum(first[p_seg] + sizes[p_seg] - 2 - p, 0)
-    bot = np.repeat(p, tops)
-    top = bot + 2 + np.arange(bot.size) - np.repeat(np.cumsum(tops) - tops, tops)
-    seg = p_seg[bot]
-    bound = main_coef[seg] * (top - bot - 1) - cubic_coef[seg] * (cubes[top] - cubes[bot + 1]) - shift[seg]
-    margin = (prefix[top] - prefix[bot]) - bound
-    tol = np.where(np.isfinite(bound), _TIE_TOL * (1.0 + np.abs(bound)), 0.0)
-    return seg, top, bot, np.array(counts, dtype=object), bound, margin, tol
+    row = np.repeat(np.arange(len(rows)), sizes)
+    first = np.cumsum(sizes) - sizes  # the position in counts of each m's cum[lo - 1]
+    col = np.arange(row.size) - first[row]
+    prefix = np.zeros((len(rows), sizes.max()))  # prefix[i, j] = cum[lo + j - 1]/2**m
+    prefix[row, col] = _dyadic_floats(counts, ms[row])
+    d = los[:, None] - ms[:, None] // 2 + np.arange(prefix.shape[1] - 1)  # k - m/2
+    cubes = (d * d * d).astype(np.float64)
+    poly = cubic[:, None] * cubes - main[:, None] * d
+    inside = d <= (his - ms // 2)[:, None]
+    f = np.where(inside, prefix[:, 1:] + poly, np.inf)
+    g = np.where(inside, prefix[:, :-1] + poly, -np.inf)
+
+    def windows(i, a, b):
+        hits = [counts[top] - counts[bot] for top, bot in zip((first[i] + b + 1).tolist(), (first[i] + a).tolist())]
+        return hits, main[i] * (b - a) - cubic[i] * (cubes[i, b] - cubes[i, a]) - shift[i]
+
+    return ms, shift, f, g, _TIE_TOL * (1.0 + np.abs(shift)), windows
 
 
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
@@ -517,37 +502,6 @@ def chernoff_dominance_report(
     )
 
 
-def _window_summaries(chunk: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each m of a _window_chunks chunk: the bound and the float fl(hits / 2**m) of its
-    first worst window by float margin fl(fl(hits / 2**m) - bound), and
-    whether every window of that m holds exactly.
-
-    A window whose margin (_window_grid) exceeds its tol in magnitude has
-    the sign of that margin; every other one is decided exactly by
-    _excess_signs.  Each m's worst window is among its candidates, the
-    windows whose margin minus tol is at most the least margin plus tol of
-    that m: every window's float margin lies within tol of its margin, so
-    the worst window's margin minus tol is at most its float margin, which
-    is at most every window's margin plus tol.  Only the candidates' float
-    margins are computed, and the first least of them is the worst."""
-    seg, top, bot, counts, bound, margin, tol = _window_grid(chunk)
-    m_col = np.array([row[0] for row in chunk], dtype=np.int64)
-    signs = (margin > tol).astype(np.int8) - (margin < -tol)
-    near = np.flatnonzero(signs == 0)
-    if near.size:
-        hits, e = counts[top[near]] - counts[bot[near]], m_col[seg[near]]
-        signs[near] = _excess_signs(hits, e, _dyadic_floats(hits, e), bound[near])
-    each = np.arange(len(chunk))
-    upper = np.minimum.reduceat(margin + tol, np.searchsorted(seg, each))
-    cand = np.flatnonzero(margin - tol <= upper[seg])  # every m has one
-    cand_seg = seg[cand]
-    exact = _dyadic_floats(counts[top[cand]] - counts[bot[cand]], m_col[cand_seg])
-    gap = exact - bound[cand]
-    least = np.flatnonzero(gap == np.minimum.reduceat(gap, np.searchsorted(cand_seg, each))[cand_seg])
-    worst = least[np.searchsorted(cand_seg[least], each)]  # the first least of each m
-    return bound[cand[worst]], exact[worst], np.bincount(seg[signs < 0], minlength=len(chunk)) == 0
-
-
 def window_lower_dominance_report(
     m_values: Sequence[int] = tuple(range(50, 501, 2)), c_term: float | None = None
 ) -> BoundReport:
@@ -556,23 +510,48 @@ def window_lower_dominance_report(
     that m's first worst window by float margin; it is satisfied when every
     window of that m holds exactly, comparing the integer count with the
     bound's exact value, with no slack.  Every m must be even and >= 2, as
-    binomial_window_lower requires, and m_values must not be empty.  The
-    windows are built and decided in chunks of consecutive m, one chunk's
-    columns at a time."""
+    binomial_window_lower requires, m_values must not be empty, and c_term
+    must not be NaN.
+
+    Over the columns of _window_grid, each m's least approximate margin
+    less shift, M = min fl(F[b] - G[a]), is the least over b of fl(F[b] -
+    max_{a < b} G[a]), as rounding is monotone.  The m's candidates are
+    the windows with fl(F[b] - G[a]) <= cap = fl(M + 2 tol), which is at
+    least M + 1.98 tol, as |M| < 4.7 and tol >= 2**-44; no window of a
+    column b with fl(F[b] - max G) > cap is one.  Only the candidates get
+    hits and float bounds.  Let E = tol/16 bound each approximate margin's
+    distance to the exact and to the float margin.  The first worst window,
+    of least float margin, has an approximate margin at most 2E above that
+    of M's window, so it is a candidate.  The m holds iff every candidate
+    holds exactly (_excess_signs): once M's window holds, M + shift >= -E,
+    and every other window's exact margin exceeds M + 1.98 tol + shift - E
+    > 0.  An infinite shift makes every window a candidate."""
     c = DEFAULT_WINDOW_C if c_term is None else c_term
-    ms, columns = [], []
-    for chunk in _window_chunks(m_values, c):
-        ms += [row[0] for row in chunk]
-        columns.append(_window_summaries(chunk))
-    if not ms:
-        raise ValueError(f"no m values to check: m_values={m_values!r}")
-    bounds, observed, holds = (np.concatenate(column) for column in zip(*columns))
+    if math.isnan(c):
+        raise ValueError("c_term must not be NaN")
+    ms, shift, f, g, tol, windows = _window_grid(m_values, c)
+    each, width = np.arange(len(ms)), f.shape[1]
+    # best[i, b], the least margin over a < b of column b, by a prefix maximum of G
+    best = f - np.hstack([np.full((len(ms), 1), -np.inf), np.maximum.accumulate(g, axis=1)[:, :-1]])
+    cap = best.min(axis=1) + 2.0 * tol
+    i, b = np.nonzero((best <= cap[:, None]) & (f < np.inf))
+    pick, a = np.nonzero((f[i, b][:, None] - g[i] <= cap[i, None]) & (np.arange(width) < b[:, None]))
+    order = np.lexsort((b[pick], a, i[pick]))  # each m's candidates in (a, b) order
+    i, a, b = i[pick][order], a[order], b[pick][order]
+    hits, bound = windows(i, a, b)
+    e = ms[i]
+    exact = _dyadic_floats(hits, e)
+    signs = _excess_signs(hits, e, exact, bound)
+    gap = exact - bound
+    least = np.flatnonzero(gap == np.minimum.reduceat(gap, np.searchsorted(i, each))[i])
+    worst = least[np.searchsorted(i[least], each)]  # the first least of each m
+    labels = ms.tolist()
     return BoundReport(
         "exact window vs binomial_window_lower (calibrated)",
-        lambda i: f"m={ms[i]}",
-        bounds,
-        observed,
-        holds,
+        lambda k: f"m={labels[k]}",
+        bound[worst],
+        exact[worst],
+        np.bincount(i[signs < 0], minlength=len(ms)) == 0,
     )
 
 

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bitkit import RNG_ALGORITHM, BitString, Rng
+from .bitkit import RNG_ALGORITHM, BitString, Rng, require_seed
 from .bounds import (
     chernoff_dominance_report,
     hoeffding_dominance_report,
@@ -42,7 +42,7 @@ from .classical import (
     require_shared_samples,
     xi_parameters,
 )
-from .coupling import require_dp_length, verify_independence
+from .coupling import require_dp_length, require_tolerance, verify_independence
 from .protocol import estimate_success, failure_probability, require_repetitions
 from .relation import (
     aleph_statistics,
@@ -159,11 +159,19 @@ def _cmd_coupling_verify(args):
     return rows, ("s", "max_tv", "pass"), failure
 
 
+def _shift_t_values(n: int) -> list[int]:
+    """bounds-validate's sampled deviations n/16, n/8 and 3n/16, rounded
+    down, that are at least 1; refused when none is (n < 6)."""
+    t_values = [t for t in (n // 16, n // 8, 3 * n // 16) if t >= 1]
+    if not t_values:
+        raise ValueError(f"no t values to check at n={n}")
+    return t_values
+
+
 def _cmd_bounds_validate(args):
     sampled = []
-    if args.trials > 0:  # first, so that an n too small to sample fails fast
-        t_values = [t for t in (args.n // 16, args.n // 8, 3 * args.n // 16) if t >= 1]
-        report = shift_xor_tail_check(args.n, t_values, args.trials, Rng(args.seed))
+    if args.trials > 0:
+        report = shift_xor_tail_check(args.n, _shift_t_values(args.n), args.trials, Rng(args.seed))
         sampled.append(("shift_xor_tail", report))
     reports = [
         ("hoeffding", hoeffding_dominance_report()),
@@ -259,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag = add("aleph-estimate", "Monte Carlo estimate of the typicality probability", _cmd_aleph_estimate)
     flag("n", require_transform_size, type=int, required=True)
     flag("trials", _at_least(1), type=int, required=True)
-    flag("seed", type=int, default=0)
+    flag("seed", require_seed, type=int, default=0)
 
     flag = add(
         "protocol-success", "Monte Carlo protocol success rate on uniform pairs", _cmd_protocol_success,
@@ -267,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flag("n", require_transform_size, type=int, required=True)
     flag("trials", _at_least(1), type=int, required=True)
-    flag("seed", type=int, default=0)
+    flag("seed", require_seed, type=int, default=0)
     flag(
         "t", lambda t: t is None or _at_least(1)(t),  # a None --t is the handler's to resolve
         type=int, default=None, help="outcome samples per run (default log2 n)",
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     flag = add("protocol-failure-exact", "exact per-pair failure probabilities", _cmd_protocol_failure_exact)
     flag("n", require_transform_size, type=int, required=True)
     flag("trials", _at_least(1), type=int, default=100, help="sampled pairs when not exhaustive")
-    flag("seed", type=int, default=0)
+    flag("seed", require_seed, type=int, default=0)
     flag("exhaustive", action="store_true", help="all pairs (small n)")
 
     flag = add(
@@ -286,19 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
     flag("n", _at_least(1), type=int, required=True)
     flag("t", _at_least(1), type=int, required=True, help="shared samples per run")
     flag("trials", _at_least(1), type=int, required=True)
-    flag("seed", type=int, default=0)
+    flag("seed", require_seed, type=int, default=0)
 
     flag = add("coupling-verify", "exact coupled-mixture check for every selector", _cmd_coupling_verify)
     flag("n", require_dp_length, type=int, required=True)
-    flag("tol", type=float, default=1e-9)
+    flag("tol", require_tolerance, type=float, default=1e-9)
 
     flag = add(
         "bounds-validate", "tail-bound dominance grids, plus sampled shift tails", _cmd_bounds_validate,
         ("--trials", lambda a: require_shift_samples(a.n, a.trials)),
+        ("--n/--trials", lambda a: a.trials == 0 or _shift_t_values(a.n)),
     )
     flag("n", require_shift_size, type=int, default=256)
     flag("trials", _at_least(0), type=int, default=0, help="samples per shift (0 skips)")
-    flag("seed", type=int, default=0)
+    flag("seed", require_seed, type=int, default=0)
 
     # A --c1/--c2 pair refused at MAX_REDUCTION_N is refused at every n: the
     # pads only grow with n, and xi_parameters' other rules do not read it.
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flag("n", require_reduction_size, type=int, required=True)
     flag("trials", _at_least(1), type=int, default=1, help="independent seeds")
-    flag("seed", type=int, default=0)
+    flag("seed", require_seed, type=int, default=0)
     flag("rect", default="full")
     flag("c1", type=int, required=True)
     flag("c2", type=int, required=True)

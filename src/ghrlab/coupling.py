@@ -191,6 +191,13 @@ def require_dp_length(n: int) -> None:
         raise ValueError(f"n must be even in [2, 16], got {n}")
 
 
+def require_tolerance(tol: float) -> None:
+    """Reject a negative, NaN or infinite tol: verify_independence compares
+    the worst distance with tol exactly, as a Fraction."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
+
+
 def exact_coupled_distribution(s: BitString) -> CoupledDistTable:
     """DP marginalisation of the sampler over all a of each fixed weight.
 
@@ -286,8 +293,7 @@ def verify_independence(s: BitString, tol: float = 1e-9) -> IndependenceReport:
     Reports the worst total-variation distance over the |a| = k rows; with
     the real sampler the distance is exactly zero.  passed compares that
     distance with tol exactly, so tol must be finite."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
+    require_tolerance(tol)
     require_dp_length(s.n)
     distances = _class_distances(s.n, s.weight())
     worst = max(distances)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -23,7 +23,7 @@ from ghrlab.bounds import (
     _excess,
     _excess_signs,
     _fair_cumulative,
-    _window_chunks,
+    _tail_grid,
     _window_grid,
     DEFAULT_WINDOW_C,
     anticorrelated_expectation_holds,
@@ -241,6 +241,21 @@ def test_hoisted_hoeffding_equals_hoeffding_bound(m_values, size):
         assert point.satisfied == (_excess(int(exact * (1 << m)), m, point.bound_value) <= 0)
 
 
+@pytest.mark.parametrize("sides", [1, 2])
+@pytest.mark.parametrize(
+    "m_values, divisor", [(range(10, 401), 4), (range(998, 1004), 4), (range(1, 60), 3)], ids=["default", "m998-1003", "m1-59/3"]
+)
+def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
+    m, t, counts, e, observed = _tail_grid(m_values, divisor, sides)
+    expect = []
+    for k in m_values:
+        for j in range(1, k // divisor + 1):
+            count = _fair_cumulative(k)[k // 2 - j] if k // 2 >= j else 0
+            expect.append((k, j, count, k + 1 - sides, count / (1 << (k + 1 - sides))))
+    assert m.dtype == t.dtype == e.dtype == np.int64
+    assert list(zip(m.tolist(), t.tolist(), counts, e.tolist(), observed.tolist())) == expect
+
+
 def test_excess_decides_ties_the_float_quotient_hides():
     # (2**59 + 1) / 2**60 rounds to the float 0.5, yet it exceeds 0.5
     assert float((2**59 + 1) / 2**60) == 0.5
@@ -339,9 +354,16 @@ def reference_windows(m, c_term):
     return windows
 
 
+def window_pairs(m):
+    """Every window a < b inside m/2 +- sqrt(m) as grid columns (a - lo, b - lo),
+    in the order of reference_windows."""
+    width = min(math.floor(m / 2 + math.sqrt(m)), m) - max(math.ceil(m / 2 - math.sqrt(m)), 0)
+    return [(a, b) for a in range(width) for b in range(a + 1, width + 1)]
+
+
 DEFAULT_MS = tuple(range(50, 501, 2))
 SMALL_MS = tuple(range(2, 121, 2)) + (498, 500)
-STRADDLE_MS = (996, 998, 1000, 1002, 1004)  # a default chunk holds 1000 and 1002
+STRADDLE_MS = (996, 998, 1000, 1002, 1004)  # past e = 1000, _dyadic_floats divides ints
 
 
 @functools.cache
@@ -424,19 +446,26 @@ def test_window_grid_equals_reference_loop(c_term, m_values):
     near = 0
     for m in m_values:
         windows = reference_windows(m, c)
-        (chunk,) = _window_chunks((m,), c)
-        seg, top, bot, counts, bound, margin, tol = _window_grid(chunk)
-        hits = (counts[top] - counts[bot]).tolist()
-        assert list(zip(hits, bound.tolist())) == [(h, b) for h, _, b in windows]
-        assert not seg.any()
-        # the approximate margin is within tol of the exact one, hits / 2**m - bound
+        ms, shift, f, g, tol, grid_windows = _window_grid((m,), c)
+        assert ms.tolist() == [m] and shift.tolist() == [c / m]
+        a, b = np.array(window_pairs(m)).T
+        hits, bound = grid_windows(np.zeros_like(a), a, b)
+        assert list(zip(hits, bound.tolist())) == [(h, bd) for h, _, bd in windows]
+        # the approximate margin F[b] - G[a] + shift is within tol of the
+        # exact margin hits / 2**m - bound and of the float margin
+        # fl(fl(hits / 2**m) - bound)
+        (sh,), (t,) = shift.tolist(), tol.tolist()
+        fb, ga = f[0, b].tolist(), g[0, a].tolist()
+        assert all(map(math.isfinite, fb + ga))
+        if math.isinf(sh):
+            assert t == math.inf  # every window is a candidate, decided by its sign
+            continue
         s = 1074 + m  # every float is a multiple of 2**-1074
-        for h, d, t, b in zip(hits, margin.tolist(), tol.tolist(), bound.tolist()):
-            if math.isinf(b):
-                assert d == -b and t == 0.0
-            else:
-                assert abs(scaled(d, s) - (h << 1074) + scaled(b, s)) <= scaled(t, s)
-        near += int((np.abs(margin) <= tol).sum())
+        for h, exact, bd, fv, gv in zip(hits, [w[1] for w in windows], bound.tolist(), fb, ga):
+            approx = scaled(fv, s) - scaled(gv, s) + scaled(sh, s)
+            assert abs(approx - (h << 1074) + scaled(bd, s)) <= scaled(t, s)
+            assert abs(approx - scaled(exact - bd, s)) <= scaled(t, s)
+        near += int((np.abs(f[0, b] - g[0, a] + sh) <= t).sum())
     if tie is not None:
         assert near > 0  # so the exact verdict runs
     expect = reference_report(m_values, c)
@@ -468,18 +497,24 @@ def test_window_grid_equals_reference_loop(c_term, m_values):
 @pytest.mark.parametrize(
     "m_values, c_term", [(DEFAULT_MS, None), (STRADDLE_MS, -0.5)], ids=["default", "straddle-1000"]
 )
-def test_window_report_ignores_chunk_shape(cap, m_values, c_term, monkeypatch):
-    chunks = [[row[0] for row in chunk] for chunk in _window_chunks(m_values, 0.0)]
-    assert [m for chunk in chunks for m in chunk] == list(m_values)
-    if m_values == STRADDLE_MS:
-        assert any(min(chunk) <= 1000 < max(chunk) for chunk in chunks)
-    monkeypatch.setattr(bounds, "_CHUNK_WINDOWS", cap)
-    chunks = [[row[0] for row in chunk] for chunk in _window_chunks(m_values, 0.0)]
-    assert [m for chunk in chunks for m in chunk] == list(m_values)
+def test_window_report_ignores_chunk_shape(cap, m_values, c_term):
+    # each m's point depends on that m alone: the report over a grid is the
+    # concatenation of the reports over its runs of consecutive m, each run
+    # holding at most cap windows or a single m
+    chunks = [[]]
+    size = 0
+    for m in m_values:
+        if chunks[-1] and size + len(window_pairs(m)) > cap:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(m)
+        size += len(window_pairs(m))
     if cap == 1:
         assert len(chunks) == len(m_values)
     if cap == 10**9:
         assert len(chunks) == 1
+    rows = [row for chunk in chunks for row in report_rows(tuple(chunk), c_term)]
+    assert rows == report_rows(m_values, c_term)
     assert report_rows(m_values, c_term) == reference_report(m_values, DEFAULT_WINDOW_C if c_term is None else c_term)
 
 
@@ -497,28 +532,43 @@ def test_window_report_with_every_window_exact(c_term, monkeypatch):
 
 @pytest.mark.parametrize("c_term", [1e300, 3e16, "near-tie"])
 def test_window_report_takes_any_margin_within_tol(c_term, monkeypatch):
-    # the report relies only on each margin lying within tol of the exact
-    # margin and of the float margin fl(fl(hits / 2**m) - bound): move every
-    # margin tol / 2 off the float margin, up at each m's first worst window
-    # and down at every other one, and the report stays the same
+    # the report relies only on each approximate margin fl(F[b] - G[a]) +
+    # shift lying within tol of the exact margin and of the float margin
+    # fl(fl(hits / 2**m) - bound): move F and G by tol / 4 each, so that the
+    # margin of each m's first worst window goes up by tol / 2 and that of
+    # every window sharing neither end with it down by tol / 2, and the
+    # report stays the same
     if c_term in NEAR_TIES:
         c_term = near_tie_c(NEAR_TIES[c_term])
     grid = bounds._window_grid
 
-    def skewed(chunk):
-        seg, top, bot, counts, bound, margin, tol = grid(chunk)
-        e = np.array([row[0] for row in chunk])[seg].tolist()
-        gap = np.array([(counts[t] - counts[b]) / (1 << k) for t, b, k in zip(top, bot, e)]) - bound
-        worst = {}
-        for i, j in enumerate(seg.tolist()):
-            if j not in worst or gap[i] < gap[worst[j]]:
-                worst[j] = i
-        push = np.full(seg.size, -0.5)
-        push[list(worst.values())] = 0.5
-        return seg, top, bot, counts, bound, gap + push * tol, tol
+    def skewed(m_values, c):
+        ms, shift, f, g, tol, windows = grid(m_values, c)
+        up, down = np.full(f.shape, -0.25), np.full(g.shape, 0.25)
+        for i, m in enumerate(ms.tolist()):
+            gaps = [exact - bound for _, exact, bound in reference_windows(m, c)]
+            a, b = window_pairs(m)[gaps.index(min(gaps))]
+            up[i, b], down[i, a] = 0.25, -0.25
+        return ms, shift, f + up * tol[:, None], g + down * tol[:, None], tol, windows
 
     monkeypatch.setattr(bounds, "_window_grid", skewed)
     assert report_rows(SMALL_MS, c_term) == reference_report(SMALL_MS, c_term)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(1, 80), min_size=1, max_size=8, unique=True),
+    st.one_of(
+        st.sampled_from(sorted(NEAR_TIES)),
+        st.floats(-10.0, 10.0),
+        st.sampled_from([math.inf, -math.inf, 1e300, -1e300]),
+    ),
+)
+def test_window_report_equals_reference_on_random_grids(halves, c_term):
+    m_values = tuple(2 * h for h in halves)  # distinct even m in [2, 160], in any order
+    if c_term in NEAR_TIES:
+        c_term = near_tie_c(NEAR_TIES[c_term])
+    assert report_rows(m_values, c_term) == reference_report.__wrapped__(m_values, c_term)
 
 
 def test_bounds_validate_leaves_numpy_ma_unloaded():
@@ -541,8 +591,9 @@ def test_bounds_validate_leaves_numpy_ma_unloaded():
 
 
 def test_nan_bound_is_never_satisfied():
-    with pytest.raises(ValueError):
-        window_lower_dominance_report((50,), c_term=float("nan"))
+    for m_values in ((50,), DEFAULT_MS, (2,)):
+        with pytest.raises(ValueError, match="c_term must not be NaN"):
+            window_lower_dominance_report(m_values, c_term=float("nan"))
 
 
 def test_calibration_equals_reference_loop():

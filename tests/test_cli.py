@@ -247,9 +247,11 @@ def test_usage_errors_exit_two(capsys):
 )
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_64_bits_exits_two(capsys, argv, seed):
-    """Rng refuses the seed, so 2**64 never replays seed 0."""
+    """The --seed guard refuses the seed at parse time, so 2**64 never replays seed 0."""
     assert main(argv + ["--seed", seed]) == 2
-    assert capsys.readouterr().err == f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"usage: ghrlab {argv[0]} ")
+    assert err.endswith(f"error: argument --seed: seed must be a 64-bit unsigned integer, got {seed}\n")
 
 
 @pytest.mark.parametrize(
@@ -276,13 +278,17 @@ def test_nonpositive_counts_are_usage_errors(argv, capsys):
 def test_bounds_validate_trials_below_n8_is_usage_error(capsys):
     # every t in (n/16, n/8, 3n/16) rounds to 0 at n = 4, leaving nothing to sample
     assert main(["bounds-validate", "--n", "4", "--trials", "5"]) == 2
-    assert capsys.readouterr().err == "error: no t values to check at n=4\n"
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith("usage: ghrlab bounds-validate ")
+    assert err.endswith("error: argument --n/--trials: no t values to check at n=4\n")
 
 
 def test_negative_or_nan_tolerance_is_usage_error(capsys):
     for tol in ("-1", "nan", "inf"):
         assert main(["coupling-verify", "--n", "4", "--tol", tol]) == 2
-        assert capsys.readouterr().err.startswith("error: tol must be")
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith("usage: ghrlab coupling-verify ")
+        assert err.endswith(f"error: argument --tol: tol must be a finite nonnegative number, got {float(tol)}\n")
 
 
 def test_oversized_n_is_usage_error(capsys):
@@ -408,6 +414,24 @@ def test_sample_caps_accept_their_edges(handlers, capsys):
         assert main(argv) == 0
     assert ran == ["baseline-tghr", "bounds-validate"] * 2
     capsys.readouterr()
+
+
+def test_seed_tol_and_shift_t_guards_accept_their_edges(handlers, capsys):
+    # parsed and checked only, with stand-in handlers
+    ran = []
+    for sub in ("aleph-estimate", "coupling-verify", "bounds-validate"):
+        handlers(sub, lambda args: ran.append(args.subcommand) or ([], ("n",), None))
+    for argv in (
+        ["aleph-estimate", "--n", "16", "--trials", "1", "--seed", str(2**64 - 1)],
+        ["coupling-verify", "--n", "4", "--tol", "0"],
+        ["bounds-validate", "--n", "6", "--trials", "5"],  # 3n/16 rounds down to 1
+        ["bounds-validate", "--n", "4"],  # nothing sampled, so no t is needed
+    ):
+        assert main(argv) == 0
+    assert ran == ["aleph-estimate", "coupling-verify", "bounds-validate", "bounds-validate"]
+    assert main(["bounds-validate", "--n", "5", "--trials", "5"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --n/--trials: no t values to check at n=5\n")
+    assert [cli._shift_t_values(n) for n in (6, 16, 256)] == [[1], [1, 2, 3], [16, 32, 48]]
 
 
 @pytest.mark.parametrize("sub", ["aleph-estimate", "coupling-verify", "rect-spectrum"])
