@@ -100,20 +100,17 @@ def relaxed_chernoff_bound(
             raise ValueError(f"upper level {level} outside [{mu}, {m}]")
         if side == "lower_tail" and not 0 <= level <= mu:
             raise ValueError(f"lower level {level} outside [0, {mu}]")
-        value = _ratio_power(mu, level, level) * _ratio_power(m - mu, m - level, m - level)
-        return min(1.0, value)
+        return min(1.0, _ratio_power(mu, level) * _ratio_power(m - mu, m - level))
     raise ValueError(f"form must be 'exp' or 'ratio', got {form!r}")
 
 
-def _ratio_power(num: float, den: float, expo: float) -> float:
-    """(num/den)**expo with the 0**0 = 1 convention used by the ratio form."""
-    if expo == 0:
+def _ratio_power(num: float, den: float) -> float:
+    """(num/den)**den with the 0**0 = 1 convention used by the ratio form."""
+    if den == 0:
         return 1.0
     if num == 0:
         return 0.0
-    if den == 0:
-        raise ValueError("zero denominator with nonzero exponent")
-    return math.exp(expo * (math.log(num) - math.log(den)))
+    return math.exp(den * (math.log(num) - math.log(den)))
 
 
 # Rows of _fair_cumulative built so far, by m, up to _FAIR_ROWS_KEPT of them

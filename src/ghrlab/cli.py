@@ -50,6 +50,7 @@ from .relation import (
     enumerate_pairs,
     estimate_aleph_probability,
     is_typical,
+    require_exhaustive_size,
     require_transform_size,
     trial_pair,
 )
@@ -281,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int, default=None, help="outcome samples per run (default log2 n)",
     )
 
-    flag = add("protocol-failure-exact", "exact per-pair failure probabilities", _cmd_protocol_failure_exact)
+    flag = add(
+        "protocol-failure-exact", "exact per-pair failure probabilities", _cmd_protocol_failure_exact,
+        ("--n/--exhaustive", lambda a: a.exhaustive and require_exhaustive_size(a.n)),
+    )
     flag("n", require_transform_size, type=int, required=True)
     flag("trials", _at_least(1), type=int, default=100, help="sampled pairs when not exhaustive")
     flag("seed", require_seed, type=int, default=0)
@@ -315,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reduction-demo", "set-disjointness encoding over all instances", _cmd_reduction_demo,
         ("--c1/--c2", lambda a: xi_parameters(a.c1, a.c2, MAX_REDUCTION_N)),
         ("--n", lambda a: xi_parameters(a.c1, a.c2, a.n)),
+        ("--n/--rect", lambda a: parse_rect(a.rect, a.n)),
     )
     flag("n", require_reduction_size, type=int, required=True)
     flag("trials", _at_least(1), type=int, default=1, help="independent seeds")
@@ -323,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     flag("c1", type=int, required=True)
     flag("c2", type=int, required=True)
 
-    flag = add("rect-spectrum", "relative distance weights of a rectangle", _cmd_rect_spectrum)
+    flag = add(
+        "rect-spectrum", "relative distance weights of a rectangle", _cmd_rect_spectrum,
+        ("--n/--rect", lambda a: parse_rect(a.rect, a.n)),
+    )
     flag("n", require_enumerable, type=int, required=True)
     flag("rect", required=True)
 

@@ -16,14 +16,13 @@ fixed coordinate order:
 Every branch probability is an exact rational in the running weights;
 sampling compares one 64-bit draw against that rational.  When |s| < n/2
 both a and s are complemented first, which swaps majority roles and leaves
-a xor a_tilde xor s unchanged.  The DP table builder marginalises the same
-transition rules over all a of fixed weight in Fraction arithmetic, so
-independence can be verified with zero tolerance.
+a xor a_tilde xor s unchanged.  The exact tables run the same step rules
+backward, last step first, over all a of each weight in Fraction
+arithmetic, so independence can be verified with zero tolerance.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -142,17 +141,12 @@ def sample_a_tilde(a: BitString, s: BitString, rng: Rng) -> CouplingTranscript:
         pair = (0, 0)
         if z:
             pair = (0, 1) if rng.chance(Fraction(1, 2)) else (1, 0)
-            if pair[0]:
-                tilde_positions.add(ca)
-            else:
-                tilde_positions.add(cb)
+            tilde_positions.add(ca if pair[0] else cb)
         stage_two.append(StageTwoStep(ca, cb, (a1, a2), p, z, pair))
         k -= a1 + a2
         weights.append(k)
 
-    tilde_value = 0
-    for pos in tilde_positions:
-        tilde_value |= 1 << (n - pos)
+    tilde_value = sum(1 << (n - pos) for pos in tilde_positions)
     return CouplingTranscript(
         a=a,
         s=s,
@@ -199,84 +193,75 @@ def require_tolerance(tol: float) -> None:
 
 
 def exact_coupled_distribution(s: BitString) -> CoupledDistTable:
-    """DP marginalisation of the sampler over all a of each fixed weight.
-
-    State space is (remaining weight, accumulated output weight) per step;
-    n must be even in [2, 16] (require_dp_length).  The DP reads s only
-    through its length and weight, so its rows are built once per weight
-    class and shared by every selector of that class.
-    """
+    """The sampler's exact output-weight law for uniform a of each weight,
+    n even in [2, 16] (require_dp_length).  The rows read s only through its
+    length and weight, so each weight class builds them once, in one
+    backward pass (_class_rows), for every selector of that class."""
     require_dp_length(s.n)
     return CoupledDistTable(s.n, s, _class_rows(s.n, s.weight()))
 
 
 @lru_cache(maxsize=None)  # bounded: even n <= 16, weight in [0, n]
 def _class_rows(n: int, weight: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows shared by every selector of length n and this weight."""
-    return _coupled_rows(BitString((1 << weight) - 1, n))
+    """Rows shared by every selector of length n and this weight, from one
+    backward pass.  With m coordinates left, laws[k] is the exact law of the
+    output weight they still add, given k ones of a among them (each next a
+    bit is a 1 with probability k/m).  From m = 0 the pass takes the
+    sampler's steps last to first: the stage-2 pairs (m = 2, 4, ..., n - 2d),
+    then the stage-1 coordinates (m = n - 2d + 1, ..., n); laws[k0] ends as
+    row k0.  Below weight n/2 the rows are the complement class's reversed:
+    complementing a maps weight k to n - k and leaves the output law."""
+    if 2 * weight < n:
+        return _class_rows(n, n - weight)[::-1]
+    two_d = 2 * weight - n
+    laws: list[tuple[Fraction, ...]] = [(Fraction(1),)]
+    for m in range(2, n - two_d + 1, 2):
+        laws = [_pair_law(laws, m, k) for k in range(m + 1)]
+    for m in range(n - two_d + 1, n + 1):
+        laws = [_single_law(laws, m, k) for k in range(m + 1)]
+    for k, row in enumerate(laws):
+        if min(row) < 0 or sum(row) != 1:
+            raise InvariantError(f"coupling row n={n}, weight={weight}, k={k} is not a distribution")
+    return tuple(laws)
 
 
-def _coupled_rows(s: BitString) -> tuple[tuple[Fraction, ...], ...]:
-    """The DP rows of one selector.  A selector with |s| >= n/2 runs the DP
-    itself, uncached; tests compare it with the weight-class rows of every
-    selector.  One with |s| < n/2 reverses its complement's class rows."""
-    n = s.n
-    if 2 * s.weight() < n:
-        inner = _class_rows(n, n - s.weight())
-        # complementing a maps weight k to n - k and leaves the output law
-        return inner[::-1]
+def _single_law(laws, m: int, k: int) -> tuple[Fraction, ...]:
+    """A stage-1 step over laws of m - 1 coordinates: an s = 1 coordinate
+    whose output bit is a xor flip xor 1."""
+    terms = []
+    for a_bit, count in ((1, k), (0, m - k)):
+        if count:
+            pa = Fraction(count, m)
+            pf = _stage_one_flip_probability(m, k, a_bit)
+            rest = laws[k - a_bit]
+            terms += [(pa * pf, a_bit, rest), (pa * (1 - pf), 1 - a_bit, rest)]
+    return _mix(m, terms)
 
-    two_d = 2 * s.weight() - n
-    pair_count = (n - two_d) // 2
-    rows = []
-    for k0 in range(n + 1):
-        states: dict[tuple[int, int], Fraction] = {(k0, 0): Fraction(1)}
-        for step in range(two_d):
-            m = n - step
-            nxt: dict[tuple[int, int], Fraction] = defaultdict(Fraction)
-            for (k, w), pr in states.items():
-                for a_bit in (0, 1):
-                    pa = Fraction(k, m) if a_bit else Fraction(m - k, m)
-                    if pa == 0:
-                        continue
-                    pf = _stage_one_flip_probability(m, k, a_bit)
-                    for f_bit, pb in ((1, pf), (0, 1 - pf)):
-                        if pb == 0:
-                            continue
-                        out = a_bit ^ f_bit ^ 1
-                        nxt[(k - a_bit, w + out)] += pr * pa * pb
-            states = dict(nxt)
-        for idx in range(pair_count):
-            m = n - two_d - 2 * idx
-            ref = m * (m - 1)
-            nxt = defaultdict(Fraction)
-            for (k, w), pr in states.items():
-                branches = (
-                    (1, 1, k * (k - 1)),
-                    (0, 0, (m - k) * (m - k - 1)),
-                    (1, 0, k * (m - k)),
-                    (0, 1, k * (m - k)),
-                )
-                for a1, a2, weight_count in branches:
-                    if weight_count == 0:
-                        continue
-                    p_pair = pr * Fraction(weight_count, ref)
-                    pz = _stage_two_z_probability(m, k, a1 == a2)
-                    key = (k - a1 - a2, 0)
-                    base_w = w + (1 - a1) + a2
-                    nxt[(key[0], base_w)] += p_pair * (1 - pz)
-                    if pz:
-                        half = p_pair * pz / 2
-                        nxt[(key[0], w + (1 - a1) + (1 - a2))] += half
-                        nxt[(key[0], w + a1 + a2)] += half
-            states = dict(nxt)
-        dist = [Fraction(0)] * (n + 1)
-        for (k, w), pr in states.items():
-            if k != 0:
-                raise InvariantError(f"DP for s={s} ended with {k} unconsumed weight")
-            dist[w] += pr
-        rows.append(tuple(dist))
-    return tuple(rows)
+
+def _pair_law(laws, m: int, k: int) -> tuple[Fraction, ...]:
+    """A stage-2 step over laws of m - 2 coordinates: an (s = 1, s = 0) pair
+    (a1, a2) that outputs (1 - a1) + a2 unless z flips one of its sides,
+    each with half of z's probability."""
+    branches = ((1, 1, k * (k - 1)), (0, 0, (m - k) * (m - k - 1)), (1, 0, k * (m - k)), (0, 1, k * (m - k)))
+    terms = []
+    for a1, a2, count in branches:
+        if count:
+            pp = Fraction(count, m * (m - 1))
+            pz = _stage_two_z_probability(m, k, a1 == a2)
+            rest, half = laws[k - a1 - a2], pp * pz / 2
+            terms += [(pp * (1 - pz), 1 - a1 + a2, rest), (half, 2 - a1 - a2, rest), (half, a1 + a2, rest)]
+    return _mix(m, terms)
+
+
+def _mix(m: int, terms) -> tuple[Fraction, ...]:
+    """The law on [0, m] that mixes each (probability, shift, law) term's
+    law, shifted up by its shift."""
+    out = [Fraction(0)] * (m + 1)
+    for p, shift, law in terms:
+        if p:
+            for w, q in enumerate(law):
+                out[w + shift] += p * q
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -458,11 +458,16 @@ def exact_aleph_probability(n: int) -> Fraction:
     return Fraction(count, 1 << (2 * n))
 
 
-def enumerate_pairs(n: int):
-    """All (x, y) input pairs at size n, in lexicographic order.  Only n = 4
-    among the allowed sizes is small enough; larger n raise on first use."""
+def require_exhaustive_size(n: int) -> None:
+    """Refuse to enumerate all 4**n pairs past n = 10 (of the allowed n, all but 4)."""
     if 2 * n > 20:
         raise ValueError(f"exhaustive enumeration infeasible for n={n}")
+
+
+def enumerate_pairs(n: int):
+    """All (x, y) input pairs at size n, in lexicographic order; an n that
+    require_exhaustive_size refuses raises on first use."""
+    require_exhaustive_size(n)
     for xv in range(1 << n):
         x = BitString(xv, n)
         for yv in range(1 << n):

@@ -96,6 +96,9 @@ def test_relaxed_chernoff_ratio_form():
     ) == 1.0
     edge = relaxed_chernoff_bound("upper_tail", form="ratio", m=10, mu=5.0, level=10.0)
     assert edge == pytest.approx(0.5**10)
+    # a zero mean (or a zero complement) beyond the level gives exactly 0
+    assert relaxed_chernoff_bound("upper_tail", form="ratio", m=10, mu=0.0, level=3.0) == 0.0
+    assert relaxed_chernoff_bound("lower_tail", form="ratio", m=10, mu=10.0, level=7.0) == 0.0
     with pytest.raises(ValueError):
         relaxed_chernoff_bound("upper_tail", form="ratio", m=10, mu=5.0, level=4.0)
     with pytest.raises(ValueError):

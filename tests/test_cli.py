@@ -6,6 +6,7 @@ import hashlib
 import io
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -146,17 +147,15 @@ def test_coupling_verify_all_pass(capsys):
     assert all(l.endswith(",1") for l in lines[1:])
 
 
-def test_coupling_verify_runs_one_dp_per_weight_class(monkeypatch, capsys):
+def test_coupling_verify_runs_one_dp_per_weight_class(capsys):
     coupling._class_rows.cache_clear()
     coupling._class_distances.cache_clear()
-    built = []
-    real = coupling._coupled_rows
-    monkeypatch.setattr(
-        coupling, "_coupled_rows", lambda s: built.append(s.weight()) or real(s)
-    )
     assert main(["coupling-verify", "--n", "6"]) == 0
     capsys.readouterr()
-    assert sorted(built) == list(range(7))  # 64 selectors, 7 weight classes
+    # 64 selectors, 7 weight classes: each class's rows are built once, by
+    # a backward pass or by reversing its complement's rows
+    assert coupling._class_rows.cache_info().misses == 7
+    assert coupling._class_distances.cache_info().misses == 7
 
 
 def test_coupling_failure_names_selector_and_k(broken_dp, capsys):
@@ -167,6 +166,14 @@ def test_coupling_failure_names_selector_and_k(broken_dp, capsys):
     first = next(l for l in captured.out.splitlines()[4:] if l.endswith(",0"))
     assert first.startswith("0001,")
     assert captured.err == "error: coupling check failed at s=0001, k=2: max_tv 0.333333333333 > tol 1e-09\n"
+
+
+def test_coupling_row_that_is_no_distribution_exits_one(coupling_patched, capsys):
+    with coupling_patched("_stage_one_flip_probability", lambda m, k, a_bit: Fraction(3, 2)):
+        assert main(["coupling-verify", "--n", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any row is written
+    assert captured.err == "error: invariant failed: coupling row n=4, weight=4, k=0 is not a distribution\n"
 
 
 def test_bounds_failure_names_grid_and_point(monkeypatch, capsys):
@@ -389,8 +396,18 @@ def test_reduction_flags_accept_the_least_n_that_fits(handlers, capsys):
             ["bounds-validate", "--n", "1024", "--trials", "65537"],
             "argument --trials: trials * n = 67109888 sampled bits per shift exceeds the cap 2**26",
         ),
+        (["rect-spectrum", "--n", "4", "--rect", "bogus"], "argument --n/--rect: unknown rectangle family: 'bogus'"),
+        (
+            ["reduction-demo", "--c1", "6", "--c2", "8", "--n", "16", "--rect", "prefix_zeros(99)"],
+            "argument --n/--rect: prefix length 99 outside [0, 16]",
+        ),
+        (
+            ["protocol-failure-exact", "--n", "16", "--exhaustive"],
+            "argument --n/--exhaustive: exhaustive enumeration infeasible for n=16",
+        ),
     ],
-    ids=["baseline-tghr", "bounds-validate"],
+    ids=["baseline-tghr", "bounds-validate", "rect-spectrum --rect", "reduction-demo --rect",
+         "protocol-failure-exact --exhaustive"],
 )
 def test_sample_caps_refused_at_parse_time(argv, message, handlers, capsys):
     # no subcommand may start
@@ -449,13 +466,16 @@ def test_size_guards_accept_their_largest_n(handlers, capsys):
     run = lambda argv: main(argv) == 0 and ran.pop()  # noqa: E731
     assert run(["aleph-estimate", "--n", "4096", "--trials", "1"]) == 4096
     assert run(["protocol-failure-exact", "--n", "4"]) == 4
+    assert run(["protocol-failure-exact", "--n", "4", "--exhaustive"]) == 4
     assert run(["coupling-verify", "--n", "16"]) == 16
     assert run(["coupling-verify", "--n", "2"]) == 2
     assert run(["rect-spectrum", "--rect", "full", "--n", "20"]) == 20
     assert run(["rect-spectrum", "--rect", "full", "--n", "1"]) == 1
+    assert run(["rect-spectrum", "--rect", "prefix_zeros(20)", "--n", "20"]) == 20
     assert run(["bounds-validate", "--n", "4096"]) == 4096
     assert run(["bounds-validate", "--n", "2"]) == 2
     assert run(["reduction-demo", "--c1", "6", "--c2", "8", "--n", "65536"]) == 65536
+    assert run(["reduction-demo", "--c1", "6", "--c2", "8", "--n", "16", "--rect", "prefix_zeros(16)"]) == 16
     capsys.readouterr()
 
 

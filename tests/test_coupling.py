@@ -16,6 +16,7 @@ from ghrlab.coupling import (
     tilde_weight_tail_bound,
     verify_independence,
 )
+from ghrlab.util import InvariantError
 
 
 def bs(text):
@@ -50,13 +51,70 @@ def test_every_selector_gives_exact_binomial_rows(n):
             assert table.row(k) == fair
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_weight_class_rows_equal_uncached_per_selector_dp(n):
+class ScriptedCoins:
+    """An Rng stand-in whose chance(p) replays a script of outcomes and then
+    answers False; calls records each (p, outcome) it gave."""
+
+    def __init__(self, script):
+        self.script = script
+        self.calls = []
+
+    def chance(self, p):
+        i = len(self.calls)
+        outcome = self.script[i] if i < len(self.script) else False
+        self.calls.append((p, outcome))
+        return outcome
+
+
+def coin_tree_rows(s):
+    """P[|a xor a_tilde xor s| = w given |a| = k] from the sampler itself:
+    every a of each weight and every branch of sample_a_tilde's coins, each
+    leaf weighted by the product of its coins' p or 1 - p."""
+    n = s.n
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
     for value in range(1 << n):
-        s = BitString(value, n)
+        a = BitString(value, n)
+        scripts = [()]
+        while scripts:  # a leaf's script ends at its last True coin
+            script = scripts.pop()
+            coins = ScriptedCoins(script)
+            w = sample_a_tilde(a, s, coins).mixed_weight()
+            leaf = Fraction(1, math.comb(n, a.weight()))
+            for p, outcome in coins.calls:
+                leaf *= p if outcome else 1 - p
+            rows[a.weight()][w] += leaf
+            outcomes = tuple(outcome for _, outcome in coins.calls)
+            scripts += [(*outcomes[:i], True) for i in range(len(script), len(outcomes))]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_rows_equal_the_sampler_coin_tree(n):
+    # every selector at n <= 4; at n = 6 five weights: pure stage 1, both
+    # stages (d = 2 and d = 1), pure stage 2, and a complemented selector
+    texts = ["111111", "011111", "110110", "101010", "000100"]
+    selectors = [BitString(v, n) for v in range(1 << n)] if n <= 4 else [bs(t) for t in texts]
+    for s in selectors:
         table = exact_coupled_distribution(s)
         assert table.s == s
-        assert table.rows == coupling._coupled_rows(s)
+        assert table.rows == coin_tree_rows(s)
+
+
+def test_every_weight_class_is_binomial_up_to_the_cap():
+    # the DP's largest lengths, each class built afresh
+    coupling._class_rows.cache_clear()
+    coupling._class_distances.cache_clear()
+    for n in (10, 12, 14, 16):
+        for weight in range(n + 1):
+            assert coupling._class_distances(n, weight) == (0,) * (n + 1), (n, weight)
+
+
+def test_row_that_is_no_distribution_is_refused(coupling_patched):
+    # a flip probability past 1 gives the rows negative entries
+    with coupling_patched("_stage_one_flip_probability", lambda m, k, a_bit: Fraction(3, 2)):
+        for text, message in (("0001", "n=4, weight=3, k=0"), ("111100", "n=6, weight=4, k=0")):
+            with pytest.raises(InvariantError, match=f"^coupling row {message} is not a distribution$"):
+                exact_coupled_distribution(bs(text))
 
 
 def test_rows_are_distributions():
