@@ -36,7 +36,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .bitkit import BitString, Rng, fwht, random_bitstring
-from .relation import McEstimate, estimate_over_pairs, tghr_is_valid
+from .relation import McEstimate, _estimate_in_chunks, tghr_is_valid
 
 
 # Exact spectrum operations enumerate all 2**n strings of each side.
@@ -64,15 +64,18 @@ def require_reduction_size(n: int) -> None:
 
 
 # Shared sample bytes per baseline run: the byte-popcount pass indexes
-# _BYTE_WEIGHTS with an intp array, so a run's peak memory grows by about 11
-# bytes per sample byte, about 176 MiB at 2**24 bytes.
+# _BYTE_WEIGHTS with an intp array, so peak memory grows by about 11 bytes
+# per byte of the samples scored at once.  tghr_baseline scores all t, about
+# 176 MiB at 2**24 bytes; estimate_baseline_success scores one chunk at a
+# time, and its largest chunk holds at most (t + _FIRST_SAMPLES)/2 samples.
 MAX_SHARED_SAMPLE_BYTES = 1 << 24
 
 
 def require_shared_samples(n: int, t: int) -> None:
     """Reject t < 1, and t samples of n bits that hold more than
     MAX_SHARED_SAMPLE_BYTES bytes: tghr_baseline draws all t * ceil(n/8) of
-    them at once."""
+    them at once, and a failing trial of estimate_baseline_success draws
+    them all in chunks."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     size = t * ((n + 7) // 8)
@@ -107,17 +110,54 @@ def tghr_baseline(
     return tau, tghr_is_valid(x, y, tau)
 
 
+# Samples a baseline trial draws with its pair, before any early exit
+_FIRST_SAMPLES = 64
+
+
+def _passing_distance(n: int) -> int:
+    """The largest d with n - 2d >= 0 and (n - 2d)**2 >= 4n, tghr_is_valid's
+    integer test, or -1 when no d passes: the least passing g = n - 2d is
+    isqrt(4n - 1) + 1, and every larger g passes too."""
+    return (n - math.isqrt(4 * n - 1) - 1) // 2
+
+
 def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstimate:
-    """Success rate of the baseline over uniform input pairs; trial i's
-    shared stream is the rest of rng.child(i) after its pair."""
+    """Success rate of tghr_baseline over uniform input pairs, trial i on
+    rng.child(i): its pair as trial_pair draws it, then its t shared samples.
+
+    A trial is decided without the argmin.  tghr_baseline answers tau =
+    Z_i0 xor y, so tau xor x xor y = Z_i0 xor x and y cancels: the run is
+    valid iff d = |Z_i0 xor x| passes tghr_is_valid's test n - 2d >= 0 and
+    (n - 2d)**2 >= 4n.  That test holds for every d up to _passing_distance
+    and for no larger d, and i0 minimises |Z_i xor x|, so the run is valid
+    iff some sample is within _passing_distance of x.
+
+    So a trial stops at its first passing sample.  It draws x, y and the
+    first min(t, _FIRST_SAMPLES) samples in one Rng.bit_rows call, scores
+    them in one byte-popcount pass, and only while none has passed draws a
+    further chunk twice the size of the last, capped at the samples left.
+    Each draw continues the child's stream where the last left it, so the
+    samples are tghr_baseline's, and every verdict is its verdict; it stays
+    the slow oracle.  Trials go through _estimate_in_chunks, so the estimate
+    does not depend on the thread count."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     require_shared_samples(n, t)
+    limit = _passing_distance(n)
 
-    def accept(x: BitString, y: BitString, child: Rng) -> bool:
-        return tghr_baseline(x, y, t, child)[1]
+    def valid(i: int) -> bool:
+        child = rng.child(i)
+        rows = child.bit_rows(2 + min(t, _FIRST_SAMPLES), n)
+        x, samples, drawn = rows[0], rows[2:], len(rows) - 2
+        while True:
+            if int(np.take(_BYTE_WEIGHTS, samples ^ x).sum(axis=1).min()) <= limit:
+                return True
+            if drawn == t:
+                return False
+            samples = child.bit_rows(min(2 * len(samples), t - drawn), n)
+            drawn += len(samples)
 
-    return estimate_over_pairs(n, trials, rng, accept)
+    return _estimate_in_chunks(trials, 1, rng, lambda indices: sum(map(valid, indices)))
 
 
 class RectangleSpec:

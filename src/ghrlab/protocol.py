@@ -135,17 +135,18 @@ def run_protocol_trep(x: BitString, y: BitString, t: int, rng: Rng) -> tuple[Tra
 
 def repetition_failure_probability(m: int, p: Fraction) -> Fraction:
     """P[Binomial(m, p) > m/2], exactly.  A repetition fails when strictly
-    more than half of the m entries land in the center window."""
+    more than half of the m entries land in the center window.
+
+    With p = a/b in lowest terms the tail is one integer numerator over
+    b**m: the sum over k > m/2 of C(m, k) a**k (b - a)**(m - k)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p={p} outside [0, 1]")
-    q = 1 - p
-    total = Fraction(0)
-    for k in range(m // 2 + 1, m + 1):
-        total += math.comb(m, k) * p**k * q ** (m - k)
-    return total
+    a, b = p.numerator, p.denominator
+    tail = sum(math.comb(m, k) * a**k * (b - a) ** (m - k) for k in range(m // 2 + 1, m + 1))
+    return Fraction(tail, b**m)
 
 
 def failure_probability(n: int, statistic: int) -> Fraction:

@@ -405,19 +405,6 @@ def trial_pair(n: int, rng: Rng, i: int) -> tuple[BitString, BitString, Rng]:
     return x, y, child
 
 
-def estimate_over_pairs(
-    n: int, trials: int, rng: Rng, accept: Callable[[BitString, BitString, Rng], bool]
-) -> McEstimate:
-    """Share of trials whose pair passes accept(x, y, child), by Monte Carlo.
-
-    Trial i draws its pair and all further randomness from rng.child(i)
-    (trial_pair), so the estimate is a pure function of (n, trials, seed)
-    regardless of thread count."""
-    return _estimate_in_chunks(
-        trials, 1, rng, lambda indices: sum(accept(*trial_pair(n, rng, i)) for i in indices)
-    )
-
-
 def _estimate_in_chunks(
     trials: int, per_chunk: int, rng: Rng, hits: Callable[[range], int]
 ) -> McEstimate:

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -556,6 +557,43 @@ def test_window_report_takes_any_margin_within_tol(c_term, monkeypatch):
 
     monkeypatch.setattr(bounds, "_window_grid", skewed)
     assert report_rows(SMALL_MS, c_term) == reference_report(SMALL_MS, c_term)
+
+
+@pytest.mark.parametrize("c_term", [1e15, math.inf, -math.inf])
+def test_window_report_at_huge_c_decides_in_slices(c_term, monkeypatch):
+    # past |c| of about 1e13 almost every window of the default grid is a
+    # candidate, and at an infinite c every one; they are decided in
+    # slices, so the peak stays a few MB where one batch of them took 24 MB
+    real, sizes = bounds._window_candidates, []
+    monkeypatch.setattr(bounds, "_window_candidates", lambda *a: sizes.append(len(real(*a)[0])) or real(*a))
+    expect = reference_report(DEFAULT_MS, c_term)
+    tracemalloc.start()
+    try:
+        report = window_lower_dominance_report(DEFAULT_MS, c_term=c_term)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    total = sum(len(window_pairs(m)) for m in DEFAULT_MS)
+    assert total == 121036 and len(sizes) == 1
+    assert sizes[0] == total if math.isinf(c_term) else sizes[0] > 120000  # 120,401 at 1e15
+    assert peak < 8 * 2**20
+    assert [(p.label, p.bound_value, p.observed, p.satisfied) for p in report.points] == expect
+
+
+@pytest.mark.parametrize("size", [1, 7, 450])
+@pytest.mark.parametrize("c_term", [None, -5.0, "near-tie", 3e16])
+@pytest.mark.parametrize("every_window", [False, True], ids=["tol", "every-window"])
+def test_window_report_ignores_slice_size(size, c_term, every_window, monkeypatch):
+    # an m's candidates may span slices; each m keeps its first least gap
+    # (ties go to the earlier slice) and counts its failures over all of them
+    m_values = DEFAULT_MS if c_term in (None, -5.0) and not every_window else SMALL_MS
+    if c_term in NEAR_TIES:
+        c_term = near_tie_c(NEAR_TIES[c_term])
+    expect = reference_report(m_values, DEFAULT_WINDOW_C if c_term is None else c_term)
+    monkeypatch.setattr(bounds, "_SLICE_WINDOWS", size)
+    if every_window:
+        monkeypatch.setattr(bounds, "_TIE_TOL", math.inf)
+    assert report_rows(m_values, c_term) == expect
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Baseline, rectangle spectrum, and the disjointness encoding."""
 
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from ghrlab.bitkit import BitString, Rng, random_bitstring
 from ghrlab.classical import (
     DisjointnessInstance,
     RectangleSpec,
+    _passing_distance,
     all_instances,
     distance_counts,
     estimate_baseline_success,
@@ -24,7 +27,8 @@ from ghrlab.classical import (
     xi_k_repetition,
     xi_parameters,
 )
-from ghrlab.relation import tghr_is_valid
+from ghrlab.cli import main
+from ghrlab.relation import tghr_is_valid, trial_pair
 
 
 def bs(text):
@@ -116,6 +120,50 @@ def test_estimate_baseline_success_checks_n_before_drawing():
     # a draw of a 0-bit pair would fail first, with Rng.bits' own message
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
         estimate_baseline_success(0, 2, 3, Rng(4))
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("n", [1, 3, 4, 15, 33, 1001, 1024])
+def test_each_baseline_trial_is_the_oracle_verdict(n, threads, monkeypatch):
+    # trial i's verdict is tghr_baseline's, with its full argmin, on
+    # trial_pair's pair and the rest of that trial's child stream; the
+    # verdicts are read off the estimates over the first k trials
+    monkeypatch.setenv("GHRLAB_THREADS", threads)
+    trials, rng, seen = 8, Rng(5), set()
+    for t in (1, 63, 64, 65, 130, 256):
+        counts = [round(estimate_baseline_success(n, t, k, rng).mean * k) for k in range(1, trials + 1)]
+        got = [b - a for a, b in zip([0] + counts, counts)]
+        expect = [tghr_baseline(x, y, t, child)[1] for x, y, child in (trial_pair(n, rng, i) for i in range(trials))]
+        assert got == expect, t
+        seen.update(expect)
+    # below n = 4 no sample can pass; from n = 15 on both verdicts occur
+    assert seen == ({False} if n < 4 else {False, True})
+
+
+def test_passing_distance_is_the_validity_test():
+    for n in [*range(1, 300), 1001, 1024, 4096, 10**6]:
+        limit = _passing_distance(n)
+        zeros = BitString.zeros(n)
+        for d in range(max(limit - 2, 0), min(limit + 3, n + 1)) if n >= 300 else range(n + 1):
+            assert (d <= limit) == tghr_is_valid(zeros, zeros, BitString((1 << d) - 1, n)), (n, d)
+    assert [_passing_distance(n) for n in (1, 3, 4, 15, 16, 1024)] == [-1, -1, 0, 3, 4, 480]
+
+
+def test_baseline_draw_counts(monkeypatch):
+    # reading each trial's pair and then all 256 samples took 12,900 rows in
+    # 100 calls; now each trial draws its pair and 64 samples, and a further
+    # 128, then the last 64, only while none has passed
+    calls, real = [], Rng.bit_rows  # the rows of each call
+    monkeypatch.setattr(Rng, "bit_rows", lambda self, rows, count: calls.append(rows) or real(self, rows, count))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main("baseline-tghr --n 1024 --t 256 --trials 50 --seed 0".split()) == 0
+    assert (sum(calls), len(calls)) == (4388, 59)
+    assert calls.count(66) == 50 and calls.count(128) == 8 and calls.count(64) == 1
+    # below n = 4 every trial reads all t samples: chunks double and the
+    # last is capped at the samples left
+    calls.clear()
+    estimate_baseline_success(3, 200, 2, Rng(0))
+    assert calls == [66, 128, 8] * 2
 
 
 def refuse_draw(*args):

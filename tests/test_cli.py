@@ -528,6 +528,18 @@ GOLDEN = {
         "19bc09d2e86375b259093c7a912290f917f073807cbae259f84b029dac328563",
     "baseline-tghr --n 64 --t 8 --trials 20 --seed 1":
         "5da3343baea14bff7f2ff9bc33b6841c53c1f6c5d3df1c6cda496657f55d8471",
+    # recorded while every trial still read all t samples and took the argmin
+    "baseline-tghr --n 1024 --t 256 --trials 50 --seed 0":
+        "32681246425550b8e4b4fcf69d0bd1de9751bdc4b182111a009302fa0afbc5b7",
+    # estimate 0.825: a failing trial's last chunk holds the 6 samples left
+    "baseline-tghr --n 4096 --t 70 --trials 40 --seed 3":
+        "c13ec694bf0a7146c6bae9725d0212e0b9fac7bc2901329adb4f226c5c06d1ff",
+    # estimate 0.8667, one uint32 word per row
+    "baseline-tghr --n 15 --t 100 --trials 60 --seed 4":
+        "661682fbe56f1e50406dc47a3f0610503a3192ad45e467775f21388339afa300",
+    # estimate 0: no sample passes below n = 4, so every trial reads all t
+    "baseline-tghr --n 3 --t 5 --trials 4 --seed 0":
+        "16486031715cd5520f15eea494415c11af9ed2ece280f910098205fd5c8d7903",
     "coupling-verify --n 4 --tol 0.001":
         "5b55a885014c16f745d93c80318b2226b8bef4aacc5dedd1e9fac19412b9e3a6",
     "bounds-validate":

@@ -147,6 +147,20 @@ def test_repetition_failure_closed_cases():
         repetition_failure_probability(0, Fraction(1, 2))
 
 
+def repetition_failure_reference(m, p):
+    """The tail as a sum of one Fraction per term."""
+    return sum((math.comb(m, k) * p**k * (1 - p) ** (m - k) for k in range(m // 2 + 1, m + 1)), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.integers(1, 10**12).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b))))
+def test_repetition_failure_equals_fraction_terms(m, ab):
+    # one integer numerator over b**m, against the per-term Fraction sum
+    p = Fraction(*ab)
+    got = repetition_failure_probability(m, p)
+    assert type(got) is Fraction and got == repetition_failure_reference(m, p)
+
+
 def test_failure_probability_exact_n4_values():
     # typical n=4 pairs have zero in-window mass, atypical pairs never fail
     for x, y in enumerate_pairs(4):
