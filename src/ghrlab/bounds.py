@@ -3,8 +3,9 @@
 Every tail calculator returns a value capped into [0, 1].  The one lower
 bound (binomial_window_lower) may go negative by design; its additive
 constant is calibrated once against the exact window oracle and shipped as
-DEFAULT_WINDOW_C.  The exact oracles sum binomial coefficients as integers,
-so dominance checks against them carry no float-summation risk.
+DEFAULT_WINDOW_C.  The exact oracles (the fair windows and the biased tail,
+which protocol, coupling and classical read too) sum binomial coefficients
+as integers, so dominance checks against them carry no float-summation risk.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ def _fair_cumulative(m: int) -> tuple[int, ...]:
     over consecutive m builds every row but its first that way.  Any other
     row comes from C(m, k+1) = C(m, k)(m - k)/(k + 1), a multiplication and
     an exact division per entry, so a row asked for alone costs O(m) steps."""
+    m = operator.index(m)  # a numpy integer builds and keys its int's row
     cum = _fair_rows.get(m)
     if cum is not None:
         return cum
@@ -319,12 +321,26 @@ def _window_grid(m_values: Iterable[int], c_term: float):
 
 
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
-    """P[a <= X <= b] for X ~ Binomial(m, 1/2), exactly."""
+    """P[a <= X <= b] for X ~ Binomial(m, 1/2), exactly, over the row's cum[m] = 2**m."""
     if not 0 <= a <= b <= m:
         raise ValueError(f"window [{a}, {b}] invalid for m={m}")
     cum = _fair_cumulative(m)
     hits = cum[b] - (cum[a - 1] if a > 0 else 0)
-    return Fraction(hits, 1 << m)
+    return Fraction(hits, cum[m])
+
+
+def exact_binomial_tail(m: int, p: Fraction, k: int) -> Fraction:
+    """P[Binomial(m, p) >= k] for m >= 1 and 0 <= p <= 1, exactly: with p = a/b
+    in lowest terms, one integer numerator over b**m, the sum over j >= k of
+    C(m, j) a**j (b - a)**(m - j), with no Fraction per term."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p={p} outside [0, 1]")
+    a, b = p.numerator, p.denominator
+    tail = sum(math.comb(m, j) * a**j * (b - a) ** (m - j) for j in range(max(k, 0), m + 1))
+    return Fraction(tail, b**m)
 
 
 def exact_binomial_deviation(m: int, t) -> Fraction:

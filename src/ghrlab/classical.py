@@ -36,6 +36,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .bitkit import BitString, Rng, fwht, random_bitstring
+from .bounds import exact_binomial_window
 from .relation import McEstimate, _estimate_in_chunks, tghr_is_valid
 
 
@@ -276,13 +277,13 @@ def distance_counts(rect: RectangleSpec) -> np.ndarray:
 
 
 def uniform_distance_mass(n: int, dist_set: Iterable[int]) -> Fraction:
-    """P[|X xor Y| in S] for uniform independent X, Y; exact binomial sum."""
+    """P[|X xor Y| in S] for uniform independent X, Y; fair binomial masses summed."""
     keys = sorted({int(k) for k in dist_set})
     if any(k < 0 or k > n for k in keys):
         raise ValueError(f"distance outside [0, {n}]")
     if not keys:
         raise ValueError("distance set must be nonempty")
-    return Fraction(sum(math.comb(n, k) for k in keys), 1 << n)
+    return sum(exact_binomial_window(n, k, k) for k in keys)
 
 
 def relative_weight(

@@ -29,6 +29,7 @@ from functools import lru_cache
 import math
 
 from .bitkit import BitString, Rng
+from .bounds import exact_binomial_window
 from .util import InvariantError
 
 
@@ -173,11 +174,6 @@ class CoupledDistTable:
         return self.rows[k]
 
 
-def fair_binomial_masses(n: int) -> tuple[Fraction, ...]:
-    """Binomial(n, 1/2) point masses as Fractions."""
-    return tuple(Fraction(math.comb(n, w), 1 << n) for w in range(n + 1))
-
-
 def require_dp_length(n: int) -> None:
     """Reject n outside the DP's range: it needs an even n >= 2, and its
     table is limited to n <= 16."""
@@ -288,7 +284,7 @@ def verify_independence(s: BitString, tol: float = 1e-9) -> IndependenceReport:
 @lru_cache(maxsize=None)  # the same keys as _class_rows
 def _class_distances(n: int, weight: int) -> tuple[Fraction, ...]:
     """Total-variation distance of each row of a weight class from Binomial(n, 1/2)."""
-    fair = fair_binomial_masses(n)
+    fair = [exact_binomial_window(n, w, w) for w in range(n + 1)]
     return tuple(
         sum(abs(p - q) for p, q in zip(row, fair)) / 2
         for row in _class_rows(n, weight)

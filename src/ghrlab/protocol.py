@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bitkit import BitString, Rng
+from .bounds import exact_binomial_tail
 from .relation import (
     _STAT_BLOCK_CELLS,
     McEstimate,
@@ -133,33 +134,18 @@ def run_protocol_trep(x: BitString, y: BitString, t: int, rng: Rng) -> tuple[Tra
     return (sample_outcomes(x, y, rng, t) * -(-m // t))[:m]
 
 
-def repetition_failure_probability(m: int, p: Fraction) -> Fraction:
-    """P[Binomial(m, p) > m/2], exactly.  A repetition fails when strictly
-    more than half of the m entries land in the center window.
-
-    With p = a/b in lowest terms the tail is one integer numerator over
-    b**m: the sum over k > m/2 of C(m, k) a**k (b - a)**(m - k)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"p={p} outside [0, 1]")
-    a, b = p.numerator, p.denominator
-    tail = sum(math.comb(m, k) * a**k * (b - a) ** (m - k) for k in range(m // 2 + 1, m + 1))
-    return Fraction(tail, b**m)
-
-
 def failure_probability(n: int, statistic: int) -> Fraction:
     """Exact probability that a full protocol run yields an invalid answer,
     from the pair's in-window statistic (relation.aleph_statistic).
 
     Atypical pairs never fail.  Typical pairs fail iff more than half of the
-    log2 n sampled cells are in-window, each independently with the exact
-    in-window mass p = statistic / n**3
-    (oracle.OutcomeDistribution.in_window_mass)."""
+    m = log2 n sampled cells, at least m // 2 + 1, are in-window, each
+    independently with the exact in-window mass p = statistic / n**3
+    (oracle.OutcomeDistribution.in_window_mass): a biased binomial tail."""
     if not is_typical(n, statistic):
         return Fraction(0)
-    return repetition_failure_probability(answer_length(n), Fraction(statistic, n**3))
+    m = answer_length(n)
+    return exact_binomial_tail(m, Fraction(statistic, n**3), m // 2 + 1)
 
 
 def failure_probability_exact(x: BitString, y: BitString) -> Fraction:

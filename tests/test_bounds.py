@@ -1,5 +1,6 @@
 """Tail calculators against exact and scipy oracles."""
 
+import ast
 import functools
 import math
 import os
@@ -32,6 +33,7 @@ from ghrlab.bounds import (
     calibrate_window_lower_c,
     chernoff_dominance_report,
     exact_binomial_deviation,
+    exact_binomial_tail,
     exact_binomial_window,
     hoeffding_bound,
     hoeffding_dominance_report,
@@ -158,6 +160,116 @@ def test_exact_binomial_deviation():
     assert float(exact_binomial_deviation(31, 5.5)) == pytest.approx(ref, abs=1e-12)
     with pytest.raises(ValueError, match="m must be >= 1"):
         exact_binomial_deviation(0, 1)
+
+
+TAIL_PS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(7, 64), Fraction(9, 10), Fraction(49, 50)]
+
+
+def tail_terms(m, p):
+    """P[Binomial(m, p) = j] for j in [0, m], one Fraction of math.comb per term."""
+    return [math.comb(m, j) * p**j * (1 - p) ** (m - j) for j in range(m + 1)]
+
+
+@pytest.mark.parametrize("p", TAIL_PS, ids=str)
+def test_exact_binomial_tail_equals_fraction_terms(p):
+    for m in range(1, 65):
+        suffix = list(accumulate(reversed(tail_terms(m, p)), initial=Fraction(0)))[::-1]
+        for k in range(m + 2):  # suffix[k] = P[X >= k], suffix[m + 1] = 0
+            got = exact_binomial_tail(m, p, k)
+            assert type(got) is Fraction and got == suffix[k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 10**12).flatmap(lambda b: st.tuples(st.integers(0, b), st.just(b))),
+    st.integers(-3, 43),
+)
+def test_exact_binomial_tail_property(m, ab, k):
+    p = Fraction(*ab)
+    got = exact_binomial_tail(m, p, k)
+    assert got == sum(tail_terms(m, p)[max(k, 0):], Fraction(0))
+    # P[X >= k] + P[X <= k - 1] = 1, and m - X ~ Binomial(m, 1 - p)
+    assert got + exact_binomial_tail(m, 1 - p, m - k + 1) == 1
+
+
+def test_fair_tail_equals_the_prefix_rows():
+    for m in range(1, 65):
+        for k in range(1, m + 2):
+            assert exact_binomial_tail(m, Fraction(1, 2), k) == 1 - exact_binomial_window(m, 0, k - 1)
+
+
+def test_numpy_m_keys_the_same_fair_rows(monkeypatch):
+    # from an empty cache, so numpy integers build the rows: no int64 may
+    # reach a row's coefficients, and rows are keyed by the equal Python ints
+    monkeypatch.setattr(bounds, "_fair_rows", {})
+    ms = np.arange(50, 501, 2)
+    assert window_lower_dominance_report(ms) == window_lower_dominance_report(tuple(ms.tolist()))
+    assert window_lower_dominance_report().passed
+    assert calibrate_window_lower_c(ms) == 0.0
+    assert all(type(m) is int for m in bounds._fair_rows)
+    monkeypatch.setattr(bounds, "_fair_rows", {})
+    assert exact_binomial_window(np.int64(100), 0, 50) == exact_binomial_window(100, 0, 50)
+    assert exact_binomial_window(100, 0, 50) == Fraction(sum(math.comb(100, k) for k in range(51)), 1 << 100)
+
+
+PACKAGE = Path(bounds.__file__).resolve().parent
+
+
+def comb_uses(source: str) -> list[int]:
+    """Lines of `source`, the text of a module, that reach math.comb: an
+    attribute comb of a name the module binds to math, or comb (or *)
+    imported from math, at any depth of the syntax tree."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "math"
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "math" and not node.level:
+            if any(alias.name in ("comb", "*") for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "comb":
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import math\nx = math.comb(4, 2)\n",
+        "import math as m\nx = m.comb(4, 2)\n",
+        "import math\nchoose = math.comb\n",
+        "from math import comb\n",
+        "from math import comb as choose\n",
+        "from math import *\n",
+        "def f(n):\n    import math\n    return sum(math.comb(n, k) for k in range(n + 1))\n",
+    ],
+)
+def test_comb_finder_sees_every_form(source):
+    assert comb_uses(source)
+
+
+def test_comb_finder_passes_other_math():
+    source = "import math\nfrom math import isqrt\nx = math.isqrt(4) + math.log2(8)\ny = rows.comb\n"
+    assert not comb_uses(source)
+
+
+def test_only_bounds_reaches_math_comb():
+    """Exact binomial arithmetic has one home: protocol, coupling and
+    classical read their masses from bounds rather than summing math.comb."""
+    found = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "bounds.py" and (lines := comb_uses(path.read_text()))
+    }
+    assert not found
+    assert comb_uses((PACKAGE / "bounds.py").read_text())
 
 
 def test_window_lower_formula_and_validation():

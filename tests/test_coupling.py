@@ -9,9 +9,9 @@ from scipy import stats
 
 from ghrlab import coupling
 from ghrlab.bitkit import BitString, Rng, random_bitstring
+from ghrlab.bounds import exact_binomial_window
 from ghrlab.coupling import (
     exact_coupled_distribution,
-    fair_binomial_masses,
     sample_a_tilde,
     tilde_weight_tail_bound,
     verify_independence,
@@ -30,8 +30,13 @@ def test_hand_table_n2():
         assert table.row(k) == expect
 
 
+def fair_masses(n):
+    """Binomial(n, 1/2) point masses, each the one-point window of bounds."""
+    return tuple(exact_binomial_window(n, w, w) for w in range(n + 1))
+
+
 def test_fair_binomial_masses():
-    masses = fair_binomial_masses(4)
+    masses = fair_masses(4)
     assert masses == (
         Fraction(1, 16),
         Fraction(4, 16),
@@ -44,7 +49,7 @@ def test_fair_binomial_masses():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_every_selector_gives_exact_binomial_rows(n):
-    fair = fair_binomial_masses(n)
+    fair = fair_masses(n)
     for value in range(1 << n):
         table = exact_coupled_distribution(BitString(value, n))
         for k in range(n + 1):

@@ -13,12 +13,12 @@ import ghrlab.oracle as oracle
 import ghrlab.protocol as protocol
 import ghrlab.relation as relation
 from ghrlab.bitkit import BitString, Rng, random_bitstring
+from ghrlab.bounds import exact_binomial_tail
 from ghrlab.oracle import OutcomeDistribution, delta_table, outcome_distribution, phi_vector, u_vector
 from ghrlab.protocol import (
     estimate_success,
     exact_success_probability,
     failure_probability_exact,
-    repetition_failure_probability,
     run_protocol,
     run_protocol_trep,
     sample_outcomes,
@@ -135,16 +135,22 @@ def test_trep_tiling_pattern():
         run_protocol_trep(x, y, 0, Rng(1))
 
 
+def majority_tail(m, p):
+    """P[Binomial(m, p) > m/2]: a run of m entries fails when at least
+    m // 2 + 1 of them land in the center window (failure_probability)."""
+    return exact_binomial_tail(m, p, m // 2 + 1)
+
+
 def test_repetition_failure_closed_cases():
-    assert repetition_failure_probability(2, Fraction(0)) == 0
-    assert repetition_failure_probability(2, Fraction(1)) == 1
-    assert repetition_failure_probability(2, Fraction(1, 2)) == Fraction(1, 4)
+    assert majority_tail(2, Fraction(0)) == 0
+    assert majority_tail(2, Fraction(1)) == 1
+    assert majority_tail(2, Fraction(1, 2)) == Fraction(1, 4)
     # odd m: strictly more than half of 3 means at least 2
-    assert repetition_failure_probability(3, Fraction(1, 2)) == Fraction(1, 2)
+    assert majority_tail(3, Fraction(1, 2)) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        repetition_failure_probability(2, Fraction(3, 2))
+        majority_tail(2, Fraction(3, 2))
     with pytest.raises(ValueError, match="m must be >= 1"):
-        repetition_failure_probability(0, Fraction(1, 2))
+        majority_tail(0, Fraction(1, 2))
 
 
 def repetition_failure_reference(m, p):
@@ -157,7 +163,7 @@ def repetition_failure_reference(m, p):
 def test_repetition_failure_equals_fraction_terms(m, ab):
     # one integer numerator over b**m, against the per-term Fraction sum
     p = Fraction(*ab)
-    got = repetition_failure_probability(m, p)
+    got = majority_tail(m, p)
     assert type(got) is Fraction and got == repetition_failure_reference(m, p)
 
 
@@ -193,7 +199,7 @@ def test_failure_probability_positive_case(n):
     for x, y in pairs:
         table = delta_table(x, y)
         p = OutcomeDistribution.from_table(table).in_window_mass()
-        expect = 0 if not table.aleph() else repetition_failure_probability(m, p)
+        expect = 0 if not table.aleph() else majority_tail(m, p)
         assert failure_probability_exact(x, y) == expect
         assert is_typical(n, relation.aleph_statistic(x, y)) == table.aleph()
         found = found or 0 < expect < 1
