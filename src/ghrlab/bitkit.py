@@ -190,26 +190,46 @@ def fwht(
     A 1-D vector and an (n, columns) array take the same butterflies, so
     every column of a 2-D input is transformed on its own.  Butterflies run in
     v's own dtype, so integer input stays exact while no value overflows;
-    applying it twice scales by the length.  Each stage reads one buffer and
-    writes the other over contiguous blocks of whole rows; v is not written.
-    buffers, when given, are two distinct C-contiguous arrays of v's shape
-    and dtype that the stages write in turn in place of fresh ones, and the
-    result is one of them.  Only the first stage reads v, so the second
-    buffer may be v itself, which is then overwritten."""
+    applying it twice scales by the length.  Each step reads one buffer and
+    writes the other; v is not written.  buffers, when given, are two
+    distinct C-contiguous arrays of v's shape and dtype that the steps write
+    in turn in place of fresh ones, and the result is one of them.  Only the
+    first step reads v, so the second buffer may be v itself, which is then
+    overwritten.
+
+    The k stages commute, and a stage whose butterfly partners sit few rows
+    apart runs numpy's inner loop on short rows: at 256 rows by 256 columns
+    on a 2-core VM, each of the 4 stages with partners under 16 rows apart
+    took 20 - 25 us, against 6 - 14 us for the others.  So the stages run in
+    two rounds, as in the transpose step of Bailey's four-step FFT
+    (J. Supercomputing 4, 1990): a round butterflies only the top bits of
+    the stored row index, whose partners sit at least 2**(k - top) rows
+    apart, and then one transposing copy
+    (2**top, 2**(k - top), columns) -> (2**(k - top), 2**top, columns)
+    rotates the row index by top bits.  The rounds take k // 2 and
+    k - k // 2 bits, so the rotations add up to k and the result is in
+    natural order.  CHANGES.md times both loops at every shape a run path
+    uses."""
     src = np.ascontiguousarray(v)
     size = src.shape[0]
-    if size == 1:
-        return src.copy()
     cols = src.size // size
     if buffers is None:
         buffers = (np.empty_like(src), np.empty_like(src))
-    for stage in range(size.bit_length() - 1):
-        a = src.reshape(-1, 2, cols << stage)
-        dst = buffers[stage & 1]
-        b = dst.reshape(a.shape)
-        np.add(a[:, 0], a[:, 1], out=b[:, 0])
-        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
-        src = dst
+    k = size.bit_length() - 1
+    writes = 0
+    for top in (k // 2, k - k // 2):
+        low = size >> top
+        for bit in range(top):
+            a = src.reshape(-1, 2, (low << bit) * cols)
+            dst = buffers[writes & 1]
+            b = dst.reshape(a.shape)
+            np.add(a[:, 0], a[:, 1], out=b[:, 0])
+            np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+            src, writes = dst, writes + 1
+        dst = buffers[writes & 1]
+        rotated = src.reshape(1 << top, low, cols).transpose(1, 0, 2)
+        np.copyto(dst.reshape(low, 1 << top, cols), rotated)
+        src, writes = dst, writes + 1
     return src
 
 

@@ -31,6 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 import math
+import operator
 from typing import Callable, Iterable
 
 import numpy as np
@@ -276,9 +277,16 @@ def distance_counts(rect: RectangleSpec) -> np.ndarray:
     return out
 
 
+def _distances(dist_set: Iterable[int]) -> list[int]:
+    """The distinct distances of dist_set in increasing order, each read
+    through operator.index: a numpy integer is accepted, and a float such
+    as 1.5 raises TypeError rather than being truncated to a distance."""
+    return sorted({operator.index(k) for k in dist_set})
+
+
 def uniform_distance_mass(n: int, dist_set: Iterable[int]) -> Fraction:
     """P[|X xor Y| in S] for uniform independent X, Y; fair binomial masses summed."""
-    keys = sorted({int(k) for k in dist_set})
+    keys = _distances(dist_set)
     if any(k < 0 or k > n for k in keys):
         raise ValueError(f"distance outside [0, {n}]")
     if not keys:
@@ -301,7 +309,7 @@ def relative_weight(
     """
     if mode == "exact":
         return relative_weights(rect, [dist_set])[0]
-    keys = sorted({int(k) for k in dist_set})
+    keys = _distances(dist_set)
     uniform_mass = uniform_distance_mass(rect.n, keys)
     if mode == "mc":
         if trials is None or rng is None:
@@ -329,7 +337,7 @@ def relative_weights(rect: RectangleSpec, dist_sets: Iterable[Iterable[int]]) ->
         raise ValueError("empty rectangle")
     weights = []
     for dist_set in dist_sets:
-        keys = sorted({int(k) for k in dist_set})
+        keys = _distances(dist_set)
         uniform_mass = uniform_distance_mass(rect.n, keys)
         rect_mass = Fraction(int(sum(counts[k] for k in keys)), size_a * size_b)
         weights.append(rect_mass / uniform_mass)

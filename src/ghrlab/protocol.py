@@ -32,6 +32,7 @@ from .relation import (
     _block_buffers,
     _check_pair,
     _estimate_in_chunks,
+    _product,
     _signs,
     _spectra,
     _trial_signs,
@@ -93,9 +94,8 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
     columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     pair, shift = np.divmod(columns, n + 1)
     buffers = _block_buffers(n * columns.size)
-    squares, ends = _spectra(
-        px[pair], windows[pair, shift][:, None], shift[:, None], pair[:, None], buffers, height
-    )
+    product = _product(buffers, px[pair], windows[pair, shift])
+    squares, ends = _spectra(product, buffers, shift, pair, height)
     col = np.searchsorted(columns, keys)
     rem = draws % per_row
     block = np.count_nonzero(ends[:, col] <= rem, axis=0)  # below n / height: ends[-1] = n**2 > rem

@@ -108,27 +108,39 @@ def _trial_signs(n: int, rng: Rng, indices: range) -> tuple[np.ndarray, np.ndarr
     return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n)), children
 
 
+def _product(buffers: tuple[np.ndarray, ...], px: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """The sign products px[c] * picked[c] of the rows picked[c], each a
+    window roll(py, -j) of some pair (_stacked_signs) and px[c] that pair's
+    x signs (or one row for all), as the columns c of an (n, columns) view
+    of the first buffer, ready for _spectra.  Formed in the rows' own
+    layout and copied across, which beat out= into the transposed layout at
+    every shape tried: 54 against 101 us for a protocol chunk of 60 columns
+    at n = 1024."""
+    columns, n = picked.shape
+    product = buffers[0][: n * columns].reshape(n, columns)
+    np.copyto(product, (px * picked).T)
+    return product
+
+
 def _spectra(
-    px: np.ndarray,
-    picked: np.ndarray,
+    product: np.ndarray,
+    buffers: tuple[np.ndarray, ...],
     shifts: np.ndarray | int,
     pairs: np.ndarray | int,
-    buffers: tuple[np.ndarray, ...],
     height: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squares of the Walsh spectra of sign products, and their cumulative
     block sums.
 
-    picked[p, k] is a window roll(py, -j) of some pair (_stacked_signs) and
-    px[p] that pair's x signs; shifts[p, k] is the window's shift j and
-    pairs[p, k] the pair's position in its stack, each given as anything
-    that broadcasts to picked.shape[:2] and read only to name a failed
-    column.  Column p * K + k, for K = picked.shape[1], is transformed from
-    px[p] * picked[p, k]: its integer FWHT at s is n - 2 * delta(x, y, (j, s)),
-    so that column of squares is (2*delta - n)**2 along table row j - 1.
-    Every butterfly value is a sum of at most n signs, so int16 is exact for
-    n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring in
-    int16 would wrap from n = 256 on).
+    product is an (n, columns) view of buffers[0], the first buffer of
+    _block_buffers, whose column c holds px * roll(py, -j) for one pair:
+    its integer FWHT at s is n - 2 * delta(x, y, (j, s)), so that column of
+    squares is (2*delta - n)**2 along table row j - 1.  shifts and pairs
+    broadcast to a common shape of `columns` cells, read in C order as the
+    shift j and the pair's position in its stack of each column, and only
+    to name a failed one.  Every butterfly value is a sum of at most n
+    signs, so int16 is exact for n <= MAX_TRANSFORM_SIZE; squares are
+    computed in int32 (squaring in int16 would wrap from n = 256 on).
 
     ends[k, c] is the sum of column c of squares over its first
     (k + 1) * height rows, for a height that divides n (all n rows, one
@@ -137,32 +149,20 @@ def _spectra(
     so ends[-1] is n**2 throughout; the first column where it is not raises
     InvariantError naming its shift and its pair.
 
-    buffers come from _block_buffers, with room for the block's cells: the
-    sign product goes into the first butterfly buffer, the butterflies
-    alternate between the two and the squares fill the third, of which the
-    returned squares are a view."""
-    stack, width, n = picked.shape
-    a, b, squares = (buf[: n * stack * width].reshape(n, -1) for buf in buffers)
-    # The product goes into the transform's layout with one inner numpy loop
-    # per `width` cells of a row.  From 8 cells on that is the faster way;
-    # below, the loops cost more than forming the product in the pairs' own
-    # layout and copying it across (a protocol chunk has width 1: 68 against
-    # 127 us for 60 columns at n = 1024)
-    product = a.reshape(n, stack, width)
-    if width >= 8:
-        np.multiply(px.T[:, :, None], picked.transpose(2, 0, 1), out=product)
-    else:
-        product[...] = (px[:, None] * picked).transpose(2, 0, 1)
-    np.square(fwht(a, (b, a)), out=squares, dtype=np.int32)
+    The butterflies alternate between the first two buffers and the
+    squares fill the third, of which the returned squares are a view."""
+    n = product.shape[0]
+    spare, squares = (buf[: product.size].reshape(product.shape) for buf in buffers[1:3])
+    np.square(fwht(product, (spare, product)), out=squares, dtype=np.int32)
     height = n if height is None else height
     ends = squares.reshape(n // height, height, -1).sum(axis=1, dtype=np.int64)
     np.cumsum(ends, axis=0, out=ends)
     bad = np.flatnonzero(ends[-1] != n * n)
     if bad.size:
-        p, k = divmod(int(bad[0]), width)
-        j, pair = (np.broadcast_to(w, (stack, width))[p, k] for w in (shifts, pairs))
+        c = int(bad[0])
+        j, pair = (w.flat[c] for w in np.broadcast_arrays(shifts, pairs))
         raise InvariantError(
-            f"row j={j} of pair {pair} in its stack sums to {int(ends[-1, bad[0]])}, "
+            f"row j={j} of pair {pair} in its stack sums to {int(ends[-1, c])}, "
             f"not n**2 = {n * n}"
         )
     return squares, ends
@@ -182,10 +182,11 @@ def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
 # The streamed statistic reads a stack of P pairs in blocks of S consecutive
 # shifts of every pair, one transform of P * S columns, with
 # S = min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * P)) and at
-# least 1.  A block costs about 30 numpy calls whatever its width (at
-# n = 256: 71 us for 16 columns, 148 us for 256), so with a block's cells
-# fixed the calls per pair do not depend on how P and S split them, and a
-# narrower S lets a stack stop closer to where its last pair settles.
+# least 1.  A block costs about 35 numpy calls whatever its width (at
+# n = 256 on a 2-core VM: 75 - 80 us for 16 columns, 185 us for 256), so
+# with a block's cells fixed the calls per pair do not depend on how P and
+# S split them, and a narrower S lets a stack stop closer to where its
+# last pair settles.
 # Monte Carlo runs and aleph_statistics stack _pairs_per_chunk(n) pairs,
 # which gives each pair n / 16 shifts per block up to n = 256: 16 pairs by
 # 16 shifts there, where a uniform pair settles after 177 - 195 of its 256
@@ -193,16 +194,19 @@ def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
 # 64 shifts per block: 16-shift blocks made one aleph at n = 4096 twice as
 # slow.  The sweep that chose the 2**16 cap and the split is in CHANGES.md;
 # at 2**15 cells the best split at n = 256 gained only 1.09 times over one
-# pair by 128 shifts.  A block holds at most 512 KiB, 2 MiB at n = 4096.
+# pair by 128 shifts.  A block holds at most 640 KiB, 2.5 MiB at n = 4096.
 #
 # Each stream allocates its buffers once, as one allocation of 8 bytes per
 # cell, and reuses them for every block: two int16 butterfly buffers, the
 # first of which takes the sign product, and the int32 squares; the bool
 # window mask reuses the butterfly memory, free once the squares are taken.
 # As separate arrays, earlier sweeps saw 128 to 672 minor faults per pair at
-# n = 1024, depending on heap layout, and none as one allocation.  The
-# buffers live per call, never per module, because map_trials may run
-# chunks on threads.
+# n = 1024, depending on heap layout, and none as one allocation.  Beside
+# them the stream keeps its tile of x signs, 2 bytes per cell (_window_sums):
+# np.tile built it in 9 us at n = 256, where a broadcast copy into a fourth
+# carved buffer took 34 us, and peak RSS after 300 aleph ops at n = 256
+# differed by under 0.1 MB.  The buffers live per call, never per module,
+# because map_trials may run chunks on threads.
 #
 # protocol.estimate_success reuses the cell cap for its chunks of trials,
 # whose rows go through one transform: 6 trials of 10 rows at n = 1024.
@@ -230,21 +234,40 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
     order, for the stack of pairs given by _stacked_signs: the sums are one
     int64 per pair, over that pair's rows of the block.  Every row
     transformed is checked to sum to n**2 (_spectra); rows of blocks never
-    asked for are never transformed."""
+    asked for are never transformed.
+
+    A block of S shifts of the stack's P pairs has its S * P columns in
+    (shift, pair) order, the pair fastest, so its sign product is one
+    multiply of contiguous rows.  Once per stream, px
+    is tiled over a block's shifts as tile[i, k * P + p] = px[p, i], and the
+    y signs are laid out one column per pair and doubled,
+    doubled[r, p] = py_p[r mod n] for r < 2n.  Then column k * P + p of the
+    block from shift `start` is px[p] * roll(py_p, -(start + k)), whose cell
+    i is tile[i, k * P + p] * doubled[start + k + i, p]: cell
+    (start + i) * P + k * P + p of the flat doubled array, a view with
+    strides of one row and one cell."""
     stack, n = px.shape
     step = max(1, min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * stack)))
     buffers = _block_buffers(n * stack * step)
+    tile = np.tile(px.T, (1, step))
+    doubled = np.tile(windows[:, 0].T, (2, 1))
     masks = buffers[1].view(np.bool_)  # both butterfly buffers are free once squared
-    pairs = np.arange(stack)[:, None]
+    pairs = np.arange(stack)
     for start in range(1, n + 1, step):
         shifts = np.arange(start, min(start + step, n + 1))
-        squares = _spectra(px, windows[:, start:start + shifts.size], shifts, pairs, buffers)[0]
+        columns = shifts.size * stack
+        product = buffers[0][: n * columns].reshape(n, columns)
+        rolled = as_strided(
+            doubled[start:], (n, columns), (doubled.strides[0], doubled.itemsize), writeable=False
+        )
+        np.multiply(tile[:, :columns], rolled, out=product)
+        squares = _spectra(product, buffers, shifts[:, None], pairs)[0]
         mask = masks[: squares.size].reshape(squares.shape)
         np.less_equal(squares, n, out=mask)
         np.multiply(squares, mask, out=squares)
         # a row's in-window cells add at most n each, so at most n**2 <= 2**24
         rows = squares.sum(axis=0, dtype=np.int32)
-        yield rows.reshape(stack, -1).sum(axis=1, dtype=np.int64), shifts.size
+        yield rows.reshape(-1, stack).sum(axis=0, dtype=np.int64), shifts.size
 
 
 def _statistics(px: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -280,8 +303,9 @@ def aleph_statistic(x: BitString, y: BitString) -> int:
     The one-pair case of aleph_statistics, streamed through _window_sums in
     blocks of consecutive shifts (the whole table up to n = 256, 64 shifts
     beyond) and summed over all n rows, each checked to sum to n**2.  Beyond
-    the sign arrays it holds one block's buffers, 8 bytes per cell: 512 KiB
-    at n = 256 and n = 1024, 2 MiB at n = 4096.  oracle.DeltaTable's
+    the sign arrays it holds one block's buffers and its tile of x signs,
+    10 bytes per cell: 640 KiB at n = 256 and n = 1024, 2.5 MiB at
+    n = 4096.  oracle.DeltaTable's
     aleph_statistic is the full-table oracle."""
     return aleph_statistics([x], [y])[0]
 
@@ -345,7 +369,8 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
             raise ValueError(f"shift {t.j} outside [1, {x.n}]")
     px, windows = signs = _signs(x, y)
     shifts = np.array([t.j for t in answer])
-    squares = _spectra(px, windows[:, shifts], shifts, 0, _block_buffers(x.n * m))[0]
+    buffers = _block_buffers(x.n * m)
+    squares = _spectra(_product(buffers, px, windows[0, shifts]), buffers, shifts, 0)[0]
     cells = squares[[t.s.as_unsigned() for t in answer], np.arange(m)]
     return _answer_valid(int(np.count_nonzero(cells > x.n)), signs)
 

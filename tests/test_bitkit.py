@@ -203,11 +203,14 @@ def test_nested_child_streams_raise():
         Rng(5).child(2**64 - 1)
 
 
-def walsh_matrix(size):
-    return np.array(
-        [[(-1) ** bin(s & i).count("1") for i in range(size)] for s in range(size)],
-        dtype=np.int64,
-    )
+def walsh_rows(size, rows):
+    """Rows `rows` of the size x size Walsh sign matrix, (-1)**popcount(s & i)."""
+    both = np.asarray(rows)[:, None] & np.arange(size)
+    parity = np.zeros(both.shape, dtype=np.int64)
+    while both.any():
+        parity ^= both & 1
+        both >>= 1
+    return 1 - 2 * parity
 
 
 def test_fwht_equals_walsh_sign_matrix_product():
@@ -219,13 +222,72 @@ def test_fwht_equals_walsh_sign_matrix_product():
         out = fwht(v)
         assert np.array_equal(v, before)  # input untouched
         assert out.dtype == np.int64
-        assert np.array_equal(out, walsh_matrix(size) @ v)
+        assert np.array_equal(out, walsh_rows(size, range(size)) @ v)
         assert np.array_equal(fwht(out), size * v)
         # along axis 0: each column of a 2-D array transforms on its own
         cols = gen.integers(-50, 50, size=(size, 3)).astype(np.int16)
         out2 = fwht(cols)
         assert out2.dtype == np.int16
         assert np.array_equal(out2, np.stack([fwht(c) for c in cols.T], axis=1))
+
+
+FWHT_COLUMNS = (1, 3, 10, 60, 64, 256)
+
+
+def fwht_inputs(k, dtype):
+    """A vector and an (n, cols) array for each column count, at n = 2**k,
+    of entries in {-1, 0, 1}: every butterfly value is then a sum of at
+    most 4096 of them, exact in int16."""
+    gen = np.random.default_rng(k)
+    for shape in [(1 << k,)] + [(1 << k, cols) for cols in FWHT_COLUMNS]:
+        yield gen.integers(-1, 2, size=shape).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("k", range(13))
+def test_fwht_equals_walsh_oracle_at_every_length(k, dtype):
+    """Up to 256 rows the whole sign matrix is the oracle.  Beyond, applying
+    the transform twice must scale by the length, and a few rows, among
+    them the first, the second and the last, must match their sign rows; a
+    bit-reversed or otherwise reordered result would pass the first check
+    alone."""
+    size = 1 << k
+    for v in fwht_inputs(k, dtype):
+        out = fwht(v)
+        assert out.dtype == dtype and out.shape == v.shape
+        wide = v.astype(np.int64)
+        assert np.array_equal(fwht(out.astype(np.int64)), size * wide)
+        if size <= 256:
+            assert np.array_equal(out, walsh_rows(size, range(size)) @ wide)
+        else:
+            rows = sorted({0, 1, size // 2, size - 1, *np.random.default_rng(size).integers(0, size, 6)})
+            assert np.array_equal(out[rows], walsh_rows(size, rows) @ wide)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 8, 11])
+def test_fwht_buffer_contract(k):
+    """With two distinct buffers v is not written and the result is one of
+    them; the second buffer may be v itself; a non-contiguous v is read as
+    its contiguous copy."""
+    for v in fwht_inputs(k, np.int16):
+        expect = fwht(v)
+        before = v.copy()
+        buffers = (np.empty_like(v), np.empty_like(v))
+        out = fwht(v, buffers)
+        assert np.array_equal(v, before)
+        assert any(out is b for b in buffers)
+        assert np.array_equal(out, expect)
+        out = fwht(v, (buffers[0], v))
+        assert out is buffers[0] or out is v
+        assert np.array_equal(out, expect)
+        wide = np.repeat(before[..., None], 2, axis=-1)  # every other cell of the last axis
+        strided = wide[..., 0]
+        assert not strided.flags.c_contiguous or strided.size == 1
+        assert np.array_equal(fwht(strided), expect)
+        assert np.array_equal(wide[..., 0], before)
+        if v.ndim == 2:
+            fortran = np.asfortranarray(before)
+            assert np.array_equal(fwht(fortran), expect)
 
 
 def test_rng_bits_and_below():

@@ -253,6 +253,23 @@ def test_uniform_distance_mass():
         uniform_distance_mass(4, set())
 
 
+def test_distances_are_read_as_integers_not_truncated():
+    """{1.5} is refused rather than read as {1}, whose mass is 1/4; numpy
+    integers are distances like ints."""
+    rect = RectangleSpec.parity_even(4)
+    for query in (
+        lambda d: uniform_distance_mass(4, d),
+        lambda d: relative_weights(rect, [d]),
+        lambda d: relative_weight(rect, d),
+        lambda d: relative_weight(rect, d, mode="mc", trials=2, rng=Rng(1)),
+    ):
+        with pytest.raises(TypeError):
+            query({1.5})
+    assert uniform_distance_mass(4, {np.int64(1)}) == Fraction(4, 16)
+    assert uniform_distance_mass(4, [np.int8(1), 2, np.uint16(2)]) == Fraction(10, 16)
+    assert relative_weights(rect, [{np.int64(1), np.int32(2)}]) == [Fraction(6, 5)]
+
+
 def test_relative_weight_full_cube_is_one():
     r = RectangleSpec.full(4)
     for k in range(5):

@@ -328,20 +328,43 @@ def test_stack_of_bent_pairs_stops_after_128_rows_each(monkeypatch):
 
 def test_corrupted_column_names_its_pair_and_shift(monkeypatch):
     """In a stack of 3 pairs at n = 16, one block holds every pair's 16
-    shifts; column 16 + 4 is pair 1's shift 5."""
+    shifts, its columns in (shift, pair) order; column 4 * 3 + 1 is pair 1's
+    shift 5."""
     rng = Rng(6)
     pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
     real = relation.fwht
 
     def corrupted(v, *buffers):
         out = real(v, *buffers)
-        out[0, 16 + 4] += 2
+        out[0, 4 * 3 + 1] += 2
         return out
 
     monkeypatch.setattr(relation, "fwht", corrupted)
     for stream in (relation._statistics, relation._typical):
         with pytest.raises(InvariantError, match="^row j=5 of pair 1 in its stack .*n\\*\\*2 = 256"):
             stream(*stack_of(pairs))
+
+
+def test_corrupted_last_column_of_a_narrower_final_block(monkeypatch):
+    """Blocks of 5 shifts of 3 pairs at n = 16 leave shift 16 alone in a
+    final block of 3 columns, whose last is pair 2's."""
+    rng = Rng(8)
+    pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
+    fix_block_cells(monkeypatch, 16 * 3 * 5)
+    real = relation.fwht
+    widths = []
+
+    def corrupted(v, *buffers):
+        out = real(v, *buffers)
+        widths.append(v.shape[1])
+        if v.shape[1] == 3:
+            out[0, -1] += 2
+        return out
+
+    monkeypatch.setattr(relation, "fwht", corrupted)
+    with pytest.raises(InvariantError, match="^row j=16 of pair 2 in its stack .*n\\*\\*2 = 256"):
+        relation._statistics(*stack_of(pairs))
+    assert widths == [15, 15, 15, 3]
 
 
 def test_aleph_statistics_rejects_mixed_stacks():
@@ -413,16 +436,16 @@ def test_ghr_valid_reads_the_answer_in_one_transform(monkeypatch):
     columns = []
     real = relation._spectra
     monkeypatch.setattr(
-        relation, "_spectra", lambda px, picked, *rest: columns.append(picked.shape[:2]) or real(px, picked, *rest)
+        relation, "_spectra", lambda product, *rest: columns.append(product.shape[1]) or real(product, *rest)
     )
     aleph(x, y)
     stream = columns[:]  # the typicality stream's transforms
     columns.clear()
     assert ghr_is_valid(x, y, answer(np.argwhere(squares > n)))  # decided by its entries
-    assert columns == [(1, m)]
+    assert columns == [m]
     columns.clear()
     ghr_is_valid(x, y, answer(np.argwhere(squares <= n)))  # left open: typicality decides
-    assert columns == [(1, m)] + stream
+    assert columns == [m] + stream
 
 
 def test_corrupted_row_trips_parseval_check(monkeypatch):
