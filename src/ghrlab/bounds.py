@@ -15,6 +15,7 @@ import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -115,10 +116,12 @@ def _ratio_power(num: float, den: float) -> float:
 
 
 # Rows of _fair_cumulative built so far, by m, up to _FAIR_ROWS_KEPT of them
-# (the CLI's grids ask for 441).  Two threads building the same row store
-# the same value, so the dict needs no lock.
+# (the CLI's grids ask for 441), and beside each kept row the floats of its
+# prefix that the grids read (_fair_float_prefix).  Two threads building the
+# same row store the same value, so the dicts need no lock.
 _FAIR_ROWS_KEPT = 1024
 _fair_rows: dict[int, tuple[int, ...]] = {}
+_fair_floats: dict[int, np.ndarray] = {}
 
 
 def _fair_cumulative(m: int) -> tuple[int, ...]:
@@ -150,6 +153,32 @@ def _fair_cumulative(m: int) -> tuple[int, ...]:
     return cum
 
 
+def _fair_float_prefix(m_values: Sequence[int], row: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """cum[k] / 2**m at every point (row, k), m = m_values[row], as Python's
+    correctly rounded int / int, and 0.0 where k < 0; every k must be at
+    most min(m, m // 2 + isqrt(m) + 1), the prefix of each row the grids
+    read.
+
+    The floats of each m's prefix are kept beside its kept integer row.
+    The prefixes not kept yet are converted together, in one _dyadic_floats
+    call, and each is kept when its integer row is."""
+    ms = [operator.index(m) for m in m_values]
+    rows = {m: _fair_floats.get(m) for m in ms}
+    missing = [m for m, floats in rows.items() if floats is None]
+    if missing:
+        widths = [min(m, m // 2 + math.isqrt(m) + 1) + 1 for m in missing]
+        counts = list(chain.from_iterable(_fair_cumulative(m)[:w] for m, w in zip(missing, widths)))
+        converted = _dyadic_floats(counts, np.repeat(missing, widths))
+        converted.setflags(write=False)  # kept, like the integer rows, as read-only
+        for m, end, width in zip(missing, accumulate(widths), widths):
+            rows[m] = floats = converted[end - width:end]
+            if m in _fair_rows:
+                _fair_floats[m] = floats
+    prefixes = [rows[m] for m in ms]
+    starts = np.cumsum([0] + [len(floats) for floats in prefixes[:-1]])
+    return np.where(k >= 0, np.concatenate(prefixes)[starts[row] + np.maximum(k, 0)], 0.0)
+
+
 def _excess(count: int, m: int, bound: float) -> int:
     """An integer with the sign of count / 2**m - bound, computed exactly."""
     p, q = bound.as_integer_ratio()
@@ -157,23 +186,24 @@ def _excess(count: int, m: int, bound: float) -> int:
 
 
 def _excess_signs(
-    counts: Sequence[int], e: int | np.ndarray, observed: np.ndarray, bound: np.ndarray
+    count: Callable[[int], int], e: int | np.ndarray, observed: np.ndarray, bound: np.ndarray
 ) -> np.ndarray:
-    """The sign of counts[i] / 2**e[i] - bound[i] at every point, as int8.
+    """The sign of count(i) / 2**e[i] - bound[i] at every point, as int8.
 
-    e is one int or one per point, and observed[i] must be the float
-    counts[i] / 2**e[i].  Python's int / int is correctly rounded, and
-    rounding is monotone: a float bound rounds to itself, so a quotient <=
-    bound forces observed <= bound, and a quotient >= bound forces observed
-    >= bound.  Hence observed > bound proves the exact quotient exceeds
-    bound, observed < bound proves it falls short, and only a tie observed
-    == bound, or a NaN bound, leaves the sign open.  _excess settles each
-    of those with integers, refusing a NaN bound with ValueError.  This is a
-    theorem, not a tolerance: every sign is that of the exact difference."""
+    e is one int or one per point, observed[i] must be the float count(i) /
+    2**e[i], and count is called only at a tie.  Python's int / int is
+    correctly rounded, and rounding is monotone: a float bound rounds to
+    itself, so a quotient <= bound forces observed <= bound, and a quotient
+    >= bound forces observed >= bound.  Hence observed > bound proves the
+    exact quotient exceeds bound, observed < bound proves it falls short,
+    and only a tie observed == bound, or a NaN bound, leaves the sign open.
+    _excess settles each of those with integers, refusing a NaN bound with
+    ValueError.  This is a theorem, not a tolerance: every sign is that of
+    the exact difference."""
     signs = (observed > bound).astype(np.int8) - (observed < bound)
     exps = np.broadcast_to(e, observed.shape)
     for i in np.flatnonzero(signs == 0):
-        excess = _excess(counts[i], int(exps[i]), float(bound[i]))
+        excess = _excess(count(i), int(exps[i]), float(bound[i]))
         signs[i] = (excess > 0) - (excess < 0)
     return signs
 
@@ -191,7 +221,9 @@ def _dyadic_floats(counts: Sequence[int], e: int | np.ndarray) -> np.ndarray:
     big = np.flatnonzero(exps > 1000)
     cast = np.array(counts, dtype=object)
     cast[big] = 0  # float() of a count past 2**1024 would overflow
-    out = np.ldexp(cast.astype(np.float64), -exps)
+    # ldexp's int32 exponent loop runs about 9x faster than its int64 one;
+    # the clipped exponents are those of the points divided as ints below
+    out = np.ldexp(cast.astype(np.float64), -np.minimum(exps, 1001).astype(np.int32))
     out[big] = [counts[i] / (1 << int(exps[i])) for i in big]
     return out
 
@@ -208,28 +240,43 @@ def _cap(x: np.ndarray) -> np.ndarray:
 
 def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     """Columns over the points (m, t), 1 <= t <= m // t_max_divisor, in
-    (m, t) order: m and t as int arrays; each point's count, the integer
-    C(m, 0) + ... + C(m, floor(m/2 - t)), 0 once floor(m/2 - t) < 0; the
-    exponent e = m + 1 - sides; and observed = count / 2**e as a float.
+    (m, t) order: m and t as int arrays; count(i), point i's count as the
+    integer C(m, 0) + ... + C(m, floor(m/2 - t)), 0 once floor(m/2 - t) <
+    0; the exponent e = m + 1 - sides; and observed = count / 2**e as a
+    float.  Each m is read as an int (operator.index) and t_max_divisor
+    must be at least 1.
 
     Over 2**m the count is the fair binomial's tail at or below m/2 - t
     and, by symmetry, the one at or above m/2 + t.  As the two tails hold
     equally many outcomes, observed is the float of one tail (sides=1) or
-    of both (sides=2) over 2**m.  A grid with no point is refused."""
-    ms = np.fromiter(m_values, np.int64)
+    of both (sides=2) over 2**m.  Both come from the row's float cum[k] /
+    2**m (_fair_float_prefix): doubling a float is exact, so twice it is
+    the correctly rounded count / 2**(m - 1) wherever count / 2**m is
+    normal, and a two-sided point where it may not be is divided again.
+    A grid with no point is refused."""
+    if t_max_divisor < 1:
+        raise ValueError(f"t_max_divisor must be >= 1, got {t_max_divisor}")
+    ms = np.fromiter(map(operator.index, m_values), np.int64)
     t_max = ms // t_max_divisor
     ms, t_max = ms[t_max >= 1], t_max[t_max >= 1]
-    counts = []
-    for m, top in zip(ms.tolist(), t_max.tolist()):
-        half = m // 2  # floor(m/2 - t) = m // 2 - t
-        counts += _fair_cumulative(m)[max(half - top, 0):half][::-1]
-        counts += [0] * max(top - half, 0)
-    if not counts:
+    if not ms.size:
         raise ValueError(f"no point with 1 <= t <= m // {t_max_divisor} for m in {m_values!r}")
-    m_col = np.repeat(ms, t_max)
-    t_col = np.arange(1, m_col.size + 1) - np.repeat(np.cumsum(t_max) - t_max, t_max)
+    row = np.repeat(np.arange(ms.size), t_max)
+    m_col = ms[row]
+    t_col = np.arange(1, m_col.size + 1) - (np.cumsum(t_max) - t_max)[row]
+    k = m_col // 2 - t_col  # floor(m/2 - t)
     e = m_col + 1 - sides
-    return m_col, t_col, counts, e, _dyadic_floats(counts, e)
+
+    def count(i: int) -> int:
+        return _fair_cumulative(m_col[i])[k[i]] if k[i] >= 0 else 0
+
+    observed = _fair_float_prefix(ms.tolist(), row, k)
+    if sides == 2:
+        tiny = np.flatnonzero((k >= 0) & (observed <= 2.0**-1022))
+        observed *= 2.0
+        if tiny.size:
+            observed[tiny] = _dyadic_floats([count(i) for i in tiny], e[tiny])
+    return m_col, t_col, count, e, observed
 
 
 def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
@@ -272,7 +319,7 @@ def _window_grid(m_values: Iterable[int], c_term: float):
     hits/2**m - bound and of the float margin fl(fl(hits/2**m) - bound).
     Proof, with u = 2**-53 and s = |shift|: |d| <= sqrt(m), so |main d| <=
     0.8 and |cubic d**3| <= 0.54.  Each cum[k]/2**m in [0, 1] is rounded
-    once (_dyadic_floats), to within u; fl(fl(cubic d**3) - fl(main d)) is
+    once (_fair_float_prefix), to within u; fl(fl(cubic d**3) - fl(main d)) is
     within 2.7u of its real value; so a computed F or G is within 6.1u of
     its own, and fl(F[b] - G[a]), below 4.7 in magnitude, within 17u of
     F[b] - G[a].  The float bound rounds main (b - a) (at most 1.6), cubic
@@ -292,20 +339,14 @@ def _window_grid(m_values: Iterable[int], c_term: float):
         rows.append((m, max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m), *consts))
     if not rows:
         raise ValueError(f"no m values to check: m_values={m_values!r}")
-    counts = []  # per m: cum[lo - 1] (0 when lo = 0), then cum[lo], ..., cum[hi]
-    for m, lo, hi, *_ in rows:
-        cum = _fair_cumulative(m)
-        counts.append(cum[lo - 1] if lo > 0 else 0)
-        counts += cum[lo:hi + 1]
     columns = list(zip(*rows))
     ms, los, his = (np.array(column, dtype=np.int64) for column in columns[:3])
     main, cubic, shift = (np.array(column) for column in columns[3:])
     sizes = his - los + 2
     row = np.repeat(np.arange(len(rows)), sizes)
-    first = np.cumsum(sizes) - sizes  # the position in counts of each m's cum[lo - 1]
-    col = np.arange(row.size) - first[row]
+    col = np.arange(row.size) - (np.cumsum(sizes) - sizes)[row]
     prefix = np.zeros((len(rows), sizes.max()))  # prefix[i, j] = cum[lo + j - 1]/2**m
-    prefix[row, col] = _dyadic_floats(counts, ms[row])
+    prefix[row, col] = _fair_float_prefix(columns[0], row, los[row] + col - 1)
     d = los[:, None] - ms[:, None] // 2 + np.arange(prefix.shape[1] - 1)  # k - m/2
     cubes = (d * d * d).astype(np.float64)
     poly = cubic[:, None] * cubes - main[:, None] * d
@@ -313,8 +354,11 @@ def _window_grid(m_values: Iterable[int], c_term: float):
     f = np.where(inside, prefix[:, 1:] + poly, np.inf)
     g = np.where(inside, prefix[:, :-1] + poly, -np.inf)
 
+    cums = list(map(_fair_cumulative, columns[0]))  # each m's integer row, for the hits
+
     def windows(i, a, b):
-        hits = [counts[top] - counts[bot] for top, bot in zip((first[i] + b + 1).tolist(), (first[i] + a).tolist())]
+        ends = zip(map(cums.__getitem__, i.tolist()), (los[i] + b).tolist(), (los[i] + a - 1).tolist())
+        hits = [cum[top] - (cum[bot] if bot >= 0 else 0) for cum, top, bot in ends]
         return hits, main[i] * (b - a) - cubic[i] * (cubes[i, b] - cubes[i, a]) - shift[i]
 
     return ms, shift, f, g, _TIE_TOL * (1.0 + np.abs(shift)), windows
@@ -460,10 +504,10 @@ def hoeffding_dominance_report(
     The bound is hoeffding_bound([(0.0, 1.0)] * m, t), whose variance sum is
     exactly float(m); each verdict compares the integer count with the
     bound's exact value."""
-    m, t, counts, e, observed = _tail_grid(m_values, t_max_divisor, sides=2)
+    m, t, count, e, observed = _tail_grid(m_values, t_max_divisor, sides=2)
     tf = t.astype(np.float64)
     bound = _cap(2.0 * _exp(-2.0 * tf * tf / m.astype(np.float64)))
-    satisfied = _excess_signs(counts, e, observed, bound) <= 0
+    satisfied = _excess_signs(count, e, observed, bound) <= 0
     return BoundReport(
         "two-sided binomial tail vs hoeffding_bound",
         lambda i: f"m={m[i]},t={t[i]}",
@@ -493,7 +537,7 @@ def chernoff_dominance_report(
     strictly inside (0, m)."""
     if t_max_divisor < 3:
         raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
-    m, t, counts, e, observed = _tail_grid(m_values, t_max_divisor, sides=1)
+    m, t, count, e, observed = _tail_grid(m_values, t_max_divisor, sides=1)
     top = int((m + 2 * t).max())
     log_half = np.array([-math.inf] + [math.log(j / 2) for j in range(1, top + 1)])  # no level is 0
     tf = t.astype(np.float64)
@@ -505,7 +549,7 @@ def chernoff_dominance_report(
     exp_hi = _cap(_exp(-tf * tf / (two_a + tf)))
     # the _ratio_power factors of level mu - t and of level mu + t
     ratio = _cap(_exp(below * (log_mu - log_half[m - 2 * t])) * _exp(above * (log_mu - log_half[m + 2 * t])))
-    holds = [_excess_signs(counts, e, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
+    holds = [_excess_signs(count, e, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
     return BoundReport(
         "one-sided binomial tails vs relaxed_chernoff_bound",
         lambda i: f"{_CHERNOFF_CHECKS[i % 4]},m={m[i // 4]},t={t[i // 4]}",
@@ -574,7 +618,7 @@ def window_lower_dominance_report(
         hits, bound = windows(rows, a[part], b[part])
         e = ms[rows]
         exact = _dyadic_floats(hits, e)
-        fails += np.bincount(rows[_excess_signs(hits, e, exact, bound) < 0], minlength=len(ms))
+        fails += np.bincount(rows[_excess_signs(hits.__getitem__, e, exact, bound) < 0], minlength=len(ms))
         gap = exact - bound
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # rows is sorted
         seen, low = rows[firsts], np.minimum.reduceat(gap, firsts)

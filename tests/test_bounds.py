@@ -25,6 +25,7 @@ from ghrlab.bounds import (
     _excess,
     _excess_signs,
     _fair_cumulative,
+    _fair_float_prefix,
     _tail_grid,
     _window_grid,
     DEFAULT_WINDOW_C,
@@ -200,14 +201,17 @@ def test_fair_tail_equals_the_prefix_rows():
 
 
 def test_numpy_m_keys_the_same_fair_rows(monkeypatch):
-    # from an empty cache, so numpy integers build the rows: no int64 may
-    # reach a row's coefficients, and rows are keyed by the equal Python ints
+    # from empty caches, so numpy integers build the rows and their floats:
+    # no int64 may reach a row's coefficients, and rows are keyed by the
+    # equal Python ints
     monkeypatch.setattr(bounds, "_fair_rows", {})
+    monkeypatch.setattr(bounds, "_fair_floats", {})
     ms = np.arange(50, 501, 2)
     assert window_lower_dominance_report(ms) == window_lower_dominance_report(tuple(ms.tolist()))
     assert window_lower_dominance_report().passed
     assert calibrate_window_lower_c(ms) == 0.0
     assert all(type(m) is int for m in bounds._fair_rows)
+    assert bounds._fair_floats.keys() == set(ms.tolist())
     monkeypatch.setattr(bounds, "_fair_rows", {})
     assert exact_binomial_window(np.int64(100), 0, 50) == exact_binomial_window(100, 0, 50)
     assert exact_binomial_window(100, 0, 50) == Fraction(sum(math.comb(100, k) for k in range(51)), 1 << 100)
@@ -309,6 +313,9 @@ def test_dominance_reports_small_grids():
         (lambda: chernoff_dominance_report(()), r"m // 4 for m in \(\)"),
         (lambda: chernoff_dominance_report(range(1, 6), t_max_divisor=7), r"m // 7"),
         (lambda: window_lower_dominance_report(()), r"m_values=\(\)"),
+        # a divisor below 1, which used to reach numpy's floor division by 0
+        (lambda: hoeffding_dominance_report(range(10, 60), t_max_divisor=0), "t_max_divisor must be >= 1, got 0"),
+        (lambda: hoeffding_dominance_report(range(10, 60), t_max_divisor=-2), "t_max_divisor must be >= 1, got -2"),
         # window m that binomial_window_lower refuses
         (lambda: window_lower_dominance_report((0,)), "got 0"),
         (lambda: window_lower_dominance_report((50, 51)), "got 51"),
@@ -318,6 +325,17 @@ def test_dominance_reports_small_grids():
 def test_dominance_reports_refuse_empty_or_invalid_grids(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_tail_grids_read_each_m_as_an_int():
+    # a non-integral m is refused; it used to be truncated, so that [12.9]
+    # was checked, and labelled, as m=12
+    with pytest.raises(TypeError):
+        chernoff_dominance_report([12.9])
+    with pytest.raises(TypeError):
+        hoeffding_dominance_report([10.5])
+    assert hoeffding_dominance_report(np.arange(10, 60)) == hoeffding_dominance_report(range(10, 60))
+    assert chernoff_dominance_report([np.int32(12)]).label(0) == "exp_lo,m=12,t=1"
 
 
 def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
@@ -359,10 +377,15 @@ def test_hoisted_hoeffding_equals_hoeffding_bound(m_values, size):
 
 @pytest.mark.parametrize("sides", [1, 2])
 @pytest.mark.parametrize(
-    "m_values, divisor", [(range(10, 401), 4), (range(998, 1004), 4), (range(1, 60), 3)], ids=["default", "m998-1003", "m1-59/3"]
+    "m_values, divisor",
+    [(range(10, 401), 4), (range(998, 1004), 4), (range(1, 60), 3), ((1030, 1100), 1)],
+    # past m = 1022 the two-sided count / 2**(m - 1) may be subnormal, where
+    # twice the one-sided float is not its correctly rounded value
+    ids=["default", "m998-1003", "m1-59/3", "m1030,1100/1"],
 )
 def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
-    m, t, counts, e, observed = _tail_grid(m_values, divisor, sides)
+    m, t, count, e, observed = _tail_grid(m_values, divisor, sides)
+    counts = [count(i) for i in range(m.size)]
     expect = []
     for k in m_values:
         for j in range(1, k // divisor + 1):
@@ -370,6 +393,73 @@ def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
             expect.append((k, j, count, k + 1 - sides, count / (1 << (k + 1 - sides))))
     assert m.dtype == t.dtype == e.dtype == np.int64
     assert list(zip(m.tolist(), t.tolist(), counts, e.tolist(), observed.tolist())) == expect
+
+
+def float_prefix_width(m):
+    """How many floats cum[0] / 2**m, ... of row m are kept."""
+    return min(m, m // 2 + math.isqrt(m) + 1) + 1
+
+
+def test_kept_float_rows_equal_int_division(monkeypatch):
+    # every float kept beside a row is Python's cum[k] / 2**m, past m = 1000
+    # too, where _dyadic_floats divides as ints
+    monkeypatch.setattr(bounds, "_fair_rows", {})
+    monkeypatch.setattr(bounds, "_fair_floats", {})
+    monkeypatch.setattr(bounds, "_FAIR_ROWS_KEPT", 1100)
+    ms = range(1, 1101)
+    firsts = _fair_float_prefix(ms, np.arange(len(ms)), np.zeros(len(ms), dtype=np.int64))
+    assert firsts.tolist() == [1 / (1 << m) for m in ms]
+    kept = dict(bounds._fair_floats)
+    assert list(kept) == list(ms)
+    for m, floats in kept.items():
+        cum = _fair_cumulative(m)
+        assert floats.tolist() == [c / (1 << m) for c in cum[:float_prefix_width(m)]]
+    # a numpy m reads the same row, and k < 0 reads 0.0
+    row, k = np.array([0, 0, 1, 1]), np.array([-1, 350, 400, 584])
+    got = _fair_float_prefix([np.int64(700), np.int16(1100)], row, k)
+    assert got.tolist() == [0.0, kept[700][350], kept[1100][400], kept[1100][584]]
+    assert bounds._fair_floats.keys() == kept.keys()
+    assert all(bounds._fair_floats[m] is kept[m] for m in ms)
+    # past the cap a row's floats are converted but, like the row, not kept
+    assert _fair_float_prefix([1200], np.array([0]), np.array([600])).tolist() == [
+        _fair_cumulative(1200)[600] / (1 << 1200)
+    ]
+    assert 1200 not in bounds._fair_floats and 1200 not in bounds._fair_rows
+
+
+@pytest.mark.parametrize(
+    "make, sides",
+    [
+        # t up to m reaches floor(m/2 - t) < 0, whose count is 0
+        (lambda ms: hoeffding_dominance_report(ms, t_max_divisor=1), 2),
+        (lambda ms: chernoff_dominance_report(ms, t_max_divisor=3), 1),
+    ],
+    ids=["hoeffding", "chernoff"],
+)
+def test_grid_ties_are_decided_from_the_integer_rows(make, sides, monkeypatch):
+    # a bound equal to observed = fl(count / 2**e) leaves the float sign
+    # open; the verdict is that of the exact count, read from the rows,
+    # which is above observed where it rounded down
+    ms = range(50, 120)
+    grid = [(m, t) for m in ms for t in range(1, m // (1 if sides == 2 else 3) + 1)]
+    picked = np.arange(0, len(grid), 7)
+    real = bounds._excess_signs
+
+    def tied(count, e, observed, bound):
+        bound = bound.copy()
+        bound[picked] = observed[picked]
+        return real(count, e, observed, bound)
+
+    monkeypatch.setattr(bounds, "_excess_signs", tied)
+    report = make(ms)
+    checks = len(report.satisfied) // len(grid)
+    expect = []
+    for i in picked.tolist():
+        m, t = grid[i]
+        count = _fair_cumulative(m)[m // 2 - t] if m // 2 >= t else 0
+        expect.append(_excess(count, m + 1 - sides, float(report.observed[checks * i])) <= 0)
+    assert report.satisfied.reshape(len(grid), checks)[picked].tolist() == [[v] * checks for v in expect]
+    assert True in expect and False in expect
 
 
 def test_excess_decides_ties_the_float_quotient_hides():
@@ -420,7 +510,7 @@ def test_float_first_verdict_has_the_exact_sign(case):
     # or one per point, and the float-first verdict
     column = _dyadic_floats([count], m)
     assert column.tolist() == _dyadic_floats([count], np.array([m])).tolist() == [observed]
-    signs = _excess_signs([count], m, column, np.array([bound]))
+    signs = _excess_signs([count].__getitem__, m, column, np.array([bound]))
     assert signs.tolist() == [sign(_excess(count, m, bound))]
 
 

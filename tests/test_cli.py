@@ -4,6 +4,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -544,6 +545,9 @@ GOLDEN = {
         "5b55a885014c16f745d93c80318b2226b8bef4aacc5dedd1e9fac19412b9e3a6",
     "bounds-validate":
         "e2394922845d0584da489e9cff0c1df056cb4abfdaf6bda2632fc95a5ac4ceb2",
+    # perfbench's verifier-round op; the default n, so the bytes above
+    "bounds-validate --n 256":
+        "e2394922845d0584da489e9cff0c1df056cb4abfdaf6bda2632fc95a5ac4ceb2",
     "bounds-validate --n 16 --trials 20 --seed 4":
         "60f29ede8eeff46d186baf80c7945350eed43ccdbc5c008bb40f3be8a981e030",
     "reduction-demo --c1 6 --c2 8 --n 16 --rect parity_even --trials 2 --seed 5":
@@ -607,6 +611,67 @@ def test_csv_bytes_match_golden(command, monkeypatch):
             monkeypatch.setattr(module, "delta_table", refuse_table)
     monkeypatch.setattr(bounds, "BoundPoint", refuse_point)
     assert hashlib.sha256(run_stdout(command.split())).hexdigest() == GOLDEN[command]
+
+
+def default_columns():
+    """The columns of the three default dominance reports, which the row
+    caches could change: the labels come from the grid alone."""
+    reports = (
+        bounds.hoeffding_dominance_report(),
+        bounds.chernoff_dominance_report(),
+        bounds.window_lower_dominance_report(),
+    )
+    return [(r.description, r.bound_value.tolist(), r.observed.tolist(), r.satisfied.tolist()) for r in reports]
+
+
+@pytest.mark.parametrize(
+    "fill",
+    [
+        lambda mp: None,
+        lambda mp: bounds.window_lower_dominance_report(),
+        # rows over other m, kept at another divisor, partly overlapping
+        lambda mp: bounds.hoeffding_dominance_report(range(300, 700, 3), t_max_divisor=1),
+        # the cap reached: no default row is kept, every call converts its own
+        lambda mp: mp.setattr(bounds, "_FAIR_ROWS_KEPT", 10) or bounds.hoeffding_dominance_report(range(40, 50)),
+    ],
+    ids=["cold", "window-first", "other-m", "cap-reached"],
+)
+def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch):
+    expect = default_columns()
+    golden = GOLDEN["bounds-validate --n 256"]
+    checks = (
+        lambda: default_columns() == expect,
+        lambda: hashlib.sha256(run_stdout(["bounds-validate", "--n", "256"])).hexdigest() == golden,
+    )
+    for check in checks:
+        monkeypatch.setattr(bounds, "_fair_rows", {})
+        monkeypatch.setattr(bounds, "_fair_floats", {})
+        fill(monkeypatch)
+        assert check()
+
+
+def test_second_bounds_validate_converts_no_row(monkeypatch):
+    # cold, each grid converts the float prefixes it lacks in one call: the
+    # Hoeffding grid those of rows 10..400, which the Chernoff grid then
+    # reads, and the window grid those of its even rows past 400; then the
+    # window candidates' hits are converted.  Warm, only those hits are
+    monkeypatch.setattr(bounds, "_fair_rows", {})
+    monkeypatch.setattr(bounds, "_fair_floats", {})
+    converted, candidates = [], []
+    dyadic, pick = bounds._dyadic_floats, bounds._window_candidates
+    monkeypatch.setattr(bounds, "_dyadic_floats", lambda counts, e: converted.append(len(counts)) or dyadic(counts, e))
+    monkeypatch.setattr(bounds, "_window_candidates", lambda *a: candidates.append(len(pick(*a)[0])) or pick(*a))
+
+    def width(m):
+        return min(m, m // 2 + math.isqrt(m) + 1) + 1
+
+    argv = ["bounds-validate", "--n", "256"]
+    run_stdout(argv)
+    rows = [sum(map(width, range(10, 401))), sum(map(width, range(402, 501, 2)))]
+    assert converted == rows + candidates and candidates == [452]
+    converted.clear()
+    assert hashlib.sha256(run_stdout(argv)).hexdigest() == GOLDEN["bounds-validate --n 256"]
+    assert converted == candidates[1:] == [452]
 
 
 @pytest.mark.parametrize("command", GOLDEN)
