@@ -242,9 +242,10 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     """Columns over the points (m, t), 1 <= t <= m // t_max_divisor, in
     (m, t) order: m and t as int arrays; count(i), point i's count as the
     integer C(m, 0) + ... + C(m, floor(m/2 - t)), 0 once floor(m/2 - t) <
-    0; the exponent e = m + 1 - sides; and observed = count / 2**e as a
-    float.  Each m is read as an int (operator.index) and t_max_divisor
-    must be at least 1.
+    0; the exponent e = m + 1 - sides; observed = count / 2**e as a float;
+    and the grid's key, its m values with a point and t_max_divisor, which
+    fix m, t and e.  Each m and t_max_divisor are read as ints
+    (operator.index), and t_max_divisor must be at least 1.
 
     Over 2**m the count is the fair binomial's tail at or below m/2 - t
     and, by symmetry, the one at or above m/2 + t.  As the two tails hold
@@ -254,6 +255,7 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     the correctly rounded count / 2**(m - 1) wherever count / 2**m is
     normal, and a two-sided point where it may not be is divided again.
     A grid with no point is refused."""
+    t_max_divisor = operator.index(t_max_divisor)  # a numpy integer keys its int's grid
     if t_max_divisor < 1:
         raise ValueError(f"t_max_divisor must be >= 1, got {t_max_divisor}")
     ms = np.fromiter(map(operator.index, m_values), np.int64)
@@ -270,13 +272,62 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     def count(i: int) -> int:
         return _fair_cumulative(m_col[i])[k[i]] if k[i] >= 0 else 0
 
-    observed = _fair_float_prefix(ms.tolist(), row, k)
+    ms = ms.tolist()
+    observed = _fair_float_prefix(ms, row, k)
     if sides == 2:
         tiny = np.flatnonzero((k >= 0) & (observed <= 2.0**-1022))
         observed *= 2.0
         if tiny.size:
             observed[tiny] = _dyadic_floats([count(i) for i in tiny], e[tiny])
-    return m_col, t_col, count, e, observed
+    return m_col, t_col, count, e, observed, (tuple(ms), t_max_divisor)
+
+
+# The capped bound columns of the tail grids built so far, by builder and
+# grid key (_tail_grid), up to _TAIL_BOUNDS_KEPT of them (the CLI asks for
+# two, about 0.6 MiB).  They depend on the grid alone; every verdict that
+# reads them is still made on every call.  Two threads building the same
+# columns store equal values, so the dict needs no lock.
+_TAIL_BOUNDS_KEPT = 8
+_tail_bounds: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
+def _kept_bounds(
+    build: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]], grid: tuple, m: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """build(m, t) over the points of the tail grid whose key is grid, kept,
+    read-only, the first time it is built."""
+    key = (build, *grid)
+    columns = _tail_bounds.get(key)
+    if columns is None:
+        columns = build(m, t)
+        for column in columns:
+            column.setflags(write=False)
+        if len(_tail_bounds) < _TAIL_BOUNDS_KEPT:
+            _tail_bounds[key] = columns
+    return columns
+
+
+def _hoeffding_bounds(m: np.ndarray, t: np.ndarray) -> tuple[np.ndarray]:
+    """hoeffding_bound([(0.0, 1.0)] * m, t) at every point, bit for bit."""
+    tf = t.astype(np.float64)
+    return (_cap(2.0 * _exp(-2.0 * tf * tf / m.astype(np.float64))),)
+
+
+def _chernoff_bounds(m: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """relaxed_chernoff_bound's exp-form lower and upper tails and its
+    ratio form at every point, bit for bit (chernoff_dominance_report)."""
+    top = int((m + 2 * t).max())
+    log_half = np.array([-math.inf] + [math.log(j / 2) for j in range(1, top + 1)])  # no level is 0
+    tf = t.astype(np.float64)
+    mu = m.astype(np.float64) / 2.0
+    two_a = 2.0 * mu
+    log_mu = log_half[m]
+    below, above = mu - tf, mu + tf
+    exp_lo = _cap(_exp(-tf * tf / two_a))
+    exp_hi = _cap(_exp(-tf * tf / (two_a + tf)))
+    # the _ratio_power factors of level mu - t and of level mu + t
+    ratio = _cap(_exp(below * (log_mu - log_half[m - 2 * t])) * _exp(above * (log_mu - log_half[m + 2 * t])))
+    return exp_lo, exp_hi, ratio
 
 
 def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
@@ -503,10 +554,10 @@ def hoeffding_dominance_report(
 
     The bound is hoeffding_bound([(0.0, 1.0)] * m, t), whose variance sum is
     exactly float(m); each verdict compares the integer count with the
-    bound's exact value."""
-    m, t, count, e, observed = _tail_grid(m_values, t_max_divisor, sides=2)
-    tf = t.astype(np.float64)
-    bound = _cap(2.0 * _exp(-2.0 * tf * tf / m.astype(np.float64)))
+    bound's exact value.  The bound column is kept per grid (_kept_bounds);
+    the verdicts are not."""
+    m, t, count, e, observed, grid = _tail_grid(m_values, t_max_divisor, sides=2)
+    (bound,) = _kept_bounds(_hoeffding_bounds, grid, m, t)
     satisfied = _excess_signs(count, e, observed, bound) <= 0
     return BoundReport(
         "two-sided binomial tail vs hoeffding_bound",
@@ -530,25 +581,16 @@ def chernoff_dominance_report(
     Each bound equals relaxed_chernoff_bound at its point bit for bit: the
     grid applies the same float operations to the same floats, in columns,
     with math.exp.  log(mu +- t) = log(j / 2) for j = m +- 2t comes from one
-    table per call.  m - mu, m - (mu + t) and m - (mu - t) are exactly mu,
+    table per grid.  m - mu, m - (mu + t) and m - (mu - t) are exactly mu,
     mu - t and mu + t, as all are half-integers far below 2**53; so the two
     ratio bounds multiply the same two factors, in swapped order, and are
-    equal.  t_max_divisor must be at least 3, which keeps every ratio level
-    strictly inside (0, m)."""
-    if t_max_divisor < 3:
+    equal.  t_max_divisor must be an integer of at least 3, which keeps
+    every ratio level strictly inside (0, m).  The bound columns are kept
+    per grid (_kept_bounds); the verdicts are not."""
+    if operator.index(t_max_divisor) < 3:
         raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
-    m, t, count, e, observed = _tail_grid(m_values, t_max_divisor, sides=1)
-    top = int((m + 2 * t).max())
-    log_half = np.array([-math.inf] + [math.log(j / 2) for j in range(1, top + 1)])  # no level is 0
-    tf = t.astype(np.float64)
-    mu = m.astype(np.float64) / 2.0
-    two_a = 2.0 * mu
-    log_mu = log_half[m]
-    below, above = mu - tf, mu + tf
-    exp_lo = _cap(_exp(-tf * tf / two_a))
-    exp_hi = _cap(_exp(-tf * tf / (two_a + tf)))
-    # the _ratio_power factors of level mu - t and of level mu + t
-    ratio = _cap(_exp(below * (log_mu - log_half[m - 2 * t])) * _exp(above * (log_mu - log_half[m + 2 * t])))
+    m, t, count, e, observed, grid = _tail_grid(m_values, t_max_divisor, sides=1)
+    exp_lo, exp_hi, ratio = _kept_bounds(_chernoff_bounds, grid, m, t)
     holds = [_excess_signs(count, e, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
     return BoundReport(
         "one-sided binomial tails vs relaxed_chernoff_bound",

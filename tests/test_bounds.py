@@ -338,6 +338,39 @@ def test_tail_grids_read_each_m_as_an_int():
     assert chernoff_dominance_report([np.int32(12)]).label(0) == "exp_lo,m=12,t=1"
 
 
+def test_tail_grids_read_t_max_divisor_as_an_int(monkeypatch):
+    # refused before numpy is reached, which used to fail casting float64 t
+    # counts to int64
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        hoeffding_dominance_report(range(10, 20), 2.5)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        chernoff_dominance_report(range(10, 20), 3.5)
+    # a numpy divisor keys the kept bounds as its int does
+    monkeypatch.setattr(bounds, "_tail_bounds", {})
+    report = hoeffding_dominance_report(range(10, 20), np.int64(4))
+    assert hoeffding_dominance_report(range(10, 20), 4).bound_value is report.bound_value
+    assert list(bounds._tail_bounds) == [(bounds._hoeffding_bounds, tuple(range(10, 20)), 4)]
+    assert type(next(iter(bounds._tail_bounds))[2]) is int
+    # past the cap, columns are built but no longer kept
+    monkeypatch.setattr(bounds, "_TAIL_BOUNDS_KEPT", 1)
+    assert chernoff_dominance_report(range(10, 20)).passed
+    assert len(bounds._tail_bounds) == 1
+
+
+def test_kept_bound_columns_cannot_be_written_through_a_report(monkeypatch):
+    monkeypatch.setattr(bounds, "_tail_bounds", {})
+    ms = range(10, 120)
+    first = hoeffding_dominance_report(ms), chernoff_dominance_report(ms)
+    with pytest.raises(ValueError, match="read-only"):
+        first[0].bound_value[0] = 2.0
+    first[1].bound_value[:] = 2.0  # the Chernoff report's column is its own copy
+    kept = hoeffding_dominance_report(ms), chernoff_dominance_report(ms)
+    assert kept[0].bound_value is first[0].bound_value
+    monkeypatch.setattr(bounds, "_tail_bounds", {})
+    assert kept == (hoeffding_dominance_report(ms), chernoff_dominance_report(ms))
+    assert kept[0].passed and kept[1].passed
+
+
 def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
     expect = [tuple(accumulate(math.comb(m, k) for k in range(m + 1))) for m in range(601)]
     shuffled = list(range(601))
@@ -384,7 +417,8 @@ def test_hoisted_hoeffding_equals_hoeffding_bound(m_values, size):
     ids=["default", "m998-1003", "m1-59/3", "m1030,1100/1"],
 )
 def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
-    m, t, count, e, observed = _tail_grid(m_values, divisor, sides)
+    m, t, count, e, observed, grid = _tail_grid(m_values, divisor, sides)
+    assert grid == (tuple(k for k in m_values if k >= divisor), divisor)
     counts = [count(i) for i in range(m.size)]
     expect = []
     for k in m_values:

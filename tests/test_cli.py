@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ghrlab.bounds as bounds
@@ -633,8 +634,15 @@ def default_columns():
         lambda mp: bounds.hoeffding_dominance_report(range(300, 700, 3), t_max_divisor=1),
         # the cap reached: no default row is kept, every call converts its own
         lambda mp: mp.setattr(bounds, "_FAIR_ROWS_KEPT", 10) or bounds.hoeffding_dominance_report(range(40, 50)),
+        # bound columns kept for the default m at another divisor
+        lambda mp: (
+            bounds.hoeffding_dominance_report(range(10, 401), t_max_divisor=5),
+            bounds.chernoff_dominance_report(range(10, 401), t_max_divisor=5),
+        ),
+        # the kept bounds' cap reached: every call builds its own columns
+        lambda mp: mp.setattr(bounds, "_TAIL_BOUNDS_KEPT", 1) or bounds.chernoff_dominance_report(range(10, 60)),
     ],
-    ids=["cold", "window-first", "other-m", "cap-reached"],
+    ids=["cold", "window-first", "other-m", "cap-reached", "kept-other-divisor", "kept-cap-reached"],
 )
 def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch):
     expect = default_columns()
@@ -646,6 +654,7 @@ def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch):
     for check in checks:
         monkeypatch.setattr(bounds, "_fair_rows", {})
         monkeypatch.setattr(bounds, "_fair_floats", {})
+        monkeypatch.setattr(bounds, "_tail_bounds", {})
         fill(monkeypatch)
         assert check()
 
@@ -672,6 +681,39 @@ def test_second_bounds_validate_converts_no_row(monkeypatch):
     converted.clear()
     assert hashlib.sha256(run_stdout(argv)).hexdigest() == GOLDEN["bounds-validate --n 256"]
     assert converted == candidates[1:] == [452]
+
+
+def test_second_bounds_validate_evaluates_no_exp(monkeypatch):
+    # cold, math.exp runs over the Hoeffding grid's one column and the
+    # Chernoff grid's four (exp_lo, exp_hi and the ratio form's two
+    # factors), each of the default grid's 19,892 points.  Warm, the kept
+    # columns serve both, and every verdict is made again: one sign column
+    # per bound column, then the window's 452 candidates.
+    monkeypatch.setattr(bounds, "_fair_rows", {})
+    monkeypatch.setattr(bounds, "_fair_floats", {})
+    monkeypatch.setattr(bounds, "_tail_bounds", {})
+    exps, signs = [], []
+    exp, excess_signs = bounds._exp, bounds._excess_signs
+    monkeypatch.setattr(bounds, "_exp", lambda x: exps.append(x.size) or exp(x))
+    monkeypatch.setattr(bounds, "_excess_signs", lambda *a: signs.append(len(a[2])) or excess_signs(*a))
+
+    argv = ["bounds-validate", "--n", "256"]
+    golden = GOLDEN["bounds-validate --n 256"]
+    verdicts = [19892] * 4 + [452]
+    assert hashlib.sha256(run_stdout(argv)).hexdigest() == golden
+    assert exps == [19892] * 5 and signs == verdicts
+    exps.clear()
+    signs.clear()
+    assert hashlib.sha256(run_stdout(argv)).hexdigest() == golden
+    assert exps == [] and signs == verdicts
+    # the grid's m values are read as ints, so each form reaches the entries
+    # the CLI's grids keep
+    kept = dict(bounds._tail_bounds)
+    hoeffding = kept[(bounds._hoeffding_bounds, tuple(range(10, 401)), 4)][0]
+    for m_values in (range(10, 401), list(range(10, 401)), np.arange(10, 401)):
+        assert bounds.hoeffding_dominance_report(m_values).bound_value is hoeffding
+        bounds.chernoff_dominance_report(m_values)
+    assert exps == [] and bounds._tail_bounds.keys() == kept.keys()
 
 
 @pytest.mark.parametrize("command", GOLDEN)
