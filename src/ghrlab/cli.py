@@ -147,14 +147,20 @@ def _cmd_baseline_tghr(args):
 
 
 def _cmd_coupling_verify(args):
+    """One row per selector, in the order of its value.  verify_independence
+    reads a selector only through its weight, so each of the n + 1 weight
+    classes is verified once, at its selector of trailing ones, and every
+    selector's row repeats its class's report."""
+    n = args.n
+    classes = [verify_independence(BitString((1 << w) - 1, n), tol=args.tol) for w in range(n + 1)]
     rows = []
     failure = None
-    for value in range(1 << args.n):
-        report = verify_independence(BitString(value, args.n), tol=args.tol)
-        rows.append((str(report.s), float(report.max_tv), report.passed))
+    for value in range(1 << n):
+        s, report = format(value, f"0{n}b"), classes[value.bit_count()]
+        rows.append((s, report.max_tv, report.passed))
         if failure is None and not report.passed:
             failure = (
-                f"coupling check failed at s={report.s}, k={report.worst_k}: "
+                f"coupling check failed at s={s}, k={report.worst_k}: "
                 f"max_tv {_fmt(report.max_tv)} > tol {_fmt(args.tol)}"
             )
     return rows, ("s", "max_tv", "pass"), failure

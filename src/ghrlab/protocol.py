@@ -74,8 +74,10 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
 
     Each pair's distinct rows are the columns of one (n, columns) block,
     transformed by relation._spectra in one _block_buffers allocation.  Its
-    int64 sums over blocks of sqrt(n) rows, cumulated down each column
-    (ends), check every column against n**2 and also index the search:
+    sums over blocks of sqrt(n) rows, in int32 once its range check puts
+    every value in [-n, n] (a block then sums to at most
+    sqrt(n) * n**2 <= 2**30), cumulated down each column in int64 (ends),
+    check every column against n**2 and also index the search:
     prefix sums only grow, so every prefix sum of a block whose end is at
     most rem is at most rem, and every one past the first block whose end
     exceeds rem exceeds it.  So s is sqrt(n) times the number of block ends

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bitkit import BitString, Rng, fwht
+from .bitkit import BitString, FwhtSteps, Rng, fwht, fwht_steps
 from .util import InvariantError, map_trials
 
 MAX_TRANSFORM_SIZE = 4096
@@ -128,9 +128,10 @@ def _spectra(
     shifts: np.ndarray | int,
     pairs: np.ndarray | int,
     height: int | None = None,
+    steps: FwhtSteps | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squares of the Walsh spectra of sign products, and their cumulative
-    block sums.
+    group sums.
 
     product is an (n, columns) view of buffers[0], the first buffer of
     _block_buffers, whose column c holds px * roll(py, -j) for one pair:
@@ -141,31 +142,54 @@ def _spectra(
     to name a failed one.  Every butterfly value is a sum of at most n
     signs, so int16 is exact for n <= MAX_TRANSFORM_SIZE; squares are
     computed in int32 (squaring in int16 would wrap from n = 256 on).
+    steps, when given, are _block_steps(product, buffers), built once by a
+    caller that transforms the same view again.
 
     ends[k, c] is the sum of column c of squares over its first
-    (k + 1) * height rows, for a height that divides n (all n rows, one
-    block, by default), from int64 sums over blocks of height rows: exact
-    for any int32 squares.  By Parseval every column sums to exactly n**2,
-    so ends[-1] is n**2 throughout; the first column where it is not raises
-    InvariantError naming its shift and its pair.
+    (k + 1) * height rows, for a height that divides n (_group_height(n)
+    by default: all n rows up to n = 1024), cumulated in int64 over the
+    sums of groups of height rows.  One max over the squares checks the
+    range identity: a square of at most n**2 puts every value in [-n, n],
+    as a sum of n signs must be, and then a group sums to at most
+    height * n**2 < 2**31, so the group sums run in int32.  Where a square
+    exceeds n**2 they run in int64, exact for any int32 squares.  By
+    Parseval every column sums to exactly n**2, so ends[-1] is n**2
+    throughout; the first column where it is not, which there is whenever
+    a square exceeds n**2, raises InvariantError naming its shift and its
+    pair.
 
     The butterflies alternate between the first two buffers and the
     squares fill the third, of which the returned squares are a view."""
     n = product.shape[0]
-    spare, squares = (buf[: product.size].reshape(product.shape) for buf in buffers[1:3])
-    np.square(fwht(product, (spare, product)), out=squares, dtype=np.int32)
-    height = n if height is None else height
-    ends = squares.reshape(n // height, height, -1).sum(axis=1, dtype=np.int64)
+    limit = n * n
+    squares = buffers[2][: product.size].reshape(product.shape)
+    np.square(fwht(product, None, steps or _block_steps(product, buffers)), out=squares, dtype=np.int32)
+    height = _group_height(n) if height is None else height
+    exact = np.int32 if squares.max() <= limit else np.int64
+    ends = squares.reshape(n // height, height, -1).sum(axis=1, dtype=exact).astype(np.int64)
     np.cumsum(ends, axis=0, out=ends)
-    bad = np.flatnonzero(ends[-1] != n * n)
+    bad = np.flatnonzero(ends[-1] != limit)
     if bad.size:
         c = int(bad[0])
         j, pair = (w.flat[c] for w in np.broadcast_arrays(shifts, pairs))
         raise InvariantError(
             f"row j={j} of pair {pair} in its stack sums to {int(ends[-1, c])}, "
-            f"not n**2 = {n * n}"
+            f"not n**2 = {limit}"
         )
     return squares, ends
+
+
+def _group_height(n: int) -> int:
+    """The most rows, a power of two dividing n, whose squares, each at most
+    n**2, sum within int32: n up to n = 1024, and 64 at n = 4096."""
+    return min(n, 1 << ((2**31 - 1) // (n * n)).bit_length() - 1)
+
+
+def _block_steps(product: np.ndarray, buffers: tuple[np.ndarray, ...]) -> FwhtSteps:
+    """The fwht steps of _spectra's transform of product, a view of
+    buffers[0]: the butterflies write a view of buffers[1] and product in
+    turn."""
+    return fwht_steps(product, (buffers[1][: product.size].reshape(product.shape), product))
 
 
 def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -182,11 +206,15 @@ def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
 # The streamed statistic reads a stack of P pairs in blocks of S consecutive
 # shifts of every pair, one transform of P * S columns, with
 # S = min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * P)) and at
-# least 1.  A block costs about 35 numpy calls whatever its width (at
-# n = 256 on a 2-core VM: 75 - 80 us for 16 columns, 185 us for 256), so
-# with a block's cells fixed the calls per pair do not depend on how P and
-# S split them, and a narrower S lets a stack stop closer to where its
-# last pair settles.
+# least 1.  A block costs about 40 numpy calls whatever its width, so with
+# a block's cells fixed the calls per pair do not depend on how P and S
+# split them, and a narrower S lets a stack stop closer to where its last
+# pair settles.  18 of those calls are the transform's butterflies and
+# copies at n = 256, whose views are built once per stream and width
+# (_block_steps).  At n = 256 on a 2-core VM, interleaved with the stream
+# that rebuilt those views for every block and summed in int64, a block
+# took 88 - 96 against 130 - 135 us for 16 columns and 230 - 250 against
+# 302 - 317 us for 256.
 # Monte Carlo runs and aleph_statistics stack _pairs_per_chunk(n) pairs,
 # which gives each pair n / 16 shifts per block up to n = 256: 16 pairs by
 # 16 shifts there, where a uniform pair settles after 177 - 195 of its 256
@@ -199,13 +227,16 @@ def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
 # Each stream allocates its buffers once, as one allocation of 8 bytes per
 # cell, and reuses them for every block: two int16 butterfly buffers, the
 # first of which takes the sign product, and the int32 squares; the bool
-# window mask reuses the butterfly memory, free once the squares are taken.
+# window mask reuses the butterfly memory, free once the squares are taken,
+# and each block's in-window sums are one masked reduction of the squares,
+# exact in int32 since a row's in-window cells add at most n**2 <= 2**24.
 # As separate arrays, earlier sweeps saw 128 to 672 minor faults per pair at
 # n = 1024, depending on heap layout, and none as one allocation.  Beside
-# them the stream keeps its tile of x signs, 2 bytes per cell (_window_sums):
-# np.tile built it in 9 us at n = 256, where a broadcast copy into a fourth
-# carved buffer took 34 us, and peak RSS after 300 aleph ops at n = 256
-# differed by under 0.1 MB.  The buffers live per call, never per module,
+# them the stream keeps its tile of x signs, 2 bytes per cell, and its y
+# signs laid out three times over, 6 bytes per pair and row (_window_sums):
+# np.tile built the x tile in 9 us at n = 256, where a broadcast copy into
+# a fourth carved buffer took 34 us, and peak RSS after 300 aleph ops at
+# n = 256 differed by under 0.1 MB.  The buffers live per call, never per module,
 # because map_trials may run chunks on threads.
 #
 # protocol.estimate_success reuses the cell cap for its chunks of trials,
@@ -238,35 +269,42 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
 
     A block of S shifts of the stack's P pairs has its S * P columns in
     (shift, pair) order, the pair fastest, so its sign product is one
-    multiply of contiguous rows.  Once per stream, px
-    is tiled over a block's shifts as tile[i, k * P + p] = px[p, i], and the
-    y signs are laid out one column per pair and doubled,
-    doubled[r, p] = py_p[r mod n] for r < 2n.  Then column k * P + p of the
+    multiply of contiguous rows.  Once per stream, px is tiled over a
+    block's shifts as tile[i, k * P + p] = px[p, i], and the y signs are
+    laid out one column per pair three times over,
+    tripled[r, p] = py_p[r mod n] for r < 3n.  Then column k * P + p of the
     block from shift `start` is px[p] * roll(py_p, -(start + k)), whose cell
-    i is tile[i, k * P + p] * doubled[start + k + i, p]: cell
-    (start + i) * P + k * P + p of the flat doubled array, a view with
-    strides of one row and one cell."""
+    i is tile[i, k * P + p] * tripled[start + k + i, p]: cell
+    (start + i) * P + k * P + p of the flat tripled array.  So one view of
+    it with strides of one row and one cell, 2n rows by S * P columns,
+    holds every block's y signs as its rows start ... start + n - 1, which
+    reach at most row 3n - 1 of tripled.  The product view, its fwht steps
+    and the window mask are built once per block width: the full width
+    and, when S does not divide n, a narrower last block."""
     stack, n = px.shape
     step = max(1, min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * stack)))
     buffers = _block_buffers(n * stack * step)
     tile = np.tile(px.T, (1, step))
-    doubled = np.tile(windows[:, 0].T, (2, 1))
-    masks = buffers[1].view(np.bool_)  # both butterfly buffers are free once squared
-    pairs = np.arange(stack)
+    tripled = np.tile(windows[:, 0].T, (3, 1))
+    rolled = as_strided(
+        tripled, (2 * n, stack * step), (tripled.strides[0], tripled.itemsize), writeable=False
+    )
+    pairs, height = np.arange(stack), _group_height(n)
+    columns = 0
     for start in range(1, n + 1, step):
         shifts = np.arange(start, min(start + step, n + 1))
-        columns = shifts.size * stack
-        product = buffers[0][: n * columns].reshape(n, columns)
-        rolled = as_strided(
-            doubled[start:], (n, columns), (doubled.strides[0], doubled.itemsize), writeable=False
-        )
-        np.multiply(tile[:, :columns], rolled, out=product)
-        squares = _spectra(product, buffers, shifts[:, None], pairs)[0]
-        mask = masks[: squares.size].reshape(squares.shape)
+        if shifts.size * stack != columns:
+            columns = shifts.size * stack
+            product = buffers[0][: n * columns].reshape(n, columns)
+            steps = _block_steps(product, buffers)
+            signs = tile[:, :columns]
+            # the butterfly buffer that the steps leave free once squared
+            mask = buffers[1].view(np.bool_)[: n * columns].reshape(n, columns)
+        np.multiply(signs, rolled[start:start + n, :columns], out=product)
+        squares = _spectra(product, buffers, shifts[:, None], pairs, height, steps)[0]
         np.less_equal(squares, n, out=mask)
-        np.multiply(squares, mask, out=squares)
         # a row's in-window cells add at most n each, so at most n**2 <= 2**24
-        rows = squares.sum(axis=0, dtype=np.int32)
+        rows = np.einsum("ij,ij->j", squares, mask)
         yield rows.reshape(-1, stack).sum(axis=0, dtype=np.int64), shifts.size
 
 
@@ -305,8 +343,8 @@ def aleph_statistic(x: BitString, y: BitString) -> int:
     beyond) and summed over all n rows, each checked to sum to n**2.  Beyond
     the sign arrays it holds one block's buffers and its tile of x signs,
     10 bytes per cell: 640 KiB at n = 256 and n = 1024, 2.5 MiB at
-    n = 4096.  oracle.DeltaTable's
-    aleph_statistic is the full-table oracle."""
+    n = 4096, and its y signs three times over, 6 bytes per row.
+    oracle.DeltaTable's aleph_statistic is the full-table oracle."""
     return aleph_statistics([x], [y])[0]
 
 

@@ -290,6 +290,26 @@ def test_fwht_buffer_contract(k):
             assert np.array_equal(fwht(fortran), expect)
 
 
+def test_fwht_refuses_steps_built_for_another_array():
+    """Steps run only on the array object they were built for: an equal
+    copy and a second view of the same memory are refused, so stale views
+    never transform a buffer they were not built for."""
+    v = np.random.default_rng(1).integers(-1, 2, size=(16, 3)).astype(np.int16)
+    expect = fwht(v)
+    steps = bitkit.fwht_steps(v, (np.empty_like(v), np.empty_like(v)))
+    assert fwht(v, steps=steps) is steps.result
+    assert np.array_equal(steps.result, expect)
+    for other in (v.copy(), v[:], v.reshape(16, 3), np.zeros_like(v)):
+        with pytest.raises(ValueError, match="built for"):
+            fwht(other, steps=steps)
+    with pytest.raises(ValueError, match="their own buffers"):
+        fwht(v, (np.empty_like(v), np.empty_like(v)), steps)
+    # a view of a non-contiguous array or buffer would read or write a copy
+    for source, spare in ((np.asfortranarray(v), v), (v, np.empty((16, 6), np.int16)[:, ::2])):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            bitkit.fwht_steps(source, (spare, np.empty_like(v)))
+
+
 def test_rng_bits_and_below():
     r = Rng(1)
     for count in (1, 7, 8, 64, 65, 130):

@@ -1,5 +1,6 @@
 """CLI plumbing: determinism, CSV shape, exit codes."""
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -18,7 +19,7 @@ import ghrlab.cli as cli
 import ghrlab.coupling as coupling
 import ghrlab.oracle as oracle
 import ghrlab.relation as relation
-from ghrlab.bitkit import RNG_ALGORITHM, fwht
+from ghrlab.bitkit import RNG_ALGORITHM, BitString, fwht
 from ghrlab.cli import build_parser, main
 
 
@@ -158,6 +159,37 @@ def test_coupling_verify_runs_one_dp_per_weight_class(capsys):
     # a backward pass or by reversing its complement's rows
     assert coupling._class_rows.cache_info().misses == 7
     assert coupling._class_distances.cache_info().misses == 7
+
+
+def per_selector_coupling_verify(n, tol):
+    """coupling-verify's rows and failure as one verify_independence per
+    selector gives them: the oracle for the one call per weight class."""
+    rows, failure = [], None
+    for value in range(1 << n):
+        report = coupling.verify_independence(BitString(value, n), tol=tol)
+        rows.append((str(report.s), float(report.max_tv), report.passed))
+        if failure is None and not report.passed:
+            failure = (
+                f"coupling check failed at s={report.s}, k={report.worst_k}: "
+                f"max_tv {cli._fmt(report.max_tv)} > tol {cli._fmt(tol)}"
+            )
+    return rows, ("s", "max_tv", "pass"), failure
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_coupling_verify_decides_once_per_weight_class(n, broken_dp, monkeypatch):
+    calls = []
+    real = cli.verify_independence
+    monkeypatch.setattr(cli, "verify_independence", lambda s, tol: calls.append(s.weight()) or real(s, tol=tol))
+    for tol in (1e-9, 0.25):
+        args = argparse.Namespace(n=n, tol=tol)
+        assert cli._cmd_coupling_verify(args) == per_selector_coupling_verify(n, tol)
+        with broken_dp():  # the failing classes and the first selector that names one
+            expect = per_selector_coupling_verify(n, tol)
+            assert cli._cmd_coupling_verify(args) == expect
+        assert calls == 2 * list(range(n + 1))
+        calls.clear()
+    assert expect[2] is not None or n == 2
 
 
 def test_coupling_failure_names_selector_and_k(broken_dp, capsys):
@@ -544,6 +576,10 @@ GOLDEN = {
         "16486031715cd5520f15eea494415c11af9ed2ece280f910098205fd5c8d7903",
     "coupling-verify --n 4 --tol 0.001":
         "5b55a885014c16f745d93c80318b2226b8bef4aacc5dedd1e9fac19412b9e3a6",
+    # perfbench's verifier-round op, recorded while the CLI still verified
+    # every one of the 64 selectors on its own
+    "coupling-verify --n 6":
+        "ede0314569af52fa426a560929b3b1cc3286bf0830c4b7c36ac1bb803f74a475",
     "bounds-validate":
         "e2394922845d0584da489e9cff0c1df056cb4abfdaf6bda2632fc95a5ac4ceb2",
     # perfbench's verifier-round op; the default n, so the bytes above

@@ -370,11 +370,14 @@ def test_corrupted_sampler_column_names_its_shift(monkeypatch):
 
 def test_prefix_sums_fit_int32(monkeypatch):
     """The blocked search's sums are exact.  A square of an int16 butterfly
-    value is at most 2**30, so a block of sqrt(n) squares, even of a
-    corrupted column, can pass 2**31 and is summed in int64, where a whole
-    column fits.  The int32 prefix sums within a block run only on columns
-    checked to sum to n**2, so they reach at most n**2, which is 2**24 at
-    the largest allowed n, and no larger n passes the size guard."""
+    value is at most 2**30, so a block of sqrt(n) squares of a corrupted
+    column can pass 2**31.  The block sums run in int32 only when no square
+    exceeds n**2, and a block then sums to at most sqrt(n) * n**2 <= 2**30;
+    here one does, so they run in int64, where a whole column fits, and the
+    cumulative sums across blocks are int64 either way.  The int32 prefix
+    sums within a block run only on columns checked to sum to n**2, so they
+    reach at most n**2, which is 2**24 at the largest allowed n, and no
+    larger n passes the size guard."""
     largest = relation.MAX_TRANSFORM_SIZE
     square = np.iinfo(np.int16).min ** 2
     assert square == 2**30 and math.isqrt(largest) * square > np.iinfo(np.int32).max

@@ -1,6 +1,7 @@
 """Distance tables, window/typicality predicates, relation checkers."""
 
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -365,6 +366,122 @@ def test_corrupted_last_column_of_a_narrower_final_block(monkeypatch):
     with pytest.raises(InvariantError, match="^row j=16 of pair 2 in its stack .*n\\*\\*2 = 256"):
         relation._statistics(*stack_of(pairs))
     assert widths == [15, 15, 15, 3]
+
+
+def wrap_column(column):
+    """An FWHT that sets one column of a transform at n = 16 to values
+    whose squares, 4 * 2**30 + 16**2, sum to n**2 once wrapped in int32."""
+    real = relation.fwht
+
+    def wrapping(v, *rest):
+        out = real(v, *rest)
+        out[:, column] = 0
+        out[:4, column], out[4, column] = np.iinfo(np.int16).min, 16
+        return out
+
+    return wrapping
+
+
+def test_stream_range_check_keeps_a_wrapping_column_from_passing(monkeypatch):
+    """A value outside [-n, n] sends the block's group sums to int64, so a
+    column that int32 would wrap to n**2 is named with its exact sum: pair
+    1's shift 5 in a stack of 3 pairs at n = 16, and shift 5 of one pair."""
+    rng = Rng(6)
+    pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
+    exact = f"sums to {4 * 2**30 + 16**2}, not n\\*\\*2 = 256$"
+    monkeypatch.setattr(relation, "fwht", wrap_column(4 * 3 + 1))
+    for stream in (relation._statistics, relation._typical):
+        with pytest.raises(InvariantError, match=f"^row j=5 of pair 1 in its stack {exact}"):
+            stream(*stack_of(pairs))
+    monkeypatch.setattr(relation, "fwht", wrap_column(4))
+    with pytest.raises(InvariantError, match=f"^row j=5 of pair 0 in its stack {exact}"):
+        aleph(*pairs[0])
+
+
+@pytest.mark.parametrize("n", [4, 256, 4096])
+def test_spectrum_value_of_exactly_n_passes_the_range_check(n):
+    """x = y = 0 puts W = n at s = 0 in every row and 0 elsewhere: the
+    largest square is exactly n**2, and no cell adds to the statistic."""
+    zero = BitString(0, n)
+    assert aleph_statistic(zero, zero) == 0
+    assert aleph(zero, zero)
+
+
+def test_group_height_keeps_int32_group_sums_exact():
+    """For every allowed n the stream's group height divides n and its
+    group of squares, each at most n**2, fits int32; so do the protocol's
+    groups of sqrt(n) rows.  Arithmetic only: no block is built."""
+    top = np.iinfo(np.int32).max
+    for k in range(1, 7):
+        n = 4**k
+        require_transform_size(n)
+        height = relation._group_height(n)
+        assert n % height == 0 and height * n * n <= top
+        assert 2 * height * n * n > top or height == n  # the most rows that fit
+        assert math.isqrt(n) * n * n <= top
+    assert [relation._group_height(4**k) for k in (5, 6)] == [1024, 64]
+
+
+def stream_steps(monkeypatch):
+    """Records every FwhtSteps that the relation builds, in order."""
+    built = []
+    real = relation.fwht_steps
+
+    def recording(v, buffers):
+        built.append(real(v, buffers))
+        return built[-1]
+
+    monkeypatch.setattr(relation, "fwht_steps", recording)
+    return built
+
+
+@pytest.mark.parametrize(
+    "cells,n,stack,widths",
+    [
+        (None, 256, 16, [256]),  # one width: 16 pairs by 16 shifts
+        (None, 16, 3, [48]),
+        (16 * 3 * 5, 16, 3, [15, 3]),  # blocks of 5 shifts, then shift 16 alone
+        (1, 16, 1, [1]),  # 16 blocks of one shift
+    ],
+)
+def test_stream_builds_its_steps_once_per_width(monkeypatch, cells, n, stack, widths):
+    rng = Rng(n + stack)
+    pairs = [(random_bitstring(n, rng), random_bitstring(n, rng)) for _ in range(stack)]
+    tables = [delta_table(x, y) for x, y in pairs]
+    if cells is not None:
+        fix_block_cells(monkeypatch, cells)
+    built = stream_steps(monkeypatch)
+    assert list(relation._statistics(*stack_of(pairs))) == [t.aleph_statistic() for t in tables]
+    assert [steps.source.shape for steps in built] == [(n, w) for w in widths]
+    built.clear()
+    assert list(relation._typical(*stack_of(pairs))) == [t.aleph() for t in tables]
+    assert len(built) <= len(widths)
+
+
+def test_stream_steps_replay_like_fresh_transforms(monkeypatch):
+    """The steps of every block width a stream uses, replayed on random
+    int16 blocks written into their product view, give fwht's transform
+    without steps: one pair at every allowed n, Monte Carlo stacks with a
+    short last stack, and a narrower last block."""
+    built = stream_steps(monkeypatch)
+    for n in (4, 16, 64, 256, 1024, 4096):
+        aleph_statistic(*relation.trial_pair(n, Rng(n), 0)[:2])
+    # stacks of 16 pairs and of 5 in blocks of 51 shifts, the last of 1; of
+    # 256 pairs and of 44 in blocks of 23 shifts, the last of 18
+    for n, count in ((256, 21), (64, 300)):
+        relation.aleph_statistics(*zip(*(relation.trial_pair(n, Rng(1), i)[:2] for i in range(count))))
+    fix_block_cells(monkeypatch, 16 * 3 * 5)
+    relation._statistics(*relation._trial_signs(16, Rng(2), range(3))[:2])
+    assert {steps.source.shape for steps in built} == {
+        (4, 4), (16, 16), (64, 64), (256, 256), (1024, 64), (4096, 64),
+        (256, 255), (256, 5), (64, 1024), (64, 1012), (64, 792), (16, 15), (16, 3),
+    }
+    gen = np.random.default_rng(0)
+    for steps in built:
+        for _ in range(2):
+            block = gen.integers(-1, 2, size=steps.source.shape).astype(np.int16)
+            np.copyto(steps.source, block)
+            assert np.array_equal(fwht(steps.source, steps=steps), fwht(block))
 
 
 def test_aleph_statistics_rejects_mixed_stacks():
