@@ -10,12 +10,13 @@ as integers, so dominance checks against them carry no float-summation risk.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -116,12 +117,10 @@ def _ratio_power(num: float, den: float) -> float:
 
 
 # Rows of _fair_cumulative built so far, by m, up to _FAIR_ROWS_KEPT of them
-# (the CLI's grids ask for 441), and beside each kept row the floats of its
-# prefix that the grids read (_fair_float_prefix).  Two threads building the
-# same row store the same value, so the dicts need no lock.
+# (the CLI's grids ask for 441).  Two threads building the same row store the
+# same value, so the dict needs no lock.
 _FAIR_ROWS_KEPT = 1024
 _fair_rows: dict[int, tuple[int, ...]] = {}
-_fair_floats: dict[int, np.ndarray] = {}
 
 
 def _fair_cumulative(m: int) -> tuple[int, ...]:
@@ -155,28 +154,19 @@ def _fair_cumulative(m: int) -> tuple[int, ...]:
 
 def _fair_float_prefix(m_values: Sequence[int], row: np.ndarray, k: np.ndarray) -> np.ndarray:
     """cum[k] / 2**m at every point (row, k), m = m_values[row], as Python's
-    correctly rounded int / int, and 0.0 where k < 0; every k must be at
-    most min(m, m // 2 + isqrt(m) + 1), the prefix of each row the grids
-    read.
+    correctly rounded int / int, and 0.0 where k < 0; row must be
+    nondecreasing and every k at most its m.
 
-    The floats of each m's prefix are kept beside its kept integer row.
-    The prefixes not kept yet are converted together, in one _dyadic_floats
-    call, and each is kept when its integer row is."""
-    ms = [operator.index(m) for m in m_values]
-    rows = {m: _fair_floats.get(m) for m in ms}
-    missing = [m for m, floats in rows.items() if floats is None]
-    if missing:
-        widths = [min(m, m // 2 + math.isqrt(m) + 1) + 1 for m in missing]
-        counts = list(chain.from_iterable(_fair_cumulative(m)[:w] for m, w in zip(missing, widths)))
-        converted = _dyadic_floats(counts, np.repeat(missing, widths))
-        converted.setflags(write=False)  # kept, like the integer rows, as read-only
-        for m, end, width in zip(missing, accumulate(widths), widths):
-            rows[m] = floats = converted[end - width:end]
-            if m in _fair_rows:
-                _fair_floats[m] = floats
-    prefixes = [rows[m] for m in ms]
-    starts = np.cumsum([0] + [len(floats) for floats in prefixes[:-1]])
-    return np.where(k >= 0, np.concatenate(prefixes)[starts[row] + np.maximum(k, 0)], 0.0)
+    Only the span of each row that its points read, from its least k >= 0
+    to its greatest k, is converted, all spans in one _dyadic_floats call."""
+    firsts = np.flatnonzero(np.diff(row, prepend=-1))  # each row's first point
+    lo = np.maximum(np.minimum.reduceat(k, firsts), 0)
+    widths = np.maximum(np.maximum.reduceat(k, firsts) + 1 - lo, 0)
+    ms = [operator.index(m_values[r]) for r in row[firsts].tolist()]
+    spans = (_fair_cumulative(m)[a:a + w] for m, a, w in zip(ms, lo.tolist(), widths.tolist()))
+    floats = np.append(_dyadic_floats(list(chain.from_iterable(spans)), np.repeat(ms, widths)), 0.0)
+    start = np.repeat(np.cumsum(widths) - widths - lo, np.diff(firsts, append=row.size))
+    return floats[np.where(k >= 0, start + k, -1)]  # the appended 0.0 where k < 0
 
 
 def _excess(count: int, m: int, bound: float) -> int:
@@ -238,14 +228,20 @@ def _cap(x: np.ndarray) -> np.ndarray:
     return np.where(x < 1.0, x, 1.0)
 
 
-def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
-    """Columns over the points (m, t), 1 <= t <= m // t_max_divisor, in
-    (m, t) order: m and t as int arrays; count(i), point i's count as the
-    integer C(m, 0) + ... + C(m, floor(m/2 - t)), 0 once floor(m/2 - t) <
-    0; the exponent e = m + 1 - sides; observed = count / 2**e as a float;
-    and the grid's key, its m values with a point and t_max_divisor, which
-    fix m, t and e.  Each m and t_max_divisor are read as ints
-    (operator.index), and t_max_divisor must be at least 1.
+# Grids each memo keeps, the least recently used evicted first: the CLI's
+# bounds-validate reads two tail grids (2.1 MiB) and one window grid (0.24 MiB).
+_GRIDS_KEPT = 8
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _tail_grid(build: Callable[..., tuple[np.ndarray, ...]], ms: tuple[int, ...], t_max_divisor: int, sides: int):
+    """Columns over the points (m, t), m in ms and 1 <= t <= m //
+    t_max_divisor, in (m, t) order: m and t as int arrays; count(i), point
+    i's count as the integer C(m, 0) + ... + C(m, floor(m/2 - t)), 0 once
+    floor(m/2 - t) < 0; the exponent e = m + 1 - sides; observed = count /
+    2**e as a float; then build(m, t), the grid's capped bound columns.
+    Every array is read-only, as the grid is memoised on its ints
+    (_tail_key); the verdicts that read it are not.
 
     Over 2**m the count is the fair binomial's tail at or below m/2 - t
     and, by symmetry, the one at or above m/2 + t.  As the two tails hold
@@ -253,16 +249,10 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     of both (sides=2) over 2**m.  Both come from the row's float cum[k] /
     2**m (_fair_float_prefix): doubling a float is exact, so twice it is
     the correctly rounded count / 2**(m - 1) wherever count / 2**m is
-    normal, and a two-sided point where it may not be is divided again.
-    A grid with no point is refused."""
-    t_max_divisor = operator.index(t_max_divisor)  # a numpy integer keys its int's grid
-    if t_max_divisor < 1:
-        raise ValueError(f"t_max_divisor must be >= 1, got {t_max_divisor}")
-    ms = np.fromiter(map(operator.index, m_values), np.int64)
+    normal, and a two-sided point where it may not be is divided again."""
+    ms = np.array(ms, dtype=np.int64)
     t_max = ms // t_max_divisor
     ms, t_max = ms[t_max >= 1], t_max[t_max >= 1]
-    if not ms.size:
-        raise ValueError(f"no point with 1 <= t <= m // {t_max_divisor} for m in {m_values!r}")
     row = np.repeat(np.arange(ms.size), t_max)
     m_col = ms[row]
     t_col = np.arange(1, m_col.size + 1) - (np.cumsum(t_max) - t_max)[row]
@@ -272,39 +262,30 @@ def _tail_grid(m_values: Iterable[int], t_max_divisor: int, sides: int):
     def count(i: int) -> int:
         return _fair_cumulative(m_col[i])[k[i]] if k[i] >= 0 else 0
 
-    ms = ms.tolist()
     observed = _fair_float_prefix(ms, row, k)
     if sides == 2:
         tiny = np.flatnonzero((k >= 0) & (observed <= 2.0**-1022))
         observed *= 2.0
         if tiny.size:
             observed[tiny] = _dyadic_floats([count(i) for i in tiny], e[tiny])
-    return m_col, t_col, count, e, observed, (tuple(ms), t_max_divisor)
+    bounds = build(m_col, t_col)
+    for column in (m_col, t_col, k, e, observed, *bounds):
+        column.setflags(write=False)
+    return m_col, t_col, count, e, observed, *bounds
 
 
-# The capped bound columns of the tail grids built so far, by builder and
-# grid key (_tail_grid), up to _TAIL_BOUNDS_KEPT of them (the CLI asks for
-# two, about 0.6 MiB).  They depend on the grid alone; every verdict that
-# reads them is still made on every call.  Two threads building the same
-# columns store equal values, so the dict needs no lock.
-_TAIL_BOUNDS_KEPT = 8
-_tail_bounds: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-
-def _kept_bounds(
-    build: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]], grid: tuple, m: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """build(m, t) over the points of the tail grid whose key is grid, kept,
-    read-only, the first time it is built."""
-    key = (build, *grid)
-    columns = _tail_bounds.get(key)
-    if columns is None:
-        columns = build(m, t)
-        for column in columns:
-            column.setflags(write=False)
-        if len(_tail_bounds) < _TAIL_BOUNDS_KEPT:
-            _tail_bounds[key] = columns
-    return columns
+def _tail_key(m_values: Iterable[int], t_max_divisor: int) -> tuple[tuple[int, ...], int]:
+    """The m values and t_max_divisor of a tail grid read as ints
+    (operator.index), which key its memo, so a numpy integer reaches its
+    int's entry.  Refuses a t_max_divisor below 1 and, naming the caller's
+    m_values, a grid with no point."""
+    t_max_divisor = operator.index(t_max_divisor)
+    if t_max_divisor < 1:
+        raise ValueError(f"t_max_divisor must be >= 1, got {t_max_divisor}")
+    ms = tuple(map(operator.index, m_values))
+    if all(m < t_max_divisor for m in ms):  # m // t_max_divisor < 1
+        raise ValueError(f"no point with 1 <= t <= m // {t_max_divisor} for m in {m_values!r}")
+    return ms, t_max_divisor
 
 
 def _hoeffding_bounds(m: np.ndarray, t: np.ndarray) -> tuple[np.ndarray]:
@@ -330,22 +311,48 @@ def _chernoff_bounds(m: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return exp_lo, exp_hi, ratio
 
 
-def _window_constants(m: int, c_term: float) -> tuple[float, float, float, float]:
-    """binomial_window_lower's terms that depend on m alone: m/2, the two
-    square-root coefficients and c_term/m.  Refuses odd m and m < 2."""
+def _window_constants(m: int) -> tuple[float, float, float]:
+    """binomial_window_lower's terms that depend on m alone: m/2 and the two
+    square-root coefficients.  Refuses odd m and m < 2."""
     if m < 2 or m % 2:
         raise ValueError(f"m must be even and >= 2, got {m}")
-    return (
-        m / 2.0,
-        math.sqrt(2.0 / (math.pi * m)),
-        math.sqrt(8.0 / (9.0 * math.pi * m**3)),
-        c_term / m,
-    )
+    return m / 2.0, math.sqrt(2.0 / (math.pi * m)), math.sqrt(8.0 / (9.0 * math.pi * m**3))
 
 
 # The window report's tol over 1 + |shift|: 16 times the bound that
 # _window_grid proves on its approximate margins' error.
 _TIE_TOL = 2.0**-44
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _window_columns(ms: tuple[int, ...]) -> tuple:
+    """The window report's memo: the columns of _window_grid over the m
+    values ms that depend on them alone, every array read-only.  Per row m,
+    lo, main and cubic; on the padded grid d**3, F and G; and each m's
+    integer row, for the hits."""
+    rows = []
+    for m in ms:
+        _, main, cubic = _window_constants(m)
+        root = math.sqrt(m)
+        rows.append((m, max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m), main, cubic))
+    columns = list(zip(*rows))
+    m_col, los, his = (np.array(column, dtype=np.int64) for column in columns[:3])
+    main, cubic = (np.array(column) for column in columns[3:])
+    sizes = his - los + 2
+    row = np.repeat(np.arange(len(rows)), sizes)
+    col = np.arange(row.size) - (np.cumsum(sizes) - sizes)[row]
+    prefix = np.zeros((len(rows), sizes.max()))  # prefix[i, j] = cum[lo + j - 1]/2**m
+    prefix[row, col] = _fair_float_prefix(ms, row, los[row] + col - 1)
+    d = los[:, None] - m_col[:, None] // 2 + np.arange(prefix.shape[1] - 1)  # k - m/2
+    cubes = (d * d * d).astype(np.float64)
+    poly = cubic[:, None] * cubes - main[:, None] * d
+    inside = d <= (his - m_col // 2)[:, None]
+    f = np.where(inside, prefix[:, 1:] + poly, np.inf)
+    g = np.where(inside, prefix[:, :-1] + poly, -np.inf)
+    arrays = (m_col, los, main, cubic, cubes, f, g)
+    for array in arrays:
+        array.setflags(write=False)
+    return *arrays, tuple(map(_fair_cumulative, ms))
 
 
 def _window_grid(m_values: Iterable[int], c_term: float):
@@ -382,37 +389,23 @@ def _window_grid(m_values: Iterable[int], c_term: float):
     (31 + 2s) <= 32u (1 + s) of the approximate margin.  A subnormal result
     keeps these bounds: it comes only from a rounded quotient, within u,
     or from an exact difference.  An infinite shift gives an infinite
-    tol."""
-    rows = []
-    for m in m_values:
-        _, *consts = _window_constants(m, c_term)
-        root = math.sqrt(m)
-        rows.append((m, max(math.ceil(m / 2 - root), 0), min(math.floor(m / 2 + root), m), *consts))
-    if not rows:
-        raise ValueError(f"no m values to check: m_values={m_values!r}")
-    columns = list(zip(*rows))
-    ms, los, his = (np.array(column, dtype=np.int64) for column in columns[:3])
-    main, cubic, shift = (np.array(column) for column in columns[3:])
-    sizes = his - los + 2
-    row = np.repeat(np.arange(len(rows)), sizes)
-    col = np.arange(row.size) - (np.cumsum(sizes) - sizes)[row]
-    prefix = np.zeros((len(rows), sizes.max()))  # prefix[i, j] = cum[lo + j - 1]/2**m
-    prefix[row, col] = _fair_float_prefix(columns[0], row, los[row] + col - 1)
-    d = los[:, None] - ms[:, None] // 2 + np.arange(prefix.shape[1] - 1)  # k - m/2
-    cubes = (d * d * d).astype(np.float64)
-    poly = cubic[:, None] * cubes - main[:, None] * d
-    inside = d <= (his - ms // 2)[:, None]
-    f = np.where(inside, prefix[:, 1:] + poly, np.inf)
-    g = np.where(inside, prefix[:, :-1] + poly, -np.inf)
+    tol.
 
-    cums = list(map(_fair_cumulative, columns[0]))  # each m's integer row, for the hits
+    Each m is read as an int (operator.index).  What depends on the m
+    values alone comes from their memo (_window_columns); shift, tol and
+    the windows' hits are computed on every call."""
+    ms = tuple(map(operator.index, m_values))
+    if not ms:
+        raise ValueError(f"no m values to check: m_values={m_values!r}")
+    m, los, main, cubic, cubes, f, g, cums = _window_columns(ms)
+    shift = c_term / m
 
     def windows(i, a, b):
         ends = zip(map(cums.__getitem__, i.tolist()), (los[i] + b).tolist(), (los[i] + a - 1).tolist())
         hits = [cum[top] - (cum[bot] if bot >= 0 else 0) for cum, top, bot in ends]
         return hits, main[i] * (b - a) - cubic[i] * (cubes[i, b] - cubes[i, a]) - shift[i]
 
-    return ms, shift, f, g, _TIE_TOL * (1.0 + np.abs(shift)), windows
+    return m, shift, f, g, _TIE_TOL * (1.0 + np.abs(shift)), windows
 
 
 def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
@@ -460,10 +453,10 @@ def binomial_window_lower(m: int, a: int, b: int, c_term: float = DEFAULT_WINDOW
 
     sqrt(2/pi m)(b - a) - sqrt(8/(9 pi m**3))((b - m/2)**3 - (a - m/2)**3)
     - c_term/m.  Requires even m and 0 <= a < b <= m; may be negative."""
-    half, main_coef, cubic_coef, shift = _window_constants(m, c_term)
+    half, main_coef, cubic_coef = _window_constants(m)
     if not 0 <= a < b <= m:
         raise ValueError(f"window [{a}, {b}] invalid for m={m}")
-    return main_coef * (b - a) - cubic_coef * ((b - half) ** 3 - (a - half) ** 3) - shift
+    return main_coef * (b - a) - cubic_coef * ((b - half) ** 3 - (a - half) ** 3) - c_term / m
 
 
 def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2))) -> float:
@@ -554,10 +547,9 @@ def hoeffding_dominance_report(
 
     The bound is hoeffding_bound([(0.0, 1.0)] * m, t), whose variance sum is
     exactly float(m); each verdict compares the integer count with the
-    bound's exact value.  The bound column is kept per grid (_kept_bounds);
-    the verdicts are not."""
-    m, t, count, e, observed, grid = _tail_grid(m_values, t_max_divisor, sides=2)
-    (bound,) = _kept_bounds(_hoeffding_bounds, grid, m, t)
+    bound's exact value.  The grid and its bound column come from their
+    memo (_tail_grid); the verdicts are made on every call."""
+    m, t, count, e, observed, bound = _tail_grid(_hoeffding_bounds, *_tail_key(m_values, t_max_divisor), 2)
     satisfied = _excess_signs(count, e, observed, bound) <= 0
     return BoundReport(
         "two-sided binomial tail vs hoeffding_bound",
@@ -585,12 +577,13 @@ def chernoff_dominance_report(
     mu - t and mu + t, as all are half-integers far below 2**53; so the two
     ratio bounds multiply the same two factors, in swapped order, and are
     equal.  t_max_divisor must be an integer of at least 3, which keeps
-    every ratio level strictly inside (0, m).  The bound columns are kept
-    per grid (_kept_bounds); the verdicts are not."""
+    every ratio level strictly inside (0, m).  The grid and its bound
+    columns come from their memo (_tail_grid); the verdicts are made on
+    every call."""
     if operator.index(t_max_divisor) < 3:
         raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
-    m, t, count, e, observed, grid = _tail_grid(m_values, t_max_divisor, sides=1)
-    exp_lo, exp_hi, ratio = _kept_bounds(_chernoff_bounds, grid, m, t)
+    key = _tail_key(m_values, t_max_divisor)
+    m, t, count, e, observed, exp_lo, exp_hi, ratio = _tail_grid(_chernoff_bounds, *key, 1)
     holds = [_excess_signs(count, e, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
     return BoundReport(
         "one-sided binomial tails vs relaxed_chernoff_bound",

@@ -173,7 +173,8 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
     settle validity.  map_trials hands out whole chunks (_estimate_in_chunks),
     so the estimate is a pure function of (n, trials, t, seed) regardless of
     thread count."""
-    m = answer_length(n)  # rejects a size outside the allowed powers of 4
+    require_transform_size(n)
+    m = answer_length(n)
     t = m if t is None else min(t, m)
     require_repetitions(n, t)
     uses = np.bincount(np.arange(m) % t)  # entries of the tiled answer per draw

@@ -40,8 +40,7 @@ def require_transform_size(n: int) -> None:
     The cap keeps one full table (oracle.delta_table) within memory: at
     n = 4096 building it needs about 224 MiB, and every doubling of n
     multiplies that by four."""
-    if n < 4 or n & (n - 1) or (n.bit_length() - 1) % 2:
-        raise ValueError(f"n must be a power of 4 and >= 4, got {n}")
+    answer_length(n)
     if n > MAX_TRANSFORM_SIZE:
         gib = _TABLE_BYTES_PER_CELL * n * n / 2**30
         raise ValueError(
@@ -51,8 +50,11 @@ def require_transform_size(n: int) -> None:
 
 
 def answer_length(n: int) -> int:
-    """log2 n, the required number of entries in a relation answer."""
-    require_transform_size(n)
+    """log2 n, the required number of entries in a relation answer, for n a
+    power of 4 and >= 4.  It allocates nothing, so n has no size cap;
+    callers that allocate check require_transform_size."""
+    if n < 4 or n & (n - 1) or (n.bit_length() - 1) % 2:
+        raise ValueError(f"n must be a power of 4 and >= 4, got {n}")
     return n.bit_length() - 1
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghrlab import coupling
+from ghrlab import bounds, coupling
 
 
 def _clear_class_caches():
@@ -40,3 +40,18 @@ def broken_dp():
     """A context manager under which the coupling DP and sampler never flip
     a stage-2 pair, a broken sampler that the exact check must reject."""
     return functools.partial(_coupling_patched, "_stage_two_z_probability", lambda m, k, equal: Fraction(0))
+
+
+def _clear_bound_grids():
+    bounds._tail_grid.cache_clear()
+    bounds._window_columns.cache_clear()
+
+
+@pytest.fixture
+def clear_bound_grids():
+    """A function, clear_bound_grids(), that empties the dominance grids'
+    memos, so that the next report builds its grid cold.  They are emptied
+    on entry and after the test as well."""
+    _clear_bound_grids()
+    yield _clear_bound_grids
+    _clear_bound_grids()

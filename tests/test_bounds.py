@@ -200,18 +200,16 @@ def test_fair_tail_equals_the_prefix_rows():
             assert exact_binomial_tail(m, Fraction(1, 2), k) == 1 - exact_binomial_window(m, 0, k - 1)
 
 
-def test_numpy_m_keys_the_same_fair_rows(monkeypatch):
-    # from empty caches, so numpy integers build the rows and their floats:
-    # no int64 may reach a row's coefficients, and rows are keyed by the
-    # equal Python ints
+def test_numpy_m_keys_the_same_fair_rows(monkeypatch, clear_bound_grids):
+    # from empty rows and memos, so numpy integers build the rows and their
+    # floats: no int64 may reach a row's coefficients, and rows are keyed by
+    # the equal Python ints
     monkeypatch.setattr(bounds, "_fair_rows", {})
-    monkeypatch.setattr(bounds, "_fair_floats", {})
     ms = np.arange(50, 501, 2)
     assert window_lower_dominance_report(ms) == window_lower_dominance_report(tuple(ms.tolist()))
     assert window_lower_dominance_report().passed
     assert calibrate_window_lower_c(ms) == 0.0
-    assert all(type(m) is int for m in bounds._fair_rows)
-    assert bounds._fair_floats.keys() == set(ms.tolist())
+    assert bounds._fair_rows and all(type(m) is int for m in bounds._fair_rows)
     monkeypatch.setattr(bounds, "_fair_rows", {})
     assert exact_binomial_window(np.int64(100), 0, 50) == exact_binomial_window(100, 0, 50)
     assert exact_binomial_window(100, 0, 50) == Fraction(sum(math.comb(100, k) for k in range(51)), 1 << 100)
@@ -338,27 +336,28 @@ def test_tail_grids_read_each_m_as_an_int():
     assert chernoff_dominance_report([np.int32(12)]).label(0) == "exp_lo,m=12,t=1"
 
 
-def test_tail_grids_read_t_max_divisor_as_an_int(monkeypatch):
+def test_tail_grids_read_t_max_divisor_as_an_int(clear_bound_grids):
     # refused before numpy is reached, which used to fail casting float64 t
     # counts to int64
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         hoeffding_dominance_report(range(10, 20), 2.5)
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         chernoff_dominance_report(range(10, 20), 3.5)
-    # a numpy divisor keys the kept bounds as its int does
-    monkeypatch.setattr(bounds, "_tail_bounds", {})
-    report = hoeffding_dominance_report(range(10, 20), np.int64(4))
+    # a numpy divisor or m reaches the memo entry of its ints
+    report = hoeffding_dominance_report(np.arange(10, 20), np.int64(4))
     assert hoeffding_dominance_report(range(10, 20), 4).bound_value is report.bound_value
-    assert list(bounds._tail_bounds) == [(bounds._hoeffding_bounds, tuple(range(10, 20)), 4)]
-    assert type(next(iter(bounds._tail_bounds))[2]) is int
-    # past the cap, columns are built but no longer kept
-    monkeypatch.setattr(bounds, "_TAIL_BOUNDS_KEPT", 1)
-    assert chernoff_dominance_report(range(10, 20)).passed
-    assert len(bounds._tail_bounds) == 1
+    assert hoeffding_dominance_report([np.int16(m) for m in range(10, 20)]).bound_value is report.bound_value
+    assert bounds._tail_grid.cache_info().currsize == 1
+    # past maxsize the least recently used grid is evicted, and its report
+    # built again equals the cold one
+    grids = [range(10, 20 + j) for j in range(bounds._GRIDS_KEPT + 1)]
+    cold = [chernoff_dominance_report(ms) for ms in grids]
+    assert bounds._tail_grid.cache_info().currsize == bounds._GRIDS_KEPT
+    assert [chernoff_dominance_report(ms) for ms in grids] == cold
+    assert hoeffding_dominance_report(range(10, 20)) == report
 
 
-def test_kept_bound_columns_cannot_be_written_through_a_report(monkeypatch):
-    monkeypatch.setattr(bounds, "_tail_bounds", {})
+def test_kept_bound_columns_cannot_be_written_through_a_report(clear_bound_grids):
     ms = range(10, 120)
     first = hoeffding_dominance_report(ms), chernoff_dominance_report(ms)
     with pytest.raises(ValueError, match="read-only"):
@@ -366,9 +365,53 @@ def test_kept_bound_columns_cannot_be_written_through_a_report(monkeypatch):
     first[1].bound_value[:] = 2.0  # the Chernoff report's column is its own copy
     kept = hoeffding_dominance_report(ms), chernoff_dominance_report(ms)
     assert kept[0].bound_value is first[0].bound_value
-    monkeypatch.setattr(bounds, "_tail_bounds", {})
+    clear_bound_grids()
     assert kept == (hoeffding_dominance_report(ms), chernoff_dominance_report(ms))
     assert kept[0].passed and kept[1].passed
+
+
+def test_grid_memos_cannot_collide_or_go_stale(monkeypatch, clear_bound_grids):
+    # the window memo is keyed by the m values alone: -0.0, a numpy 0.0 and
+    # 0.0 each give the cold report's bits, the sign of every bound_value
+    # among them, whichever filled the memo
+    ms = tuple(range(50, 121, 2))
+
+    def bits(report):
+        return report.description, report.bound_value.tobytes(), report.observed.tobytes(), report.satisfied.tobytes()
+
+    c_terms = (-0.0, np.float64(0.0), 0.0)
+    cold = []
+    for c in c_terms:
+        clear_bound_grids()
+        cold.append(bits(window_lower_dominance_report(ms, c)))
+    for order in (c_terms, c_terms[::-1]):
+        clear_bound_grids()
+        assert [bits(window_lower_dominance_report(ms, c)) for c in order] == [cold[c_terms.index(c)] for c in order]
+        # and the shift c/m keeps the sign of each c
+        assert [np.signbit(bounds._window_grid(ms, c)[1]).all() for c in order] == [c is c_terms[0] for c in order]
+    # _TIE_TOL is read on every call, outside the memo: after a report under
+    # another tol fills the memo and the tol is undone, the candidates are
+    # again those of a cold report
+    real, sizes = bounds._window_candidates, []
+    monkeypatch.setattr(bounds, "_window_candidates", lambda *a: sizes.append(len(real(*a)[0])) or real(*a))
+    expect = bits(window_lower_dominance_report(ms, -5.0))
+    clear_bound_grids()
+    with monkeypatch.context() as patched:
+        patched.setattr(bounds, "_TIE_TOL", math.inf)
+        assert bits(window_lower_dominance_report(ms, -5.0)) == expect
+    assert bits(window_lower_dominance_report(ms, -5.0)) == expect
+    assert sizes[0] == sizes[2] == 2 * len(ms) < sizes[1]
+    # a grid with no point is refused before the memo, cold or warm, naming
+    # the caller's m_values
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"m // 4 for m in range\(1, 4\)"):
+            hoeffding_dominance_report(range(1, 4))
+        with pytest.raises(ValueError, match=r"m // 5 for m in \[4\]"):
+            chernoff_dominance_report([4], t_max_divisor=5)
+        with pytest.raises(ValueError, match=r"m_values=\(\)"):
+            window_lower_dominance_report(())
+        hoeffding_dominance_report(range(10, 20))
+        window_lower_dominance_report(ms)
 
 
 def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
@@ -417,8 +460,9 @@ def test_hoisted_hoeffding_equals_hoeffding_bound(m_values, size):
     ids=["default", "m998-1003", "m1-59/3", "m1030,1100/1"],
 )
 def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
-    m, t, count, e, observed, grid = _tail_grid(m_values, divisor, sides)
-    assert grid == (tuple(k for k in m_values if k >= divisor), divisor)
+    # with no bound columns, so a grid past the Chernoff grid's divisor of 3
+    # builds; its entry is evicted like any other
+    m, t, count, e, observed = _tail_grid(no_bounds, tuple(m_values), divisor, sides)
     counts = [count(i) for i in range(m.size)]
     expect = []
     for k in m_values:
@@ -429,36 +473,26 @@ def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
     assert list(zip(m.tolist(), t.tolist(), counts, e.tolist(), observed.tolist())) == expect
 
 
-def float_prefix_width(m):
-    """How many floats cum[0] / 2**m, ... of row m are kept."""
-    return min(m, m // 2 + math.isqrt(m) + 1) + 1
+def no_bounds(m, t):
+    """A tail grid's bound builder with no column."""
+    return ()
 
 
-def test_kept_float_rows_equal_int_division(monkeypatch):
-    # every float kept beside a row is Python's cum[k] / 2**m, past m = 1000
-    # too, where _dyadic_floats divides as ints
-    monkeypatch.setattr(bounds, "_fair_rows", {})
-    monkeypatch.setattr(bounds, "_fair_floats", {})
-    monkeypatch.setattr(bounds, "_FAIR_ROWS_KEPT", 1100)
-    ms = range(1, 1101)
-    firsts = _fair_float_prefix(ms, np.arange(len(ms)), np.zeros(len(ms), dtype=np.int64))
-    assert firsts.tolist() == [1 / (1 << m) for m in ms]
-    kept = dict(bounds._fair_floats)
-    assert list(kept) == list(ms)
-    for m, floats in kept.items():
-        cum = _fair_cumulative(m)
-        assert floats.tolist() == [c / (1 << m) for c in cum[:float_prefix_width(m)]]
-    # a numpy m reads the same row, and k < 0 reads 0.0
-    row, k = np.array([0, 0, 1, 1]), np.array([-1, 350, 400, 584])
-    got = _fair_float_prefix([np.int64(700), np.int16(1100)], row, k)
-    assert got.tolist() == [0.0, kept[700][350], kept[1100][400], kept[1100][584]]
-    assert bounds._fair_floats.keys() == kept.keys()
-    assert all(bounds._fair_floats[m] is kept[m] for m in ms)
-    # past the cap a row's floats are converted but, like the row, not kept
-    assert _fair_float_prefix([1200], np.array([0]), np.array([600])).tolist() == [
-        _fair_cumulative(1200)[600] / (1 << 1200)
-    ]
-    assert 1200 not in bounds._fair_floats and 1200 not in bounds._fair_rows
+def test_fair_float_prefix_equals_int_division(monkeypatch):
+    # every float is Python's cum[k] / 2**m, past m = 1000 too, where
+    # _dyadic_floats divides as ints; a numpy m reads its int's row, k < 0
+    # reads 0.0, and only the span of k that each row reads is converted
+    spans = {1: [0, 1], 2: [-1, 2, 0], 7: [-3, -1], 64: [40, 33, 35], 999: [0, 999], 1000: [500], 1001: [1, 2]}
+    spans[1100] = list(range(-2, 1101))
+    ms = [np.int64(m) if i % 2 else m for i, m in enumerate(spans)]  # every other m a numpy integer
+    row = np.repeat(np.arange(len(spans)), [len(ks) for ks in spans.values()])
+    k = np.concatenate([np.array(ks) for ks in spans.values()])
+    dyadic, converted = bounds._dyadic_floats, []
+    monkeypatch.setattr(bounds, "_dyadic_floats", lambda counts, e: converted.append(len(counts)) or dyadic(counts, e))
+    got = _fair_float_prefix(ms, row, k)
+    expect = [_fair_cumulative(m)[j] / (1 << m) if j >= 0 else 0.0 for m, ks in spans.items() for j in ks]
+    assert got.tolist() == expect
+    assert converted == [sum(max(max(ks) + 1 - max(min(ks), 0), 0) for ks in spans.values())] == [2117]
 
 
 @pytest.mark.parametrize(

@@ -668,19 +668,23 @@ def default_columns():
         lambda mp: bounds.window_lower_dominance_report(),
         # rows over other m, kept at another divisor, partly overlapping
         lambda mp: bounds.hoeffding_dominance_report(range(300, 700, 3), t_max_divisor=1),
-        # the cap reached: no default row is kept, every call converts its own
+        # the cap reached: no default row is kept, every call builds its own
         lambda mp: mp.setattr(bounds, "_FAIR_ROWS_KEPT", 10) or bounds.hoeffding_dominance_report(range(40, 50)),
-        # bound columns kept for the default m at another divisor
+        # memo entries for the default m at another divisor
         lambda mp: (
             bounds.hoeffding_dominance_report(range(10, 401), t_max_divisor=5),
             bounds.chernoff_dominance_report(range(10, 401), t_max_divisor=5),
         ),
-        # the kept bounds' cap reached: every call builds its own columns
-        lambda mp: mp.setattr(bounds, "_TAIL_BOUNDS_KEPT", 1) or bounds.chernoff_dominance_report(range(10, 60)),
+        # the memos filled to maxsize with other grids, which the default
+        # grids evict
+        lambda mp: [
+            (bounds.chernoff_dominance_report(range(10, 20 + j)), bounds.window_lower_dominance_report((50 + 2 * j,)))
+            for j in range(bounds._GRIDS_KEPT)
+        ],
     ],
     ids=["cold", "window-first", "other-m", "cap-reached", "kept-other-divisor", "kept-cap-reached"],
 )
-def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch):
+def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch, clear_bound_grids):
     expect = default_columns()
     golden = GOLDEN["bounds-validate --n 256"]
     checks = (
@@ -689,45 +693,42 @@ def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch):
     )
     for check in checks:
         monkeypatch.setattr(bounds, "_fair_rows", {})
-        monkeypatch.setattr(bounds, "_fair_floats", {})
-        monkeypatch.setattr(bounds, "_tail_bounds", {})
+        clear_bound_grids()
         fill(monkeypatch)
         assert check()
 
 
-def test_second_bounds_validate_converts_no_row(monkeypatch):
-    # cold, each grid converts the float prefixes it lacks in one call: the
-    # Hoeffding grid those of rows 10..400, which the Chernoff grid then
-    # reads, and the window grid those of its even rows past 400; then the
-    # window candidates' hits are converted.  Warm, only those hits are
+def test_second_bounds_validate_converts_no_row(monkeypatch, clear_bound_grids):
+    # cold, each grid converts, in one call, the span of each row that it
+    # reads: each tail grid k = m//2 - m//4 ... m//2 - 1 of rows 10..400,
+    # and the window grid k = lo - 1 ... hi of its even rows 50..500; then
+    # the window candidates' hits are converted.  Warm, only those hits are
     monkeypatch.setattr(bounds, "_fair_rows", {})
-    monkeypatch.setattr(bounds, "_fair_floats", {})
     converted, candidates = [], []
     dyadic, pick = bounds._dyadic_floats, bounds._window_candidates
     monkeypatch.setattr(bounds, "_dyadic_floats", lambda counts, e: converted.append(len(counts)) or dyadic(counts, e))
     monkeypatch.setattr(bounds, "_window_candidates", lambda *a: candidates.append(len(pick(*a)[0])) or pick(*a))
 
-    def width(m):
-        return min(m, m // 2 + math.isqrt(m) + 1) + 1
+    def window_width(m):  # lo - 1 ... hi, with lo >= 1 for every m >= 50
+        return min(math.floor(m / 2 + math.sqrt(m)), m) - math.ceil(m / 2 - math.sqrt(m)) + 2
 
     argv = ["bounds-validate", "--n", "256"]
     run_stdout(argv)
-    rows = [sum(map(width, range(10, 401))), sum(map(width, range(402, 501, 2)))]
-    assert converted == rows + candidates and candidates == [452]
+    tails = sum(m // 4 for m in range(10, 401))
+    rows = [tails, tails, sum(map(window_width, range(50, 501, 2)))]
+    assert converted == rows + candidates and rows == [19892, 19892, 7484] and candidates == [452]
     converted.clear()
     assert hashlib.sha256(run_stdout(argv)).hexdigest() == GOLDEN["bounds-validate --n 256"]
     assert converted == candidates[1:] == [452]
 
 
-def test_second_bounds_validate_evaluates_no_exp(monkeypatch):
+def test_second_bounds_validate_evaluates_no_exp(monkeypatch, clear_bound_grids):
     # cold, math.exp runs over the Hoeffding grid's one column and the
     # Chernoff grid's four (exp_lo, exp_hi and the ratio form's two
-    # factors), each of the default grid's 19,892 points.  Warm, the kept
-    # columns serve both, and every verdict is made again: one sign column
-    # per bound column, then the window's 452 candidates.
+    # factors), each of the default grid's 19,892 points.  Warm, the memos
+    # serve both, and every verdict is made again: one sign column per
+    # bound column, then the window's 452 candidates.
     monkeypatch.setattr(bounds, "_fair_rows", {})
-    monkeypatch.setattr(bounds, "_fair_floats", {})
-    monkeypatch.setattr(bounds, "_tail_bounds", {})
     exps, signs = [], []
     exp, excess_signs = bounds._exp, bounds._excess_signs
     monkeypatch.setattr(bounds, "_exp", lambda x: exps.append(x.size) or exp(x))
@@ -742,14 +743,15 @@ def test_second_bounds_validate_evaluates_no_exp(monkeypatch):
     signs.clear()
     assert hashlib.sha256(run_stdout(argv)).hexdigest() == golden
     assert exps == [] and signs == verdicts
-    # the grid's m values are read as ints, so each form reaches the entries
-    # the CLI's grids keep
-    kept = dict(bounds._tail_bounds)
-    hoeffding = kept[(bounds._hoeffding_bounds, tuple(range(10, 401)), 4)][0]
+    # the grid's m values are read as ints, so each form reaches the memo
+    # entries of the CLI's grids
+    kept = bounds._tail_grid.cache_info()
+    hoeffding = bounds.hoeffding_dominance_report().bound_value
     for m_values in (range(10, 401), list(range(10, 401)), np.arange(10, 401)):
         assert bounds.hoeffding_dominance_report(m_values).bound_value is hoeffding
         bounds.chernoff_dominance_report(m_values)
-    assert exps == [] and bounds._tail_bounds.keys() == kept.keys()
+    info = bounds._tail_grid.cache_info()
+    assert exps == [] and (info.misses, info.currsize) == (kept.misses, kept.currsize) == (2, 2)
 
 
 @pytest.mark.parametrize("command", GOLDEN)

@@ -207,6 +207,23 @@ def test_failure_probability_positive_case(n):
     assert found == (n > 4)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([16, 64, 256]), st.data())
+def test_failure_probability_grows_with_the_statistic(n, data):
+    # over typical statistics the failure tail grows with the in-window
+    # mass statistic / n**3, and an atypical statistic never fails
+    typical = 4 * n**3 // 9  # the largest typical statistic
+    low, high = sorted(data.draw(st.lists(st.integers(0, typical), min_size=2, max_size=2)))
+    assert protocol.failure_probability(n, low) <= protocol.failure_probability(n, high)
+    assert protocol.failure_probability(n, data.draw(st.integers(typical + 1, n**3))) == 0
+
+
+def test_failure_probability_has_no_size_cap():
+    # pure arithmetic past the transform size cap, which guards allocations
+    n = 16384
+    assert type(protocol.failure_probability(n, 4 * n**3 // 9)) is Fraction
+
+
 def test_estimate_success_deterministic_and_thread_invariant(monkeypatch):
     a = estimate_success(16, 40, Rng(6))
     b = estimate_success(16, 40, Rng(6))

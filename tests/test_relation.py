@@ -51,8 +51,8 @@ def test_transform_size_cap_raises_before_allocating():
     # 16384 is a power of 4 above the cap; the guard is pure arithmetic
     with pytest.raises(ValueError, match=r"size cap 4096.*3\.5 GiB"):
         require_transform_size(16384)
-    with pytest.raises(ValueError):
-        answer_length(16384)
+    # answer_length allocates nothing, so it takes any power of 4 >= 4
+    assert answer_length(16384) == 14
 
 
 def test_answer_length():
