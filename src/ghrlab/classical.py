@@ -65,11 +65,17 @@ def require_reduction_size(n: int) -> None:
         raise ValueError(f"the reduction needs 1 <= n <= {MAX_REDUCTION_N}, got n={n}")
 
 
-# Shared sample bytes per baseline run: the byte-popcount pass indexes
-# _BYTE_WEIGHTS with an intp array, so peak memory grows by about 11 bytes
-# per byte of the samples scored at once.  tghr_baseline scores all t, about
-# 176 MiB at 2**24 bytes; estimate_baseline_success scores one chunk at a
-# time, and its largest chunk holds at most (t + _FIRST_SAMPLES)/2 samples.
+# Shared sample bytes per baseline run.  Scoring t samples holds the uint32
+# words Rng.bit_rows drew them from, and _xor_weights' buffer and its one
+# temporary, each the samples padded to whole words of 1, 2, 4 or 8 bytes,
+# plus an 8-byte sum per row wider than one word.  By tracemalloc that
+# peaks at 3 - 3.1 bytes per sample byte for rows of whole 8-byte words
+# (n = 64, 1024) and at most 6.7 at any width (n = 1; 5.8 for the 9-byte
+# rows of n = 72), where the byte-table lookup it replaced took 11 - 15.
+# tghr_baseline scores all t, at most about 112 MiB at 2**24 bytes;
+# estimate_baseline_success scores a chunk of trials' first reads, about
+# _CHUNK_BYTES, and then one further chunk of one trial at a time, the
+# largest at most (t + _FIRST_SAMPLES)/2 samples.
 MAX_SHARED_SAMPLE_BYTES = 1 << 24
 
 
@@ -99,21 +105,63 @@ def tghr_baseline(
 
     The t samples are drawn in one Rng.bit_rows call, which reads the same
     stream as t calls of random_bitstring(n, shared_rng); their distances to
-    x are one byte-popcount pass, and only the winner becomes a BitString.
+    x are one _xor_weights pass, and only the winner becomes a BitString.
     """
     if x.n != y.n:
         raise ValueError(f"length mismatch: {x.n} vs {y.n}")
     require_shared_samples(x.n, t)
     samples = shared_rng.bit_rows(t, x.n)
     x_bytes = np.frombuffer(x.value.to_bytes(samples.shape[1], "big"), dtype=np.uint8)
-    weights = np.take(_BYTE_WEIGHTS, samples ^ x_bytes).sum(axis=1)
+    weights = _xor_weights(samples, x_bytes)
     best = samples[int(np.argmin(weights))]  # argmin keeps the first minimum
     tau = BitString(int.from_bytes(best.tobytes(), "big"), x.n) ^ y
     return tau, tghr_is_valid(x, y, tau)
 
 
+def _xor_weights(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The number of one bits in each row of rows ^ x, for uint8 arrays
+    that broadcast to (..., width), with any strides: an array of the
+    leading shape.
+
+    The xor is written into a zeroed buffer whose rows are padded to whole
+    words of 1, 2, 4 or 8 bytes (the least that holds a row, and 8 bytes
+    from 5 on), and each word is counted in place by the SWAR popcount of
+    Warren's Hacker's Delight (ch. 5): bit pairs, nibbles and bytes are
+    summed within the word and one multiply gathers the bytes' counts in
+    its top byte.  Plain unsigned numpy ops, so it runs on numpy 1.24,
+    which has no bitwise_count, and builds no index array, unlike a lookup
+    of a byte table."""
+    shape = np.broadcast_shapes(rows.shape, x.shape)
+    width = shape[-1]
+    size = 8 if width > 4 else 1 << (width - 1).bit_length()
+    words = -(-width // size)
+    buf = np.zeros((*shape[:-1], words * size), dtype=np.uint8)
+    np.bitwise_xor(rows, x, out=buf[..., :width])
+    v = buf.view(f"u{size}")
+    ones = (1 << 8 * size) // 255  # 0x01 in every byte
+    m1, m2, m4, h = (v.dtype.type(byte * ones) for byte in (0x55, 0x33, 0x0F, 0x01))
+    tmp = v >> 1
+    tmp &= m1
+    v -= tmp
+    np.right_shift(v, 2, out=tmp)
+    tmp &= m2
+    v &= m2
+    v += tmp
+    np.right_shift(v, 4, out=tmp)
+    v += tmp
+    v &= m4
+    v *= h
+    v >>= 8 * size - 8
+    return v[..., 0] if words == 1 else v.sum(axis=-1)
+
+
 # Samples a baseline trial draws with its pair, before any early exit
 _FIRST_SAMPLES = 64
+# Bytes of first reads that estimate_baseline_success scores at once: 7
+# trials at n = 1024.  There, 50 trials in chunks of 1, 4, 7, 16 and 64
+# trials took 5.6, 3.5, 3.2, 2.9 and 3.2 ms (medians over 30 seeds on a
+# busy 2-core VM): past a few trials the chunk size matters little.
+_CHUNK_BYTES = 1 << 16
 
 
 def _passing_distance(n: int) -> int:
@@ -135,31 +183,43 @@ def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstima
     iff some sample is within _passing_distance of x.
 
     So a trial stops at its first passing sample.  It draws x, y and the
-    first min(t, _FIRST_SAMPLES) samples in one Rng.bit_rows call, scores
-    them in one byte-popcount pass, and only while none has passed draws a
-    further chunk twice the size of the last, capped at the samples left.
-    Each draw continues the child's stream where the last left it, so the
-    samples are tghr_baseline's, and every verdict is its verdict; it stays
-    the slow oracle.  Trials go through _estimate_in_chunks, so the estimate
-    does not depend on the thread count."""
+    first min(t, _FIRST_SAMPLES) samples in one Rng.bit_rows call, and only
+    while none has passed draws a further chunk twice the size of the last,
+    capped at the samples left.  Each draw continues the child's stream
+    where the last left it, so the samples are tghr_baseline's, and every
+    verdict is its verdict; it stays the slow oracle.
+
+    Trials are decided in chunks of consecutive trials whose first reads
+    hold about _CHUNK_BYTES (at least one trial; 7 at n = 1024 with t >= 64):
+    the chunk's first reads are stacked and scored in one _xor_weights
+    pass, and each trial that none of its first samples passes then draws
+    and scores its further chunks on its own.  _estimate_in_chunks hands out
+    whole chunks, so the estimate does not depend on the thread count."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     require_shared_samples(n, t)
     limit = _passing_distance(n)
+    first = 2 + min(t, _FIRST_SAMPLES)
 
-    def valid(i: int) -> bool:
-        child = rng.child(i)
-        rows = child.bit_rows(2 + min(t, _FIRST_SAMPLES), n)
-        x, samples, drawn = rows[0], rows[2:], len(rows) - 2
-        while True:
-            if int(np.take(_BYTE_WEIGHTS, samples ^ x).sum(axis=1).min()) <= limit:
+    def later(child: Rng, x: np.ndarray) -> bool:
+        drawn = size = first - 2
+        while drawn < t:
+            samples = child.bit_rows(min(2 * size, t - drawn), n)
+            if int(_xor_weights(samples, x).min()) <= limit:
                 return True
-            if drawn == t:
-                return False
-            samples = child.bit_rows(min(2 * len(samples), t - drawn), n)
-            drawn += len(samples)
+            size = len(samples)
+            drawn += size
+        return False
 
-    return _estimate_in_chunks(trials, 1, rng, lambda indices: sum(map(valid, indices)))
+    def hits(indices: range) -> int:
+        children = [rng.child(i) for i in indices]
+        rows = np.array([child.bit_rows(first, n) for child in children])
+        passed = _xor_weights(rows[:, 2:], rows[:, :1]).min(axis=1) <= limit
+        failed = np.flatnonzero(~passed)
+        return len(children) - len(failed) + sum(later(children[k], rows[k, 0]) for k in failed)
+
+    per_chunk = max(1, _CHUNK_BYTES // (first * ((n + 7) // 8)))
+    return _estimate_in_chunks(trials, per_chunk, rng, hits)
 
 
 class RectangleSpec:
@@ -258,10 +318,6 @@ def _popcounts(n: int) -> np.ndarray:
         out += (np.arange(1 << n) >> b) & 1
     out.setflags(write=False)
     return out
-
-
-# popcount of every byte value, as uint8 so one lookup per sample byte stays small
-_BYTE_WEIGHTS = _popcounts(8).astype(np.uint8)
 
 
 def distance_counts(rect: RectangleSpec) -> np.ndarray:
@@ -473,6 +529,35 @@ def _encode_blocks(members: frozenset[int], l: int, alice: bool) -> list[int]:
     return bits
 
 
+def reduction_xi_many(
+    instances: Iterable[DisjointnessInstance],
+    c1: int,
+    c2: int,
+    n: int,
+    rect: RectangleSpec,
+    rng: Rng,
+) -> list[XiTranscript]:
+    """Encode disjointness instances into masked rectangle tests under one
+    shared (S, T): the permutation and then the mask are drawn from rng
+    once, in that fixed order, and every instance is encoded under them, so
+    the transcripts equal reduction_xi's for each instance on a fresh copy
+    of rng.  They share one read-only permutation array.
+
+    The checks run before any draw, in reduction_xi's order: the
+    parameters, each instance's l, then the rectangle's n."""
+    params = xi_parameters(c1, c2, n)
+    instances = list(instances)
+    for inst in instances:
+        if inst.l != params.l:
+            raise ValueError(f"instance has l={inst.l}, parameters give l={params.l}")
+    if rect.n != n:
+        raise ValueError(f"rectangle is over n={rect.n}, reduction needs {n}")
+    perm = rng.permutation(n)
+    perm.setflags(write=False)
+    mask = random_bitstring(n, rng)
+    return [_encode_xi(inst, params, rect, perm, mask) for inst in instances]
+
+
 def reduction_xi(
     inst: DisjointnessInstance,
     c1: int,
@@ -481,19 +566,19 @@ def reduction_xi(
     rect: RectangleSpec,
     rng: Rng,
 ) -> XiTranscript:
-    """Encode a disjointness instance into a masked rectangle test.
+    """Encode a disjointness instance into a masked rectangle test: the
+    one-instance case of reduction_xi_many.
 
     The shared permutation and mask are drawn from rng in that fixed order
     and do not depend on the instance, so replaying a seed across instances
     reuses the same (S, T)."""
-    params = xi_parameters(c1, c2, n)
-    if inst.l != params.l:
-        raise ValueError(f"instance has l={inst.l}, parameters give l={params.l}")
-    if rect.n != n:
-        raise ValueError(f"rectangle is over n={rect.n}, reduction needs {n}")
-    perm = rng.permutation(n)
-    mask = random_bitstring(n, rng)
+    return reduction_xi_many([inst], c1, c2, n, rect, rng)[0]
 
+
+def _encode_xi(
+    inst: DisjointnessInstance, params: XiParameters, rect: RectangleSpec, perm: np.ndarray, mask: BitString
+) -> XiTranscript:
+    """One instance's transcript under the shared permutation and mask."""
     x1_bits = _encode_blocks(inst.x, params.l, alice=True)
     y1_bits = _encode_blocks(inst.y, params.l, alice=False)
     x1 = BitString.from_bits(x1_bits)
@@ -507,6 +592,7 @@ def reduction_xi(
         y2_bits + [1] * params.ones_run + [0] * params.bob_zero_pad
     )
 
+    n = params.n
     x3_arr = x3.to_array()
     y3_arr = y3.to_array()
     x4_arr = np.empty(n, dtype=np.uint8)

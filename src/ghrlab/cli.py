@@ -35,7 +35,7 @@ from .classical import (
     RectangleSpec,
     all_instances,
     estimate_baseline_success,
-    reduction_xi,
+    reduction_xi_many,
     relative_weights,
     require_enumerable,
     require_reduction_size,
@@ -207,11 +207,13 @@ def _cmd_reduction_demo(args):
     params = xi_parameters(args.c1, args.c2, args.n)
     rect = parse_rect(args.rect, args.n)
     root = Rng(args.seed)
+    instances = list(all_instances(params.l))
     rows = []
     for r in range(args.trials):
-        for inst in all_instances(params.l):
-            # fresh child stream per instance: one trial shares (S, T) across instances
-            tr = reduction_xi(inst, args.c1, args.c2, args.n, rect, root.child(r))
+        # trial r draws its (S, T) once from child stream r and encodes every
+        # instance under it, as reduction_xi on a fresh child r per instance would
+        transcripts = reduction_xi_many(instances, args.c1, args.c2, args.n, rect, root.child(r))
+        for inst, tr in zip(instances, transcripts):
             rows.append(
                 (
                     r,

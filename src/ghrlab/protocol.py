@@ -56,8 +56,18 @@ def require_repetitions(n: int, t: int) -> None:
 
 def _draws(rng: Rng, n: int, count: int) -> np.ndarray:
     """count outcome draws, each uniform below n**3, as
-    oracle.OutcomeDistribution.sample takes them."""
-    return rng.generator.integers(0, n**3, size=count, dtype=np.int64)
+    oracle.OutcomeDistribution.sample takes them with
+    generator.integers(0, n**3, size=count, dtype=np.int64).
+
+    That call runs Lemire's method (ACM TOMACS 2019) on one uint32 word per
+    draw while n**3 <= 2**32 and on one uint64 word above, and n**3 = 2**b,
+    b = 3 log2 n, is a power of two, so it never rejects and a draw is
+    (word * 2**b) >> 32 or >> 64: the top b bits of one words32 word
+    (n <= 1024) or one words64 word (n = 4096)."""
+    b = 3 * (n.bit_length() - 1)
+    if b <= 32:
+        return (rng.words32(count) >> (32 - b)).astype(np.int64)
+    return (rng.words64(count) >> (64 - b)).astype(np.int64)
 
 
 def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -464,7 +464,11 @@ class McEstimate:
 def trial_pair(n: int, rng: Rng, i: int) -> tuple[BitString, BitString, Rng]:
     """Trial i's input pair: x, then y, drawn from rng.child(i) as two
     random_bitstring(n, child) calls draw them, returned with that child
-    stream for the trial's further draws."""
+    stream for the trial's further draws.
+
+    Both come from one bit_rows(2, n), a single raw read of 2 ceil(n/32)
+    32-bit words: an even count, so the child holds no half-word after it
+    and the trial's further reads start on a whole Philox word."""
     child = rng.child(i)
     x, y = (BitString(int.from_bytes(row.tobytes(), "big"), n) for row in child.bit_rows(2, n))
     return x, y, child

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghrlab import bitkit
+from ghrlab import bitkit, protocol
 from ghrlab.bitkit import BitString, Rng, fourier_pattern, fwht, inner_mod2, random_bitstring
 
 
@@ -370,6 +370,84 @@ def test_bit_rows_equal_bits_calls(count, rows, offset):
     assert batched.bits(64) == single.bits(64)  # same stream position after
     with pytest.raises(ValueError):
         batched.bit_rows(1, 0)
+
+
+class GeneratorReads:
+    """The stream of Rng(seed, stream) read only through Generator.integers
+    and Generator.permutation, as Rng read it before its raw Philox reads:
+    the oracle of test_raw_reads_equal_generator_reads."""
+
+    def __init__(self, seed, stream):
+        key = np.array([seed, stream], dtype=np.uint64)
+        self.generator = np.random.Generator(np.random.Philox(key=key))
+
+    def bit_rows(self, rows, count):
+        nbytes = (count + 7) // 8
+        words = self.generator.integers(0, 1 << 32, size=(rows, (nbytes + 3) // 4), dtype=np.uint32)
+        out = words.astype("<u4", copy=False).view(np.uint8)[:, :nbytes]
+        out[:, 0] &= 0xFF >> (8 * nbytes - count)
+        return out
+
+    def bits(self, count):
+        return int.from_bytes(self.bit_rows(1, count).tobytes(), "big")
+
+    def below(self, bound):
+        return int(self.generator.integers(0, bound))
+
+    def u64(self):
+        return int(self.generator.integers(0, 1 << 64, dtype=np.uint64))
+
+    def permutation(self, count):
+        return self.generator.permutation(count)
+
+    def draws(self, n, count):
+        return self.generator.integers(0, n**3, size=count, dtype=np.int64)
+
+
+READS = st.one_of(
+    # words per row 1 (n = 1, 3, 15), 2 (33), 3 (96) and 32 (1024), so an
+    # odd row count with an odd width leaves a half-word held
+    st.tuples(st.just("bit_rows"), st.integers(0, 3), st.sampled_from([1, 3, 15, 33, 96, 1024])),
+    st.tuples(st.just("bits"), st.sampled_from([1, 7, 32, 33, 64, 65])),
+    st.tuples(st.just("below"), st.integers(1, 2**63)),
+    st.tuples(st.just("u64")),
+    st.tuples(st.just("permutation"), st.integers(0, 20)),
+    st.tuples(st.just("draws"), st.sampled_from([4, 16, 64, 256, 1024, 4096]), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.sampled_from([0, 9, 2**64 - 1]), st.lists(READS, max_size=10))
+def test_raw_reads_equal_generator_reads(seed, stream, reads):
+    """Every value of any interleaving of reads, and the stream position
+    after them, equals the Generator.integers reads of the same stream,
+    also where a held half-word goes to the Generator that below and
+    permutation build."""
+    ours, ref = Rng(seed, stream=stream), GeneratorReads(seed, stream)
+    for name, *args in reads:
+        if name == "draws":
+            got, want = protocol._draws(ours, *args), ref.draws(*args)
+        else:
+            got, want = getattr(ours, name)(*args), getattr(ref, name)(*args)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and np.array_equal(got, want), name
+        else:
+            assert got == want, name
+    assert ours.bits(32) == ref.bits(32)  # a held half-word first
+    assert ours.u64() == ref.u64()
+    assert ours.bits(96) == ref.bits(96)
+
+
+def test_held_half_word_reaches_the_generator():
+    """An odd number of 32-bit words leaves the high half of a Philox word
+    held; the Generator built after it reads that half first, as
+    Generator.integers' own uint32 reads would."""
+    ours, ref = Rng(21), GeneratorReads(21, 2**64 - 1)
+    assert ours.bits(7) == ref.bits(7)
+    assert ours._held is not None
+    assert ours.below(2**31) == ref.below(2**31)
+    assert ours._held is None
+    assert ours.bits(33) == ref.bits(33) and ours.u64() == ref.u64()
 
 
 def test_random_bitstring_uniform_bits():

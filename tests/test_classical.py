@@ -1,6 +1,7 @@
 """Baseline, rectangle spectrum, and the disjointness encoding."""
 
 import contextlib
+import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from ghrlab.classical import (
     distance_counts,
     estimate_baseline_success,
     reduction_xi,
+    reduction_xi_many,
     relative_weight,
     relative_weights,
     require_shared_samples,
@@ -152,18 +154,25 @@ def test_passing_distance_is_the_validity_test():
 def test_baseline_draw_counts(monkeypatch):
     # reading each trial's pair and then all 256 samples took 12,900 rows in
     # 100 calls; now each trial draws its pair and 64 samples, and a further
-    # 128, then the last 64, only while none has passed
-    calls, real = [], Rng.bit_rows  # the rows of each call
-    monkeypatch.setattr(Rng, "bit_rows", lambda self, rows, count: calls.append(rows) or real(self, rows, count))
+    # 128, then the last 64, only while none has passed.  A chunk of trials
+    # makes its first reads before any trial's further ones, so the calls
+    # are compared per trial (child stream), not in call order
+    calls, real = {}, Rng.bit_rows  # child stream -> the rows of each call
+    monkeypatch.setattr(
+        Rng, "bit_rows", lambda self, rows, count: calls.setdefault(self.stream, []).append(rows) or real(self, rows, count)
+    )
     with contextlib.redirect_stdout(io.StringIO()):
         assert main("baseline-tghr --n 1024 --t 256 --trials 50 --seed 0".split()) == 0
-    assert (sum(calls), len(calls)) == (4388, 59)
-    assert calls.count(66) == 50 and calls.count(128) == 8 and calls.count(64) == 1
+    flat = [rows for trial in calls.values() for rows in trial]
+    assert sorted(calls) == list(range(50))
+    assert (sum(flat), len(flat)) == (4388, 59)
+    assert flat.count(66) == 50 and flat.count(128) == 8 and flat.count(64) == 1
+    assert {tuple(trial) for trial in calls.values()} == {(66,), (66, 128), (66, 128, 64)}
     # below n = 4 every trial reads all t samples: chunks double and the
     # last is capped at the samples left
     calls.clear()
     estimate_baseline_success(3, 200, 2, Rng(0))
-    assert calls == [66, 128, 8] * 2
+    assert calls == {0: [66, 128, 8], 1: [66, 128, 8]}
 
 
 def refuse_draw(*args):
@@ -178,8 +187,8 @@ def test_shared_samples_cap_refuses_before_drawing(monkeypatch):
     for n, t in ((1024, 131073), (1, 2**24 + 1), (1001, 2**24 // 126 + 1)):
         with pytest.raises(ValueError, match=rf"shared sample bytes exceeds the cap 2\*\*24, got n={n}, t={t}"):
             require_shared_samples(n, t)
-    monkeypatch.setattr(Rng, "bit_rows", refuse_draw)
-    monkeypatch.setattr(Rng, "child", refuse_draw)
+    for read in ("words32", "words64", "bit_rows", "child"):  # words32: the one read bit_rows makes
+        monkeypatch.setattr(Rng, read, refuse_draw)
     x = BitString.zeros(1024)
     with pytest.raises(ValueError, match="t=131073"):
         tghr_baseline(x, x, 131073, Rng(0))
@@ -190,6 +199,36 @@ def test_shared_samples_cap_refuses_before_drawing(monkeypatch):
             tghr_baseline(x, x, t, Rng(0))
         with pytest.raises(ValueError, match=f"t must be >= 1, got {t}"):
             estimate_baseline_success(1024, t, 1, Rng(0))
+
+
+# the popcount of every byte value: the byte-table oracle of _xor_weights
+BYTE_WEIGHTS = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("width", [*range(1, 18), 128])
+def test_xor_weights_equal_bit_count(width):
+    """The SWAR kernel counts each row of rows ^ x as int.bit_count and the
+    byte table do, for leading dimensions, a broadcast x and non-contiguous
+    operands."""
+    gen = np.random.default_rng(width)
+    rows = gen.integers(0, 256, size=(3, 5, 2 * width), dtype=np.uint8)[:, :, ::2]  # strided
+    rows[0, 0], rows[0, 1] = 0, 255  # all-zero and all-one rows
+    assert not rows.flags.c_contiguous
+    for x in (np.zeros(width, dtype=np.uint8), gen.integers(0, 256, size=(3, 1, width), dtype=np.uint8)):
+        got = classical._xor_weights(rows, x)
+        xor = rows ^ x
+        want = [[int.from_bytes(row.tobytes(), "big").bit_count() for row in block] for block in xor]
+        assert got.shape == (3, 5) and got.tolist() == want
+        assert np.array_equal(got, np.take(BYTE_WEIGHTS, xor).sum(axis=-1))
+    transposed = gen.integers(0, 256, size=(width, 4), dtype=np.uint8).T
+    assert classical._xor_weights(transposed, np.zeros(width, np.uint8)).tolist() == [
+        int.from_bytes(row.tobytes(), "big").bit_count() for row in transposed
+    ]
+
+
+def test_baseline_chunks_stack_about_64_kib():
+    """7 trials of 66 rows of 128 bytes at n = 1024 (the pair and 64 samples)."""
+    assert classical._CHUNK_BYTES // (66 * 128) == 7
 
 
 # ---------------------------------------------------------------- rectangles
@@ -453,6 +492,58 @@ def test_accept_set_is_a_rectangle_given_shared_randomness():
                     for y2 in xs:
                         if accepted[(x1, y1)] and accepted[(x2, y2)]:
                             assert accepted[(x1, y2)]
+
+
+@pytest.mark.parametrize(
+    "c1,c2,n,rect",
+    [(6, 8, 16, "parity_even"), (6, 8, 16, "full"), (14, 16, 24, "parity_even"), (6, 8, 17, "prefix_zeros")],
+)
+def test_shared_draws_equal_per_instance_reduction(c1, c2, n, rect):
+    """reduction_xi_many draws (S, T) once and encodes every instance under
+    it; the oracle is reduction_xi per instance, each on a fresh copy of the
+    trial's child stream, as reduction-demo once ran it."""
+    rect = {"full": RectangleSpec.full, "parity_even": RectangleSpec.parity_even}.get(
+        rect, lambda n: RectangleSpec.prefix_zeros(n, 2)
+    )(n)
+    instances = list(all_instances(xi_parameters(c1, c2, n).l))
+    fields = [f.name for f in dataclasses.fields(classical.XiTranscript)]
+    for r in range(3):
+        shared = reduction_xi_many(iter(instances), c1, c2, n, rect, Rng(5).child(r))
+        assert len(shared) == len(instances)
+        for inst, got in zip(instances, shared):
+            want = reduction_xi(inst, c1, c2, n, rect, Rng(5).child(r))
+            for name in fields:
+                a, b = getattr(got, name), getattr(want, name)
+                assert (np.array_equal(a, b) if name == "permutation" else a == b), name
+        assert all(tr.permutation is shared[0].permutation for tr in shared)
+
+
+def test_shared_permutation_is_read_only():
+    instances = list(all_instances(1))
+    shared = reduction_xi_many(instances, 6, 8, 16, RectangleSpec.full(16), Rng(3))
+    perm = shared[0].permutation
+    before = perm.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        perm[0] = perm[1]
+    with pytest.raises(ValueError, match="read-only"):
+        reduction_xi(instances[0], 6, 8, 16, RectangleSpec.full(16), Rng(3)).permutation[:] = 0
+    assert np.array_equal(shared[-1].permutation, before)
+
+
+def test_reduction_checks_in_order_before_drawing(monkeypatch):
+    """Parameters, then the instance's l, then the rectangle's n, with
+    reduction_xi's messages, and no draw before them."""
+    monkeypatch.setattr(Rng, "permutation", refuse_draw)
+    two = DisjointnessInstance(2, frozenset({1, 2}), frozenset({3, 4}))
+    one = DisjointnessInstance(1, frozenset({1}), frozenset({2}))
+    small = RectangleSpec.full(8)
+    for encode in (reduction_xi, lambda inst, *args: reduction_xi_many([one, inst], *args)):
+        with pytest.raises(ValueError, match="c2 - c1 must be even"):
+            encode(two, 6, 9, 16, small, Rng(0))
+        with pytest.raises(ValueError, match="instance has l=2, parameters give l=1"):
+            encode(two, 6, 8, 16, small, Rng(0))
+        with pytest.raises(ValueError, match="rectangle is over n=8, reduction needs 16"):
+            encode(one, 6, 8, 16, small, Rng(0))
 
 
 def test_xi_k_repetition():

@@ -416,15 +416,26 @@ def test_prefix_sums_fit_int32(monkeypatch):
 
 
 class CraftedDraws:
-    """An rng whose one outcome draw call returns the given draws."""
+    """An rng whose one outcome draw call returns the given draws below
+    n**3: generator.integers, which the full-table oracle calls, returns
+    them as they are, and words32, which protocol._draws reads at n <= 1024,
+    returns the uint32 words that Lemire's method maps to them, each draw in
+    the top 3 log2 n bits."""
 
-    def __init__(self, draws):
+    def __init__(self, draws, n):
         self.generator = self
         self.draws = np.asarray(draws, dtype=np.int64)
+        self.n = n
 
     def integers(self, low, high, size, dtype):
         assert low == 0 and size == len(self.draws) and dtype == np.int64
         return self.draws.copy()
+
+    def words32(self, count):
+        assert count == len(self.draws)
+        words = self.draws.astype(np.uint32) << (32 - 3 * (self.n.bit_length() - 1))
+        assert [int(w) * self.n**3 >> 32 for w in words] == self.draws.tolist()
+        return words
 
 
 @pytest.mark.parametrize("n", [4, 16, 64, 256])
@@ -443,8 +454,8 @@ def test_blocked_search_equals_full_table_sample(n):
         for before, end in zip([0, *ends[:-1]], ends[:-1]):
             picks = {end - 1, end, (before + end) // 2}
             draws += [(j - 1) * per_row + int(r) for r in picks if 0 <= r < per_row]
-    expect = dist.sample(CraftedDraws(draws), len(draws))
-    assert sample_outcomes(x, y, CraftedDraws(draws), len(draws)) == expect
+    expect = dist.sample(CraftedDraws(draws, n), len(draws))
+    assert sample_outcomes(x, y, CraftedDraws(draws, n), len(draws)) == expect
     with_mass = np.flatnonzero(dist.numerators[0].reshape(height, height).sum(axis=1))
     assert {o.s.as_unsigned() // height for o in expect if o.j == 1} == set(with_mass.tolist())
 
@@ -464,8 +475,12 @@ def test_repetition_guard():
 def test_estimate_success_draws_at_most_log2_n(monkeypatch):
     """A t above log2 n runs as log2 n, whose draws are all a run keeps, and
     never draws more: a huge t allocates nothing."""
-    sizes = []
-    real = protocol._draws
+    sizes, words = [], []
+    real, real_words = protocol._draws, Rng.words32
     monkeypatch.setattr(protocol, "_draws", lambda rng, n, count: sizes.append(count) or real(rng, n, count))
+    monkeypatch.setattr(Rng, "words32", lambda self, count: words.append(count) or real_words(self, count))
     assert estimate_success(16, 20, Rng(4), t=10**12) == estimate_success(16, 20, Rng(4))
     assert set(sizes) == {4}
+    # the raw reads of each of the 40 trials: 2 words for its pair, then
+    # one word per draw
+    assert sorted(words) == [2] * 40 + [4] * 40
