@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -181,23 +181,13 @@ def fourier_pattern(s: BitString, n: int) -> BitString:
     return BitString(acc, n)
 
 
-class FwhtSteps(NamedTuple):
-    """The steps of one transform (fwht_steps): each op is a numpy function
-    and its arguments, views of the source array and of the two buffers
-    that the steps write in turn, and result is the buffer that holds the
-    transform once they have run."""
-
-    source: np.ndarray
-    ops: tuple[tuple[Callable, tuple[np.ndarray, ...]], ...]
-    result: np.ndarray
-
-
-def fwht_steps(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> FwhtSteps:
+def fwht_steps(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> Callable[[], np.ndarray]:
     """The butterflies and transposing copies of fwht(v, buffers), as views
-    built once: a caller that transforms what it writes into the same v
-    again and again hands them to fwht(v, steps=...) in place of the
-    buffers, and the views are not built again.  v and both buffers must be
-    C-contiguous, so that every view reads or writes their own memory.
+    built once, and a runner that takes no argument: each call runs the
+    steps on what v holds then and returns the buffer that holds its
+    transform, so a caller that writes into the same v again and again
+    builds the views only once.  v and both buffers must be C-contiguous,
+    so that every view reads or writes their own memory.
 
     The k stages commute, and a stage whose butterfly partners sit few rows
     apart runs numpy's inner loop on short rows: at 256 rows by 256 columns
@@ -232,14 +222,16 @@ def fwht_steps(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> FwhtSte
         rotated = src.reshape(1 << top, low, cols).transpose(1, 0, 2)
         ops.append((np.copyto, (dst.reshape(low, 1 << top, cols), rotated)))
         src, writes = dst, writes + 1
-    return FwhtSteps(v, tuple(ops), src)
+
+    def run() -> np.ndarray:
+        for op, args in ops:
+            op(*args)
+        return src
+
+    return run
 
 
-def fwht(
-    v: np.ndarray,
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
-    steps: FwhtSteps | None = None,
-) -> np.ndarray:
+def fwht(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Walsh-Hadamard transform along axis 0, whose length is 2**k, in
     natural order: out[s, ...] = sum_i (-1)**popcount(s & i) * v[i, ...].
 
@@ -253,23 +245,14 @@ def fwht(
     first step reads v, so the second buffer may be v itself, which is then
     overwritten.
 
-    steps, when given, are fwht_steps(v, buffers) built beforehand for this
-    very array object v, and they name the buffers they write, so buffers
-    is then not given; steps built for another array are refused, even for
-    another view of the same memory.  Without them fwht builds the steps
-    for v read as a C-contiguous array (a copy when it is not one) and runs
-    them: at 256 rows by 256 columns on a 2-core VM, building took about
-    19 us of a 98 us transform."""
-    if steps is None:
-        src = np.ascontiguousarray(v)
-        if buffers is None:
-            buffers = (np.empty_like(src), np.empty_like(src))
-        steps = fwht_steps(src, buffers)
-    elif steps.source is not v or buffers is not None:
-        raise ValueError("fwht steps run only on the array they were built for, with their own buffers")
-    for op, args in steps.ops:
-        op(*args)
-    return steps.result
+    fwht builds the steps for v read as a C-contiguous array (a copy when
+    it is not one) and runs them once (fwht_steps): at 256 rows by 256
+    columns on a 2-core VM, building took about 19 us of a 98 us
+    transform."""
+    src = np.ascontiguousarray(v)
+    if buffers is None:
+        buffers = (np.empty_like(src), np.empty_like(src))
+    return fwht_steps(src, buffers)()
 
 
 class _Key:

@@ -517,16 +517,17 @@ class XiTranscript:
         return (self.x5 ^ self.y5).weight()
 
 
-def _encode_blocks(members: frozenset[int], l: int, alice: bool) -> list[int]:
-    bits: list[int] = []
-    for i in range(1, 4 * l):
-        if i in members:
-            bits.extend((0, 1, 0))
-        elif alice:
-            bits.extend((1, 0, 0))
-        else:
-            bits.extend((0, 0, 1))
-    return bits
+def _repunit(count: int, width: int) -> int:
+    """count 1 bits, width bits apart from bit 0 up."""
+    return ((1 << count * width) - 1) // ((1 << width) - 1)
+
+
+def _encode_blocks(members: frozenset[int], l: int, alice: bool) -> int:
+    """The 3-bit codes of 1, ..., 4l - 1 in position order, read as one
+    binary numeral: 010 for a member, otherwise 100 for Alice and 001 for
+    Bob."""
+    marked = sum(1 << 3 * (4 * l - 1 - i) for i in members)
+    return marked << 1 | (_repunit(4 * l - 1, 3) ^ marked) << (2 if alice else 0)
 
 
 def reduction_xi_many(
@@ -578,29 +579,24 @@ def reduction_xi(
 def _encode_xi(
     inst: DisjointnessInstance, params: XiParameters, rect: RectangleSpec, perm: np.ndarray, mask: BitString
 ) -> XiTranscript:
-    """One instance's transcript under the shared permutation and mask."""
-    x1_bits = _encode_blocks(inst.x, params.l, alice=True)
-    y1_bits = _encode_blocks(inst.y, params.l, alice=False)
-    x1 = BitString.from_bits(x1_bits)
-    y1 = BitString.from_bits(y1_bits)
-    x2_bits = x1_bits * params.copies
-    y2_bits = y1_bits * params.copies
-    x2 = BitString.from_bits(x2_bits)
-    y2 = BitString.from_bits(y2_bits)
-    x3 = BitString.from_bits(x2_bits + [0] * params.alice_zero_pad)
-    y3 = BitString.from_bits(
-        y2_bits + [1] * params.ones_run + [0] * params.bob_zero_pad
-    )
+    """One instance's transcript under the shared permutation and mask.
 
-    n = params.n
-    x3_arr = x3.to_array()
-    y3_arr = y3.to_array()
-    x4_arr = np.empty(n, dtype=np.uint8)
-    y4_arr = np.empty(n, dtype=np.uint8)
-    x4_arr[perm] = x3_arr
-    y4_arr[perm] = y3_arr
-    x4 = BitString.from_array(x4_arr)
-    y4 = BitString.from_array(y4_arr)
+    The encodings are ints: x2 and y2 repeat the blocks of x1 and y1 by
+    multiplying with a repunit of block_len-bit blocks, x3 and y3 append
+    their pads and Bob's ones run by shifts, and one (2, n) permutation
+    moves the bit at position i + 1 of x3 and y3 to position perm[i] + 1
+    of x4 and y4."""
+    n, width = params.n, params.block_len
+    x1 = BitString(_encode_blocks(inst.x, params.l, alice=True), width)
+    y1 = BitString(_encode_blocks(inst.y, params.l, alice=False), width)
+    x2, y2 = (BitString(z.value * _repunit(params.copies, width), width * params.copies) for z in (x1, y1))
+    x3 = BitString(x2.value << params.alice_zero_pad, n)
+    ones = (1 << params.ones_run) - 1
+    y3 = BitString((y2.value << params.ones_run | ones) << params.bob_zero_pad, n)
+    moved = np.empty((2, n), dtype=np.uint8)
+    moved[:, perm] = [x3.to_array(), y3.to_array()]
+    pad = -n % 8  # packbits fills the last byte from its high bit
+    x4, y4 = (BitString(int.from_bytes(row.tobytes(), "big") >> pad, n) for row in np.packbits(moved, axis=1))
     x5 = x4 ^ mask
     y5 = y4 ^ mask
     accepted = bool(rect.member_a(x5) and rect.member_b(y5))

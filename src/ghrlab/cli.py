@@ -200,7 +200,8 @@ def _cmd_bounds_validate(args):
 
 
 def _set_string(members, l: int) -> BitString:
-    return BitString.from_bits([1 if i in members else 0 for i in range(1, 4 * l)])
+    """The members of [1, 4l - 1] as a bit string, a 1 at each member's position."""
+    return BitString(sum(1 << (4 * l - 1 - i) for i in members), 4 * l - 1)
 
 
 def _cmd_reduction_demo(args):

@@ -29,12 +29,10 @@ from .relation import (
     McEstimate,
     TransformIndex,
     _answer_valid,
-    _block_buffers,
     _check_pair,
     _estimate_in_chunks,
-    _product,
+    _row_spectra,
     _signs,
-    _spectra,
     _trial_signs,
     aleph_statistic,
     aleph_statistics,
@@ -83,7 +81,7 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
     most rem (searchsorted with side="right").
 
     Each pair's distinct rows are the columns of one (n, columns) block,
-    transformed by relation._spectra in one _block_buffers allocation.  Its
+    transformed by relation._row_spectra in one allocation.  Its
     sums over blocks of sqrt(n) rows, in int32 once its range check puts
     every value in [-n, n] (a block then sums to at most
     sqrt(n) * n**2 <= 2**30), cumulated down each column in int64 (ends),
@@ -105,9 +103,7 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
     ordered = np.sort(keys, axis=None)
     columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     pair, shift = np.divmod(columns, n + 1)
-    buffers = _block_buffers(n * columns.size)
-    product = _product(buffers, px[pair], windows[pair, shift])
-    squares, ends = _spectra(product, buffers, shift, pair, height)
+    squares, ends = _row_spectra(px[pair], windows[pair, shift], shift, pair, height)
     col = np.searchsorted(columns, keys)
     rem = draws % per_row
     block = np.count_nonzero(ends[:, col] <= rem, axis=0)  # below n / height: ends[-1] = n**2 > rem

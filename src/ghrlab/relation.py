@@ -25,7 +25,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bitkit import BitString, FwhtSteps, Rng, fwht, fwht_steps
+from .bitkit import BitString, Rng, fwht_steps
 from .util import InvariantError, map_trials
 
 MAX_TRANSFORM_SIZE = 4096
@@ -110,63 +110,53 @@ def _trial_signs(n: int, rng: Rng, indices: range) -> tuple[np.ndarray, np.ndarr
     return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n)), children
 
 
-def _product(buffers: tuple[np.ndarray, ...], px: np.ndarray, picked: np.ndarray) -> np.ndarray:
-    """The sign products px[c] * picked[c] of the rows picked[c], each a
-    window roll(py, -j) of some pair (_stacked_signs) and px[c] that pair's
-    x signs (or one row for all), as the columns c of an (n, columns) view
-    of the first buffer, ready for _spectra.  Formed in the rows' own
-    layout and copied across, which beat out= into the transposed layout at
-    every shape tried: 54 against 101 us for a protocol chunk of 60 columns
-    at n = 1024."""
-    columns, n = picked.shape
+def _block(buffers: tuple[np.ndarray, ...], n: int, columns: int) -> tuple[np.ndarray, Callable]:
+    """The (n, columns) view of buffers[0], the first buffer of
+    _block_buffers, that takes a block's sign product, and the runner of
+    its transform (bitkit.fwht_steps), whose butterflies write a view of
+    buffers[1] and the product in turn."""
     product = buffers[0][: n * columns].reshape(n, columns)
-    np.copyto(product, (px * picked).T)
-    return product
+    return product, fwht_steps(product, (buffers[1][: n * columns].reshape(n, columns), product))
 
 
 def _spectra(
-    product: np.ndarray,
-    buffers: tuple[np.ndarray, ...],
+    transform: Callable[[], np.ndarray],
+    squares: np.ndarray,
     shifts: np.ndarray | int,
     pairs: np.ndarray | int,
-    height: int | None = None,
-    steps: FwhtSteps | None = None,
+    height: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squares of the Walsh spectra of sign products, and their cumulative
     group sums.
 
-    product is an (n, columns) view of buffers[0], the first buffer of
-    _block_buffers, whose column c holds px * roll(py, -j) for one pair:
-    its integer FWHT at s is n - 2 * delta(x, y, (j, s)), so that column of
-    squares is (2*delta - n)**2 along table row j - 1.  shifts and pairs
-    broadcast to a common shape of `columns` cells, read in C order as the
-    shift j and the pair's position in its stack of each column, and only
-    to name a failed one.  Every butterfly value is a sum of at most n
-    signs, so int16 is exact for n <= MAX_TRANSFORM_SIZE; squares are
-    computed in int32 (squaring in int16 would wrap from n = 256 on).
-    steps, when given, are _block_steps(product, buffers), built once by a
-    caller that transforms the same view again.
+    transform is the runner of a block (_block), whose product column c
+    holds px * roll(py, -j) for one pair: its integer FWHT at s is
+    n - 2 * delta(x, y, (j, s)), so that column of squares is
+    (2*delta - n)**2 along table row j - 1.  The squares fill an (n,
+    columns) view of the int32 buffer squares, the third of _block_buffers,
+    and that view is returned.  shifts and pairs broadcast to a common
+    shape of `columns` cells, read in C order as the shift j and the pair's
+    position in its stack of each column, and only to name a failed one.
+    Every butterfly value is a sum of at most n signs, so int16 is exact for
+    n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring in
+    int16 would wrap from n = 256 on).
 
     ends[k, c] is the sum of column c of squares over its first
-    (k + 1) * height rows, for a height that divides n (_group_height(n)
-    by default: all n rows up to n = 1024), cumulated in int64 over the
-    sums of groups of height rows.  One max over the squares checks the
-    range identity: a square of at most n**2 puts every value in [-n, n],
-    as a sum of n signs must be, and then a group sums to at most
-    height * n**2 < 2**31, so the group sums run in int32.  Where a square
-    exceeds n**2 they run in int64, exact for any int32 squares.  By
-    Parseval every column sums to exactly n**2, so ends[-1] is n**2
-    throughout; the first column where it is not, which there is whenever
-    a square exceeds n**2, raises InvariantError naming its shift and its
-    pair.
-
-    The butterflies alternate between the first two buffers and the
-    squares fill the third, of which the returned squares are a view."""
-    n = product.shape[0]
+    (k + 1) * height rows, for a height that divides n and is at most
+    _group_height(n), cumulated in int64 over the sums of groups of height
+    rows.  One max over the squares checks the range identity: a square of
+    at most n**2 puts every value in [-n, n], as a sum of n signs must be,
+    and then a group sums to at most height * n**2 < 2**31, so the group
+    sums run in int32.  Where a square exceeds n**2 they run in int64,
+    exact for any int32 squares.  By Parseval every column sums to
+    exactly n**2, so ends[-1] is n**2 throughout; the first column where it
+    is not, which there is whenever a square exceeds n**2, raises
+    InvariantError naming its shift and its pair."""
+    spectrum = transform()
+    n = spectrum.shape[0]
     limit = n * n
-    squares = buffers[2][: product.size].reshape(product.shape)
-    np.square(fwht(product, None, steps or _block_steps(product, buffers)), out=squares, dtype=np.int32)
-    height = _group_height(n) if height is None else height
+    squares = squares[: spectrum.size].reshape(spectrum.shape)
+    np.square(spectrum, out=squares, dtype=np.int32)
     exact = np.int32 if squares.max() <= limit else np.int64
     ends = squares.reshape(n // height, height, -1).sum(axis=1, dtype=exact).astype(np.int64)
     np.cumsum(ends, axis=0, out=ends)
@@ -181,17 +171,27 @@ def _spectra(
     return squares, ends
 
 
+def _row_spectra(
+    px: np.ndarray, rows: np.ndarray, shifts: np.ndarray | int, pairs: np.ndarray | int, height: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_spectra of the sign products px[c] * rows[c] in one transform, from
+    one _block_buffers allocation: each of the rows is a window
+    roll(py, -j) of some pair (_stacked_signs), px[c] that pair's x signs
+    (or one row for all), and shifts and pairs name the columns.  The
+    product is formed in the rows' own layout and copied across, which
+    beat out= into the transposed layout at every shape tried: 54 against
+    101 us for a protocol chunk of 60 columns at n = 1024."""
+    columns, n = rows.shape
+    buffers = _block_buffers(n * columns)
+    product, transform = _block(buffers, n, columns)
+    np.copyto(product, (px * rows).T)
+    return _spectra(transform, buffers[2], shifts, pairs, height)
+
+
 def _group_height(n: int) -> int:
     """The most rows, a power of two dividing n, whose squares, each at most
     n**2, sum within int32: n up to n = 1024, and 64 at n = 4096."""
     return min(n, 1 << ((2**31 - 1) // (n * n)).bit_length() - 1)
-
-
-def _block_steps(product: np.ndarray, buffers: tuple[np.ndarray, ...]) -> FwhtSteps:
-    """The fwht steps of _spectra's transform of product, a view of
-    buffers[0]: the butterflies write a view of buffers[1] and product in
-    turn."""
-    return fwht_steps(product, (buffers[1][: product.size].reshape(product.shape), product))
 
 
 def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -213,7 +213,7 @@ def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
 # split them, and a narrower S lets a stack stop closer to where its last
 # pair settles.  18 of those calls are the transform's butterflies and
 # copies at n = 256, whose views are built once per stream and width
-# (_block_steps).  At n = 256 on a 2-core VM, interleaved with the stream
+# (_block).  At n = 256 on a 2-core VM, interleaved with the stream
 # that rebuilt those views for every block and summed in int64, a block
 # took 88 - 96 against 130 - 135 us for 16 columns and 230 - 250 against
 # 302 - 317 us for 256.
@@ -282,7 +282,7 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
     holds every block's y signs as its rows start ... start + n - 1, which
     reach at most row 3n - 1 of tripled.  The product view, its fwht steps
     and the window mask are built once per block width: the full width
-    and, when S does not divide n, a narrower last block."""
+    and, when S does not divide n, a narrower last block (_block)."""
     stack, n = px.shape
     step = max(1, min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * stack)))
     buffers = _block_buffers(n * stack * step)
@@ -297,13 +297,12 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
         shifts = np.arange(start, min(start + step, n + 1))
         if shifts.size * stack != columns:
             columns = shifts.size * stack
-            product = buffers[0][: n * columns].reshape(n, columns)
-            steps = _block_steps(product, buffers)
+            product, transform = _block(buffers, n, columns)
             signs = tile[:, :columns]
             # the butterfly buffer that the steps leave free once squared
             mask = buffers[1].view(np.bool_)[: n * columns].reshape(n, columns)
         np.multiply(signs, rolled[start:start + n, :columns], out=product)
-        squares = _spectra(product, buffers, shifts[:, None], pairs, height, steps)[0]
+        squares = _spectra(transform, buffers[2], shifts[:, None], pairs, height)[0]
         np.less_equal(squares, n, out=mask)
         # a row's in-window cells add at most n each, so at most n**2 <= 2**24
         rows = np.einsum("ij,ij->j", squares, mask)
@@ -394,7 +393,7 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
 
     Atypical pairs accept anything.  Typical pairs need at least half of the
     entries to land outside the center window.  The answer's rows are read
-    in one transform (_spectra), one column per entry, so a repeated shift
+    in one transform (_row_spectra), one column per entry, so a repeated shift
     is a repeated column; typicality is streamed only when the entries
     leave validity open (_answer_valid).
     """
@@ -409,8 +408,7 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
             raise ValueError(f"shift {t.j} outside [1, {x.n}]")
     px, windows = signs = _signs(x, y)
     shifts = np.array([t.j for t in answer])
-    buffers = _block_buffers(x.n * m)
-    squares = _spectra(_product(buffers, px, windows[0, shifts]), buffers, shifts, 0)[0]
+    squares = _row_spectra(px, windows[0, shifts], shifts, 0, _group_height(x.n))[0]
     cells = squares[[t.s.as_unsigned() for t in answer], np.arange(m)]
     return _answer_valid(int(np.count_nonzero(cells > x.n)), signs)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ghrlab import bounds, coupling
+from ghrlab import bitkit, bounds, coupling, relation
 
 
 def _clear_class_caches():
@@ -55,3 +55,26 @@ def clear_bound_grids():
     _clear_bound_grids()
     yield _clear_bound_grids
     _clear_bound_grids()
+
+
+@pytest.fixture
+def relation_transforms(monkeypatch):
+    """A function, relation_transforms(hook), under which every transform
+    runner that ghrlab.relation builds (bitkit.fwht_steps) returns
+    hook(product, run) when it runs: product is the array it transforms and
+    run the real runner, whose result hook returns, changed or not.  It
+    returns the (product, run) of every runner built from then on, in
+    order; a second call replaces the first call's hook."""
+
+    def install(hook=lambda product, run: run()):
+        built = []
+
+        def steps(product, buffers):
+            run = bitkit.fwht_steps(product, buffers)
+            built.append((product, run))
+            return lambda: hook(product, run)
+
+        monkeypatch.setattr(relation, "fwht_steps", steps)
+        return built
+
+    return install

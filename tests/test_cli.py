@@ -19,7 +19,7 @@ import ghrlab.cli as cli
 import ghrlab.coupling as coupling
 import ghrlab.oracle as oracle
 import ghrlab.relation as relation
-from ghrlab.bitkit import RNG_ALGORITHM, BitString, fwht
+from ghrlab.bitkit import RNG_ALGORITHM, BitString
 from ghrlab.cli import build_parser, main
 
 
@@ -127,13 +127,12 @@ def test_protocol_failure_exact_streams_one_statistic_per_pair(monkeypatch, caps
     assert not built
 
 
-def test_aleph_estimate_transforms_at_n256(monkeypatch, capsys):
+def test_aleph_estimate_transforms_at_n256(relation_transforms, capsys):
     """Two stacks of 16 pairs, each stopped after 13 blocks of 16 shifts per
     pair: 26 transforms of 256 columns, where one pair per stream in blocks
     of 128 shifts took 64 transforms and 8,192 columns."""
     calls, columns = [], []
-    real = relation.fwht
-    monkeypatch.setattr(relation, "fwht", lambda v, *b: calls.append(1) or columns.append(v.shape[1]) or real(v, *b))
+    relation_transforms(lambda product, run: calls.append(1) or columns.append(product.shape[1]) or run())
     assert main(["aleph-estimate", "--n", "256", "--trials", "32", "--seed", "0"]) == 0
     capsys.readouterr()
     assert (len(calls), sum(columns)) == (26, 6656)
@@ -513,8 +512,8 @@ def test_size_guards_accept_their_largest_n(handlers, capsys):
     capsys.readouterr()
 
 
-def test_runtime_invariant_failure_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr(relation, "fwht", lambda v, *buffers: fwht(v, *buffers) + 1)
+def test_runtime_invariant_failure_exits_one(relation_transforms, capsys):
+    relation_transforms(lambda product, run: run() + 1)
     assert main(["protocol-success", "--n", "16", "--trials", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: invariant failed: row j=")
 

@@ -259,10 +259,9 @@ def test_row_sampler_rejects_empty_count():
         sample_outcomes(bs("0100"), bs("1110"), Rng(1), 0)
 
 
-def test_row_sampler_builds_its_rows_in_one_transform(monkeypatch):
+def test_row_sampler_builds_its_rows_in_one_transform(relation_transforms):
     calls = []
-    real = relation.fwht
-    monkeypatch.setattr(relation, "fwht", lambda v, *b: calls.append(v.shape) or real(v, *b))
+    relation_transforms(lambda product, run: calls.append(product.shape) or run())
     pair_rng = Rng(5)
     answer = sample_outcomes(random_bitstring(64, pair_rng), random_bitstring(64, pair_rng), Rng(9), 6)
     assert calls == [(64, len({t.j for t in answer}))]
@@ -303,11 +302,12 @@ def test_estimate_success_equals_full_table_reference(monkeypatch, n, trials, t)
 
 
 def count_chunks(monkeypatch):
-    """Counts the chunk transforms of the protocol path (typicality
-    streaming goes through relation._spectra directly and is not counted)."""
+    """Records the shifts of every chunk transform of the protocol path
+    (typicality streaming goes through relation._spectra directly and is
+    not counted)."""
     calls = []
-    real = protocol._spectra
-    monkeypatch.setattr(protocol, "_spectra", lambda *a: calls.append(a[2]) or real(*a))
+    real = protocol._row_spectra
+    monkeypatch.setattr(protocol, "_row_spectra", lambda *a: calls.append(a[2]) or real(*a))
     return calls
 
 
@@ -344,7 +344,7 @@ def test_chunk_of_default_cap_at_n1024(monkeypatch):
     assert sum(len(c) for c in calls) <= 130
 
 
-def test_corrupted_chunk_column_names_its_shift(monkeypatch):
+def test_corrupted_chunk_column_names_its_shift(relation_transforms):
     """A chunk column that breaks Parseval raises InvariantError naming the
     shift of its own pair's row: the first column of trial 1 here."""
     n, t = 16, 4
@@ -353,39 +353,37 @@ def test_corrupted_chunk_column_names_its_shift(monkeypatch):
         _, _, child = relation.trial_pair(n, Rng(3), i)
         shifts.append(sorted({int(r) // (n * n) + 1 for r in child.generator.integers(0, n**3, size=t)}))
     column = len(shifts[0])
-    real = relation.fwht
     transforms = []
 
-    def corrupted(v, *buffers):
-        out = real(v, *buffers)
+    def corrupted(product, run):
+        out = run()
         if not transforms:  # the chunk's own transform comes before any typicality stream
             out[0, column] += 2
-        transforms.append(v.shape)
+        transforms.append(product.shape)
         return out
 
-    monkeypatch.setattr(relation, "fwht", corrupted)
+    relation_transforms(corrupted)
     with pytest.raises(InvariantError, match=f"^row j={shifts[1][0]} .*n\\*\\*2 = 256"):
         estimate_success(n, 5, Rng(3))
 
 
-def test_corrupted_sampler_column_names_its_shift(monkeypatch):
+def test_corrupted_sampler_column_names_its_shift(relation_transforms):
     pair_rng = Rng(5)
     x, y = random_bitstring(64, pair_rng), random_bitstring(64, pair_rng)
     shifts = sorted({o.j for o in sample_outcomes(x, y, Rng(9), 6)})
     assert len(shifts) > 1
-    real = relation.fwht
 
-    def corrupted(v, *buffers):
-        out = real(v, *buffers)
+    def corrupted(product, run):
+        out = run()
         out[3, 1] -= 2
         return out
 
-    monkeypatch.setattr(relation, "fwht", corrupted)
+    relation_transforms(corrupted)
     with pytest.raises(InvariantError, match=f"^row j={shifts[1]} "):
         sample_outcomes(x, y, Rng(9), 6)
 
 
-def test_prefix_sums_fit_int32(monkeypatch):
+def test_prefix_sums_fit_int32(relation_transforms):
     """The blocked search's sums are exact.  A square of an int16 butterfly
     value is at most 2**30, so a block of sqrt(n) squares of a corrupted
     column can pass 2**31.  The block sums run in int32 only when no square
@@ -404,13 +402,13 @@ def test_prefix_sums_fit_int32(monkeypatch):
     with pytest.raises(ValueError):
         relation.require_transform_size(4 * largest)
 
-    def wrapping(v, *buffers):
+    def wrapping(product, run):
         """Columns whose squares 4 * 2**30 + 16**2 sum to n**2 in int32."""
-        out = np.zeros_like(v)
+        out = np.zeros_like(product)
         out[:4], out[4] = np.iinfo(np.int16).min, 16
         return out
 
-    monkeypatch.setattr(relation, "fwht", wrapping)
+    relation_transforms(wrapping)
     with pytest.raises(InvariantError, match=f"sums to {4 * 2**30 + 256}, not n\\*\\*2 = 256"):
         sample_outcomes(BitString(0, 16), BitString(0, 16), Rng(1), 3)
 

@@ -138,16 +138,15 @@ def bent(n):
     return BitString.from_bits([bin((i >> half) & i).count("1") % 2 for i in range(n)])
 
 
-def transformed_shifts(monkeypatch):
-    """Counts the table rows every later FWHT call of the relation builds."""
+def transformed_shifts(relation_transforms):
+    """Counts the table rows every later transform of the relation builds."""
     count = [0]
-    real = relation.fwht
 
-    def counting(v, *buffers):
-        count[0] += v.shape[1]
-        return real(v, *buffers)
+    def counting(product, run):
+        count[0] += product.shape[1]
+        return run()
 
-    monkeypatch.setattr(relation, "fwht", counting)
+    relation_transforms(counting)
     return count
 
 
@@ -181,23 +180,23 @@ def test_early_verdict_equals_table_on_many_pairs(monkeypatch, shifts):
 
 
 @pytest.mark.parametrize("n", [256, 1024])
-def test_early_verdict_on_adversarial_pairs(monkeypatch, n):
+def test_early_verdict_on_adversarial_pairs(relation_transforms, n):
     x = random_bitstring(n, Rng(n + 1))
     for a, b in ((x, x), (x, ~x), (bent(n), BitString(0, n))):
         assert aleph(a, b) == delta_table(a, b).aleph()
     # every row of the bent pair adds n**2, so it is atypical once more than
     # 4n/9 rows are read: after its one block of the whole table at n = 256,
     # after 8 of 16 blocks at n = 1024
-    count = transformed_shifts(monkeypatch)
+    count = transformed_shifts(relation_transforms)
     assert not aleph(bent(n), BitString(0, n))
     assert count[0] == {256: n, 1024: n // 2}[n]
 
 
-def test_early_verdict_reads_fewer_rows_than_the_statistic(monkeypatch):
+def test_early_verdict_reads_fewer_rows_than_the_statistic(relation_transforms):
     n = 1024
     rng = Rng(5)
     x, y = random_bitstring(n, rng), random_bitstring(n, rng)
-    count = transformed_shifts(monkeypatch)
+    count = transformed_shifts(relation_transforms)
     assert aleph(x, y)
     # a uniform pair's statistic is about n**3 / 5, so the typical side
     # settles after 768 of the 1024 rows
@@ -315,66 +314,63 @@ def test_stacked_stream_does_not_depend_on_block_shape(monkeypatch, cells):
         assert estimate_aleph_probability(n, 37, Rng(17)) == McEstimate.from_successes(expect, 37, 17)
 
 
-def test_stack_of_bent_pairs_stops_after_128_rows_each(monkeypatch):
+def test_stack_of_bent_pairs_stops_after_128_rows_each(relation_transforms):
     """8 bent pairs at n = 256 go in blocks of 32 shifts each, and every row
     adds n**2: all 8 are atypical after 4 blocks, 128 of their 256 rows."""
     n = 256
     pairs = [(bent(n), BitString(0, n))] * 8
     calls = []
-    real = relation.fwht
-    monkeypatch.setattr(relation, "fwht", lambda v, *b: calls.append(v.shape[1]) or real(v, *b))
+    relation_transforms(lambda product, run: calls.append(product.shape[1]) or run())
     assert not relation._typical(*stack_of(pairs)).any()
     assert calls == [8 * 32] * 4
 
 
-def test_corrupted_column_names_its_pair_and_shift(monkeypatch):
+def test_corrupted_column_names_its_pair_and_shift(relation_transforms):
     """In a stack of 3 pairs at n = 16, one block holds every pair's 16
     shifts, its columns in (shift, pair) order; column 4 * 3 + 1 is pair 1's
     shift 5."""
     rng = Rng(6)
     pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
-    real = relation.fwht
 
-    def corrupted(v, *buffers):
-        out = real(v, *buffers)
+    def corrupted(product, run):
+        out = run()
         out[0, 4 * 3 + 1] += 2
         return out
 
-    monkeypatch.setattr(relation, "fwht", corrupted)
+    relation_transforms(corrupted)
     for stream in (relation._statistics, relation._typical):
         with pytest.raises(InvariantError, match="^row j=5 of pair 1 in its stack .*n\\*\\*2 = 256"):
             stream(*stack_of(pairs))
 
 
-def test_corrupted_last_column_of_a_narrower_final_block(monkeypatch):
+def test_corrupted_last_column_of_a_narrower_final_block(monkeypatch, relation_transforms):
     """Blocks of 5 shifts of 3 pairs at n = 16 leave shift 16 alone in a
     final block of 3 columns, whose last is pair 2's."""
     rng = Rng(8)
     pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
     fix_block_cells(monkeypatch, 16 * 3 * 5)
-    real = relation.fwht
     widths = []
 
-    def corrupted(v, *buffers):
-        out = real(v, *buffers)
-        widths.append(v.shape[1])
-        if v.shape[1] == 3:
+    def corrupted(product, run):
+        out = run()
+        widths.append(product.shape[1])
+        if product.shape[1] == 3:
             out[0, -1] += 2
         return out
 
-    monkeypatch.setattr(relation, "fwht", corrupted)
+    relation_transforms(corrupted)
     with pytest.raises(InvariantError, match="^row j=16 of pair 2 in its stack .*n\\*\\*2 = 256"):
         relation._statistics(*stack_of(pairs))
     assert widths == [15, 15, 15, 3]
 
 
 def wrap_column(column):
-    """An FWHT that sets one column of a transform at n = 16 to values
-    whose squares, 4 * 2**30 + 16**2, sum to n**2 once wrapped in int32."""
-    real = relation.fwht
+    """A transform hook that sets one column of a transform at n = 16 to
+    values whose squares, 4 * 2**30 + 16**2, sum to n**2 once wrapped in
+    int32."""
 
-    def wrapping(v, *rest):
-        out = real(v, *rest)
+    def wrapping(product, run):
+        out = run()
         out[:, column] = 0
         out[:4, column], out[4, column] = np.iinfo(np.int16).min, 16
         return out
@@ -382,18 +378,18 @@ def wrap_column(column):
     return wrapping
 
 
-def test_stream_range_check_keeps_a_wrapping_column_from_passing(monkeypatch):
+def test_stream_range_check_keeps_a_wrapping_column_from_passing(relation_transforms):
     """A value outside [-n, n] sends the block's group sums to int64, so a
     column that int32 would wrap to n**2 is named with its exact sum: pair
     1's shift 5 in a stack of 3 pairs at n = 16, and shift 5 of one pair."""
     rng = Rng(6)
     pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
     exact = f"sums to {4 * 2**30 + 16**2}, not n\\*\\*2 = 256$"
-    monkeypatch.setattr(relation, "fwht", wrap_column(4 * 3 + 1))
+    relation_transforms(wrap_column(4 * 3 + 1))
     for stream in (relation._statistics, relation._typical):
         with pytest.raises(InvariantError, match=f"^row j=5 of pair 1 in its stack {exact}"):
             stream(*stack_of(pairs))
-    monkeypatch.setattr(relation, "fwht", wrap_column(4))
+    relation_transforms(wrap_column(4))
     with pytest.raises(InvariantError, match=f"^row j=5 of pair 0 in its stack {exact}"):
         aleph(*pairs[0])
 
@@ -422,19 +418,6 @@ def test_group_height_keeps_int32_group_sums_exact():
     assert [relation._group_height(4**k) for k in (5, 6)] == [1024, 64]
 
 
-def stream_steps(monkeypatch):
-    """Records every FwhtSteps that the relation builds, in order."""
-    built = []
-    real = relation.fwht_steps
-
-    def recording(v, buffers):
-        built.append(real(v, buffers))
-        return built[-1]
-
-    monkeypatch.setattr(relation, "fwht_steps", recording)
-    return built
-
-
 @pytest.mark.parametrize(
     "cells,n,stack,widths",
     [
@@ -444,26 +427,26 @@ def stream_steps(monkeypatch):
         (1, 16, 1, [1]),  # 16 blocks of one shift
     ],
 )
-def test_stream_builds_its_steps_once_per_width(monkeypatch, cells, n, stack, widths):
+def test_stream_builds_its_steps_once_per_width(monkeypatch, relation_transforms, cells, n, stack, widths):
     rng = Rng(n + stack)
     pairs = [(random_bitstring(n, rng), random_bitstring(n, rng)) for _ in range(stack)]
     tables = [delta_table(x, y) for x, y in pairs]
     if cells is not None:
         fix_block_cells(monkeypatch, cells)
-    built = stream_steps(monkeypatch)
+    built = relation_transforms()
     assert list(relation._statistics(*stack_of(pairs))) == [t.aleph_statistic() for t in tables]
-    assert [steps.source.shape for steps in built] == [(n, w) for w in widths]
+    assert [product.shape for product, _ in built] == [(n, w) for w in widths]
     built.clear()
     assert list(relation._typical(*stack_of(pairs))) == [t.aleph() for t in tables]
     assert len(built) <= len(widths)
 
 
-def test_stream_steps_replay_like_fresh_transforms(monkeypatch):
-    """The steps of every block width a stream uses, replayed on random
-    int16 blocks written into their product view, give fwht's transform
-    without steps: one pair at every allowed n, Monte Carlo stacks with a
-    short last stack, and a narrower last block."""
-    built = stream_steps(monkeypatch)
+def test_stream_steps_replay_like_fresh_transforms(monkeypatch, relation_transforms):
+    """The runner of every block width a stream uses, replayed on random
+    int16 blocks written into its product view, gives fwht's transform:
+    one pair at every allowed n, Monte Carlo stacks with a short last
+    stack, and a narrower last block."""
+    built = relation_transforms()
     for n in (4, 16, 64, 256, 1024, 4096):
         aleph_statistic(*relation.trial_pair(n, Rng(n), 0)[:2])
     # stacks of 16 pairs and of 5 in blocks of 51 shifts, the last of 1; of
@@ -472,16 +455,16 @@ def test_stream_steps_replay_like_fresh_transforms(monkeypatch):
         relation.aleph_statistics(*zip(*(relation.trial_pair(n, Rng(1), i)[:2] for i in range(count))))
     fix_block_cells(monkeypatch, 16 * 3 * 5)
     relation._statistics(*relation._trial_signs(16, Rng(2), range(3))[:2])
-    assert {steps.source.shape for steps in built} == {
+    assert {product.shape for product, _ in built} == {
         (4, 4), (16, 16), (64, 64), (256, 256), (1024, 64), (4096, 64),
         (256, 255), (256, 5), (64, 1024), (64, 1012), (64, 792), (16, 15), (16, 3),
     }
     gen = np.random.default_rng(0)
-    for steps in built:
+    for product, run in built:
         for _ in range(2):
-            block = gen.integers(-1, 2, size=steps.source.shape).astype(np.int16)
-            np.copyto(steps.source, block)
-            assert np.array_equal(fwht(steps.source, steps=steps), fwht(block))
+            block = gen.integers(-1, 2, size=product.shape).astype(np.int16)
+            np.copyto(product, block)
+            assert np.array_equal(run(), fwht(block))
 
 
 def test_aleph_statistics_rejects_mixed_stacks():
@@ -541,7 +524,36 @@ def test_ghr_answer_length_enforced():
             ghr_is_valid(x, y, [TransformIndex(1, bs("00")), TransformIndex(j, bs("00"))])
 
 
-def test_ghr_valid_reads_the_answer_in_one_transform(monkeypatch):
+@pytest.mark.parametrize("n", [4, 16, 256, 4096])
+def test_row_spectra_equal_the_table_rows(n):
+    """_row_spectra of rows picked from a stack of two pairs, shifts 1 and
+    n repeated: column c of the squares is table row shifts[c] - 1 of its
+    pair, and ends are the cumulative sums of its groups of height rows,
+    for the protocol's sqrt(n) and the stream's _group_height(n).  A sign
+    tripled in one row breaks Parseval in that column alone, which is named
+    by its shift and pair, the first such column when two are."""
+    rng = Rng(n)
+    pairs = [(random_bitstring(n, rng), random_bitstring(n, rng)) for _ in range(2)]
+    tables = [delta_table(x, y).squares for x, y in pairs]
+    px, windows = stack_of(pairs)
+    shifts = np.array([1, n, 2, 1, n // 2 + 1, n, 3, 1])
+    pair = np.array([0, 1, 1, 0, 0, 0, 1, 1])
+    expect = np.stack([tables[p][j - 1] for j, p in zip(shifts, pair)], axis=1)
+    for height in sorted({math.isqrt(n), relation._group_height(n)}):
+        squares, ends = relation._row_spectra(px[pair], windows[pair, shifts], shifts, pair, height)
+        assert np.array_equal(squares, expect)
+        groups = expect.reshape(n // height, height, -1).sum(axis=1, dtype=np.int64)
+        assert np.array_equal(ends, np.cumsum(groups, axis=0))
+        assert ends.dtype == np.int64
+    for c in (2, 4):
+        rows = windows[pair, shifts].copy()
+        rows[[c, -1], 1] *= 3
+        match = f"^row j={shifts[c]} of pair {pair[c]} in its stack sums to {n * (n + 8)}, not n\\*\\*2 = {n * n}$"
+        with pytest.raises(InvariantError, match=match):
+            relation._row_spectra(px[pair], rows, shifts, pair, relation._group_height(n))
+
+
+def test_ghr_valid_reads_the_answer_in_one_transform(relation_transforms):
     rng = Rng(5)
     n, m = 64, answer_length(64)
     x, y = random_bitstring(n, rng), random_bitstring(n, rng)
@@ -551,10 +563,7 @@ def test_ghr_valid_reads_the_answer_in_one_transform(monkeypatch):
         return [TransformIndex(int(j) + 1, BitString(int(s), m)) for j, s in cells[:m]]
 
     columns = []
-    real = relation._spectra
-    monkeypatch.setattr(
-        relation, "_spectra", lambda product, *rest: columns.append(product.shape[1]) or real(product, *rest)
-    )
+    relation_transforms(lambda product, run: columns.append(product.shape[1]) or run())
     aleph(x, y)
     stream = columns[:]  # the typicality stream's transforms
     columns.clear()
@@ -565,14 +574,13 @@ def test_ghr_valid_reads_the_answer_in_one_transform(monkeypatch):
     assert columns == [m] + stream
 
 
-def test_corrupted_row_trips_parseval_check(monkeypatch):
-    def corrupted(v, *buffers):
-        out = fwht(v, *buffers)
+def test_corrupted_row_trips_parseval_check(monkeypatch, relation_transforms):
+    def corrupted(out):
         out[0] += 2
         return out
 
-    monkeypatch.setattr(relation, "fwht", corrupted)
-    monkeypatch.setattr(oracle, "fwht", corrupted)
+    relation_transforms(lambda product, run: corrupted(run()))
+    monkeypatch.setattr(oracle, "fwht", lambda v, *buffers: corrupted(fwht(v, *buffers)))
     x, y = bs("0100"), bs("1110")
     with pytest.raises(InvariantError, match="row j=3 .*n\\*\\*2 = 16"):
         ghr_is_valid(x, y, [TransformIndex(3, bs("00"))] * 2)
