@@ -25,13 +25,12 @@ import numpy as np
 from .bitkit import BitString, Rng
 from .bounds import exact_binomial_tail
 from .relation import (
-    _STAT_BLOCK_CELLS,
     McEstimate,
     TransformIndex,
     _answer_valid,
     _check_pair,
     _estimate_in_chunks,
-    _row_spectra,
+    _row_cells,
     _signs,
     _trial_signs,
     aleph_statistic,
@@ -41,6 +40,13 @@ from .relation import (
     is_typical,
     require_transform_size,
 )
+
+
+# estimate_success's chunks of trials hold at most this many cells of rows,
+# 8 bytes each in the reader's buffers (relation._row_cells): 2 MiB, 25
+# trials of 10 rows at n = 1024.  A sweep of 2**16 ... 2**19 at n = 256,
+# 1024 and 4096 is in CHANGES.md.
+_CHUNK_CELLS = 1 << 18
 
 
 def require_repetitions(n: int, t: int) -> None:
@@ -70,7 +76,7 @@ def _draws(rng: Rng, n: int, count: int) -> np.ndarray:
 
 def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """The cells that the outcome draws of a stack of pairs land in, from
-    one transform.
+    one two-level reader (relation._row_cells).
 
     px and windows are the stack's signs (relation._stacked_signs), and
     draws[i] holds the draws of its pair i.  The full table's row-major
@@ -80,38 +86,35 @@ def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[n
     that row exceeds rem = r mod n**2, which is the number of prefix sums at
     most rem (searchsorted with side="right").
 
-    Each pair's distinct rows are the columns of one (n, columns) block,
-    transformed by relation._row_spectra in one allocation.  Its
-    sums over blocks of sqrt(n) rows, in int32 once its range check puts
-    every value in [-n, n] (a block then sums to at most
-    sqrt(n) * n**2 <= 2**30), cumulated down each column in int64 (ends),
-    check every column against n**2 and also index the search:
-    prefix sums only grow, so every prefix sum of a block whose end is at
+    Each pair's distinct rows are the columns of the reader, whose ends are
+    the cumulative masses of each row's blocks of sqrt(n) selectors.
+    Prefix sums only grow, so every prefix sum of a block whose end is at
     most rem is at most rem, and every one past the first block whose end
     exceeds rem exceeds it.  So s is sqrt(n) times the number of block ends
-    at most rem, plus the prefix sums at most rem within that first block,
-    an int32 cumulative sum of sqrt(n) cells: exact, since a checked
-    column's prefix sums reach at most n**2 <= 4096**2 = 2**24 < 2**31.
+    at most rem, plus the prefix sums at most rem - before within that
+    first block, whose cells the reader gives: before is the end of the
+    block ahead of it, or 0.  The prefix sums are an int32 cumulative sum
+    of sqrt(n) cells checked to sum to the block's mass, at most n**2.
 
     Returns j and s shaped like draws, and outside, True where the drawn
     cell lies outside the center window."""
     n = px.shape[1]
-    per_row = n * n
-    height = math.isqrt(n)
+    per_row, root = n * n, math.isqrt(n)
     j = draws // per_row + 1
     keys = np.arange(len(px))[:, None] * (n + 1) + j  # one key per (pair, shift)
     ordered = np.sort(keys, axis=None)
     columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     pair, shift = np.divmod(columns, n + 1)
-    squares, ends = _row_spectra(px[pair], windows[pair, shift], shift, pair, height)
-    col = np.searchsorted(columns, keys)
-    rem = draws % per_row
-    block = np.count_nonzero(ends[:, col] <= rem, axis=0)  # below n / height: ends[-1] = n**2 > rem
+    ends, cells = _row_cells(px[pair], windows[pair, shift], shift, pair)
+    col = np.searchsorted(columns, keys).ravel()
+    rem = draws.ravel() % per_row
+    block = np.count_nonzero(ends[:, col] <= rem, axis=0)  # below sqrt(n): ends[-1] = n**2 > rem
     before = np.where(block > 0, ends[block - 1, col], 0)
-    cells = squares[block[..., None] * height + np.arange(height), col[..., None]]
-    within = np.cumsum(cells, axis=-1, dtype=np.int32) <= (rem - before)[..., None]
-    s = block * height + np.count_nonzero(within, axis=-1)
-    return j, s, squares[s, col] > n
+    squares = cells(col, block)
+    within = np.count_nonzero(np.cumsum(squares, axis=0, dtype=np.int32) <= rem - before, axis=0)
+    s = block * root + within
+    outside = squares[within, np.arange(col.size)] > n
+    return j, s.reshape(draws.shape), outside.reshape(draws.shape)
 
 
 def sample_outcomes(x: BitString, y: BitString, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
@@ -172,13 +175,13 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
     does.
 
     Trials are decided in chunks of consecutive trials, as many as keep a
-    chunk's rows within _STAT_BLOCK_CELLS cells and at least one: 6 trials
-    at n = 1024 with t = 10.  A chunk's outcomes come from one transform
-    (_outcomes), each answer is checked against the same rows, and
-    typicality is streamed only for the trials whose answer alone does not
-    settle validity.  map_trials hands out whole chunks (_estimate_in_chunks),
-    so the estimate is a pure function of (n, trials, t, seed) regardless of
-    thread count."""
+    chunk's rows within _CHUNK_CELLS cells and at least one: 25 trials at
+    n = 1024 with t = 10.  A chunk's outcomes come from one two-level
+    reader (_outcomes), each answer is checked against the cells its draws
+    read, and typicality is streamed only for the trials whose answer alone
+    does not settle validity.  map_trials hands out whole chunks
+    (_estimate_in_chunks), so the estimate is a pure function of
+    (n, trials, t, seed) regardless of thread count."""
     require_transform_size(n)
     m = answer_length(n)
     t = m if t is None else min(t, m)
@@ -193,7 +196,7 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
             _answer_valid(int(k), (px[i:i + 1], windows[i:i + 1])) for i, k in enumerate(outside @ uses)
         )
 
-    return _estimate_in_chunks(trials, max(1, _STAT_BLOCK_CELLS // (n * t)), rng, valid)
+    return _estimate_in_chunks(trials, max(1, _CHUNK_CELLS // (n * t)), rng, valid)
 
 
 def exact_success_probability(n: int) -> Fraction:

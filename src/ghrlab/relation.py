@@ -110,13 +110,29 @@ def _trial_signs(n: int, rng: Rng, indices: range) -> tuple[np.ndarray, np.ndarr
     return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n)), children
 
 
-def _block(buffers: tuple[np.ndarray, ...], n: int, columns: int) -> tuple[np.ndarray, Callable]:
-    """The (n, columns) view of buffers[0], the first buffer of
+def _block(buffers: tuple[np.ndarray, ...], rows: int, columns: int) -> tuple[np.ndarray, Callable]:
+    """The (rows, columns) view of buffers[0], the first buffer of
     _block_buffers, that takes a block's sign product, and the runner of
-    its transform (bitkit.fwht_steps), whose butterflies write a view of
-    buffers[1] and the product in turn."""
-    product = buffers[0][: n * columns].reshape(n, columns)
-    return product, fwht_steps(product, (buffers[1][: n * columns].reshape(n, columns), product))
+    its transform along the rows (bitkit.fwht_steps), whose butterflies
+    write a view of buffers[1] and the product in turn."""
+    cells = rows * columns
+    product = buffers[0][:cells].reshape(rows, columns)
+    return product, fwht_steps(product, (buffers[1][:cells].reshape(rows, columns), product))
+
+
+def _row(shifts: np.ndarray | int, pairs: np.ndarray | int, c: int) -> str:
+    """Names column c by its shift j and its pair's position in its stack,
+    for shifts and pairs that broadcast to a common shape read in C order."""
+    j, pair = (int(w.flat[c]) for w in np.broadcast_arrays(shifts, pairs))
+    return f"row j={j} of pair {pair} in its stack"
+
+
+def _check_rows(sums: np.ndarray, limit: int, shifts: np.ndarray | int, pairs: np.ndarray | int) -> None:
+    """Raise InvariantError naming the first column (_row) whose sum is not
+    limit, n**2, as Parseval requires of every row."""
+    bad = np.flatnonzero(sums != limit)
+    if bad.size:
+        raise InvariantError(f"{_row(shifts, pairs, bad[0])} sums to {int(sums[bad[0]])}, not n**2 = {limit}")
 
 
 def _spectra(
@@ -124,68 +140,106 @@ def _spectra(
     squares: np.ndarray,
     shifts: np.ndarray | int,
     pairs: np.ndarray | int,
-    height: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squares of the Walsh spectra of sign products, and their cumulative
-    group sums.
+) -> np.ndarray:
+    """Squares of the Walsh spectra of sign products.
 
     transform is the runner of a block (_block), whose product column c
     holds px * roll(py, -j) for one pair: its integer FWHT at s is
     n - 2 * delta(x, y, (j, s)), so that column of squares is
     (2*delta - n)**2 along table row j - 1.  The squares fill an (n,
     columns) view of the int32 buffer squares, the third of _block_buffers,
-    and that view is returned.  shifts and pairs broadcast to a common
-    shape of `columns` cells, read in C order as the shift j and the pair's
-    position in its stack of each column, and only to name a failed one.
-    Every butterfly value is a sum of at most n signs, so int16 is exact for
-    n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring in
-    int16 would wrap from n = 256 on).
+    and that view is returned.  shifts and pairs name each column's shift
+    and its pair's position in its stack (_row), only to name a failed
+    one.  Every butterfly value is a sum of at most n signs, so int16 is
+    exact for n <= MAX_TRANSFORM_SIZE; squares are computed in int32
+    (squaring in int16 would wrap from n = 256 on).
 
-    ends[k, c] is the sum of column c of squares over its first
-    (k + 1) * height rows, for a height that divides n and is at most
-    _group_height(n), cumulated in int64 over the sums of groups of height
-    rows.  One max over the squares checks the range identity: a square of
-    at most n**2 puts every value in [-n, n], as a sum of n signs must be,
-    and then a group sums to at most height * n**2 < 2**31, so the group
-    sums run in int32.  Where a square exceeds n**2 they run in int64,
-    exact for any int32 squares.  By Parseval every column sums to
-    exactly n**2, so ends[-1] is n**2 throughout; the first column where it
-    is not, which there is whenever a square exceeds n**2, raises
-    InvariantError naming its shift and its pair."""
+    One max over the squares checks the range identity: a square of at
+    most n**2 puts every value in [-n, n], as a sum of n signs must be,
+    and then a group of _group_height(n) rows sums to less than 2**31, so
+    the group sums run in int32.  Where a square exceeds n**2 they run in
+    int64, exact for any int32 squares.  By Parseval every column sums to
+    exactly n**2; the first column where it does not, which there is
+    whenever a square exceeds n**2, raises InvariantError naming its shift
+    and its pair."""
     spectrum = transform()
     n = spectrum.shape[0]
-    limit = n * n
+    limit, height = n * n, _group_height(n)
     squares = squares[: spectrum.size].reshape(spectrum.shape)
     np.square(spectrum, out=squares, dtype=np.int32)
     exact = np.int32 if squares.max() <= limit else np.int64
-    ends = squares.reshape(n // height, height, -1).sum(axis=1, dtype=exact).astype(np.int64)
-    np.cumsum(ends, axis=0, out=ends)
-    bad = np.flatnonzero(ends[-1] != limit)
-    if bad.size:
-        c = int(bad[0])
-        j, pair = (w.flat[c] for w in np.broadcast_arrays(shifts, pairs))
-        raise InvariantError(
-            f"row j={j} of pair {pair} in its stack sums to {int(ends[-1, c])}, "
-            f"not n**2 = {limit}"
-        )
-    return squares, ends
+    sums = squares.reshape(n // height, height, -1).sum(axis=1, dtype=exact).sum(axis=0, dtype=np.int64)
+    _check_rows(sums, limit, shifts, pairs)
+    return squares
 
 
-def _row_spectra(
-    px: np.ndarray, rows: np.ndarray, shifts: np.ndarray | int, pairs: np.ndarray | int, height: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """_spectra of the sign products px[c] * rows[c] in one transform, from
-    one _block_buffers allocation: each of the rows is a window
-    roll(py, -j) of some pair (_stacked_signs), px[c] that pair's x signs
-    (or one row for all), and shifts and pairs name the columns.  The
-    product is formed in the rows' own layout and copied across, which
-    beat out= into the transposed layout at every shape tried: 54 against
-    101 us for a protocol chunk of 60 columns at n = 1024."""
+def _row_cells(
+    px: np.ndarray, rows: np.ndarray, shifts: np.ndarray | int, pairs: np.ndarray | int
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
+    """A two-level reader of the squared Walsh spectra of the sign products
+    px[c] * rows[c]: each of the rows is a window roll(py, -j) of some pair
+    (_stacked_signs), px[c] that pair's x signs (or one row for all), and
+    shifts and pairs name the columns (_row).
+
+    With r = sqrt(n), a selector s = s_hi * r + s_lo and a position
+    i = i_hi * r + i_lo, H_n = H_r (x) H_r splits the transform in two
+    (Bailey's four-step FFT, J. Supercomputing 4, 1990).  Level 1 is one
+    transform along i_hi of the block of all columns, laid out as
+    (i_hi, c, i_lo); it gives V[s_hi, c, i_lo], a sum of r signs, and the
+    cells of block s_hi of column c, the r selectors s_hi * r ... s_hi * r +
+    r - 1, are the r-point transform of V[s_hi, c, :].  By Parseval that
+    block's mass, the sum of its r squared cells, is r times the sum of
+    V[s_hi, c, :]**2.
+
+    Returns ends, the (r, columns) cumulative block masses down each column,
+    and cells(col, block), the (r, draws) squared cells of block block[d]
+    of column col[d] for each d, from one level-2 transform of the gathered
+    blocks.  Every value is an exact integer.  A V outside [-r, r], which
+    no sum of r signs can reach, raises InvariantError; within it a mass is
+    at most n**2 and ends at most r * n**2 <= 2**30, so both are int32.
+    Each column's masses must sum to n**2, and each drawn block's squared
+    cells, summed in int64, to its mass; a failure raises InvariantError
+    naming the shift and the pair, and the block where a block fails.  The
+    block's buffers (_block_buffers) hold its product, butterflies and the
+    level-1 squares.  The product is written in one multiply from the rows'
+    own layout, whose lanes of r cells stay contiguous: 110 us for 250
+    rows at n = 1024 on a 2-core VM, where copying their product across
+    whole, as the full transform's (n, columns) layout needs, took 350 us."""
     columns, n = rows.shape
+    root = math.isqrt(n)
     buffers = _block_buffers(n * columns)
-    product, transform = _block(buffers, n, columns)
-    np.copyto(product, (px * rows).T)
-    return _spectra(transform, buffers[2], shifts, pairs, height)
+    product, transform = _block(buffers, root, columns * root)
+
+    def lanes(signs: np.ndarray) -> np.ndarray:
+        return signs.reshape(-1, root, root).transpose(1, 0, 2)
+
+    np.multiply(lanes(px), lanes(rows), out=product.reshape(root, columns, root))
+    half = transform().reshape(root, columns, root)
+    squares = buffers[2][:n * columns].reshape(half.shape)
+    np.square(half, out=squares, dtype=np.int32)
+    if squares.max() > n:
+        c = np.flatnonzero((squares > n).any(axis=(0, 2)))[0]
+        raise InvariantError(f"{_row(shifts, pairs, c)} has a half-transform value outside [-{root}, {root}]")
+    masses = np.einsum("ijk->ij", squares)
+    masses *= root
+    ends = np.cumsum(masses, axis=0, dtype=np.int32)
+    _check_rows(ends[-1], n * n, shifts, pairs)
+
+    def cells(col: np.ndarray, block: np.ndarray) -> np.ndarray:
+        gathered = np.ascontiguousarray(half[block, col].T)
+        spectrum = fwht_steps(gathered, (np.empty_like(gathered), gathered))()
+        out = np.square(spectrum, dtype=np.int32)
+        sums, mass = out.sum(axis=0, dtype=np.int64), masses[block, col]
+        bad = np.flatnonzero(sums != mass)
+        if bad.size:
+            d = bad[0]
+            raise InvariantError(
+                f"{_row(shifts, pairs, col[d])}: block {block[d]} of its selectors "
+                f"sums to {sums[d]}, not its mass {mass[d]}"
+            )
+        return out
+
+    return ends, cells
 
 
 def _group_height(n: int) -> int:
@@ -241,8 +295,9 @@ def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
 # n = 256 differed by under 0.1 MB.  The buffers live per call, never per module,
 # because map_trials may run chunks on threads.
 #
-# protocol.estimate_success reuses the cell cap for its chunks of trials,
-# whose rows go through one transform: 6 trials of 10 rows at n = 1024.
+# protocol.estimate_success sizes its chunks of trials by a cap of its own,
+# protocol._CHUNK_CELLS, since its cell reader (_row_cells) costs less per
+# cell than a stream block.
 _STAT_BLOCK_CELLS = 1 << 16
 _STAT_MIN_SHIFTS = 64
 
@@ -291,7 +346,7 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
     rolled = as_strided(
         tripled, (2 * n, stack * step), (tripled.strides[0], tripled.itemsize), writeable=False
     )
-    pairs, height = np.arange(stack), _group_height(n)
+    pairs = np.arange(stack)
     columns = 0
     for start in range(1, n + 1, step):
         shifts = np.arange(start, min(start + step, n + 1))
@@ -302,7 +357,7 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
             # the butterfly buffer that the steps leave free once squared
             mask = buffers[1].view(np.bool_)[: n * columns].reshape(n, columns)
         np.multiply(signs, rolled[start:start + n, :columns], out=product)
-        squares = _spectra(transform, buffers[2], shifts[:, None], pairs, height)[0]
+        squares = _spectra(transform, buffers[2], shifts[:, None], pairs)
         np.less_equal(squares, n, out=mask)
         # a row's in-window cells add at most n each, so at most n**2 <= 2**24
         rows = np.einsum("ij,ij->j", squares, mask)
@@ -392,10 +447,11 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
     """Gap-Hamming relation check for an answer of log2 n transform indices.
 
     Atypical pairs accept anything.  Typical pairs need at least half of the
-    entries to land outside the center window.  The answer's rows are read
-    in one transform (_row_spectra), one column per entry, so a repeated shift
-    is a repeated column; typicality is streamed only when the entries
-    leave validity open (_answer_valid).
+    entries to land outside the center window.  The answer's cells are read
+    by one two-level reader (_row_cells), one column per entry, so a
+    repeated shift is a repeated column, and only the block of sqrt(n)
+    selectors that holds each entry gets its cells; typicality is streamed
+    only when the entries leave validity open (_answer_valid).
     """
     _check_pair(x, y)
     m = answer_length(x.n)
@@ -408,8 +464,9 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
             raise ValueError(f"shift {t.j} outside [1, {x.n}]")
     px, windows = signs = _signs(x, y)
     shifts = np.array([t.j for t in answer])
-    squares = _row_spectra(px, windows[0, shifts], shifts, 0, _group_height(x.n))[0]
-    cells = squares[[t.s.as_unsigned() for t in answer], np.arange(m)]
+    block, cell = np.divmod([t.s.as_unsigned() for t in answer], math.isqrt(x.n))
+    squares = _row_cells(px, windows[0, shifts], shifts, 0)[1](np.arange(m), block)
+    cells = squares[cell, np.arange(m)]
     return _answer_valid(int(np.count_nonzero(cells > x.n)), signs)
 
 

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import io
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -516,6 +517,11 @@ def test_runtime_invariant_failure_exits_one(relation_transforms, capsys):
     relation_transforms(lambda product, run: run() + 1)
     assert main(["protocol-success", "--n", "16", "--trials", "2"]) == 1
     assert capsys.readouterr().err.startswith("error: invariant failed: row j=")
+    # the outcome reader's second level, the transform of the drawn blocks
+    runs = []
+    relation_transforms(lambda product, run: run() + 2 * (runs.append(1) or len(runs) == 2))
+    assert main(["protocol-success", "--n", "16", "--trials", "2"]) == 1
+    assert re.match(r"error: invariant failed: row j=\d+ of pair \d in its stack: block \d ", capsys.readouterr().err)
 
 
 def test_io_failure_exits_one(tmp_path, capsys):
@@ -555,6 +561,18 @@ GOLDEN = {
         "ff0bccfa971a7993ecbfe16522d33f3c28c23485077755634ccb8e38839a41fb",
     "protocol-success --n 64 --trials 10 --seed 1 --t 3":
         "d9688d01b1d479ecaadb08ce58fc7206bf0e82547009d0a502a0915d62d506e4",
+    # the smallest block split of the outcome reader: sqrt(n) = 2
+    "protocol-success --n 4 --trials 40 --seed 5":
+        "9182a574ad0e64083004083eb1e161a2d05ce0871f94e1ab6e96809391734c1a",
+    # estimate 0.925: some trials reach the typicality fallback
+    "protocol-success --n 256 --trials 40 --seed 6 --t 1":
+        "b00d0819550604c190c27f8276c64b643adb493952b33576363a1da80a161c78",
+    # estimate 0.9667: the typicality fallback at n = 1024
+    "protocol-success --n 1024 --trials 30 --seed 1":
+        "0c6136ad84067fa36b0c865a34e3320892d0149a9e2c5c6cb1f62aeb25889513",
+    # 64-bit outcome draws, blocks of sqrt(n) = 64 selectors
+    "protocol-success --n 4096 --trials 6 --seed 8":
+        "2ef8aacb345df8f57d46f8dc6af6765c0726332abf2a4b197647bbc24bcc3024",
     "protocol-failure-exact --n 16 --trials 5 --seed 2":
         "a975390c6428cd04a8a9d1f1ec8e29c0d3f7a528ef6c34fc3db85c0f371c498e",
     "protocol-failure-exact --n 4 --exhaustive":

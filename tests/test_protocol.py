@@ -28,6 +28,7 @@ from ghrlab.relation import (
     TransformIndex,
     answer_length,
     enumerate_pairs,
+    ghr_is_valid,
     is_typical,
 )
 from ghrlab.util import InvariantError
@@ -260,11 +261,13 @@ def test_row_sampler_rejects_empty_count():
 
 
 def test_row_sampler_builds_its_rows_in_one_transform(relation_transforms):
+    """One level-1 transform of the distinct rows, each sqrt(n) lanes of
+    sqrt(n) cells, and one level-2 transform of the 6 drawn blocks."""
     calls = []
     relation_transforms(lambda product, run: calls.append(product.shape) or run())
     pair_rng = Rng(5)
     answer = sample_outcomes(random_bitstring(64, pair_rng), random_bitstring(64, pair_rng), Rng(9), 6)
-    assert calls == [(64, len({t.j for t in answer}))]
+    assert calls == [(8, 8 * len({t.j for t in answer})), (8, 6)]
 
 
 def reference_success(n, trials, rng, t):
@@ -302,12 +305,12 @@ def test_estimate_success_equals_full_table_reference(monkeypatch, n, trials, t)
 
 
 def count_chunks(monkeypatch):
-    """Records the shifts of every chunk transform of the protocol path
+    """Records the shifts of every chunk's cell reader on the protocol path
     (typicality streaming goes through relation._spectra directly and is
     not counted)."""
     calls = []
-    real = protocol._row_spectra
-    monkeypatch.setattr(protocol, "_row_spectra", lambda *a: calls.append(a[2]) or real(*a))
+    real = protocol._row_cells
+    monkeypatch.setattr(protocol, "_row_cells", lambda *a: calls.append(a[2]) or real(*a))
     return calls
 
 
@@ -322,7 +325,7 @@ def test_estimate_success_ignores_chunk_shape(n, trials, t):
     for cap, chunks in ((1, trials), (3 * per_trial, -(-trials // 3)), (10**9, 1)):
         for threads in ("1", "4"):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(protocol, "_STAT_BLOCK_CELLS", cap)
+                mp.setattr(protocol, "_CHUNK_CELLS", cap)
                 mp.setenv("GHRLAB_THREADS", threads)
                 calls = count_chunks(mp)
                 assert estimate_success(n, trials, Rng(29), t=t) == expect
@@ -337,80 +340,121 @@ def test_draws_sharing_a_row_share_its_column(monkeypatch):
 
 
 def test_chunk_of_default_cap_at_n1024(monkeypatch):
-    """2**16 cells hold 6 trials of 10 rows at n = 1024."""
+    """2**18 cells hold 25 trials of 10 rows at n = 1024: 51 trials take
+    chunks of 25, 25 and 1."""
     calls = count_chunks(monkeypatch)
-    estimate_success(1024, 13, Rng(3))
+    estimate_success(1024, 51, Rng(3))
     assert len(calls) == 3
-    assert sum(len(c) for c in calls) <= 130
+    assert min(len(c) for c in calls) <= 10  # the chunk of one; chunks may run on threads in any order
+    assert sum(len(c) for c in calls) <= 510
+
+
+def level(k, corrupt):
+    """A relation_transforms hook that runs every transform and hands the
+    output of the k-th one run, counted from 0, to corrupt."""
+    runs = []
+
+    def hook(product, run):
+        out = run()
+        if len(runs) == k:
+            corrupt(out)
+        runs.append(product.shape)
+        return out
+
+    return hook
 
 
 def test_corrupted_chunk_column_names_its_shift(relation_transforms):
-    """A chunk column that breaks Parseval raises InvariantError naming the
-    shift of its own pair's row: the first column of trial 1 here."""
-    n, t = 16, 4
-    shifts = []
-    for i in range(2):
-        _, _, child = relation.trial_pair(n, Rng(3), i)
-        shifts.append(sorted({int(r) // (n * n) + 1 for r in child.generator.integers(0, n**3, size=t)}))
+    """A chunk column that breaks Parseval at level 1, or a drawn block
+    whose cells break it at level 2, raises InvariantError naming the shift
+    of its own pair's row: trial 1's first column, and its first draw."""
+    n, t, root = 16, 4, 4
+    draws = [relation.trial_pair(n, Rng(3), i)[2].generator.integers(0, n**3, size=t) for i in range(2)]
+    shifts = [sorted({int(r) // (n * n) + 1 for r in d}) for d in draws]
     column = len(shifts[0])
-    transforms = []
 
-    def corrupted(product, run):
-        out = run()
-        if not transforms:  # the chunk's own transform comes before any typicality stream
-            out[0, column] += 2
-        transforms.append(product.shape)
-        return out
+    def shifted(out):
+        out[0, column * root] += 2  # lane 0 of the column's block 0
 
-    relation_transforms(corrupted)
-    with pytest.raises(InvariantError, match=f"^row j={shifts[1][0]} .*n\\*\\*2 = 256"):
+    relation_transforms(level(0, shifted))
+    with pytest.raises(InvariantError, match=f"^row j={shifts[1][0]} of pair 1 in its stack sums to .*, not n\\*\\*2 = 256$"):
+        estimate_success(n, 5, Rng(3))
+
+    def cell(out):
+        out[0, t] += 2  # trial 1's first draw
+
+    relation_transforms(level(1, cell))
+    j = int(draws[1][0]) // (n * n) + 1
+    match = f"^row j={j} of pair 1 in its stack: block [0-3] of its selectors sums to"
+    with pytest.raises(InvariantError, match=match):
         estimate_success(n, 5, Rng(3))
 
 
 def test_corrupted_sampler_column_names_its_shift(relation_transforms):
     pair_rng = Rng(5)
     x, y = random_bitstring(64, pair_rng), random_bitstring(64, pair_rng)
-    shifts = sorted({o.j for o in sample_outcomes(x, y, Rng(9), 6)})
+    answer = sample_outcomes(x, y, Rng(9), 6)
+    shifts = sorted({o.j for o in answer})
     assert len(shifts) > 1
 
-    def corrupted(product, run):
-        out = run()
-        out[3, 1] -= 2
-        return out
+    def corrupted(out):
+        out[3, 8 * 1 + 1] -= 2  # lane 1 of block 3 of the second column
 
-    relation_transforms(corrupted)
+    relation_transforms(level(0, corrupted))
     with pytest.raises(InvariantError, match=f"^row j={shifts[1]} "):
+        sample_outcomes(x, y, Rng(9), 6)
+
+    def cell(out):
+        out[5, 2] -= 2
+
+    relation_transforms(level(1, cell))
+    match = f"^row j={answer[2].j} of pair 0 in its stack: block {answer[2].s.as_unsigned() // 8} "
+    with pytest.raises(InvariantError, match=match):
         sample_outcomes(x, y, Rng(9), 6)
 
 
 def test_prefix_sums_fit_int32(relation_transforms):
-    """The blocked search's sums are exact.  A square of an int16 butterfly
-    value is at most 2**30, so a block of sqrt(n) squares of a corrupted
-    column can pass 2**31.  The block sums run in int32 only when no square
-    exceeds n**2, and a block then sums to at most sqrt(n) * n**2 <= 2**30;
-    here one does, so they run in int64, where a whole column fits, and the
-    cumulative sums across blocks are int64 either way.  The int32 prefix
-    sums within a block run only on columns checked to sum to n**2, so they
-    reach at most n**2, which is 2**24 at the largest allowed n, and no
-    larger n passes the size guard."""
+    """The reader's sums are exact.  A square of an int16 butterfly value
+    is at most 2**30, so sqrt(n) of them can pass 2**31.  A level-1 value
+    lies in [-sqrt(n), sqrt(n)] or raises, so a block's mass, sqrt(n)
+    times sqrt(n) such squares, is at most n**2, and the cumulative masses
+    of sqrt(n) blocks reach at most sqrt(n) * n**2 <= 2**30: int32 holds
+    them.  A drawn block's squared cells are summed in int64, where any
+    int16 cells fit, and the int32 prefix sums within it run only once that
+    sum equals the block's mass, so they reach at most n**2, which is 2**24
+    at the largest allowed n, and no larger n passes the size guard."""
     largest = relation.MAX_TRANSFORM_SIZE
+    root = math.isqrt(largest)
     square = np.iinfo(np.int16).min ** 2
-    assert square == 2**30 and math.isqrt(largest) * square > np.iinfo(np.int32).max
-    assert largest * square < np.iinfo(np.int64).max
-    assert largest**2 == 2**24 < np.iinfo(np.int32).max
+    assert square == 2**30 and root * square > np.iinfo(np.int32).max
+    assert root * root * root * root == largest**2 == 2**24
+    assert root * largest**2 == 2**30 < np.iinfo(np.int32).max
+    assert root * square < np.iinfo(np.int64).max
     relation.require_transform_size(largest)
     with pytest.raises(ValueError):
         relation.require_transform_size(4 * largest)
 
-    def wrapping(product, run):
-        """Columns whose squares 4 * 2**30 + 16**2 sum to n**2 in int32."""
-        out = np.zeros_like(product)
-        out[:4], out[4] = np.iinfo(np.int16).min, 16
-        return out
+    def wrapping(out):
+        """Lanes whose squares 4 * 2**30 + 8**2 sum to 64 in int32."""
+        out[:] = 0
+        out[0, :4], out[0, 4] = np.iinfo(np.int16).min, 8
 
-    relation_transforms(wrapping)
-    with pytest.raises(InvariantError, match=f"sums to {4 * 2**30 + 256}, not n\\*\\*2 = 256"):
-        sample_outcomes(BitString(0, 16), BitString(0, 16), Rng(1), 3)
+    # x = y = 0 at n = 64: all of a row's mass, n**2, sits at s = 0, and
+    # 8 * 64 = 4096 is the mass of its block 0 (level 1) and of the cell
+    relation_transforms(level(0, wrapping))
+    match = "^row j=[0-9]+ of pair 0 in its stack has a half-transform value outside \\[-8, 8\\]$"
+    with pytest.raises(InvariantError, match=match):
+        sample_outcomes(BitString(0, 64), BitString(0, 64), Rng(1), 3)
+
+    def wrapping_cells(out):
+        """Cells whose squares 4 * 2**30 + 64**2 sum to 4096 in int32."""
+        out[:] = 0
+        out[:4], out[4] = np.iinfo(np.int16).min, 64
+
+    relation_transforms(level(1, wrapping_cells))
+    match = f"block 0 of its selectors sums to {4 * 2**30 + 4096}, not its mass 4096$"
+    with pytest.raises(InvariantError, match=match):
+        sample_outcomes(BitString(0, 64), BitString(0, 64), Rng(1), 3)
 
 
 class CraftedDraws:
@@ -456,6 +500,72 @@ def test_blocked_search_equals_full_table_sample(n):
     assert sample_outcomes(x, y, CraftedDraws(draws, n), len(draws)) == expect
     with_mass = np.flatnonzero(dist.numerators[0].reshape(height, height).sum(axis=1))
     assert {o.s.as_unsigned() // height for o in expect if o.j == 1} == set(with_mass.tolist())
+
+
+def reader_draws(row, j, root):
+    """Draws into table row j - 1, given as its squares: at 0 and
+    n**2 - 1, the first and last selector with mass, and at every
+    cumulative block end of r = root selectors and one below it."""
+    per_row = row.size**2
+    ends = np.cumsum(row, dtype=np.int64)[root - 1::root]
+    rems = {0, per_row - 1, *ends.tolist(), *(ends - 1).tolist()}
+    return [(j - 1) * per_row + r for r in sorted(rems) if 0 <= r < per_row]
+
+
+def searched(rows, r):
+    """The cell (j - 1, s) of the full table whose squares are rows that
+    draw r lands in, as OutcomeDistribution.sample's searchsorted finds it."""
+    per_row = rows.shape[1] ** 2
+    row = r // per_row
+    return row, int(np.searchsorted(np.cumsum(rows[row], dtype=np.int64), r % per_row, side="right"))
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256, 1024, 4096])
+def test_two_level_reader_equals_full_table(n):
+    """protocol._outcomes against the full table's rows and searchsorted
+    (side="right") at every allowed n, for t in {1, 3, log2 n} draws per
+    pair of a stack.  Each pair's draws sit in three rows at the first and
+    last selector and at every cumulative block end and one below it, with
+    a few uniform ones.  The pair x = y = 0 holds each row's whole mass at
+    s = 0, so every block after the first has mass 0 and every draw lands
+    at s = 0.  ghr_is_valid on answers of the cells drawn agrees with the
+    table's verdict (oracle.DeltaTable)."""
+    root, m, per_row = math.isqrt(n), answer_length(n), n * n
+    # one random pair at n = 4096, where a table holds 64 MiB of squares
+    pairs = [relation.trial_pair(n, Rng(n), i)[:2] for i in range(1 if n == 4096 else 2)]
+    tables, typical = [], []
+    for x, y in pairs:
+        table = delta_table(x, y)
+        tables.append(table.squares)
+        typical.append(table.aleph())
+        del table
+    pairs.append((BitString(0, n), BitString(0, n)))
+    zero = np.zeros(n, dtype=np.int32)
+    zero[0] = per_row
+    tables.append(np.broadcast_to(zero, (n, n)))  # every shift's row of x = y = 0
+    typical.append(True)  # its statistic is 0: no cell lies in the window
+    px, windows = relation._stacked_signs(*zip(*pairs))
+    uniform = Rng(n + 1).generator.integers(0, n**3, size=5).tolist()
+    pools = [[r for j in (1, n // 2 + 1, n) for r in reader_draws(rows[j - 1], j, root)] + uniform for rows in tables]
+    cells = [[searched(rows, r) for r in pool] for rows, pool in zip(tables, pools)]
+    assert {s for _, s in cells[-1]} == {0}
+    for t in sorted({1, 3, m}):
+        # each call draws t of every pair's pool, wrapping round the shorter pools
+        for k in range(0, max(map(len, pools)), t):
+            picks = [[(k + i) % len(pool) for i in range(t)] for pool in pools]
+            draws = np.array([[pool[i] for i in pick] for pool, pick in zip(pools, picks)], dtype=np.int64)
+            j, s, outside = protocol._outcomes(px, windows, draws)
+            assert np.array_equal(j, draws // per_row + 1)
+            for p, pick in enumerate(picks):
+                expect = [cells[p][i] for i in pick]
+                assert s[p].tolist() == [b for _, b in expect]
+                assert outside[p].tolist() == [bool(tables[p][a, b] > n) for a, b in expect]
+    for p, (x, y) in enumerate(pairs):
+        for k in range(0, 3 * m, m):
+            answer = [cells[p][(k + i) % len(cells[p])] for i in range(m)]
+            hits = sum(tables[p][a, b] > n for a, b in answer)
+            valid = ghr_is_valid(x, y, [TransformIndex(a + 1, BitString(b, m)) for a, b in answer])
+            assert valid == ((not typical[p]) or 2 * hits >= m)
 
 
 def test_repetition_guard():

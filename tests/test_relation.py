@@ -526,31 +526,35 @@ def test_ghr_answer_length_enforced():
 
 @pytest.mark.parametrize("n", [4, 16, 256, 4096])
 def test_row_spectra_equal_the_table_rows(n):
-    """_row_spectra of rows picked from a stack of two pairs, shifts 1 and
-    n repeated: column c of the squares is table row shifts[c] - 1 of its
-    pair, and ends are the cumulative sums of its groups of height rows,
-    for the protocol's sqrt(n) and the stream's _group_height(n).  A sign
-    tripled in one row breaks Parseval in that column alone, which is named
+    """The two-level reader (_row_cells) of rows picked from a stack of two
+    pairs, shifts 1 and n repeated: with r = sqrt(n), its ends are the
+    cumulative masses down each table row of its blocks of r selectors,
+    and cells gives the squared cells of every block asked for.  A sign
+    zeroed in one row breaks Parseval in that column alone, which is named
     by its shift and pair, the first such column when two are."""
     rng = Rng(n)
     pairs = [(random_bitstring(n, rng), random_bitstring(n, rng)) for _ in range(2)]
-    tables = [delta_table(x, y).squares for x, y in pairs]
-    px, windows = stack_of(pairs)
     shifts = np.array([1, n, 2, 1, n // 2 + 1, n, 3, 1])
     pair = np.array([0, 1, 1, 0, 0, 0, 1, 1])
-    expect = np.stack([tables[p][j - 1] for j, p in zip(shifts, pair)], axis=1)
-    for height in sorted({math.isqrt(n), relation._group_height(n)}):
-        squares, ends = relation._row_spectra(px[pair], windows[pair, shifts], shifts, pair, height)
-        assert np.array_equal(squares, expect)
-        groups = expect.reshape(n // height, height, -1).sum(axis=1, dtype=np.int64)
-        assert np.array_equal(ends, np.cumsum(groups, axis=0))
-        assert ends.dtype == np.int64
+    rows = {}
+    for p, (x, y) in enumerate(pairs):
+        squares = delta_table(x, y).squares  # one table at a time: 64 MiB of squares at n = 4096
+        rows.update({(p, int(j)): squares[j - 1].copy() for j in shifts[pair == p]})
+        del squares
+    root = math.isqrt(n)
+    blocks = np.stack([rows[p, j] for j, p in zip(shifts, pair)], axis=1).reshape(root, root, -1)
+    px, windows = stack_of(pairs)
+    ends, cells = relation._row_cells(px[pair], windows[pair, shifts], shifts, pair)
+    assert np.array_equal(ends, np.cumsum(blocks.sum(axis=1), axis=0))
+    assert ends.dtype == np.int32
+    col, block = (a.ravel() for a in np.meshgrid(np.arange(len(shifts)), np.arange(root)))
+    assert np.array_equal(cells(col, block), blocks[block, :, col].T)
     for c in (2, 4):
         rows = windows[pair, shifts].copy()
-        rows[[c, -1], 1] *= 3
-        match = f"^row j={shifts[c]} of pair {pair[c]} in its stack sums to {n * (n + 8)}, not n\\*\\*2 = {n * n}$"
+        rows[[c, -1], 1] = 0
+        match = f"^row j={shifts[c]} of pair {pair[c]} in its stack sums to {n * (n - 1)}, not n\\*\\*2 = {n * n}$"
         with pytest.raises(InvariantError, match=match):
-            relation._row_spectra(px[pair], rows, shifts, pair, relation._group_height(n))
+            relation._row_cells(px[pair], rows, shifts, pair)
 
 
 def test_ghr_valid_reads_the_answer_in_one_transform(relation_transforms):
@@ -567,11 +571,13 @@ def test_ghr_valid_reads_the_answer_in_one_transform(relation_transforms):
     aleph(x, y)
     stream = columns[:]  # the typicality stream's transforms
     columns.clear()
+    # one level-1 transform of the m rows, each 8 lanes of 8 cells, and one
+    # level-2 transform of the m blocks that hold the entries
     assert ghr_is_valid(x, y, answer(np.argwhere(squares > n)))  # decided by its entries
-    assert columns == [m]
+    assert columns == [8 * m, m]
     columns.clear()
     ghr_is_valid(x, y, answer(np.argwhere(squares <= n)))  # left open: typicality decides
-    assert columns == [m] + stream
+    assert columns == [8 * m, m] + stream
 
 
 def test_corrupted_row_trips_parseval_check(monkeypatch, relation_transforms):
