@@ -201,11 +201,13 @@ def fwht_steps(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> Callabl
     rotates the row index by top bits.  The rounds take k // 2 and
     k - k // 2 bits, so the rotations add up to k and the result is in
     natural order.  CHANGES.md times both loops at every shape a run path
-    uses."""
+    uses.  Refuses a v with no axis 0 or one whose length is not 2**k."""
+    size = v.shape[0] if v.ndim else 0
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"fwht needs an axis 0 of length 2**k, got shape {v.shape}")
     if not all(a.flags.c_contiguous for a in (v, *buffers)):
         raise ValueError("fwht steps need a C-contiguous array and buffers")
     src = v
-    size = src.shape[0]
     cols = src.size // size
     k = size.bit_length() - 1
     ops, writes = [], 0
@@ -248,8 +250,8 @@ def fwht(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None) ->
     fwht builds the steps for v read as a C-contiguous array (a copy when
     it is not one) and runs them once (fwht_steps): at 256 rows by 256
     columns on a 2-core VM, building took about 19 us of a 98 us
-    transform."""
-    src = np.ascontiguousarray(v)
+    transform.  Another length, or a 0-d v, raises ValueError."""
+    src = np.asarray(v, order="C")  # np.ascontiguousarray would make a 0-d v 1-d
     if buffers is None:
         buffers = (np.empty_like(src), np.empty_like(src))
     return fwht_steps(src, buffers)()

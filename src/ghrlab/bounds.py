@@ -229,27 +229,28 @@ def _cap(x: np.ndarray) -> np.ndarray:
 
 
 # Grids each memo keeps, the least recently used evicted first: the CLI's
-# bounds-validate reads two tail grids (2.1 MiB) and one window grid (0.24 MiB).
+# bounds-validate reads one tail grid (1.4 MiB) and one window grid (0.24 MiB).
 _GRIDS_KEPT = 8
 
 
 @functools.lru_cache(maxsize=_GRIDS_KEPT)
-def _tail_grid(build: Callable[..., tuple[np.ndarray, ...]], ms: tuple[int, ...], t_max_divisor: int, sides: int):
+def _tail_grid(ms: tuple[int, ...], t_max_divisor: int):
     """Columns over the points (m, t), m in ms and 1 <= t <= m //
-    t_max_divisor, in (m, t) order: m and t as int arrays; count(i), point
-    i's count as the integer C(m, 0) + ... + C(m, floor(m/2 - t)), 0 once
-    floor(m/2 - t) < 0; the exponent e = m + 1 - sides; observed = count /
-    2**e as a float; then build(m, t), the grid's capped bound columns.
-    Every array is read-only, as the grid is memoised on its ints
+    t_max_divisor, in (m, t) order, for both tail reports: m and t as int
+    arrays; count(i), point i's count as the integer C(m, 0) + ... + C(m,
+    floor(m/2 - t)), 0 once floor(m/2 - t) < 0; the floats count / 2**m
+    (one side) and count / 2**(m - 1) (both sides); Hoeffding's capped
+    bound column; and Chernoff's three (_chernoff_bounds) when
+    t_max_divisor >= 3, which keeps every ratio level inside (0, m), else
+    none.  Every array is read-only, as the grid is memoised on its ints
     (_tail_key); the verdicts that read it are not.
 
     Over 2**m the count is the fair binomial's tail at or below m/2 - t
-    and, by symmetry, the one at or above m/2 + t.  As the two tails hold
-    equally many outcomes, observed is the float of one tail (sides=1) or
-    of both (sides=2) over 2**m.  Both come from the row's float cum[k] /
-    2**m (_fair_float_prefix): doubling a float is exact, so twice it is
+    and, by symmetry, the one at or above m/2 + t, so both tails together
+    hold count / 2**(m - 1).  The one-sided float is the row's cum[k] /
+    2**m (_fair_float_prefix); doubling a float is exact, so twice it is
     the correctly rounded count / 2**(m - 1) wherever count / 2**m is
-    normal, and a two-sided point where it may not be is divided again."""
+    normal, and a point where it may not be is divided again."""
     ms = np.array(ms, dtype=np.int64)
     t_max = ms // t_max_divisor
     ms, t_max = ms[t_max >= 1], t_max[t_max >= 1]
@@ -257,21 +258,20 @@ def _tail_grid(build: Callable[..., tuple[np.ndarray, ...]], ms: tuple[int, ...]
     m_col = ms[row]
     t_col = np.arange(1, m_col.size + 1) - (np.cumsum(t_max) - t_max)[row]
     k = m_col // 2 - t_col  # floor(m/2 - t)
-    e = m_col + 1 - sides
 
     def count(i: int) -> int:
         return _fair_cumulative(m_col[i])[k[i]] if k[i] >= 0 else 0
 
-    observed = _fair_float_prefix(ms, row, k)
-    if sides == 2:
-        tiny = np.flatnonzero((k >= 0) & (observed <= 2.0**-1022))
-        observed *= 2.0
-        if tiny.size:
-            observed[tiny] = _dyadic_floats([count(i) for i in tiny], e[tiny])
-    bounds = build(m_col, t_col)
-    for column in (m_col, t_col, k, e, observed, *bounds):
+    one_sided = _fair_float_prefix(ms, row, k)
+    two_sided = one_sided * 2.0
+    tiny = np.flatnonzero((k >= 0) & (one_sided <= 2.0**-1022))
+    if tiny.size:
+        two_sided[tiny] = _dyadic_floats([count(i) for i in tiny], m_col[tiny] - 1)
+    hoeffding = _hoeffding_bounds(m_col, t_col)
+    chernoff = _chernoff_bounds(m_col, t_col) if t_max_divisor >= 3 else ()
+    for column in (m_col, t_col, k, one_sided, two_sided, hoeffding, *chernoff):
         column.setflags(write=False)
-    return m_col, t_col, count, e, observed, *bounds
+    return m_col, t_col, count, one_sided, two_sided, hoeffding, chernoff
 
 
 def _tail_key(m_values: Iterable[int], t_max_divisor: int) -> tuple[tuple[int, ...], int]:
@@ -288,10 +288,10 @@ def _tail_key(m_values: Iterable[int], t_max_divisor: int) -> tuple[tuple[int, .
     return ms, t_max_divisor
 
 
-def _hoeffding_bounds(m: np.ndarray, t: np.ndarray) -> tuple[np.ndarray]:
+def _hoeffding_bounds(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """hoeffding_bound([(0.0, 1.0)] * m, t) at every point, bit for bit."""
     tf = t.astype(np.float64)
-    return (_cap(2.0 * _exp(-2.0 * tf * tf / m.astype(np.float64))),)
+    return _cap(2.0 * _exp(-2.0 * tf * tf / m.astype(np.float64)))
 
 
 def _chernoff_bounds(m: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -549,8 +549,8 @@ def hoeffding_dominance_report(
     exactly float(m); each verdict compares the integer count with the
     bound's exact value.  The grid and its bound column come from their
     memo (_tail_grid); the verdicts are made on every call."""
-    m, t, count, e, observed, bound = _tail_grid(_hoeffding_bounds, *_tail_key(m_values, t_max_divisor), 2)
-    satisfied = _excess_signs(count, e, observed, bound) <= 0
+    m, t, count, _, observed, bound, _ = _tail_grid(*_tail_key(m_values, t_max_divisor))
+    satisfied = _excess_signs(count, m - 1, observed, bound) <= 0
     return BoundReport(
         "two-sided binomial tail vs hoeffding_bound",
         lambda i: f"m={m[i]},t={t[i]}",
@@ -582,9 +582,8 @@ def chernoff_dominance_report(
     every call."""
     if operator.index(t_max_divisor) < 3:
         raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
-    key = _tail_key(m_values, t_max_divisor)
-    m, t, count, e, observed, exp_lo, exp_hi, ratio = _tail_grid(_chernoff_bounds, *key, 1)
-    holds = [_excess_signs(count, e, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
+    m, t, count, observed, _, _, (exp_lo, exp_hi, ratio) = _tail_grid(*_tail_key(m_values, t_max_divisor))
+    holds = [_excess_signs(count, m, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
     return BoundReport(
         "one-sided binomial tails vs relaxed_chernoff_bound",
         lambda i: f"{_CHERNOFF_CHECKS[i % 4]},m={m[i // 4]},t={t[i // 4]}",

@@ -172,8 +172,9 @@ def _passing_distance(n: int) -> int:
 
 
 def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstimate:
-    """Success rate of tghr_baseline over uniform input pairs, trial i on
-    rng.child(i): its pair as trial_pair draws it, then its t shared samples.
+    """Success rate of tghr_baseline over uniform input pairs, each trial on
+    its own child stream (_estimate_in_chunks): its pair as trial_pair
+    draws it, then its t shared samples.
 
     A trial is decided without the argmin.  tghr_baseline answers tau =
     Z_i0 xor y, so tau xor x xor y = Z_i0 xor x and y cancels: the run is
@@ -211,8 +212,7 @@ def estimate_baseline_success(n: int, t: int, trials: int, rng: Rng) -> McEstima
             drawn += size
         return False
 
-    def hits(indices: range) -> int:
-        children = [rng.child(i) for i in indices]
+    def hits(children: list[Rng]) -> int:
         rows = np.array([child.bit_rows(first, n) for child in children])
         passed = _xor_weights(rows[:, 2:], rows[:, :1]).min(axis=1) <= limit
         failed = np.flatnonzero(~passed)

@@ -167,9 +167,10 @@ def failure_probability_exact(x: BitString, y: BitString) -> Fraction:
 def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McEstimate:
     """Monte Carlo success rate of full runs on uniform input pairs.
 
-    Trial i draws its pair as trial_pair does (relation._trial_signs) and
-    then its outcome draws from rng.child(i).  With t set, each run draws
-    only t outcomes and tiles them to log2 n entries.  A t above log2 n gives the same runs as log2 n,
+    Each trial draws its pair as trial_pair does (relation._trial_signs) and
+    then its outcome draws, all from its own child stream
+    (_estimate_in_chunks).  With t set, each run draws only t outcomes and
+    tiles them to log2 n entries.  A t above log2 n gives the same runs as log2 n,
     since a run keeps only its first log2 n draws, so only those are drawn;
     the CLI refuses such a t (require_repetitions), as run_protocol_trep
     does.
@@ -188,8 +189,8 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
     require_repetitions(n, t)
     uses = np.bincount(np.arange(m) % t)  # entries of the tiled answer per draw
 
-    def valid(indices: range) -> int:
-        px, windows, children = _trial_signs(n, rng, indices)
+    def valid(children: list[Rng]) -> int:
+        px, windows = _trial_signs(n, children)
         draws = np.array([_draws(child, n, t) for child in children])
         outside = _outcomes(px, windows, draws)[2]
         return sum(

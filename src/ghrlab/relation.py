@@ -95,19 +95,17 @@ def _windows(doubled: np.ndarray) -> np.ndarray:
     return as_strided(doubled, (stack, n + 1, n), (pair, cell, cell), writeable=False)
 
 
-def _trial_signs(n: int, rng: Rng, indices: range) -> tuple[np.ndarray, np.ndarray, list[Rng]]:
-    """The stacked signs (_stacked_signs) of the pairs trial_pair(n, rng, i)
-    draws for i in indices, and the trials' child streams, left where
-    trial_pair leaves them.
+def _trial_signs(n: int, children: list[Rng]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked signs (_stacked_signs) of the pairs that trial_pair draws
+    from the trials' child streams, each left where trial_pair leaves it.
 
     Each child draws its x and y bytes with one bit_rows(2, n), which reads
     the stream as trial_pair's draws do, and the bytes become signs
     directly, without a BitString: one (pairs, 3, n) int16 array holds x, y
     and y again, so px and the windows' doubled rows are views of it."""
-    children = [rng.child(i) for i in indices]
     bits = np.unpackbits(np.array([child.bit_rows(2, n) for child in children]), axis=2)
     signs = 1 - 2 * bits[:, [0, 1, 1], -n:].astype(np.int16)
-    return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n)), children
+    return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n))
 
 
 def _block(buffers: tuple[np.ndarray, ...], rows: int, columns: int) -> tuple[np.ndarray, Callable]:
@@ -530,18 +528,18 @@ def trial_pair(n: int, rng: Rng, i: int) -> tuple[BitString, BitString, Rng]:
 
 
 def _estimate_in_chunks(
-    trials: int, per_chunk: int, rng: Rng, hits: Callable[[range], int]
+    trials: int, per_chunk: int, rng: Rng, hits: Callable[[list[Rng]], int]
 ) -> McEstimate:
-    """Share of trials that succeed, by Monte Carlo, from hits(indices), the
-    successes among one chunk of consecutive trial indices.
+    """Share of trials that succeed, by Monte Carlo, from hits(children), the
+    successes among one chunk of consecutive trials i, given in order the
+    child streams rng.child(i) that are all the randomness they read.
 
     map_trials hands out whole chunks of per_chunk trials (the last may be
-    shorter) and keeps their order, so as long as trial i draws all of its
-    randomness from rng.child(i) the estimate is a pure function of
+    shorter) and keeps their order, so the estimate is a pure function of
     (trials, seed) and the trials' parameters, regardless of thread count."""
     chunks = -(-trials // per_chunk)
     chunk_hits = map_trials(
-        lambda c: hits(range(c * per_chunk, min((c + 1) * per_chunk, trials))), chunks
+        lambda c: hits([rng.child(i) for i in range(c * per_chunk, min((c + 1) * per_chunk, trials))]), chunks
     )
     return McEstimate.from_successes(sum(chunk_hits), trials, rng.seed)
 
@@ -549,14 +547,14 @@ def _estimate_in_chunks(
 def estimate_aleph_probability(n: int, trials: int, rng: Rng) -> McEstimate:
     """Probability that a uniform pair is typical, by Monte Carlo.
 
-    Trial i draws its pair as trial_pair(n, rng, i) does (_trial_signs).
-    Trials are decided in chunks of _pairs_per_chunk(n), each chunk one
-    stack through _typical with its early stop: 16 pairs in blocks of 16
-    shifts at n = 256."""
+    Each trial draws its pair from its own child stream as trial_pair does
+    (_trial_signs, _estimate_in_chunks).  Trials are decided in chunks of
+    _pairs_per_chunk(n), each chunk one stack through _typical with its
+    early stop: 16 pairs in blocks of 16 shifts at n = 256."""
     require_transform_size(n)
 
-    def typical(indices: range) -> int:
-        return int(np.count_nonzero(_typical(*_trial_signs(n, rng, indices)[:2])))
+    def typical(children: list[Rng]) -> int:
+        return int(np.count_nonzero(_typical(*_trial_signs(n, children))))
 
     return _estimate_in_chunks(trials, _pairs_per_chunk(n), rng, typical)
 

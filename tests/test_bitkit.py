@@ -290,6 +290,20 @@ def test_fwht_buffer_contract(k):
             assert np.array_equal(fwht(fortran), expect)
 
 
+@pytest.mark.parametrize(
+    "v",
+    [np.arange(6), np.arange(12), np.arange(24).reshape(12, 2), np.arange(0), np.zeros((0, 4)), np.array(5)],
+    ids=["6", "12", "12x2", "0", "0x4", "0-d"],
+)
+def test_fwht_refuses_a_length_that_is_not_a_power_of_two(v):
+    # 6 and 12 used to give wrong transforms, 0 a ZeroDivisionError and a
+    # 0-d v a transform of shape (1,)
+    with pytest.raises(ValueError, match="length 2\\*\\*k"):
+        fwht(v)
+    with pytest.raises(ValueError, match="length 2\\*\\*k"):
+        bitkit.fwht_steps(v, (np.empty_like(v), np.empty_like(v)))
+
+
 def test_fwht_steps_replay_on_what_their_array_holds():
     """A runner transforms what its array holds when it runs: run again
     after the array is rewritten, it gives the new transform, in the same

@@ -348,6 +348,12 @@ def test_tail_grids_read_t_max_divisor_as_an_int(clear_bound_grids):
     assert hoeffding_dominance_report(range(10, 20), 4).bound_value is report.bound_value
     assert hoeffding_dominance_report([np.int16(m) for m in range(10, 20)]).bound_value is report.bound_value
     assert bounds._tail_grid.cache_info().currsize == 1
+    # a Chernoff report of the same grid reads that entry: its one-sided
+    # observed is half the Hoeffding report's two-sided one
+    chernoff = chernoff_dominance_report(range(10, 20))
+    info = bounds._tail_grid.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert (2.0 * chernoff.observed[::4]).tolist() == report.observed.tolist()
     # past maxsize the least recently used grid is evicted, and its report
     # built again equals the cold one
     grids = [range(10, 20 + j) for j in range(bounds._GRIDS_KEPT + 1)]
@@ -460,22 +466,22 @@ def test_hoisted_hoeffding_equals_hoeffding_bound(m_values, size):
     ids=["default", "m998-1003", "m1-59/3", "m1030,1100/1"],
 )
 def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
-    # with no bound columns, so a grid past the Chernoff grid's divisor of 3
-    # builds; its entry is evicted like any other
-    m, t, count, e, observed = _tail_grid(no_bounds, tuple(m_values), divisor, sides)
+    # one entry serves both reports: its one-sided column is count / 2**m
+    # and its two-sided one count / 2**(m - 1)
+    m, t, count, one_sided, two_sided, hoeffding, chernoff = _tail_grid(tuple(m_values), divisor)
+    observed = one_sided if sides == 1 else two_sided
     counts = [count(i) for i in range(m.size)]
     expect = []
     for k in m_values:
         for j in range(1, k // divisor + 1):
             count = _fair_cumulative(k)[k // 2 - j] if k // 2 >= j else 0
-            expect.append((k, j, count, k + 1 - sides, count / (1 << (k + 1 - sides))))
-    assert m.dtype == t.dtype == e.dtype == np.int64
-    assert list(zip(m.tolist(), t.tolist(), counts, e.tolist(), observed.tolist())) == expect
-
-
-def no_bounds(m, t):
-    """A tail grid's bound builder with no column."""
-    return ()
+            expect.append((k, j, count, count / (1 << (k + 1 - sides))))
+    assert m.dtype == t.dtype == np.int64
+    assert list(zip(m.tolist(), t.tolist(), counts, observed.tolist())) == expect
+    # Chernoff's columns are built only where every ratio level m/2 +- t
+    # lies inside (0, m), at a divisor of 3 or more
+    assert len(chernoff) == (3 if divisor >= 3 else 0)
+    assert _tail_grid(tuple(m_values), 2)[-1] == ()
 
 
 def test_fair_float_prefix_equals_int_division(monkeypatch):

@@ -717,9 +717,10 @@ def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch, clear_
 
 def test_second_bounds_validate_converts_no_row(monkeypatch, clear_bound_grids):
     # cold, each grid converts, in one call, the span of each row that it
-    # reads: each tail grid k = m//2 - m//4 ... m//2 - 1 of rows 10..400,
-    # and the window grid k = lo - 1 ... hi of its even rows 50..500; then
-    # the window candidates' hits are converted.  Warm, only those hits are
+    # reads: the tail grid, which both tail reports read, k = m//2 - m//4
+    # ... m//2 - 1 of rows 10..400, and the window grid k = lo - 1 ... hi of
+    # its even rows 50..500; then the window candidates' hits are
+    # converted.  Warm, only those hits are
     monkeypatch.setattr(bounds, "_fair_rows", {})
     converted, candidates = [], []
     dyadic, pick = bounds._dyadic_floats, bounds._window_candidates
@@ -732,19 +733,19 @@ def test_second_bounds_validate_converts_no_row(monkeypatch, clear_bound_grids):
     argv = ["bounds-validate", "--n", "256"]
     run_stdout(argv)
     tails = sum(m // 4 for m in range(10, 401))
-    rows = [tails, tails, sum(map(window_width, range(50, 501, 2)))]
-    assert converted == rows + candidates and rows == [19892, 19892, 7484] and candidates == [452]
+    rows = [tails, sum(map(window_width, range(50, 501, 2)))]
+    assert converted == rows + candidates and rows == [19892, 7484] and candidates == [452]
     converted.clear()
     assert hashlib.sha256(run_stdout(argv)).hexdigest() == GOLDEN["bounds-validate --n 256"]
     assert converted == candidates[1:] == [452]
 
 
 def test_second_bounds_validate_evaluates_no_exp(monkeypatch, clear_bound_grids):
-    # cold, math.exp runs over the Hoeffding grid's one column and the
-    # Chernoff grid's four (exp_lo, exp_hi and the ratio form's two
-    # factors), each of the default grid's 19,892 points.  Warm, the memos
-    # serve both, and every verdict is made again: one sign column per
-    # bound column, then the window's 452 candidates.
+    # cold, math.exp runs over the tail grid's Hoeffding column and
+    # Chernoff's four (exp_lo, exp_hi and the ratio form's two factors),
+    # each of the default grid's 19,892 points.  Warm, the memo serves both
+    # reports, and every verdict is made again: one sign column per bound
+    # column, then the window's 452 candidates.
     monkeypatch.setattr(bounds, "_fair_rows", {})
     exps, signs = [], []
     exp, excess_signs = bounds._exp, bounds._excess_signs
@@ -761,14 +762,14 @@ def test_second_bounds_validate_evaluates_no_exp(monkeypatch, clear_bound_grids)
     assert hashlib.sha256(run_stdout(argv)).hexdigest() == golden
     assert exps == [] and signs == verdicts
     # the grid's m values are read as ints, so each form reaches the memo
-    # entries of the CLI's grids
+    # entry of the CLI's grid, the one entry both reports read
     kept = bounds._tail_grid.cache_info()
     hoeffding = bounds.hoeffding_dominance_report().bound_value
     for m_values in (range(10, 401), list(range(10, 401)), np.arange(10, 401)):
         assert bounds.hoeffding_dominance_report(m_values).bound_value is hoeffding
         bounds.chernoff_dominance_report(m_values)
     info = bounds._tail_grid.cache_info()
-    assert exps == [] and (info.misses, info.currsize) == (kept.misses, kept.currsize) == (2, 2)
+    assert exps == [] and (info.misses, info.currsize) == (kept.misses, kept.currsize) == (1, 1)
 
 
 @pytest.mark.parametrize("command", GOLDEN)

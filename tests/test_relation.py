@@ -271,7 +271,8 @@ def test_trial_signs_equal_trial_pair(n):
     trial's child stream; the chunk helper's sign rows are its BitStrings,
     and both leave every child stream where those calls leave it."""
     rng = Rng(23)
-    px, windows, children = relation._trial_signs(n, rng, range(5, 12))
+    children = [rng.child(i) for i in range(5, 12)]
+    px, windows = relation._trial_signs(n, children)
     xs, ys, streams = zip(*(relation.trial_pair(n, rng, i) for i in range(5, 12)))
     assert px.dtype == windows.dtype == np.int16
     for k, (x, y) in enumerate(zip(xs, ys)):
@@ -283,6 +284,22 @@ def test_trial_signs_equal_trial_pair(n):
         assert children[k].u64() == streams[k].u64() == stream.u64()
     expect_px, expect_windows = relation._stacked_signs(xs, ys)
     assert np.array_equal(px, expect_px) and np.array_equal(windows, expect_windows)
+
+
+def test_estimate_in_chunks_hands_each_chunk_its_trials_streams():
+    """Each chunk of consecutive trials i gets the streams rng.child(i), in
+    order, and nothing else; the last chunk may be shorter.  Chunks may run
+    on threads in any order."""
+    rng, chunks = Rng(9), []
+
+    def hits(children):
+        chunks.append([child.u64() for child in children])
+        return len(children) - 1
+
+    estimate = relation._estimate_in_chunks(7, 3, rng, hits)
+    expect = [[rng.child(i).u64() for i in part] for part in (range(3), range(3, 6), range(6, 7))]
+    assert sorted(chunks) == sorted(expect)
+    assert (estimate.mean, estimate.trials, estimate.seed) == (4 / 7, 7, 9)
 
 
 def fix_block_cells(monkeypatch, cells):
@@ -454,7 +471,7 @@ def test_stream_steps_replay_like_fresh_transforms(monkeypatch, relation_transfo
     for n, count in ((256, 21), (64, 300)):
         relation.aleph_statistics(*zip(*(relation.trial_pair(n, Rng(1), i)[:2] for i in range(count))))
     fix_block_cells(monkeypatch, 16 * 3 * 5)
-    relation._statistics(*relation._trial_signs(16, Rng(2), range(3))[:2])
+    relation._statistics(*relation._trial_signs(16, [Rng(2).child(i) for i in range(3)]))
     assert {product.shape for product, _ in built} == {
         (4, 4), (16, 16), (64, 64), (256, 256), (1024, 64), (4096, 64),
         (256, 255), (256, 5), (64, 1024), (64, 1012), (64, 792), (16, 15), (16, 3),
