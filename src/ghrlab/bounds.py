@@ -116,57 +116,28 @@ def _ratio_power(num: float, den: float) -> float:
     return math.exp(den * (math.log(num) - math.log(den)))
 
 
-# Rows of _fair_cumulative built so far, by m, up to _FAIR_ROWS_KEPT of them
-# (the CLI's grids ask for 441).  Two threads building the same row store the
-# same value, so the dict needs no lock.
-_FAIR_ROWS_KEPT = 1024
-_fair_rows: dict[int, tuple[int, ...]] = {}
+def _fair_counts(m: int, ks: Sequence[int]) -> list[int]:
+    """cum[k] = C(m, 0) + ... + C(m, k) at each k of ks, as exact integers:
+    0 for k < 0 and 2**m for k >= m.  A numpy integer m gives its int's.
 
-
-def _fair_cumulative(m: int) -> tuple[int, ...]:
-    """cum[k] = sum_{i <= k} C(m, i) as exact integers, kept once built.
-
-    With row m - 1 kept, row m comes from it by Pascal's rule summed over
-    i <= k: cum_m[k] = cum_{m-1}[k] + cum_{m-1}[k-1] for 0 < k < m, with
-    cum_m[0] = 1 and cum_m[m] = 2**m, one big-int addition per entry; a grid
-    over consecutive m builds every row but its first that way.  Any other
-    row comes from C(m, k+1) = C(m, k)(m - k)/(k + 1), a multiplication and
-    an exact division per entry, so a row asked for alone costs O(m) steps."""
-    m = operator.index(m)  # a numpy integer builds and keys its int's row
-    cum = _fair_rows.get(m)
-    if cum is not None:
-        return cum
-    prev = _fair_rows.get(m - 1)
-    if prev is not None:
-        cum = (1, *map(operator.add, prev[1:], prev), 1 << m)
-    else:
-        coeff = acc = 1
-        out = [1]
-        for k in range(m):
-            coeff = coeff * (m - k) // (k + 1)
-            acc += coeff
-            out.append(acc)
-        cum = tuple(out)
-    if len(_fair_rows) < _FAIR_ROWS_KEPT:
-        _fair_rows[m] = cum
-    return cum
-
-
-def _fair_float_prefix(m_values: Sequence[int], row: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """cum[k] / 2**m at every point (row, k), m = m_values[row], as Python's
-    correctly rounded int / int, and 0.0 where k < 0; row must be
-    nondecreasing and every k at most its m.
-
-    Only the span of each row that its points read, from its least k >= 0
-    to its greatest k, is converted, all spans in one _dyadic_floats call."""
-    firsts = np.flatnonzero(np.diff(row, prepend=-1))  # each row's first point
-    lo = np.maximum(np.minimum.reduceat(k, firsts), 0)
-    widths = np.maximum(np.maximum.reduceat(k, firsts) + 1 - lo, 0)
-    ms = [operator.index(m_values[r]) for r in row[firsts].tolist()]
-    spans = (_fair_cumulative(m)[a:a + w] for m, a, w in zip(ms, lo.tolist(), widths.tolist()))
-    floats = np.append(_dyadic_floats(list(chain.from_iterable(spans)), np.repeat(ms, widths)), 0.0)
-    start = np.repeat(np.cumsum(widths) - widths - lo, np.diff(firsts, append=row.size))
-    return floats[np.where(k >= 0, start + k, -1)]  # the appended 0.0 where k < 0
+    No row is built: the walk starts at the middle, h = (m - 1) // 2, where
+    the row's symmetry gives cum[h] = (2**m - C(m, m/2))/2 for even m and
+    2**(m - 1) for odd m.  Each step down subtracts C(m, k) and takes C(m,
+    k - 1) = C(m, k) k / (m - k + 1), an exact division, and a k above h
+    reads 2**m - cum[m - 1 - k]; so the walk stops at the least of k and
+    m - 1 - k asked for."""
+    m = operator.index(m)
+    h, full = (m - 1) // 2, 1 << m
+    inside = [k for k in ks if 0 <= k < m]
+    walked = []  # walked[h - j] = cum[j]
+    if inside:
+        coeff = math.comb(m, h)
+        cum = full >> 1 if m % 2 else (full - coeff * (m - h) // (h + 1)) >> 1
+        for k in range(h, min(min(inside), m - 1 - max(inside)) - 1, -1):
+            walked.append(cum)
+            cum -= coeff
+            coeff = coeff * k // (m - k + 1)
+    return [0 if k < 0 else full if k >= m else walked[h - k] if k <= h else full - walked[k + h + 1 - m] for k in ks]
 
 
 def _excess(count: int, m: int, bound: float) -> int:
@@ -176,12 +147,12 @@ def _excess(count: int, m: int, bound: float) -> int:
 
 
 def _excess_signs(
-    count: Callable[[int], int], e: int | np.ndarray, observed: np.ndarray, bound: np.ndarray
+    counts: Sequence[int], e: int | np.ndarray, observed: np.ndarray, bound: np.ndarray
 ) -> np.ndarray:
-    """The sign of count(i) / 2**e[i] - bound[i] at every point, as int8.
+    """The sign of counts[i] / 2**e[i] - bound[i] at every point, as int8.
 
-    e is one int or one per point, observed[i] must be the float count(i) /
-    2**e[i], and count is called only at a tie.  Python's int / int is
+    e is one int or one per point, observed[i] must be the float counts[i]
+    / 2**e[i], and counts is read only at a tie.  Python's int / int is
     correctly rounded, and rounding is monotone: a float bound rounds to
     itself, so a quotient <= bound forces observed <= bound, and a quotient
     >= bound forces observed >= bound.  Hence observed > bound proves the
@@ -193,7 +164,7 @@ def _excess_signs(
     signs = (observed > bound).astype(np.int8) - (observed < bound)
     exps = np.broadcast_to(e, observed.shape)
     for i in np.flatnonzero(signs == 0):
-        excess = _excess(count(i), int(exps[i]), float(bound[i]))
+        excess = _excess(counts[i], int(exps[i]), float(bound[i]))
         signs[i] = (excess > 0) - (excess < 0)
     return signs
 
@@ -237,7 +208,7 @@ _GRIDS_KEPT = 8
 def _tail_grid(ms: tuple[int, ...], t_max_divisor: int):
     """Columns over the points (m, t), m in ms and 1 <= t <= m //
     t_max_divisor, in (m, t) order, for both tail reports: m and t as int
-    arrays; count(i), point i's count as the integer C(m, 0) + ... + C(m,
+    arrays; counts, a tuple of each point's integer C(m, 0) + ... + C(m,
     floor(m/2 - t)), 0 once floor(m/2 - t) < 0; the floats count / 2**m
     (one side) and count / 2**(m - 1) (both sides); Hoeffding's capped
     bound column; and Chernoff's three (_chernoff_bounds) when
@@ -247,8 +218,8 @@ def _tail_grid(ms: tuple[int, ...], t_max_divisor: int):
 
     Over 2**m the count is the fair binomial's tail at or below m/2 - t
     and, by symmetry, the one at or above m/2 + t, so both tails together
-    hold count / 2**(m - 1).  The one-sided float is the row's cum[k] /
-    2**m (_fair_float_prefix); doubling a float is exact, so twice it is
+    hold count / 2**(m - 1).  The one-sided float is the correctly rounded
+    count / 2**m (_dyadic_floats); doubling a float is exact, so twice it is
     the correctly rounded count / 2**(m - 1) wherever count / 2**m is
     normal, and a point where it may not be is divided again."""
     ms = np.array(ms, dtype=np.int64)
@@ -257,21 +228,18 @@ def _tail_grid(ms: tuple[int, ...], t_max_divisor: int):
     row = np.repeat(np.arange(ms.size), t_max)
     m_col = ms[row]
     t_col = np.arange(1, m_col.size + 1) - (np.cumsum(t_max) - t_max)[row]
-    k = m_col // 2 - t_col  # floor(m/2 - t)
-
-    def count(i: int) -> int:
-        return _fair_cumulative(m_col[i])[k[i]] if k[i] >= 0 else 0
-
-    one_sided = _fair_float_prefix(ms, row, k)
+    pairs = zip(ms.tolist(), t_max.tolist())  # each point's count at k = floor(m/2 - t) = m//2 - t
+    counts = tuple(chain.from_iterable(_fair_counts(m, range(m // 2 - 1, m // 2 - top - 1, -1)) for m, top in pairs))
+    one_sided = _dyadic_floats(counts, m_col)
     two_sided = one_sided * 2.0
-    tiny = np.flatnonzero((k >= 0) & (one_sided <= 2.0**-1022))
-    if tiny.size:
-        two_sided[tiny] = _dyadic_floats([count(i) for i in tiny], m_col[tiny] - 1)
+    tiny = [i for i in np.flatnonzero(one_sided <= 2.0**-1022).tolist() if counts[i]]
+    if tiny:
+        two_sided[tiny] = _dyadic_floats([counts[i] for i in tiny], m_col[tiny] - 1)
     hoeffding = _hoeffding_bounds(m_col, t_col)
     chernoff = _chernoff_bounds(m_col, t_col) if t_max_divisor >= 3 else ()
-    for column in (m_col, t_col, k, one_sided, two_sided, hoeffding, *chernoff):
+    for column in (m_col, t_col, one_sided, two_sided, hoeffding, *chernoff):
         column.setflags(write=False)
-    return m_col, t_col, count, one_sided, two_sided, hoeffding, chernoff
+    return m_col, t_col, counts, one_sided, two_sided, hoeffding, chernoff
 
 
 def _tail_key(m_values: Iterable[int], t_max_divisor: int) -> tuple[tuple[int, ...], int]:
@@ -329,7 +297,7 @@ def _window_columns(ms: tuple[int, ...]) -> tuple:
     """The window report's memo: the columns of _window_grid over the m
     values ms that depend on them alone, every array read-only.  Per row m,
     lo, main and cubic; on the padded grid d**3, F and G; and each m's
-    integer row, for the hits."""
+    integer counts cum[lo - 1], ..., cum[hi], for the hits."""
     rows = []
     for m in ms:
         _, main, cubic = _window_constants(m)
@@ -341,8 +309,9 @@ def _window_columns(ms: tuple[int, ...]) -> tuple:
     sizes = his - los + 2
     row = np.repeat(np.arange(len(rows)), sizes)
     col = np.arange(row.size) - (np.cumsum(sizes) - sizes)[row]
+    counts = tuple(_fair_counts(m, range(lo - 1, hi + 1)) for m, lo, hi in zip(ms, columns[1], columns[2]))
     prefix = np.zeros((len(rows), sizes.max()))  # prefix[i, j] = cum[lo + j - 1]/2**m
-    prefix[row, col] = _fair_float_prefix(ms, row, los[row] + col - 1)
+    prefix[row, col] = _dyadic_floats(list(chain.from_iterable(counts)), m_col[row])
     d = los[:, None] - m_col[:, None] // 2 + np.arange(prefix.shape[1] - 1)  # k - m/2
     cubes = (d * d * d).astype(np.float64)
     poly = cubic[:, None] * cubes - main[:, None] * d
@@ -352,7 +321,7 @@ def _window_columns(ms: tuple[int, ...]) -> tuple:
     arrays = (m_col, los, main, cubic, cubes, f, g)
     for array in arrays:
         array.setflags(write=False)
-    return *arrays, tuple(map(_fair_cumulative, ms))
+    return *arrays, counts
 
 
 def _window_grid(m_values: Iterable[int], c_term: float):
@@ -377,7 +346,7 @@ def _window_grid(m_values: Iterable[int], c_term: float):
     hits/2**m - bound and of the float margin fl(fl(hits/2**m) - bound).
     Proof, with u = 2**-53 and s = |shift|: |d| <= sqrt(m), so |main d| <=
     0.8 and |cubic d**3| <= 0.54.  Each cum[k]/2**m in [0, 1] is rounded
-    once (_fair_float_prefix), to within u; fl(fl(cubic d**3) - fl(main d)) is
+    once (_dyadic_floats), to within u; fl(fl(cubic d**3) - fl(main d)) is
     within 2.7u of its real value; so a computed F or G is within 6.1u of
     its own, and fl(F[b] - G[a]), below 4.7 in magnitude, within 17u of
     F[b] - G[a].  The float bound rounds main (b - a) (at most 1.6), cubic
@@ -397,12 +366,12 @@ def _window_grid(m_values: Iterable[int], c_term: float):
     ms = tuple(map(operator.index, m_values))
     if not ms:
         raise ValueError(f"no m values to check: m_values={m_values!r}")
-    m, los, main, cubic, cubes, f, g, cums = _window_columns(ms)
+    m, los, main, cubic, cubes, f, g, counts = _window_columns(ms)
     shift = c_term / m
 
-    def windows(i, a, b):
-        ends = zip(map(cums.__getitem__, i.tolist()), (los[i] + b).tolist(), (los[i] + a - 1).tolist())
-        hits = [cum[top] - (cum[bot] if bot >= 0 else 0) for cum, top, bot in ends]
+    def windows(i, a, b):  # counts[i][j] = cum[lo + j - 1]
+        ends = zip(map(counts.__getitem__, i.tolist()), (b + 1).tolist(), a.tolist())
+        hits = [cum[top] - cum[bot] for cum, top, bot in ends]
         return hits, main[i] * (b - a) - cubic[i] * (cubes[i, b] - cubes[i, a]) - shift[i]
 
     return m, shift, f, g, _TIE_TOL * (1.0 + np.abs(shift)), windows
@@ -412,9 +381,8 @@ def exact_binomial_window(m: int, a: int, b: int) -> Fraction:
     """P[a <= X <= b] for X ~ Binomial(m, 1/2), exactly, over the row's cum[m] = 2**m."""
     if not 0 <= a <= b <= m:
         raise ValueError(f"window [{a}, {b}] invalid for m={m}")
-    cum = _fair_cumulative(m)
-    hits = cum[b] - (cum[a - 1] if a > 0 else 0)
-    return Fraction(hits, cum[m])
+    below, upto, full = _fair_counts(m, (a - 1, b, m))
+    return Fraction(upto - below, full)
 
 
 def exact_binomial_tail(m: int, p: Fraction, k: int) -> Fraction:
@@ -459,7 +427,7 @@ def binomial_window_lower(m: int, a: int, b: int, c_term: float = DEFAULT_WINDOW
     return main_coef * (b - a) - cubic_coef * ((b - half) ** 3 - (a - half) ** 3) - c_term / m
 
 
-def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2))) -> float:
+def calibrate_window_lower_c(m_values: Iterable[int] = tuple(range(50, 501, 2))) -> float:
     """Smallest nonnegative c such that binomial_window_lower(m, a, b, c)
     never exceeds the exact window, over all windows inside m/2 +- sqrt(m)
     of the given m.  Clamped at zero: the correction only ever tightens.
@@ -468,6 +436,7 @@ def calibrate_window_lower_c(m_values: Sequence[int] = tuple(range(50, 501, 2)))
     -fl(bound - exact), and scaling by m > 0 is monotone, so the largest
     (bound - exact) * m of each m sits at the worst window its point keys to.
     """
+    m_values = tuple(m_values)  # read once: the report and the scaling both need it
     report = window_lower_dominance_report(m_values, 0.0)
     return max(0.0, float(((report.bound_value - report.observed) * np.asarray(m_values)).max()))
 
@@ -549,8 +518,8 @@ def hoeffding_dominance_report(
     exactly float(m); each verdict compares the integer count with the
     bound's exact value.  The grid and its bound column come from their
     memo (_tail_grid); the verdicts are made on every call."""
-    m, t, count, _, observed, bound, _ = _tail_grid(*_tail_key(m_values, t_max_divisor))
-    satisfied = _excess_signs(count, m - 1, observed, bound) <= 0
+    m, t, counts, _, observed, bound, _ = _tail_grid(*_tail_key(m_values, t_max_divisor))
+    satisfied = _excess_signs(counts, m - 1, observed, bound) <= 0
     return BoundReport(
         "two-sided binomial tail vs hoeffding_bound",
         lambda i: f"m={m[i]},t={t[i]}",
@@ -582,8 +551,8 @@ def chernoff_dominance_report(
     every call."""
     if operator.index(t_max_divisor) < 3:
         raise ValueError(f"t_max_divisor must be >= 3, got {t_max_divisor}")
-    m, t, count, observed, _, _, (exp_lo, exp_hi, ratio) = _tail_grid(*_tail_key(m_values, t_max_divisor))
-    holds = [_excess_signs(count, m, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
+    m, t, counts, observed, _, _, (exp_lo, exp_hi, ratio) = _tail_grid(*_tail_key(m_values, t_max_divisor))
+    holds = [_excess_signs(counts, m, observed, bound) <= 0 for bound in (exp_lo, exp_hi, ratio)]
     return BoundReport(
         "one-sided binomial tails vs relaxed_chernoff_bound",
         lambda i: f"{_CHERNOFF_CHECKS[i % 4]},m={m[i // 4]},t={t[i // 4]}",
@@ -652,7 +621,7 @@ def window_lower_dominance_report(
         hits, bound = windows(rows, a[part], b[part])
         e = ms[rows]
         exact = _dyadic_floats(hits, e)
-        fails += np.bincount(rows[_excess_signs(hits.__getitem__, e, exact, bound) < 0], minlength=len(ms))
+        fails += np.bincount(rows[_excess_signs(hits, e, exact, bound) < 0], minlength=len(ms))
         gap = exact - bound
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))  # rows is sorted
         seen, low = rows[firsts], np.minimum.reduceat(gap, firsts)
@@ -698,7 +667,7 @@ def require_shift_samples(n: int, trials: int) -> None:
 
 def shift_xor_tail_check(
     n: int,
-    t_values: Sequence[float],
+    t_values: Iterable[float],
     trials: int,
     rng: Rng,
 ) -> BoundReport:
@@ -708,6 +677,7 @@ def shift_xor_tail_check(
     a are sampled from rng.child(i-1); the frequency of deviation >= t is
     compared against min(1, 4*exp(-t**2/2n)) plus three standard errors.
     """
+    t_values = tuple(t_values)  # read once, so a generator or an array is checked like a list
     require_shift_size(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -716,7 +686,6 @@ def shift_xor_tail_check(
         raise ValueError(f"no t values to check at n={n}")
     if any(t < 0 for t in t_values):
         raise ValueError("t values must be nonnegative")
-    t_values = tuple(t_values)
 
     def one_shift(idx: int) -> list[int]:
         child = rng.child(idx)

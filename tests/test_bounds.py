@@ -24,8 +24,7 @@ from ghrlab.bounds import (
     _dyadic_floats,
     _excess,
     _excess_signs,
-    _fair_cumulative,
-    _fair_float_prefix,
+    _fair_counts,
     _tail_grid,
     _window_grid,
     DEFAULT_WINDOW_C,
@@ -44,6 +43,14 @@ from ghrlab.bounds import (
     shift_xor_tail_check,
     window_lower_dominance_report,
 )
+
+
+@functools.cache
+def comb_prefix(m: int) -> tuple[int, ...]:
+    """cum[k] = C(m, 0) + ... + C(m, k) for k = 0 ... m, summed from
+    math.comb: the oracle for bounds' fair counts, kept per m as the grid
+    tests read each row at many points."""
+    return tuple(accumulate(math.comb(m, k) for k in range(m + 1)))
 
 
 def test_markov_chebyshev():
@@ -200,17 +207,13 @@ def test_fair_tail_equals_the_prefix_rows():
             assert exact_binomial_tail(m, Fraction(1, 2), k) == 1 - exact_binomial_window(m, 0, k - 1)
 
 
-def test_numpy_m_keys_the_same_fair_rows(monkeypatch, clear_bound_grids):
-    # from empty rows and memos, so numpy integers build the rows and their
-    # floats: no int64 may reach a row's coefficients, and rows are keyed by
-    # the equal Python ints
-    monkeypatch.setattr(bounds, "_fair_rows", {})
+def test_numpy_m_keys_the_same_fair_rows(clear_bound_grids):
+    # from empty memos, so numpy integers build the counts and their floats:
+    # no int64 may reach a count
     ms = np.arange(50, 501, 2)
     assert window_lower_dominance_report(ms) == window_lower_dominance_report(tuple(ms.tolist()))
     assert window_lower_dominance_report().passed
     assert calibrate_window_lower_c(ms) == 0.0
-    assert bounds._fair_rows and all(type(m) is int for m in bounds._fair_rows)
-    monkeypatch.setattr(bounds, "_fair_rows", {})
     assert exact_binomial_window(np.int64(100), 0, 50) == exact_binomial_window(100, 0, 50)
     assert exact_binomial_window(100, 0, 50) == Fraction(sum(math.comb(100, k) for k in range(51)), 1 << 100)
 
@@ -420,21 +423,28 @@ def test_grid_memos_cannot_collide_or_go_stale(monkeypatch, clear_bound_grids):
         window_lower_dominance_report(ms)
 
 
-def test_fair_cumulative_equals_comb_prefix_sums(monkeypatch):
-    expect = [tuple(accumulate(math.comb(m, k) for k in range(m + 1))) for m in range(601)]
-    shuffled = list(range(601))
-    random.Random(7).shuffle(shuffled)
-    # from an empty cache in ascending, descending and shuffled order, so
-    # rows come from row m - 1 (ascending), directly (descending) or mixed
-    for order in (range(601), range(600, -1, -1), shuffled):
-        monkeypatch.setattr(bounds, "_fair_rows", {})
-        for m in order:
-            assert _fair_cumulative(m) == expect[m]
-            assert _fair_cumulative(m) is _fair_cumulative(m)  # kept
-    # past the cap, rows are built but no longer kept
-    monkeypatch.setattr(bounds, "_FAIR_ROWS_KEPT", 601)
-    assert _fair_cumulative(700) == tuple(accumulate(math.comb(700, k) for k in range(701)))
-    assert 700 not in bounds._fair_rows
+def oracle_counts(m: int, ks) -> list[int]:
+    """comb_prefix(m) at each k, 0 below the row and 2**m past it."""
+    return [0 if k < 0 else comb_prefix(m)[min(k, m)] for k in ks]
+
+
+def test_fair_counts_equal_comb_prefix_sums():
+    # every k around every short row, each k alone and all at once, in
+    # ascending and shuffled order, for even and odd m
+    for m in range(91):
+        ks = list(range(-3, m + 3))
+        assert _fair_counts(m, ks) == oracle_counts(m, ks)
+        assert [_fair_counts(m, [k]) for k in ks] == [[c] for c in oracle_counts(m, ks)]
+        random.Random(m).shuffle(ks)
+        assert _fair_counts(m, ks) == oracle_counts(m, ks)
+    # long rows, on both sides of the middle and at their ends
+    for m in (*range(998, 1005), 1030, 1100):
+        ks = [-1, 0, 1, m // 2 - 40, m // 2 - 1, m // 2, m // 2 + 1, m // 2 + 40, m - 1, m, m + 1]
+        assert _fair_counts(m, ks) == oracle_counts(m, ks)
+    # a numpy m gives the Python ints of its int
+    got = _fair_counts(np.int64(100), [40, 50, 60])
+    assert got == oracle_counts(100, [40, 50, 60]) and all(type(c) is int for c in got)
+    assert _fair_counts(5, []) == []
 
 
 # the default grid, and one whose exponents straddle e = 1000, past which
@@ -468,13 +478,12 @@ def test_hoisted_hoeffding_equals_hoeffding_bound(m_values, size):
 def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
     # one entry serves both reports: its one-sided column is count / 2**m
     # and its two-sided one count / 2**(m - 1)
-    m, t, count, one_sided, two_sided, hoeffding, chernoff = _tail_grid(tuple(m_values), divisor)
+    m, t, counts, one_sided, two_sided, hoeffding, chernoff = _tail_grid(tuple(m_values), divisor)
     observed = one_sided if sides == 1 else two_sided
-    counts = [count(i) for i in range(m.size)]
     expect = []
     for k in m_values:
         for j in range(1, k // divisor + 1):
-            count = _fair_cumulative(k)[k // 2 - j] if k // 2 >= j else 0
+            count = comb_prefix(k)[k // 2 - j] if k // 2 >= j else 0
             expect.append((k, j, count, count / (1 << (k + 1 - sides))))
     assert m.dtype == t.dtype == np.int64
     assert list(zip(m.tolist(), t.tolist(), counts, observed.tolist())) == expect
@@ -482,23 +491,6 @@ def test_tail_grid_equals_per_point_loop(m_values, divisor, sides):
     # lies inside (0, m), at a divisor of 3 or more
     assert len(chernoff) == (3 if divisor >= 3 else 0)
     assert _tail_grid(tuple(m_values), 2)[-1] == ()
-
-
-def test_fair_float_prefix_equals_int_division(monkeypatch):
-    # every float is Python's cum[k] / 2**m, past m = 1000 too, where
-    # _dyadic_floats divides as ints; a numpy m reads its int's row, k < 0
-    # reads 0.0, and only the span of k that each row reads is converted
-    spans = {1: [0, 1], 2: [-1, 2, 0], 7: [-3, -1], 64: [40, 33, 35], 999: [0, 999], 1000: [500], 1001: [1, 2]}
-    spans[1100] = list(range(-2, 1101))
-    ms = [np.int64(m) if i % 2 else m for i, m in enumerate(spans)]  # every other m a numpy integer
-    row = np.repeat(np.arange(len(spans)), [len(ks) for ks in spans.values()])
-    k = np.concatenate([np.array(ks) for ks in spans.values()])
-    dyadic, converted = bounds._dyadic_floats, []
-    monkeypatch.setattr(bounds, "_dyadic_floats", lambda counts, e: converted.append(len(counts)) or dyadic(counts, e))
-    got = _fair_float_prefix(ms, row, k)
-    expect = [_fair_cumulative(m)[j] / (1 << m) if j >= 0 else 0.0 for m, ks in spans.items() for j in ks]
-    assert got.tolist() == expect
-    assert converted == [sum(max(max(ks) + 1 - max(min(ks), 0), 0) for ks in spans.values())] == [2117]
 
 
 @pytest.mark.parametrize(
@@ -519,10 +511,10 @@ def test_grid_ties_are_decided_from_the_integer_rows(make, sides, monkeypatch):
     picked = np.arange(0, len(grid), 7)
     real = bounds._excess_signs
 
-    def tied(count, e, observed, bound):
+    def tied(counts, e, observed, bound):
         bound = bound.copy()
         bound[picked] = observed[picked]
-        return real(count, e, observed, bound)
+        return real(counts, e, observed, bound)
 
     monkeypatch.setattr(bounds, "_excess_signs", tied)
     report = make(ms)
@@ -530,7 +522,7 @@ def test_grid_ties_are_decided_from_the_integer_rows(make, sides, monkeypatch):
     expect = []
     for i in picked.tolist():
         m, t = grid[i]
-        count = _fair_cumulative(m)[m // 2 - t] if m // 2 >= t else 0
+        count = comb_prefix(m)[m // 2 - t] if m // 2 >= t else 0
         expect.append(_excess(count, m + 1 - sides, float(report.observed[checks * i])) <= 0)
     assert report.satisfied.reshape(len(grid), checks)[picked].tolist() == [[v] * checks for v in expect]
     assert True in expect and False in expect
@@ -584,7 +576,7 @@ def test_float_first_verdict_has_the_exact_sign(case):
     # or one per point, and the float-first verdict
     column = _dyadic_floats([count], m)
     assert column.tolist() == _dyadic_floats([count], np.array([m])).tolist() == [observed]
-    signs = _excess_signs([count].__getitem__, m, column, np.array([bound]))
+    signs = _excess_signs([count], m, column, np.array([bound]))
     assert signs.tolist() == [sign(_excess(count, m, bound))]
 
 
@@ -604,8 +596,8 @@ def test_chernoff_grid_equals_relaxed_chernoff_bound(m_values, size):
     for i, (m, t) in enumerate(grid):
         mu = m / 2.0
         lower, upper = (
-            _fair_cumulative(m)[(m - 2 * t) // 2],
-            (1 << m) - _fair_cumulative(m)[(m + 2 * t + 1) // 2 - 1],
+            comb_prefix(m)[(m - 2 * t) // 2],
+            (1 << m) - comb_prefix(m)[(m + 2 * t + 1) // 2 - 1],
         )
         expect = (
             ("exp_lo", lower, relaxed_chernoff_bound("lower_tail", a=mu, t=t)),
@@ -623,7 +615,7 @@ def test_chernoff_grid_equals_relaxed_chernoff_bound(m_values, size):
 def reference_windows(m, c_term):
     """(hits, exact, bound) of every window a < b inside m/2 +- sqrt(m), from
     binomial_window_lower itself."""
-    cum = _fair_cumulative(m)
+    cum = comb_prefix(m)
     lo = max(math.ceil(m / 2 - math.sqrt(m)), 0)
     hi = min(math.floor(m / 2 + math.sqrt(m)), m)
     windows = []
@@ -980,6 +972,26 @@ def test_shift_xor_tail_check_thread_invariant(monkeypatch):
     monkeypatch.setenv("GHRLAB_THREADS", "4")
     b = shift_xor_tail_check(16, [2], 500, Rng(3))
     assert a == b
+
+
+def test_shift_xor_tail_check_reads_t_values_once():
+    # a generator used to give a 0-point report that passed, and a numpy
+    # array an ambiguous truth value
+    ts = [2, 4]
+    reports = [shift_xor_tail_check(16, v, 200, Rng(3)) for v in (ts, (t for t in ts), np.array(ts))]
+    assert reports[0] == reports[1] == reports[2] and len(reports[0].points) == 15 * 2
+    with pytest.raises(ValueError, match="no t values"):
+        shift_xor_tail_check(16, (t for t in ()), 200, Rng(3))
+    with pytest.raises(ValueError, match="nonnegative"):
+        shift_xor_tail_check(16, np.array([2, -1]), 200, Rng(3))
+
+
+def test_calibrate_window_lower_c_reads_m_values_once():
+    # its report used to use up a generator before the scaling read it
+    ms = range(50, 121, 2)
+    assert calibrate_window_lower_c(list(ms)) == calibrate_window_lower_c(m for m in ms) == calibrate_window_lower_c(
+        np.array(ms)
+    )
 
 
 def test_anticorrelated_trivial_cases():

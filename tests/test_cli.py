@@ -668,8 +668,8 @@ def test_csv_bytes_match_golden(command, monkeypatch):
 
 
 def default_columns():
-    """The columns of the three default dominance reports, which the row
-    caches could change: the labels come from the grid alone."""
+    """The columns of the three default dominance reports, which the grid
+    memos could change: the labels come from the grid alone."""
     reports = (
         bounds.hoeffding_dominance_report(),
         bounds.chernoff_dominance_report(),
@@ -681,27 +681,25 @@ def default_columns():
 @pytest.mark.parametrize(
     "fill",
     [
-        lambda mp: None,
-        lambda mp: bounds.window_lower_dominance_report(),
-        # rows over other m, kept at another divisor, partly overlapping
-        lambda mp: bounds.hoeffding_dominance_report(range(300, 700, 3), t_max_divisor=1),
-        # the cap reached: no default row is kept, every call builds its own
-        lambda mp: mp.setattr(bounds, "_FAIR_ROWS_KEPT", 10) or bounds.hoeffding_dominance_report(range(40, 50)),
+        lambda: None,
+        lambda: bounds.window_lower_dominance_report(),
+        # a grid over other m, kept at another divisor, partly overlapping
+        lambda: bounds.hoeffding_dominance_report(range(300, 700, 3), t_max_divisor=1),
         # memo entries for the default m at another divisor
-        lambda mp: (
+        lambda: (
             bounds.hoeffding_dominance_report(range(10, 401), t_max_divisor=5),
             bounds.chernoff_dominance_report(range(10, 401), t_max_divisor=5),
         ),
         # the memos filled to maxsize with other grids, which the default
         # grids evict
-        lambda mp: [
+        lambda: [
             (bounds.chernoff_dominance_report(range(10, 20 + j)), bounds.window_lower_dominance_report((50 + 2 * j,)))
             for j in range(bounds._GRIDS_KEPT)
         ],
     ],
-    ids=["cold", "window-first", "other-m", "cap-reached", "kept-other-divisor", "kept-cap-reached"],
+    ids=["cold", "window-first", "other-m", "kept-other-divisor", "kept-cap-reached"],
 )
-def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch, clear_bound_grids):
+def test_bound_reports_ignore_what_the_row_caches_hold(fill, clear_bound_grids):
     expect = default_columns()
     golden = GOLDEN["bounds-validate --n 256"]
     checks = (
@@ -709,19 +707,17 @@ def test_bound_reports_ignore_what_the_row_caches_hold(fill, monkeypatch, clear_
         lambda: hashlib.sha256(run_stdout(["bounds-validate", "--n", "256"])).hexdigest() == golden,
     )
     for check in checks:
-        monkeypatch.setattr(bounds, "_fair_rows", {})
         clear_bound_grids()
-        fill(monkeypatch)
+        fill()
         assert check()
 
 
 def test_second_bounds_validate_converts_no_row(monkeypatch, clear_bound_grids):
-    # cold, each grid converts, in one call, the span of each row that it
-    # reads: the tail grid, which both tail reports read, k = m//2 - m//4
+    # cold, each grid converts, in one call, the counts that it reads and
+    # keeps: the tail grid, which both tail reports read, k = m//2 - m//4
     # ... m//2 - 1 of rows 10..400, and the window grid k = lo - 1 ... hi of
     # its even rows 50..500; then the window candidates' hits are
     # converted.  Warm, only those hits are
-    monkeypatch.setattr(bounds, "_fair_rows", {})
     converted, candidates = [], []
     dyadic, pick = bounds._dyadic_floats, bounds._window_candidates
     monkeypatch.setattr(bounds, "_dyadic_floats", lambda counts, e: converted.append(len(counts)) or dyadic(counts, e))
@@ -738,6 +734,11 @@ def test_second_bounds_validate_converts_no_row(monkeypatch, clear_bound_grids):
     converted.clear()
     assert hashlib.sha256(run_stdout(argv)).hexdigest() == GOLDEN["bounds-validate --n 256"]
     assert converted == candidates[1:] == [452]
+    # the memo entries hold no count beyond those: one per tail point and
+    # hi - lo + 2 per window row
+    counts = bounds._tail_grid(tuple(range(10, 401)), 4)[2]
+    windows = bounds._window_columns(tuple(range(50, 501, 2)))[-1]
+    assert len(counts) == tails and list(map(len, windows)) == list(map(window_width, range(50, 501, 2)))
 
 
 def test_second_bounds_validate_evaluates_no_exp(monkeypatch, clear_bound_grids):
@@ -746,7 +747,6 @@ def test_second_bounds_validate_evaluates_no_exp(monkeypatch, clear_bound_grids)
     # each of the default grid's 19,892 points.  Warm, the memo serves both
     # reports, and every verdict is made again: one sign column per bound
     # column, then the window's 452 candidates.
-    monkeypatch.setattr(bounds, "_fair_rows", {})
     exps, signs = [], []
     exp, excess_signs = bounds._exp, bounds._excess_signs
     monkeypatch.setattr(bounds, "_exp", lambda x: exps.append(x.size) or exp(x))
