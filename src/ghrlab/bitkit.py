@@ -181,7 +181,9 @@ def fourier_pattern(s: BitString, n: int) -> BitString:
     return BitString(acc, n)
 
 
-def fwht_steps(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> Callable[[], np.ndarray]:
+def fwht_steps(
+    v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray], *, closing_rotation: bool = True
+) -> Callable[[], np.ndarray]:
     """The butterflies and transposing copies of fwht(v, buffers), as views
     built once, and a runner that takes no argument: each call runs the
     steps on what v holds then and returns the buffer that holds its
@@ -198,32 +200,63 @@ def fwht_steps(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> Callabl
     the stored row index, whose partners sit at least 2**(k - top) rows
     apart, and then one transposing copy
     (2**top, 2**(k - top), columns) -> (2**(k - top), 2**top, columns)
-    rotates the row index by top bits.  The rounds take k // 2 and
-    k - k // 2 bits, so the rotations add up to k and the result is in
-    natural order.  CHANGES.md times both loops at every shape a run path
-    uses.  Refuses a v with no axis 0 or one whose length is not 2**k."""
+    rotates the row index by top bits.  The rounds take h = k // 2 and
+    k - h bits, so the rotations add up to k and the result is in natural
+    order.  CHANGES.md times both loops at every shape a run path uses.
+    With closing_rotation=False the second round's copy is left out, and
+    row lo * 2**h + hi of the result holds the natural order's row
+    hi * 2**(k - h) + lo, for hi < 2**h and lo < 2**(k - h).
+
+    The first round's butterflies run in v's dtype, and its copy writes
+    the buffers' dtype, in which the second round runs.  When the two
+    dtypes differ, the first round writes two v-dtype scratch arrays carved
+    from the second buffer's memory, which no step touches again before
+    the second round, so v is still not written and nothing is allocated.
+    A first-round value is a sum of 2**h entries of v, so for v of signs
+    int8 is exact up to k = 13: 2**h is at most 64 there, and the
+    butterflies move half the bytes of int16 ones.  Refuses a v
+    with no axis 0 or one whose length is not 2**k, buffers of two dtypes
+    or of one that cannot hold v's, and a narrower v whose first round
+    could overflow on signs (2**h above its dtype's maximum)."""
     size = v.shape[0] if v.ndim else 0
     if size < 1 or size & (size - 1):
         raise ValueError(f"fwht needs an axis 0 of length 2**k, got shape {v.shape}")
     if not all(a.flags.c_contiguous for a in (v, *buffers)):
         raise ValueError("fwht steps need a C-contiguous array and buffers")
-    src = v
-    cols = src.size // size
+    wide = buffers[0].dtype
+    if buffers[1].dtype != wide or not np.can_cast(v.dtype, wide):
+        raise ValueError(f"fwht buffers must share a dtype that holds {v.dtype}, got {wide} and {buffers[1].dtype}")
+    cols = v.size // size
     k = size.bit_length() - 1
-    ops, writes = [], 0
-    for top in (k // 2, k - k // 2):
+    h = k // 2
+    if v.dtype == wide:
+        first, parity = buffers, h
+    elif 1 << h <= np.iinfo(v.dtype).max:
+        carved = buffers[1].reshape(-1).view(np.uint8)[: 2 * v.nbytes].view(v.dtype)
+        first, parity = [half.reshape(v.shape) for half in np.split(carved, 2)], 0
+    else:
+        raise ValueError(
+            f"the {v.dtype} first round at length {size} sums 2**{h} signs, past {np.iinfo(v.dtype).max}"
+        )
+    # each step writes the array after the one it reads: the first round
+    # alternates within its pair, and the copy out of a round carved from
+    # buffers[1] writes buffers[0] first
+    targets = iter([first[i & 1] for i in range(h)] + [buffers[(parity + i) & 1] for i in range(k - h + 2)])
+    src, ops = v, []
+    for top, rotate in ((h, True), (k - h, closing_rotation)):
         low = size >> top
         for bit in range(top):
             a = src.reshape(-1, 2, (low << bit) * cols)
-            dst = buffers[writes & 1]
+            dst = next(targets)
             a0, a1 = a[:, 0], a[:, 1]
             b = dst.reshape(a.shape)
             ops += [(np.add, (a0, a1, b[:, 0])), (np.subtract, (a0, a1, b[:, 1]))]
-            src, writes = dst, writes + 1
-        dst = buffers[writes & 1]
-        rotated = src.reshape(1 << top, low, cols).transpose(1, 0, 2)
-        ops.append((np.copyto, (dst.reshape(low, 1 << top, cols), rotated)))
-        src, writes = dst, writes + 1
+            src = dst
+        if rotate:
+            dst = next(targets)
+            rotated = src.reshape(1 << top, low, cols).transpose(1, 0, 2)
+            ops.append((np.copyto, (dst.reshape(low, 1 << top, cols), rotated)))
+            src = dst
 
     def run() -> np.ndarray:
         for op, args in ops:
@@ -242,10 +275,12 @@ def fwht(v: np.ndarray, buffers: tuple[np.ndarray, np.ndarray] | None = None) ->
     v's own dtype, so integer input stays exact while no value overflows;
     applying it twice scales by the length.  Each step reads one buffer and
     writes the other; v is not written.  buffers, when given, are two
-    distinct C-contiguous arrays of v's shape and dtype that the steps write
-    in turn in place of fresh ones, and the result is one of them.  Only the
-    first step reads v, so the second buffer may be v itself, which is then
-    overwritten.
+    distinct C-contiguous arrays of v's shape and of one dtype that the
+    steps write in turn in place of fresh ones, and the result is one of
+    them.  Of v's dtype, only the first step reads v, so the second buffer
+    may be v itself, which is then overwritten.  Of a wider dtype, only the
+    first round of butterflies runs in v's and the rest in the buffers'
+    (fwht_steps, which can also leave the result in its rotated order).
 
     fwht builds the steps for v read as a C-contiguous array (a copy when
     it is not one) and runs them once (fwht_steps): at 256 rows by 256

@@ -78,10 +78,10 @@ def _signs(x: BitString, y: BitString) -> tuple[np.ndarray, np.ndarray]:
 
 def _stacked_signs(xs: Sequence[BitString], ys: Sequence[BitString]) -> tuple[np.ndarray, np.ndarray]:
     """Signs of the stack of pairs (xs[i], ys[i]), all of one length n:
-    px[i] is the int16 row 1 - 2 * xs[i], and windows[i, j] is
+    px[i] is the int8 row 1 - 2 * xs[i], and windows[i, j] is
     roll(py_i, -j) for py_i = 1 - 2 * ys[i], j = 0 ... n (_windows)."""
-    px = 1 - 2 * np.array([x.to_array() for x in xs], dtype=np.int16)
-    py = 1 - 2 * np.array([y.to_array() for y in ys], dtype=np.int16)
+    px = 1 - 2 * np.array([x.to_array() for x in xs], dtype=np.int8)
+    py = 1 - 2 * np.array([y.to_array() for y in ys], dtype=np.int8)
     return px, _windows(np.concatenate([py, py], axis=1))
 
 
@@ -101,21 +101,32 @@ def _trial_signs(n: int, children: list[Rng]) -> tuple[np.ndarray, np.ndarray]:
 
     Each child draws its x and y bytes with one bit_rows(2, n), which reads
     the stream as trial_pair's draws do, and the bytes become signs
-    directly, without a BitString: one (pairs, 3, n) int16 array holds x, y
+    directly, without a BitString: one (pairs, 3, n) int8 array holds x, y
     and y again, so px and the windows' doubled rows are views of it."""
     bits = np.unpackbits(np.array([child.bit_rows(2, n) for child in children]), axis=2)
-    signs = 1 - 2 * bits[:, [0, 1, 1], -n:].astype(np.int16)
+    signs = 1 - 2 * bits[:, [0, 1, 1], -n:].astype(np.int8)
     return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n))
 
 
-def _block(buffers: tuple[np.ndarray, ...], rows: int, columns: int) -> tuple[np.ndarray, Callable]:
-    """The (rows, columns) view of buffers[0], the first buffer of
+def _block(
+    buffers: tuple[np.ndarray, ...],
+    rows: int,
+    columns: int,
+    butterflies: type[np.integer] = np.int16,
+    closing_rotation: bool = True,
+) -> tuple[np.ndarray, Callable]:
+    """The (rows, columns) int8 view of the squares, the third buffer of
     _block_buffers, that takes a block's sign product, and the runner of
-    its transform along the rows (bitkit.fwht_steps), whose butterflies
-    write a view of buffers[1] and the product in turn."""
+    its transform along the rows (bitkit.fwht_steps, with or without its
+    closing rotation), whose butterflies write butterflies-dtype views of
+    the first two buffers: int16 for the stream, whose first round alone
+    runs in int8, and int8 for the reader's level 1, which runs wholly in
+    it.  Only the first step reads the product, before any square is
+    written over it."""
     cells = rows * columns
-    product = buffers[0][:cells].reshape(rows, columns)
-    return product, fwht_steps(product, (buffers[1][:cells].reshape(rows, columns), product))
+    product = buffers[2].view(np.int8)[:cells].reshape(rows, columns)
+    pair = tuple(b.view(butterflies)[:cells].reshape(rows, columns) for b in buffers[:2])
+    return product, fwht_steps(product, pair, closing_rotation=closing_rotation)
 
 
 def _row(shifts: np.ndarray | int, pairs: np.ndarray | int, c: int) -> str:
@@ -128,9 +139,10 @@ def _row(shifts: np.ndarray | int, pairs: np.ndarray | int, c: int) -> str:
 def _check_rows(sums: np.ndarray, limit: int, shifts: np.ndarray | int, pairs: np.ndarray | int) -> None:
     """Raise InvariantError naming the first column (_row) whose sum is not
     limit, n**2, as Parseval requires of every row."""
-    bad = np.flatnonzero(sums != limit)
-    if bad.size:
-        raise InvariantError(f"{_row(shifts, pairs, bad[0])} sums to {int(sums[bad[0]])}, not n**2 = {limit}")
+    bad = sums != limit
+    if bad.any():
+        c = np.flatnonzero(bad)[0]
+        raise InvariantError(f"{_row(shifts, pairs, c)} sums to {int(sums[c])}, not n**2 = {limit}")
 
 
 def _spectra(
@@ -144,13 +156,17 @@ def _spectra(
     transform is the runner of a block (_block), whose product column c
     holds px * roll(py, -j) for one pair: its integer FWHT at s is
     n - 2 * delta(x, y, (j, s)), so that column of squares is
-    (2*delta - n)**2 along table row j - 1.  The squares fill an (n,
-    columns) view of the int32 buffer squares, the third of _block_buffers,
-    and that view is returned.  shifts and pairs name each column's shift
-    and its pair's position in its stack (_row), only to name a failed
-    one.  Every butterfly value is a sum of at most n signs, so int16 is
-    exact for n <= MAX_TRANSFORM_SIZE; squares are computed in int32
-    (squaring in int16 would wrap from n = 256 on).
+    (2*delta - n)**2 along table row j - 1, its selectors in the order
+    that the runner leaves them, natural or rotated (bitkit.fwht_steps):
+    every sum here and in _window_sums is order-free.  The squares fill an
+    (n, columns) view of the int32 buffer squares, the third of
+    _block_buffers, and that view is returned.  shifts and pairs name each
+    column's shift and its pair's position in its stack (_row), only to
+    name a failed one.  A first-round butterfly value is a sum of at most
+    2**(log2(n) // 2) <= 64 signs, so the int8 product's first round is
+    exact, and every later one a sum of at most n signs, so int16 is exact
+    for n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring
+    in int16 would wrap from n = 256 on).
 
     One max over the squares checks the range identity: a square of at
     most n**2 puts every value in [-n, n], as a sum of n signs must be,
@@ -166,7 +182,8 @@ def _spectra(
     squares = squares[: spectrum.size].reshape(spectrum.shape)
     np.square(spectrum, out=squares, dtype=np.int32)
     exact = np.int32 if squares.max() <= limit else np.int64
-    sums = squares.reshape(n // height, height, -1).sum(axis=1, dtype=exact).sum(axis=0, dtype=np.int64)
+    groups = np.einsum("ghc->gc", squares.reshape(n // height, height, -1), dtype=exact)
+    sums = groups.sum(axis=0, dtype=np.int64)
     _check_rows(sums, limit, shifts, pairs)
     return squares
 
@@ -199,14 +216,17 @@ def _row_cells(
     cells, summed in int64, to its mass; a failure raises InvariantError
     naming the shift and the pair, and the block where a block fails.  The
     block's buffers (_block_buffers) hold its product, butterflies and the
-    level-1 squares.  The product is written in one multiply from the rows'
-    own layout, whose lanes of r cells stay contiguous: 110 us for 250
-    rows at n = 1024 on a 2-core VM, where copying their product across
-    whole, as the full transform's (n, columns) layout needs, took 350 us."""
+    level-1 squares.  Level 1 runs entirely in int8 (_block), exact since
+    r <= 64, and the drawn blocks are gathered as int16 for level 2, whose
+    values are sums of n signs.  The product is written in one multiply
+    from the rows' own layout, whose lanes of r cells stay contiguous:
+    110 us for 250 rows at n = 1024 on a 2-core VM, where copying their
+    product across whole, as the full transform's (n, columns) layout
+    needs, took 350 us."""
     columns, n = rows.shape
     root = math.isqrt(n)
     buffers = _block_buffers(n * columns)
-    product, transform = _block(buffers, root, columns * root)
+    product, transform = _block(buffers, root, columns * root, np.int8)
 
     def lanes(signs: np.ndarray) -> np.ndarray:
         return signs.reshape(-1, root, root).transpose(1, 0, 2)
@@ -224,7 +244,7 @@ def _row_cells(
     _check_rows(ends[-1], n * n, shifts, pairs)
 
     def cells(col: np.ndarray, block: np.ndarray) -> np.ndarray:
-        gathered = np.ascontiguousarray(half[block, col].T)
+        gathered = np.ascontiguousarray(half[block, col].T, dtype=np.int16)
         spectrum = fwht_steps(gathered, (np.empty_like(gathered), gathered))()
         out = np.square(spectrum, dtype=np.int32)
         sums, mass = out.sum(axis=0, dtype=np.int64), masses[block, col]
@@ -276,22 +296,25 @@ def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
 # 64 shifts per block: 16-shift blocks made one aleph at n = 4096 twice as
 # slow.  The sweep that chose the 2**16 cap and the split is in CHANGES.md;
 # at 2**15 cells the best split at n = 256 gained only 1.09 times over one
-# pair by 128 shifts.  A block holds at most 640 KiB, 2.5 MiB at n = 4096.
+# pair by 128 shifts.  A block holds at most 576 KiB, 2.25 MiB at n = 4096.
 #
 # Each stream allocates its buffers once, as one allocation of 8 bytes per
 # cell, and reuses them for every block: two int16 butterfly buffers, the
-# first of which takes the sign product, and the int32 squares; the bool
-# window mask reuses the butterfly memory, free once the squares are taken,
-# and each block's in-window sums are one masked reduction of the squares,
-# exact in int32 since a row's in-window cells add at most n**2 <= 2**24.
-# As separate arrays, earlier sweeps saw 128 to 672 minor faults per pair at
-# n = 1024, depending on heap layout, and none as one allocation.  Beside
-# them the stream keeps its tile of x signs, 2 bytes per cell, and its y
-# signs laid out three times over, 6 bytes per pair and row (_window_sums):
+# second of which holds the int8 first round (bitkit.fwht_steps), and the
+# int32 squares, whose first quarter takes the int8 sign product until the
+# squares are written; the bool window mask reuses the butterfly memory,
+# free once the squares are taken, and each block's in-window sums are one
+# masked reduction of the squares, exact in int32 since a row's in-window
+# cells add at most n**2 <= 2**24.  As separate arrays, earlier sweeps saw
+# 128 to 672 minor faults per pair at n = 1024, depending on heap layout,
+# and none as one allocation; a ninth byte per cell for the product added
+# 0.18 MB of peak RSS after 300 aleph ops at n = 256.  Beside them the
+# stream keeps its int8 tile of x signs, 1 byte per cell, and its y signs
+# laid out three times over, 3 bytes per pair and row (_window_sums):
 # np.tile built the x tile in 9 us at n = 256, where a broadcast copy into
 # a fourth carved buffer took 34 us, and peak RSS after 300 aleph ops at
-# n = 256 differed by under 0.1 MB.  The buffers live per call, never per module,
-# because map_trials may run chunks on threads.
+# n = 256 differed by under 0.1 MB.  The buffers live per call, never per
+# module, because map_trials may run chunks on threads.
 #
 # protocol.estimate_success sizes its chunks of trials by a cap of its own,
 # protocol._CHUNK_CELLS, since its cell reader (_row_cells) costs less per
@@ -335,7 +358,11 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
     holds every block's y signs as its rows start ... start + n - 1, which
     reach at most row 3n - 1 of tripled.  The product view, its fwht steps
     and the window mask are built once per block width: the full width
-    and, when S does not divide n, a narrower last block (_block)."""
+    and, when S does not divide n, a narrower last block (_block).  The
+    product is one int8 multiply, and its steps leave out the closing
+    rotation, since each column is read only through order-free sums
+    (_spectra): at 256 rows by 256 columns on a 2-core VM that cut a
+    transform from 50.5 to 43.8 us."""
     stack, n = px.shape
     step = max(1, min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * stack)))
     buffers = _block_buffers(n * stack * step)
@@ -350,7 +377,7 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
         shifts = np.arange(start, min(start + step, n + 1))
         if shifts.size * stack != columns:
             columns = shifts.size * stack
-            product, transform = _block(buffers, n, columns)
+            product, transform = _block(buffers, n, columns, closing_rotation=False)
             signs = tile[:, :columns]
             # the butterfly buffer that the steps leave free once squared
             mask = buffers[1].view(np.bool_)[: n * columns].reshape(n, columns)
@@ -395,9 +422,9 @@ def aleph_statistic(x: BitString, y: BitString) -> int:
     The one-pair case of aleph_statistics, streamed through _window_sums in
     blocks of consecutive shifts (the whole table up to n = 256, 64 shifts
     beyond) and summed over all n rows, each checked to sum to n**2.  Beyond
-    the sign arrays it holds one block's buffers and its tile of x signs,
-    10 bytes per cell: 640 KiB at n = 256 and n = 1024, 2.5 MiB at
-    n = 4096, and its y signs three times over, 6 bytes per row.
+    the sign arrays it holds one block's buffers and its int8 tile of x
+    signs, 9 bytes per cell: 576 KiB at n = 256 and n = 1024, 2.25 MiB at
+    n = 4096, and its y signs three times over, 3 bytes per row.
     oracle.DeltaTable's aleph_statistic is the full-table oracle."""
     return aleph_statistics([x], [y])[0]
 
@@ -436,8 +463,9 @@ def _typical(px: np.ndarray, windows: np.ndarray) -> np.ndarray:
     for sums, rows in _window_sums(px, windows):
         stat = stat + sums
         rows_left -= rows
-        if np.all(~is_typical(n, stat) | is_typical(n, stat + n * n * rows_left)):
-            break  # after the last block the two tests are one
+        scaled = 9 * stat
+        if np.all((scaled > 4 * n**3) | (scaled <= 4 * n**3 - 9 * n * n * rows_left)):
+            break  # after the last block every pair passes
     return is_typical(n, stat)
 
 

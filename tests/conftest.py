@@ -4,6 +4,7 @@ import contextlib
 import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ghrlab import bitkit, bounds, coupling, relation
@@ -69,8 +70,8 @@ def relation_transforms(monkeypatch):
     def install(hook=lambda product, run: run()):
         built = []
 
-        def steps(product, buffers):
-            run = bitkit.fwht_steps(product, buffers)
+        def steps(product, buffers, **flags):
+            run = bitkit.fwht_steps(product, buffers, **flags)
             built.append((product, run))
             return lambda: hook(product, run)
 
@@ -78,3 +79,17 @@ def relation_transforms(monkeypatch):
         return built
 
     return install
+
+
+def _rotated_rows(out: np.ndarray) -> np.ndarray:
+    k = out.shape[0].bit_length() - 1
+    return out.reshape(1 << k // 2, 1 << k - k // 2, -1).transpose(1, 0, 2).reshape(out.shape)
+
+
+@pytest.fixture
+def rotated_rows():
+    """A function, rotated_rows(out), that gives the rows of a natural-order
+    transform out (bitkit.fwht) in the order that bitkit.fwht_steps leaves
+    them without its closing rotation: row lo * 2**h + hi holds row
+    hi * 2**(k - h) + lo, for a length 2**k and h = k // 2."""
+    return _rotated_rows

@@ -327,6 +327,58 @@ def test_fwht_steps_replay_on_what_their_array_holds():
             bitkit.fwht_steps(source, (spare, np.empty_like(v)))
 
 
+def sign_inputs(k):
+    """Sign vectors of length 2**k as int8: all +1, all -1, alternating and
+    random, the first three the extremes of every butterfly."""
+    size = 1 << k
+    yield from (np.ones(size, np.int8), -np.ones(size, np.int8), 1 - 2 * (np.arange(size) % 2).astype(np.int8))
+    yield (1 - 2 * np.random.default_rng(k).integers(0, 2, size=size)).astype(np.int8)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_narrow_first_round_equals_wide_transform(k, rotated_rows):
+    """An int8 v with int16 buffers runs its first round in int8 and the
+    rest in int16, and gives fwht's int16 transform at every length up to
+    2**12, where round 1 reaches 2**6; v is not written.  Without the
+    closing rotation the rows are the rotated order that the docstring
+    states, and a 2-D v transforms each column on its own."""
+    for v in sign_inputs(k):
+        before = v.copy()
+        expect = fwht(v.astype(np.int16))
+        for shape in (v.shape, (v.size, 1)):
+            buffers = (np.empty(shape, np.int16), np.empty(shape, np.int16))
+            out = bitkit.fwht_steps(v.reshape(shape), buffers)()
+            assert out.dtype == np.int16 and any(out is b for b in buffers)
+            assert np.array_equal(out.reshape(-1), expect)
+            out = bitkit.fwht_steps(v.reshape(shape), buffers, closing_rotation=False)()
+            assert np.array_equal(out, rotated_rows(expect.reshape(shape)))
+            assert np.array_equal(v, before)
+    columns = np.stack(list(sign_inputs(k)), axis=1)
+    out = bitkit.fwht_steps(columns, (np.empty(columns.shape, np.int16), np.empty(columns.shape, np.int16)))()
+    assert np.array_equal(out, fwht(columns.astype(np.int16)))
+
+
+def test_narrow_first_round_refusals():
+    """An int8 v of length 2**14 sums 2**7 = 128 signs in round 1, past
+    int8; buffers must share one dtype, and one no narrower than v's."""
+    long = np.ones(1 << 14, np.int8)
+    with pytest.raises(ValueError, match="int8 first round at length 16384 sums 2\\*\\*7 signs, past 127"):
+        bitkit.fwht_steps(long, (np.empty(long.shape, np.int16), np.empty(long.shape, np.int16)))
+    v = np.ones(16, np.int8)
+    for buffers in (
+        (np.empty(16, np.int16), np.empty(16, np.int32)),
+        (np.empty(16, np.int16), np.empty(16, np.int8)),
+    ):
+        with pytest.raises(ValueError, match="share a dtype"):
+            bitkit.fwht_steps(v, buffers)
+    wide = np.ones(16, np.int16)
+    with pytest.raises(ValueError, match="share a dtype that holds int16"):
+        bitkit.fwht_steps(wide, (np.empty(16, np.int8), np.empty(16, np.int8)))
+    # one length shorter is still exact in int8
+    out = bitkit.fwht_steps(long[: 1 << 13], (np.empty(1 << 13, np.int16), np.empty(1 << 13, np.int16)))()
+    assert out[0] == 1 << 13 and not out[1:].any()
+
+
 def test_rng_bits_and_below():
     r = Rng(1)
     for count in (1, 7, 8, 64, 65, 130):

@@ -575,6 +575,9 @@ GOLDEN = {
         "2ef8aacb345df8f57d46f8dc6af6765c0726332abf2a4b197647bbc24bcc3024",
     "protocol-failure-exact --n 16 --trials 5 --seed 2":
         "a975390c6428cd04a8a9d1f1ec8e29c0d3f7a528ef6c34fc3db85c0f371c498e",
+    # the whole statistic at n = 4096, whose int8 first round sums 2**6 signs
+    "protocol-failure-exact --n 4096 --trials 2 --seed 4":
+        "d98ba2ed85b49349100bc452e0e362bb2f7f1d7dbed5e68137ce7bd78d4f1c5e",
     "protocol-failure-exact --n 4 --exhaustive":
         "19bc09d2e86375b259093c7a912290f917f073807cbae259f84b029dac328563",
     "baseline-tghr --n 64 --t 8 --trials 20 --seed 1":

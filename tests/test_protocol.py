@@ -414,17 +414,21 @@ def test_corrupted_sampler_column_names_its_shift(relation_transforms):
 
 
 def test_prefix_sums_fit_int32(relation_transforms):
-    """The reader's sums are exact.  A square of an int16 butterfly value
-    is at most 2**30, so sqrt(n) of them can pass 2**31.  A level-1 value
-    lies in [-sqrt(n), sqrt(n)] or raises, so a block's mass, sqrt(n)
-    times sqrt(n) such squares, is at most n**2, and the cumulative masses
-    of sqrt(n) blocks reach at most sqrt(n) * n**2 <= 2**30: int32 holds
-    them.  A drawn block's squared cells are summed in int64, where any
+    """The reader's sums are exact.  Level 1 runs in int8, so a level-1
+    square is at most 2**14 and sqrt(n) of them at most 2**20, within
+    int32 even before the range check.  A level-1 value lies in [-sqrt(n),
+    sqrt(n)] or raises, so a block's mass, sqrt(n) times sqrt(n) such
+    squares, is at most n**2, and the cumulative masses of sqrt(n) blocks
+    reach at most sqrt(n) * n**2 <= 2**30: int32 holds them.  Level 2 runs
+    in int16, where a square is at most 2**30, so sqrt(n) of them can pass
+    2**31.  A drawn block's squared cells are summed in int64, where any
     int16 cells fit, and the int32 prefix sums within it run only once that
     sum equals the block's mass, so they reach at most n**2, which is 2**24
     at the largest allowed n, and no larger n passes the size guard."""
     largest = relation.MAX_TRANSFORM_SIZE
     root = math.isqrt(largest)
+    narrow = np.iinfo(np.int8).min ** 2
+    assert narrow == 2**14 and root * narrow == 2**20 < np.iinfo(np.int32).max
     square = np.iinfo(np.int16).min ** 2
     assert square == 2**30 and root * square > np.iinfo(np.int32).max
     assert root * root * root * root == largest**2 == 2**24
@@ -434,20 +438,23 @@ def test_prefix_sums_fit_int32(relation_transforms):
     with pytest.raises(ValueError):
         relation.require_transform_size(4 * largest)
 
-    def wrapping(out):
-        """Lanes whose squares 4 * 2**30 + 8**2 sum to 64 in int32."""
+    def extremes(out):
+        """int8 lanes at the ends of their range, whose squares 4 * 2**14 +
+        8**2 would sum to a mass in int32 all the same."""
+        assert out.dtype == np.int8
         out[:] = 0
-        out[0, :4], out[0, 4] = np.iinfo(np.int16).min, 8
+        out[0, :4], out[0, 4] = np.iinfo(np.int8).min, 8
 
     # x = y = 0 at n = 64: all of a row's mass, n**2, sits at s = 0, and
     # 8 * 64 = 4096 is the mass of its block 0 (level 1) and of the cell
-    relation_transforms(level(0, wrapping))
+    relation_transforms(level(0, extremes))
     match = "^row j=[0-9]+ of pair 0 in its stack has a half-transform value outside \\[-8, 8\\]$"
     with pytest.raises(InvariantError, match=match):
         sample_outcomes(BitString(0, 64), BitString(0, 64), Rng(1), 3)
 
     def wrapping_cells(out):
         """Cells whose squares 4 * 2**30 + 64**2 sum to 4096 in int32."""
+        assert out.dtype == np.int16
         out[:] = 0
         out[:4], out[4] = np.iinfo(np.int16).min, 64
 

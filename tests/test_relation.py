@@ -45,8 +45,10 @@ def test_transform_size_gate():
 
 def test_transform_size_cap_raises_before_allocating():
     require_transform_size(MAX_TRANSFORM_SIZE)
-    # the cap keeps the transform exact in int16 and its squares in int32
+    # the cap keeps the transform exact in int16, its int8 first round of
+    # sign sums too, and its squares in int32
     assert MAX_TRANSFORM_SIZE <= np.iinfo(np.int16).max
+    assert 1 << answer_length(MAX_TRANSFORM_SIZE) // 2 <= np.iinfo(np.int8).max
     assert MAX_TRANSFORM_SIZE**2 <= np.iinfo(np.int32).max
     # 16384 is a power of 4 above the cap; the guard is pure arithmetic
     with pytest.raises(ValueError, match=r"size cap 4096.*3\.5 GiB"):
@@ -169,9 +171,10 @@ def test_early_verdict_equals_full_statistic_property(n, shifts, data):
 
 @pytest.mark.parametrize("shifts", [1, 3])
 def test_early_verdict_equals_table_on_many_pairs(monkeypatch, shifts):
-    # at n = 16 up to one pair in 150 has a statistic close enough to the
-    # threshold that a typical-side bound looser than n**2 per unread row
-    # would settle it wrongly
+    # at n = 16 some of these pairs lie close enough to the threshold that
+    # a typical-side bound of n**2 / 2 per unread row settles them wrongly
+    # (3/4 of n**2 does not); test_early_verdict_settles_exactly_at_its_bounds
+    # pins the exact bound
     fix_block_shifts(monkeypatch, shifts)
     rng = Rng(shifts)
     for _ in range(600):
@@ -190,6 +193,37 @@ def test_early_verdict_on_adversarial_pairs(relation_transforms, n):
     count = transformed_shifts(relation_transforms)
     assert not aleph(bent(n), BitString(0, n))
     assert count[0] == {256: n, 1024: n // 2}[n]
+
+
+@pytest.mark.parametrize("n", [16, 256, 4096])
+def test_early_verdict_settles_exactly_at_its_bounds(monkeypatch, n):
+    """_typical stops after a block exactly when every pair of the stack is
+    settled: atypical once 9 * stat > 4 * n**3, typical once
+    9 * (stat + n**2 * rows_left) <= 4 * n**3.  Fed in-window sums at each
+    bound and one past it, it stops after the first block or reads the
+    second, whose sums are 0."""
+    largest = 4 * n**3 // 9  # the largest typical statistic: 9 does not divide 4 * n**3
+    rows_left = n // 4
+    sure = largest - n * n * rows_left  # typical whatever the rows left add
+    read = []
+
+    def blocks(px, windows):
+        for k, rows in enumerate((n - rows_left, rows_left)):
+            read.append(k)
+            yield (first if k == 0 else np.zeros_like(first)), rows
+
+    monkeypatch.setattr(relation, "_window_sums", blocks)
+    for stats, blocks_read, verdicts in (
+        ([largest + 1], 1, [False]),
+        ([largest], 2, [True]),
+        ([sure], 1, [True]),
+        ([sure + 1], 2, [True]),
+        ([largest + 1, sure], 1, [False, True]),
+        ([largest + 1, sure + 1, sure], 2, [False, True, True]),
+    ):
+        first, read[:] = np.array(stats, dtype=np.int64), []
+        assert list(relation._typical(np.ones((len(stats), n), np.int8), None)) == verdicts
+        assert len(read) == blocks_read, stats
 
 
 def test_early_verdict_reads_fewer_rows_than_the_statistic(relation_transforms):
@@ -274,7 +308,7 @@ def test_trial_signs_equal_trial_pair(n):
     children = [rng.child(i) for i in range(5, 12)]
     px, windows = relation._trial_signs(n, children)
     xs, ys, streams = zip(*(relation.trial_pair(n, rng, i) for i in range(5, 12)))
-    assert px.dtype == windows.dtype == np.int16
+    assert px.dtype == windows.dtype == np.int8
     for k, (x, y) in enumerate(zip(xs, ys)):
         stream = rng.child(5 + k)
         assert (x, y) == (random_bitstring(n, stream), random_bitstring(n, stream))
@@ -458,11 +492,12 @@ def test_stream_builds_its_steps_once_per_width(monkeypatch, relation_transforms
     assert len(built) <= len(widths)
 
 
-def test_stream_steps_replay_like_fresh_transforms(monkeypatch, relation_transforms):
+def test_stream_steps_replay_like_fresh_transforms(monkeypatch, relation_transforms, rotated_rows):
     """The runner of every block width a stream uses, replayed on random
-    int16 blocks written into its product view, gives fwht's transform:
-    one pair at every allowed n, Monte Carlo stacks with a short last
-    stack, and a narrower last block."""
+    int8 blocks written into its product view, gives fwht's transform with
+    its rows in the rotated order that the stream reads them in
+    (rotated_rows): one pair at every allowed n, Monte Carlo stacks with a
+    short last stack, and a narrower last block."""
     built = relation_transforms()
     for n in (4, 16, 64, 256, 1024, 4096):
         aleph_statistic(*relation.trial_pair(n, Rng(n), 0)[:2])
@@ -479,9 +514,59 @@ def test_stream_steps_replay_like_fresh_transforms(monkeypatch, relation_transfo
     gen = np.random.default_rng(0)
     for product, run in built:
         for _ in range(2):
-            block = gen.integers(-1, 2, size=product.shape).astype(np.int16)
+            block = gen.integers(-1, 2, size=product.shape).astype(np.int8)
             np.copyto(product, block)
-            assert np.array_equal(run(), fwht(block))
+            assert np.array_equal(run(), rotated_rows(fwht(block.astype(np.int16))))
+
+
+ALLOWED_N = (4, 16, 64, 256, 1024, 4096)
+
+
+def answer(n, selector):
+    """log2(n) entries, at shifts 1, 2, ..., all with one selector."""
+    m = answer_length(n)
+    return [TransformIndex(j, BitString(selector, m)) for j in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("n", ALLOWED_N)
+def test_all_ones_sign_products_at_every_n(n, relation_transforms):
+    """x = y = 0 makes every int8 sign product +1: every first-round butterfly
+    sum reaches its largest value, 2**(log2(n) // 2) ones (64 at n = 4096,
+    exact in int8), every spectrum is n at s = 0 and 0 elsewhere, and the
+    statistic is 0, so the pair is typical and an answer is valid exactly
+    when half of its entries are outside the window, as s = 0 is."""
+    zero = BitString(0, n)
+    products, spectra = [], []
+
+    def hook(product, run):
+        products.append(product.dtype == np.int8 and bool((product == 1).all()))
+        out = run()
+        spectra.append(bool((out[0] == n).all() and not out[1:].any()))
+        return out
+
+    relation_transforms(hook)
+    assert aleph_statistic(zero, zero) == 0
+    assert aleph(zero, zero)
+    assert all(products) and all(spectra) and len(spectra) >= 1
+    assert 1 << answer_length(n) // 2 <= np.iinfo(np.int8).max
+    assert ghr_is_valid(zero, zero, answer(n, 0))
+    assert not ghr_is_valid(zero, zero, answer(n, 1))
+    if n <= 256:
+        assert delta_table(zero, zero).aleph_statistic() == 0
+
+
+@pytest.mark.parametrize("n", ALLOWED_N)
+def test_bent_x_against_zero_at_every_n(n):
+    """A bent x against y = 0: every cell has (2*delta - n)**2 = n, inside
+    the window, so the statistic is exactly n**3, the pair is atypical and
+    every answer is valid, even one with no entry outside the window."""
+    x, zero = bent(n), BitString(0, n)
+    assert aleph_statistic(x, zero) == n**3
+    assert not aleph(x, zero)
+    assert ghr_is_valid(x, zero, answer(n, 0)) and ghr_is_valid(x, zero, answer(n, n - 1))
+    if n <= 256:
+        table = delta_table(x, zero)
+        assert table.aleph_statistic() == n**3 and not table.aleph()
 
 
 def test_aleph_statistics_rejects_mixed_stacks():
