@@ -10,6 +10,7 @@ function of its inputs.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -34,11 +35,11 @@ class BitString:
     __slots__ = ("n", "value")
 
     def __init__(self, value: int, n: int) -> None:
+        self.n = n = operator.index(n)
         if n < 1:
             raise ValueError(f"bit-string length must be >= 1, got {n}")
         if value < 0 or value >> n:
             raise ValueError(f"value {value} does not fit in {n} bits")
-        self.n = n
         self.value = value
 
     @classmethod
@@ -169,6 +170,7 @@ def fourier_pattern(s: BitString, n: int) -> BitString:
     patterns of the same n differ in exactly n/2 positions.  n must be a
     power of two and s must have exactly log2 n bits.
     """
+    n = operator.index(n)
     if n < 2 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 2, got {n}")
     k = n.bit_length() - 1
@@ -418,6 +420,7 @@ class Rng:
         from one words32 call, which reads the raw Philox words and carries
         a half-word over when the call takes an odd number of words (an odd
         rows with ceil(k/4) odd)."""
+        count = operator.index(count)
         if count < 1:
             raise ValueError("count must be >= 1")
         nbytes = (count + 7) // 8

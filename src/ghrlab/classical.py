@@ -463,6 +463,7 @@ def xi_parameters(c1: int, c2: int, n: int) -> XiParameters:
     difference, 3*c2 <= 4*c1, and both zero pads nonnegative with the three
     Bob segments summing exactly to n.
     """
+    n = operator.index(n)
     require_reduction_size(n)
     if not 0 < c1 < c2:
         raise ValueError(f"need 0 < c1 < c2, got ({c1}, {c2})")

@@ -42,10 +42,10 @@ from .relation import (
 )
 
 
-# estimate_success's chunks of trials hold at most this many cells of rows,
-# 8 bytes each in the reader's buffers (relation._row_cells): 2 MiB, 25
-# trials of 10 rows at n = 1024.  A sweep of 2**16 ... 2**19 at n = 256,
-# 1024 and 4096 is in CHANGES.md.
+# estimate_success's chunks of trials, and sample_outcomes' slices of draws,
+# hold at most this many cells of rows, 8 bytes each in the reader's buffers
+# (relation._row_cells): 2 MiB, 25 trials of 10 rows at n = 1024.  A sweep
+# of 2**16 ... 2**19 at n = 256, 1024 and 4096 is in CHANGES.md.
 _CHUNK_CELLS = 1 << 18
 
 
@@ -68,65 +68,65 @@ def _draws(rng: Rng, n: int, count: int) -> np.ndarray:
     b = 3 log2 n, is a power of two, so it never rejects and a draw is
     (word * 2**b) >> 32 or >> 64: the top b bits of one words32 word
     (n <= 1024) or one words64 word (n = 4096)."""
-    b = 3 * (n.bit_length() - 1)
+    b = 3 * answer_length(n)
     if b <= 32:
         return (rng.words32(count) >> (32 - b)).astype(np.int64)
     return (rng.words64(count) >> (64 - b)).astype(np.int64)
 
 
-def _outcomes(px: np.ndarray, windows: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
+def _outcomes(px: np.ndarray, py: np.ndarray, draws: np.ndarray) -> tuple[np.ndarray, ...]:
     """The cells that the outcome draws of a stack of pairs land in, from
-    one two-level reader (relation._row_cells).
+    one two-level reader (relation._row_cells) with one column per draw.
 
-    px and windows are the stack's signs (relation._stacked_signs), and
-    draws[i] holds the draws of its pair i.  The full table's row-major
+    px and py are the stack's plain sign rows (relation._stacked_signs),
+    and draws[i] holds the draws of its pair i.  The full table's row-major
     cumulative sum reaches exactly k * n**2 at the end of row k - 1, so, as
     in oracle.OutcomeDistribution.sample, draw r lands in shift
     j = r // n**2 + 1 at selector s, the first cell whose prefix sum within
     that row exceeds rem = r mod n**2, which is the number of prefix sums at
     most rem (searchsorted with side="right").
 
-    Each pair's distinct rows are the columns of the reader, whose ends are
-    the cumulative masses of each row's blocks of sqrt(n) selectors.
-    Prefix sums only grow, so every prefix sum of a block whose end is at
-    most rem is at most rem, and every one past the first block whose end
-    exceeds rem exceeds it.  So s is sqrt(n) times the number of block ends
-    at most rem, plus the prefix sums at most rem - before within that
-    first block, whose cells the reader gives: before is the end of the
-    block ahead of it, or 0.  The prefix sums are an int32 cumulative sum
-    of sqrt(n) cells checked to sum to the block's mass, at most n**2.
+    Column c of the reader is the row of draw c in C order, whose ends are
+    the cumulative masses of its blocks of sqrt(n) selectors.  Prefix sums
+    only grow, so every prefix sum of a block whose end is at most rem is
+    at most rem, and every one past the first block whose end exceeds rem
+    exceeds it.  So s is sqrt(n) times the number of block ends at most
+    rem, plus the prefix sums at most rem - before within that first block,
+    whose cells the reader gives: before is the end of the block ahead of
+    it, or 0.  The prefix sums are an int32 cumulative sum of sqrt(n) cells
+    checked to sum to the block's mass, at most n**2.
 
     Returns j and s shaped like draws, and outside, True where the drawn
     cell lies outside the center window."""
     n = px.shape[1]
     per_row, root = n * n, math.isqrt(n)
     j = draws // per_row + 1
-    keys = np.arange(len(px))[:, None] * (n + 1) + j  # one key per (pair, shift)
-    ordered = np.sort(keys, axis=None)
-    columns = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    pair, shift = np.divmod(columns, n + 1)
-    ends, cells = _row_cells(px[pair], windows[pair, shift], shift, pair)
-    col = np.searchsorted(columns, keys).ravel()
+    col = np.arange(draws.size)
+    ends, cells = _row_cells(px, py, np.arange(len(px)).repeat(draws.shape[1]), j.ravel())
     rem = draws.ravel() % per_row
-    block = np.count_nonzero(ends[:, col] <= rem, axis=0)  # below sqrt(n): ends[-1] = n**2 > rem
+    block = np.count_nonzero(ends <= rem, axis=0)  # below sqrt(n): ends[-1] = n**2 > rem
     before = np.where(block > 0, ends[block - 1, col], 0)
     squares = cells(col, block)
     within = np.count_nonzero(np.cumsum(squares, axis=0, dtype=np.int32) <= rem - before, axis=0)
     s = block * root + within
-    outside = squares[within, np.arange(col.size)] > n
+    outside = squares[within, col] > n
     return j, s.reshape(draws.shape), outside.reshape(draws.shape)
 
 
 def sample_outcomes(x: BitString, y: BitString, rng: Rng, count: int) -> tuple[TransformIndex, ...]:
     """count independent outcomes for the pair (x, y), identical to
     oracle.OutcomeDistribution.sample on its full table for the same rng
-    state: the one-pair case of _outcomes."""
+    state, which is left where that leaves it.  The draws, all taken at
+    once (_draws), go to _outcomes in consecutive slices of at most
+    max(1, _CHUNK_CELLS // n), so no reader holds more than _CHUNK_CELLS
+    cells of rows, whatever the count."""
     if count < 1:
         raise ValueError("count must be >= 1")
     _check_pair(x, y)
-    j, s, _ = _outcomes(*_signs(x, y), _draws(rng, x.n, count)[None])
-    k = answer_length(x.n)
-    return tuple(TransformIndex(int(a), BitString(int(b), k)) for a, b in zip(j[0], s[0]))
+    signs, draws = _signs(x, y), _draws(rng, x.n, count)
+    width, k = max(1, _CHUNK_CELLS // x.n), answer_length(x.n)
+    slices = (_outcomes(*signs, draws[None, start:start + width]) for start in range(0, count, width))
+    return tuple(TransformIndex(int(a), BitString(int(b), k)) for j, s, _ in slices for a, b in zip(j[0], s[0]))
 
 
 def run_protocol(x: BitString, y: BitString, rng: Rng) -> tuple[TransformIndex, ...]:
@@ -190,12 +190,9 @@ def estimate_success(n: int, trials: int, rng: Rng, t: int | None = None) -> McE
     uses = np.bincount(np.arange(m) % t)  # entries of the tiled answer per draw
 
     def valid(children: list[Rng]) -> int:
-        px, windows = _trial_signs(n, children)
+        px, py = _trial_signs(n, children)
         draws = np.array([_draws(child, n, t) for child in children])
-        outside = _outcomes(px, windows, draws)[2]
-        return sum(
-            _answer_valid(int(k), (px[i:i + 1], windows[i:i + 1])) for i, k in enumerate(outside @ uses)
-        )
+        return sum(_answer_valid(_outcomes(px, py, draws)[2] @ uses, px, py))
 
     return _estimate_in_chunks(trials, max(1, _CHUNK_CELLS // (n * t)), rng, valid)
 

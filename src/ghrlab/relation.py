@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import math
+import operator
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -53,6 +54,7 @@ def answer_length(n: int) -> int:
     """log2 n, the required number of entries in a relation answer, for n a
     power of 4 and >= 4.  It allocates nothing, so n has no size cap;
     callers that allocate check require_transform_size."""
+    n = operator.index(n)
     if n < 4 or n & (n - 1) or (n.bit_length() - 1) % 2:
         raise ValueError(f"n must be a power of 4 and >= 4, got {n}")
     return n.bit_length() - 1
@@ -77,35 +79,26 @@ def _signs(x: BitString, y: BitString) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stacked_signs(xs: Sequence[BitString], ys: Sequence[BitString]) -> tuple[np.ndarray, np.ndarray]:
-    """Signs of the stack of pairs (xs[i], ys[i]), all of one length n:
-    px[i] is the int8 row 1 - 2 * xs[i], and windows[i, j] is
-    roll(py_i, -j) for py_i = 1 - 2 * ys[i], j = 0 ... n (_windows)."""
-    px = 1 - 2 * np.array([x.to_array() for x in xs], dtype=np.int8)
-    py = 1 - 2 * np.array([y.to_array() for y in ys], dtype=np.int8)
-    return px, _windows(np.concatenate([py, py], axis=1))
+    """Signs of the stack of pairs (xs[i], ys[i]), all of one length n, from
+    the pairs' big-endian bytes (_unpacked_signs)."""
+    size = (xs[0].n + 7) // 8
+    packed = b"".join(v.value.to_bytes(size, "big") for pair in zip(xs, ys) for v in pair)
+    return _unpacked_signs(np.frombuffer(packed, dtype=np.uint8).reshape(len(xs), 2, size), xs[0].n)
 
 
-def _windows(doubled: np.ndarray) -> np.ndarray:
-    """windows[i, j] = roll(py_i, -j) for j = 0 ... n, given doubled[i], the
-    row py_i twice over with its cells adjacent: a read-only view into
-    doubled (the strides of sliding_window_view, without its per-call
-    checks)."""
-    stack, n = doubled.shape[0], doubled.shape[1] // 2
-    pair, cell = doubled.strides
-    return as_strided(doubled, (stack, n + 1, n), (pair, cell, cell), writeable=False)
+def _unpacked_signs(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The plain int8 sign rows px[i] = 1 - 2 * x_i and py[i] = 1 - 2 * y_i
+    of a stack of pairs, from one unpack of packed, whose (2, ceil(n/8))
+    uint8 rows packed[i] hold the big-endian bytes of x_i and y_i."""
+    signs = 1 - 2 * np.unpackbits(packed, axis=2)[:, :, -n:].astype(np.int8)
+    return signs[:, 0], signs[:, 1]
 
 
 def _trial_signs(n: int, children: list[Rng]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked signs (_stacked_signs) of the pairs that trial_pair draws
-    from the trials' child streams, each left where trial_pair leaves it.
-
-    Each child draws its x and y bytes with one bit_rows(2, n), which reads
-    the stream as trial_pair's draws do, and the bytes become signs
-    directly, without a BitString: one (pairs, 3, n) int8 array holds x, y
-    and y again, so px and the windows' doubled rows are views of it."""
-    bits = np.unpackbits(np.array([child.bit_rows(2, n) for child in children]), axis=2)
-    signs = 1 - 2 * bits[:, [0, 1, 1], -n:].astype(np.int8)
-    return signs[:, 0], _windows(signs[:, 1:].reshape(len(children), 2 * n))
+    """The signs (_unpacked_signs) of the pairs that trial_pair draws from
+    the trials' child streams, from one bit_rows(2, n) per child, which
+    reads it as trial_pair does and leaves it where trial_pair leaves it."""
+    return _unpacked_signs(np.array([child.bit_rows(2, n) for child in children]), n)
 
 
 def _block(
@@ -189,12 +182,13 @@ def _spectra(
 
 
 def _row_cells(
-    px: np.ndarray, rows: np.ndarray, shifts: np.ndarray | int, pairs: np.ndarray | int
+    px: np.ndarray, py: np.ndarray, pairs: np.ndarray | int, shifts: np.ndarray
 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]:
     """A two-level reader of the squared Walsh spectra of the sign products
-    px[c] * rows[c]: each of the rows is a window roll(py, -j) of some pair
-    (_stacked_signs), px[c] that pair's x signs (or one row for all), and
-    shifts and pairs name the columns (_row).
+    px[p] * roll(py[p], -j) of a stack's plain sign rows (_stacked_signs),
+    one column c for each p = pairs[c] (or one p for all) and j = shifts[c]
+    in [1, n], which also name it (_row).  Each column's y row is gathered
+    from a read-only view of py twice over, whose window (p, j) is that roll.
 
     With r = sqrt(n), a selector s = s_hi * r + s_lo and a position
     i = i_hi * r + i_lo, H_n = H_r (x) H_r splits the transform in two
@@ -216,22 +210,26 @@ def _row_cells(
     cells, summed in int64, to its mass; a failure raises InvariantError
     naming the shift and the pair, and the block where a block fails.  The
     block's buffers (_block_buffers) hold its product, butterflies and the
-    level-1 squares.  Level 1 runs entirely in int8 (_block), exact since
-    r <= 64, and the drawn blocks are gathered as int16 for level 2, whose
-    values are sums of n signs.  The product is written in one multiply
-    from the rows' own layout, whose lanes of r cells stay contiguous:
-    110 us for 250 rows at n = 1024 on a 2-core VM, where copying their
-    product across whole, as the full transform's (n, columns) layout
-    needs, took 350 us."""
-    columns, n = rows.shape
-    root = math.isqrt(n)
+    level-1 squares, 8 bytes per cell, beside the gathered x and y rows, at
+    most 2 more: protocol's chunks and slices hold protocol._CHUNK_CELLS.
+    Level 1 runs entirely in int8 (_block), exact since r <= 64, and the
+    drawn blocks are gathered as int16 for level 2, whose values are sums
+    of n signs.  The product is written in one multiply from the rows' own
+    layout, whose lanes of r cells stay contiguous: 110 us for 250 rows at
+    n = 1024 on a 2-core VM, where copying their product across whole, as
+    the full transform's (n, columns) layout needs, took 350 us."""
+    doubled = np.concatenate((py, py), axis=1)
+    stack, n = py.shape
+    pair, cell = doubled.strides
+    rows = as_strided(doubled, (stack, n + 1, n), (pair, cell, cell), writeable=False)[pairs, shifts]
+    columns, root = len(rows), math.isqrt(n)
     buffers = _block_buffers(n * columns)
     product, transform = _block(buffers, root, columns * root, np.int8)
 
     def lanes(signs: np.ndarray) -> np.ndarray:
         return signs.reshape(-1, root, root).transpose(1, 0, 2)
 
-    np.multiply(lanes(px), lanes(rows), out=product.reshape(root, columns, root))
+    np.multiply(lanes(px[pairs]), lanes(rows), out=product.reshape(root, columns, root))
     half = transform().reshape(root, columns, root)
     squares = buffers[2][:n * columns].reshape(half.shape)
     np.square(half, out=squares, dtype=np.int32)
@@ -266,15 +264,16 @@ def _group_height(n: int) -> int:
     return min(n, 1 << ((2**31 - 1) // (n * n)).bit_length() - 1)
 
 
-def _answer_valid(outside: int, signs: tuple[np.ndarray, np.ndarray]) -> bool:
-    """Relation verdict of a log2 n entry answer with `outside` entries
-    outside the center window, for the one-pair stack whose signs are given
-    (_stacked_signs), answer first.
+def _answer_valid(outside: Sequence[int], px: np.ndarray, py: np.ndarray) -> list[bool]:
+    """Relation verdicts of log2 n entry answers, one per pair of the stack
+    (px, py) from _stacked_signs, answer i with outside[i] entries outside
+    the center window.
 
     At least half of the entries outside the window is valid for any pair;
     otherwise the answer is valid only if the pair is atypical, which the
-    streamed statistic decides."""
-    return 2 * outside >= answer_length(signs[0].shape[1]) or not _typical(*signs)[0]
+    streamed statistic decides (_typical on that pair alone)."""
+    m = answer_length(px.shape[1])
+    return [2 * int(k) >= m or not _typical(px[i:i + 1], py[i:i + 1])[0] for i, k in enumerate(outside)]
 
 
 # The streamed statistic reads a stack of P pairs in blocks of S consecutive
@@ -338,12 +337,12 @@ def _block_buffers(cells: int) -> tuple[np.ndarray, ...]:
     return a, b, raw[4 * cells:].view(np.int32)
 
 
-def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
+def _window_sums(px: np.ndarray, py: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
     """(in-window sums, shifts) per block of consecutive shifts, in shift
-    order, for the stack of pairs given by _stacked_signs: the sums are one
-    int64 per pair, over that pair's rows of the block.  Every row
-    transformed is checked to sum to n**2 (_spectra); rows of blocks never
-    asked for are never transformed.
+    order, for the stack of pairs whose plain sign rows are px and py
+    (_stacked_signs): the sums are one int64 per pair, over that pair's
+    rows of the block.  Every row transformed is checked to sum to n**2
+    (_spectra); rows of blocks never asked for are never transformed.
 
     A block of S shifts of the stack's P pairs has its S * P columns in
     (shift, pair) order, the pair fastest, so its sign product is one
@@ -367,7 +366,7 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
     step = max(1, min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * stack)))
     buffers = _block_buffers(n * stack * step)
     tile = np.tile(px.T, (1, step))
-    tripled = np.tile(windows[:, 0].T, (3, 1))
+    tripled = np.tile(py.T, (3, 1))
     rolled = as_strided(
         tripled, (2 * n, stack * step), (tripled.strides[0], tripled.itemsize), writeable=False
     )
@@ -389,9 +388,9 @@ def _window_sums(px: np.ndarray, windows: np.ndarray) -> Iterator[tuple[np.ndarr
         yield rows.reshape(-1, stack).sum(axis=0, dtype=np.int64), shifts.size
 
 
-def _statistics(px: np.ndarray, windows: np.ndarray) -> np.ndarray:
+def _statistics(px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """The full statistic of every pair of the stack, from all n rows."""
-    return sum(sums for sums, _ in _window_sums(px, windows))
+    return sum(sums for sums, _ in _window_sums(px, py))
 
 
 def aleph_statistics(xs: Sequence[BitString], ys: Sequence[BitString]) -> list[int]:
@@ -443,9 +442,9 @@ def aleph(x: BitString, y: BitString) -> bool:
     return bool(_typical(*_signs(x, y))[0])
 
 
-def _typical(px: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """aleph of every pair of the stack given by _stacked_signs, as a bool
-    array, with an early stop once every pair is settled.
+def _typical(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """aleph of every pair of the stack (px, py) from _stacked_signs, as a
+    bool array, with an early stop once every pair is settled.
 
     After each block, stat is each pair's in-window sum over the rows read
     so far.  Cells only add to the statistic, so once 9 * stat > 4 * n**3
@@ -460,7 +459,7 @@ def _typical(px: np.ndarray, windows: np.ndarray) -> np.ndarray:
     them was no faster."""
     n = px.shape[1]
     stat, rows_left = 0, n
-    for sums, rows in _window_sums(px, windows):
+    for sums, rows in _window_sums(px, py):
         stat = stat + sums
         rows_left -= rows
         scaled = 9 * stat
@@ -488,12 +487,11 @@ def ghr_is_valid(x: BitString, y: BitString, answer: Sequence[TransformIndex]) -
     for t in answer:
         if not 1 <= t.j <= x.n:
             raise ValueError(f"shift {t.j} outside [1, {x.n}]")
-    px, windows = signs = _signs(x, y)
+    px, py = _signs(x, y)
     shifts = np.array([t.j for t in answer])
     block, cell = np.divmod([t.s.as_unsigned() for t in answer], math.isqrt(x.n))
-    squares = _row_cells(px, windows[0, shifts], shifts, 0)[1](np.arange(m), block)
-    cells = squares[cell, np.arange(m)]
-    return _answer_valid(int(np.count_nonzero(cells > x.n)), signs)
+    squares = _row_cells(px, py, 0, shifts)[1](np.arange(m), block)
+    return _answer_valid([np.count_nonzero(squares[cell, np.arange(m)] > x.n)], px, py)[0]
 
 
 def tghr_is_valid(x: BitString, y: BitString, tau: BitString) -> bool:

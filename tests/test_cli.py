@@ -564,6 +564,10 @@ GOLDEN = {
     # the smallest block split of the outcome reader: sqrt(n) = 2
     "protocol-success --n 4 --trials 40 --seed 5":
         "9182a574ad0e64083004083eb1e161a2d05ce0871f94e1ab6e96809391734c1a",
+    # 4 draws among 16 rows per trial: about a third of the trials draw
+    # some row twice
+    "protocol-success --n 16 --trials 300 --seed 11":
+        "250868aadfda5a598b25a1f140dbbce9261981f84540d1b032dd5386ab8f2fe1",
     # estimate 0.925: some trials reach the typicality fallback
     "protocol-success --n 256 --trials 40 --seed 6 --t 1":
         "b00d0819550604c190c27f8276c64b643adb493952b33576363a1da80a161c78",

@@ -261,13 +261,14 @@ def test_row_sampler_rejects_empty_count():
 
 
 def test_row_sampler_builds_its_rows_in_one_transform(relation_transforms):
-    """One level-1 transform of the distinct rows, each sqrt(n) lanes of
-    sqrt(n) cells, and one level-2 transform of the 6 drawn blocks."""
+    """One level-1 transform of the drawn rows, one column of sqrt(n) lanes
+    of sqrt(n) cells per draw, and one level-2 transform of the 6 drawn
+    blocks."""
     calls = []
     relation_transforms(lambda product, run: calls.append(product.shape) or run())
     pair_rng = Rng(5)
     answer = sample_outcomes(random_bitstring(64, pair_rng), random_bitstring(64, pair_rng), Rng(9), 6)
-    assert calls == [(8, 8 * len({t.j for t in answer})), (8, 6)]
+    assert calls == [(8, 8 * len(answer)), (8, 6)]
 
 
 def reference_success(n, trials, rng, t):
@@ -310,7 +311,7 @@ def count_chunks(monkeypatch):
     not counted)."""
     calls = []
     real = protocol._row_cells
-    monkeypatch.setattr(protocol, "_row_cells", lambda *a: calls.append(a[2]) or real(*a))
+    monkeypatch.setattr(protocol, "_row_cells", lambda *a: calls.append(a[3]) or real(*a))
     return calls
 
 
@@ -332,11 +333,52 @@ def test_estimate_success_ignores_chunk_shape(n, trials, t):
                 assert len(calls) == chunks
 
 
-def test_draws_sharing_a_row_share_its_column(monkeypatch):
-    """40 draws at n = 16 land in at most 16 rows, each built once."""
-    calls = count_chunks(monkeypatch)
+def test_draws_sharing_a_row_read_equal_columns(monkeypatch):
+    """40 draws at n = 16 land in at most 16 rows.  The reader gets one
+    column per draw, in draw order, and draws that share a row read equal
+    columns: the same block ends and the same cells in every block."""
+    readers = []
+    real = protocol._row_cells
+    monkeypatch.setattr(protocol, "_row_cells", lambda *a: readers.append((a[3], real(*a))) or readers[-1][1])
     answer = sample_outcomes(bs("0110100111010001"), bs("1011000111100100"), Rng(9), 40)
-    assert list(calls[0]) == sorted({o.j for o in answer})
+    [(shifts, (ends, cells))] = readers
+    shifts = shifts.tolist()
+    assert shifts == [o.j for o in answer]
+    blocks = np.arange(4)
+    repeated = 0
+    for c, j in enumerate(shifts):
+        first = shifts.index(j)
+        repeated += first < c
+        assert np.array_equal(ends[:, c], ends[:, first])
+        assert np.array_equal(cells(np.full(4, c), blocks), cells(np.full(4, first), blocks))
+    assert repeated >= 40 - 16
+
+
+def slice_counts():
+    """(n, count): at n = 16 and 1024, with B = max(1, _CHUNK_CELLS // n),
+    one draw, one full slice, one more, and three full slices and one
+    more; and 40,000 draws at n = 16, two full slices and a partial one."""
+    for n in (16, 1024):
+        width = max(1, protocol._CHUNK_CELLS // n)
+        yield from ((n, count) for count in (1, width, width + 1, 3 * width + 1))
+    yield 16, 40_000
+
+
+@pytest.mark.parametrize("n,count", list(slice_counts()))
+def test_sliced_sampler_equals_full_table_sampler(monkeypatch, n, count):
+    """sample_outcomes reads its draws in consecutive slices of at most B
+    columns and returns the full-table sampler's outcomes, leaving its rng
+    where the full-table sampler leaves a twin: their next draws agree."""
+    width = max(1, protocol._CHUNK_CELLS // n)
+    x, y, _ = relation.trial_pair(n, Rng(17), 0)
+    widths = []
+    real = protocol._row_cells
+    monkeypatch.setattr(protocol, "_row_cells", lambda *a: widths.append(len(a[3])) or real(*a))
+    ours, twin = Rng(5), Rng(5)
+    assert sample_outcomes(x, y, ours, count) == outcome_distribution(x, y).sample(twin, count)
+    assert max(widths) <= width and sum(widths) == count
+    assert np.array_equal(ours.words32(3), twin.words32(3))
+    assert ours.u64() == twin.u64()
 
 
 def test_chunk_of_default_cap_at_n1024(monkeypatch):
@@ -344,9 +386,8 @@ def test_chunk_of_default_cap_at_n1024(monkeypatch):
     chunks of 25, 25 and 1."""
     calls = count_chunks(monkeypatch)
     estimate_success(1024, 51, Rng(3))
-    assert len(calls) == 3
-    assert min(len(c) for c in calls) <= 10  # the chunk of one; chunks may run on threads in any order
-    assert sum(len(c) for c in calls) <= 510
+    # one column per draw; chunks may run on threads in any order
+    assert sorted(len(c) for c in calls) == [10, 250, 250]
 
 
 def level(k, corrupt):
@@ -370,21 +411,19 @@ def test_corrupted_chunk_column_names_its_shift(relation_transforms):
     of its own pair's row: trial 1's first column, and its first draw."""
     n, t, root = 16, 4, 4
     draws = [relation.trial_pair(n, Rng(3), i)[2].generator.integers(0, n**3, size=t) for i in range(2)]
-    shifts = [sorted({int(r) // (n * n) + 1 for r in d}) for d in draws]
-    column = len(shifts[0])
+    j = int(draws[1][0]) // (n * n) + 1  # the row of trial 1's first draw, its column t
 
     def shifted(out):
-        out[0, column * root] += 2  # lane 0 of the column's block 0
+        out[0, t * root] += 2  # lane 0 of the column's block 0
 
     relation_transforms(level(0, shifted))
-    with pytest.raises(InvariantError, match=f"^row j={shifts[1][0]} of pair 1 in its stack sums to .*, not n\\*\\*2 = 256$"):
+    with pytest.raises(InvariantError, match=f"^row j={j} of pair 1 in its stack sums to .*, not n\\*\\*2 = 256$"):
         estimate_success(n, 5, Rng(3))
 
     def cell(out):
         out[0, t] += 2  # trial 1's first draw
 
     relation_transforms(level(1, cell))
-    j = int(draws[1][0]) // (n * n) + 1
     match = f"^row j={j} of pair 1 in its stack: block [0-3] of its selectors sums to"
     with pytest.raises(InvariantError, match=match):
         estimate_success(n, 5, Rng(3))
@@ -394,14 +433,13 @@ def test_corrupted_sampler_column_names_its_shift(relation_transforms):
     pair_rng = Rng(5)
     x, y = random_bitstring(64, pair_rng), random_bitstring(64, pair_rng)
     answer = sample_outcomes(x, y, Rng(9), 6)
-    shifts = sorted({o.j for o in answer})
-    assert len(shifts) > 1
+    assert answer[1].j != answer[0].j
 
     def corrupted(out):
-        out[3, 8 * 1 + 1] -= 2  # lane 1 of block 3 of the second column
+        out[3, 8 * 1 + 1] -= 2  # lane 1 of block 3 of the second column, the second draw's
 
     relation_transforms(level(0, corrupted))
-    with pytest.raises(InvariantError, match=f"^row j={shifts[1]} "):
+    with pytest.raises(InvariantError, match=f"^row j={answer[1].j} "):
         sample_outcomes(x, y, Rng(9), 6)
 
     def cell(out):
@@ -551,7 +589,7 @@ def test_two_level_reader_equals_full_table(n):
     zero[0] = per_row
     tables.append(np.broadcast_to(zero, (n, n)))  # every shift's row of x = y = 0
     typical.append(True)  # its statistic is 0: no cell lies in the window
-    px, windows = relation._stacked_signs(*zip(*pairs))
+    px, py = relation._stacked_signs(*zip(*pairs))
     uniform = Rng(n + 1).generator.integers(0, n**3, size=5).tolist()
     pools = [[r for j in (1, n // 2 + 1, n) for r in reader_draws(rows[j - 1], j, root)] + uniform for rows in tables]
     cells = [[searched(rows, r) for r in pool] for rows, pool in zip(tables, pools)]
@@ -561,7 +599,7 @@ def test_two_level_reader_equals_full_table(n):
         for k in range(0, max(map(len, pools)), t):
             picks = [[(k + i) % len(pool) for i in range(t)] for pool in pools]
             draws = np.array([[pool[i] for i in pick] for pool, pick in zip(pools, picks)], dtype=np.int64)
-            j, s, outside = protocol._outcomes(px, windows, draws)
+            j, s, outside = protocol._outcomes(px, py, draws)
             assert np.array_equal(j, draws // per_row + 1)
             for p, pick in enumerate(picks):
                 expect = [cells[p][i] for i in pick]

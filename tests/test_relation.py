@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghrlab.classical as classical
 import ghrlab.oracle as oracle
+import ghrlab.protocol as protocol
 import ghrlab.relation as relation
-from ghrlab.bitkit import BitString, Rng, fwht, random_bitstring
+from ghrlab.bitkit import BitString, Rng, fourier_pattern, fwht, random_bitstring
+from ghrlab.classical import DisjointnessInstance, RectangleSpec
 from ghrlab.oracle import delta, delta_table, delta_table_naive
 from ghrlab.relation import (
     MAX_TRANSFORM_SIZE,
@@ -306,18 +309,18 @@ def test_trial_signs_equal_trial_pair(n):
     and both leave every child stream where those calls leave it."""
     rng = Rng(23)
     children = [rng.child(i) for i in range(5, 12)]
-    px, windows = relation._trial_signs(n, children)
+    px, py = relation._trial_signs(n, children)
     xs, ys, streams = zip(*(relation.trial_pair(n, rng, i) for i in range(5, 12)))
-    assert px.dtype == windows.dtype == np.int8
+    assert px.dtype == py.dtype == np.int8
+    assert px.shape == py.shape == (7, n)
     for k, (x, y) in enumerate(zip(xs, ys)):
         stream = rng.child(5 + k)
         assert (x, y) == (random_bitstring(n, stream), random_bitstring(n, stream))
         assert np.array_equal(px[k], 1 - 2 * x.to_array().astype(np.int16))
-        for j in (0, 1, n - 1, n):
-            assert np.array_equal(windows[k, j], np.roll(1 - 2 * y.to_array().astype(np.int16), -j))
+        assert np.array_equal(py[k], 1 - 2 * y.to_array().astype(np.int16))
         assert children[k].u64() == streams[k].u64() == stream.u64()
-    expect_px, expect_windows = relation._stacked_signs(xs, ys)
-    assert np.array_equal(px, expect_px) and np.array_equal(windows, expect_windows)
+    expect_px, expect_py = relation._stacked_signs(xs, ys)
+    assert np.array_equal(px, expect_px) and np.array_equal(py, expect_py)
 
 
 def test_estimate_in_chunks_hands_each_chunk_its_trials_streams():
@@ -632,8 +635,9 @@ def test_row_spectra_equal_the_table_rows(n):
     pairs, shifts 1 and n repeated: with r = sqrt(n), its ends are the
     cumulative masses down each table row of its blocks of r selectors,
     and cells gives the squared cells of every block asked for.  A sign
-    zeroed in one row breaks Parseval in that column alone, which is named
-    by its shift and pair, the first such column when two are."""
+    zeroed in one pair's y row breaks Parseval in that pair's columns
+    alone; read from column c on, the first of them, column c, is named by
+    its shift and pair."""
     rng = Rng(n)
     pairs = [(random_bitstring(n, rng), random_bitstring(n, rng)) for _ in range(2)]
     shifts = np.array([1, n, 2, 1, n // 2 + 1, n, 3, 1])
@@ -645,18 +649,21 @@ def test_row_spectra_equal_the_table_rows(n):
         del squares
     root = math.isqrt(n)
     blocks = np.stack([rows[p, j] for j, p in zip(shifts, pair)], axis=1).reshape(root, root, -1)
-    px, windows = stack_of(pairs)
-    ends, cells = relation._row_cells(px[pair], windows[pair, shifts], shifts, pair)
+    px, py = stack_of(pairs)
+    ends, cells = relation._row_cells(px, py, pair, shifts)
     assert np.array_equal(ends, np.cumsum(blocks.sum(axis=1), axis=0))
     assert ends.dtype == np.int32
     col, block = (a.ravel() for a in np.meshgrid(np.arange(len(shifts)), np.arange(root)))
     assert np.array_equal(cells(col, block), blocks[block, :, col].T)
     for c in (2, 4):
-        rows = windows[pair, shifts].copy()
-        rows[[c, -1], 1] = 0
+        broken = py.copy()
+        broken[pair[c], 1] = 0
+        other = pair != pair[c]
+        relation._row_cells(px, broken, pair[other], shifts[other])
+        assert np.count_nonzero(pair[c:] == pair[c]) > 1
         match = f"^row j={shifts[c]} of pair {pair[c]} in its stack sums to {n * (n - 1)}, not n\\*\\*2 = {n * n}$"
         with pytest.raises(InvariantError, match=match):
-            relation._row_cells(px[pair], rows, shifts, pair)
+            relation._row_cells(px, broken, pair[c:], shifts[c:])
 
 
 def test_ghr_valid_reads_the_answer_in_one_transform(relation_transforms):
@@ -791,3 +798,44 @@ def test_mc_estimate_stderr():
     assert est.stderr == pytest.approx((0.25 * 0.75 / 120) ** 0.5)
     with pytest.raises(ValueError):
         McEstimate.from_successes(5, 0, seed=0)
+
+
+def size_entry_points():
+    """(name, call): each call(n) runs one entry point that reads a size n,
+    and returns what can be compared across equal sizes."""
+    instances = [DisjointnessInstance(1, frozenset({1}), frozenset({2}))]
+    return [
+        ("answer_length", answer_length),
+        ("require_transform_size", require_transform_size),
+        ("require_repetitions", lambda n: protocol.require_repetitions(n, 4)),
+        ("estimate_aleph_probability", lambda n: estimate_aleph_probability(n, 20, Rng(3))),
+        ("estimate_success", lambda n: protocol.estimate_success(n, 20, Rng(3))),
+        ("exact_aleph_probability", lambda n: exact_aleph_probability(n // 4)),
+        ("u_vector", lambda n: oracle.u_vector(TransformIndex(3, BitString(5, 4)), n).amplitudes.tolist()),
+        ("fourier_pattern", lambda n: fourier_pattern(BitString(5, 4), n)),
+        ("bit_rows", lambda n: Rng(1).bit_rows(2, n).tolist()),
+        ("bits", lambda n: Rng(1).bits(n)),
+        ("random_bitstring", lambda n: random_bitstring(n, Rng(1))),
+        ("trial_pair", lambda n: (lambda x, y, child: (x, y, child.u64()))(*relation.trial_pair(n, Rng(1), 0))),
+        # 64 bits, whose value 2**63 does not fit a C long: the length is read as an int
+        ("BitString", lambda n: BitString(2**63, 4 * n)),
+        ("random_bitstring at 4n", lambda n: random_bitstring(4 * n, Rng(1))),
+        ("estimate_baseline_success", lambda n: classical.estimate_baseline_success(n, 4, 20, Rng(1))),
+        (
+            "reduction_xi_many",
+            lambda n: [
+                [v.tolist() if name == "permutation" else v for name, v in vars(t).items()]
+                for t in classical.reduction_xi_many(instances, 6, 8, n, RectangleSpec.full(16), Rng(3))
+            ],
+        ),
+    ]
+
+
+@pytest.mark.parametrize("n", [16, np.int64(16)], ids=["int", "int64"])
+def test_numpy_integer_sizes_read_as_ints(n):
+    """A numpy integer size gives what the same int gives, at every entry
+    point that reads a size; a float size raises TypeError."""
+    for name, call in size_entry_points():
+        assert call(n) == call(16), name
+        with pytest.raises(TypeError):
+            call(16.0)
