@@ -36,6 +36,7 @@ class BitString:
 
     def __init__(self, value: int, n: int) -> None:
         self.n = n = operator.index(n)
+        value = operator.index(value)
         if n < 1:
             raise ValueError(f"bit-string length must be >= 1, got {n}")
         if value < 0 or value >> n:

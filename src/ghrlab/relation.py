@@ -105,17 +105,17 @@ def _block(
     buffers: tuple[np.ndarray, ...],
     rows: int,
     columns: int,
-    butterflies: type[np.integer] = np.int16,
+    butterflies: type[np.integer],
     closing_rotation: bool = True,
 ) -> tuple[np.ndarray, Callable]:
     """The (rows, columns) int8 view of the squares, the third buffer of
-    _block_buffers, that takes a block's sign product, and the runner of
-    its transform along the rows (bitkit.fwht_steps, with or without its
+    _block_buffers, that takes a block's input, and the runner of its
+    transform along the rows (bitkit.fwht_steps, with or without its
     closing rotation), whose butterflies write butterflies-dtype views of
-    the first two buffers: int16 for the stream, whose first round alone
-    runs in int8, and int8 for the reader's level 1, which runs wholly in
-    it.  Only the first step reads the product, before any square is
-    written over it."""
+    the first two buffers: the stream's xor bits run wholly in int8 up to
+    n = 256 and in int16 after an int8 first round beyond it, and the
+    reader's level 1 runs wholly in int8.  Only the first step reads the
+    input, before any square is written over it."""
     cells = rows * columns
     product = buffers[2].view(np.int8)[:cells].reshape(rows, columns)
     pair = tuple(b.view(butterflies)[:cells].reshape(rows, columns) for b in buffers[:2])
@@ -144,40 +144,39 @@ def _spectra(
     shifts: np.ndarray | int,
     pairs: np.ndarray | int,
 ) -> np.ndarray:
-    """Squares of the Walsh spectra of sign products.
+    """Squares of the halved Walsh spectra of xor bits.
 
-    transform is the runner of a block (_block), whose product column c
-    holds px * roll(py, -j) for one pair: its integer FWHT at s is
-    n - 2 * delta(x, y, (j, s)), so that column of squares is
-    (2*delta - n)**2 along table row j - 1, its selectors in the order
-    that the runner leaves them, natural or rotated (bitkit.fwht_steps):
-    every sum here and in _window_sums is order-free.  The squares fill an
-    (n, columns) view of the int32 buffer squares, the third of
-    _block_buffers, and that view is returned.  shifts and pairs name each
-    column's shift and its pair's position in its stack (_row), only to
-    name a failed one.  A first-round butterfly value is a sum of at most
-    2**(log2(n) // 2) <= 64 signs, so the int8 product's first round is
-    exact, and every later one a sum of at most n signs, so int16 is exact
-    for n <= MAX_TRANSFORM_SIZE; squares are computed in int32 (squaring
-    in int16 would wrap from n = 256 on).
+    transform is the runner of a block (_block), whose input column c
+    holds the 0/1 bits u of x xor sigma_j y for one pair (_window_sums).
+    One subtraction of n/2 on row 0 of its output Hu gives v = -W/2, where
+    W at s is n - 2 * delta(x, y, (j, s)); row 0 is natural row 0 in the
+    natural order and the rotated one alike (bitkit.fwht_steps).  So that
+    column of squares is (2*delta - n)**2 / 4 along table row j - 1, its
+    selectors in the runner's order: every sum here and in _window_sums is
+    order-free.  The squares fill an (n, columns) view of squares, the
+    third buffer of _block_buffers, in its dtype, and that view is
+    returned; _window_sums says why each value is exact.  shifts and pairs
+    name each column's shift and its pair's position in its stack (_row),
+    only to name a failed one.
 
     One max over the squares checks the range identity: a square of at
-    most n**2 puts every value in [-n, n], as a sum of n signs must be,
-    and then a group of _group_height(n) rows sums to less than 2**31, so
-    the group sums run in int32.  Where a square exceeds n**2 they run in
-    int64, exact for any int32 squares.  By Parseval every column sums to
-    exactly n**2; the first column where it does not, which there is
-    whenever a square exceeds n**2, raises InvariantError naming its shift
-    and its pair."""
+    most n**2 puts every value in [-n, n], and then a group of
+    _group_height(n) rows sums to less than 2**31, so the group sums run
+    in int32.  Where a square exceeds n**2 they run in int64, exact for
+    any int32 squares.  By Parseval every column sums to exactly n**2 / 4,
+    checked as 4 times its sum against n**2; the first column where it
+    does not, which there is whenever a square exceeds n**2, raises
+    InvariantError naming its shift and its pair."""
     spectrum = transform()
     n = spectrum.shape[0]
     limit, height = n * n, _group_height(n)
+    np.subtract(spectrum[0], np.array(n // 2).astype(spectrum.dtype), out=spectrum[0])
     squares = squares[: spectrum.size].reshape(spectrum.shape)
-    np.square(spectrum, out=squares, dtype=np.int32)
+    np.square(spectrum, out=squares, dtype=squares.dtype)
     exact = np.int32 if squares.max() <= limit else np.int64
     groups = np.einsum("ghc->gc", squares.reshape(n // height, height, -1), dtype=exact)
     sums = groups.sum(axis=0, dtype=np.int64)
-    _check_rows(sums, limit, shifts, pairs)
+    _check_rows(4 * sums, limit, shifts, pairs)
     return squares
 
 
@@ -282,8 +281,8 @@ def _answer_valid(outside: Sequence[int], px: np.ndarray, py: np.ndarray) -> lis
 # least 1.  A block costs about 40 numpy calls whatever its width, so with
 # a block's cells fixed the calls per pair do not depend on how P and S
 # split them, and a narrower S lets a stack stop closer to where its last
-# pair settles.  18 of those calls are the transform's butterflies and
-# copies at n = 256, whose views are built once per stream and width
+# pair settles.  17 of those calls are the transform's butterflies and
+# its copy at n = 256, whose views are built once per stream and width
 # (_block).  At n = 256 on a 2-core VM, interleaved with the stream
 # that rebuilt those views for every block and summed in int64, a block
 # took 88 - 96 against 130 - 135 us for 16 columns and 230 - 250 against
@@ -295,20 +294,25 @@ def _answer_valid(outside: Sequence[int], px: np.ndarray, py: np.ndarray) -> lis
 # 64 shifts per block: 16-shift blocks made one aleph at n = 4096 twice as
 # slow.  The sweep that chose the 2**16 cap and the split is in CHANGES.md;
 # at 2**15 cells the best split at n = 256 gained only 1.09 times over one
-# pair by 128 shifts.  A block holds at most 576 KiB, 2.25 MiB at n = 4096.
+# pair by 128 shifts.  A block holds 320 KiB at n = 256, 576 KiB at
+# n = 1024 and 2.25 MiB at n = 4096.
 #
-# Each stream allocates its buffers once, as one allocation of 8 bytes per
-# cell, and reuses them for every block: two int16 butterfly buffers, the
-# second of which holds the int8 first round (bitkit.fwht_steps), and the
-# int32 squares, whose first quarter takes the int8 sign product until the
-# squares are written; the bool window mask reuses the butterfly memory,
-# free once the squares are taken, and each block's in-window sums are one
-# masked reduction of the squares, exact in int32 since a row's in-window
-# cells add at most n**2 <= 2**24.  As separate arrays, earlier sweeps saw
-# 128 to 672 minor faults per pair at n = 1024, depending on heap layout,
-# and none as one allocation; a ninth byte per cell for the product added
-# 0.18 MB of peak RSS after 300 aleph ops at n = 256.  Beside them the
-# stream keeps its int8 tile of x signs, 1 byte per cell, and its y signs
+# Each stream allocates its buffers once, as one allocation, and reuses
+# them for every block: two butterfly buffers and the squares, twice as
+# wide, whose first cells take the int8 xor bits until the squares are
+# written (_block_buffers).  Up to n = 256 every butterfly runs in int8 and
+# the squares are int16, 4 bytes per cell; beyond it the butterflies are
+# int16, the second buffer holding the int8 first round
+# (bitkit.fwht_steps), and the squares int32, 8 bytes per cell (the proof
+# is in _window_sums).  The bool window mask reuses the second butterfly
+# buffer, free once the squares are taken, and each block's in-window sums
+# are one masked reduction of the squares, exact in their own dtype since
+# a row's in-window cells add at most n**2 / 4.  As separate arrays,
+# earlier sweeps saw 128 to 672 minor faults per pair at n = 1024,
+# depending on heap layout, and none as one allocation; a ninth byte per
+# cell for the input added 0.18 MB of peak RSS after 300 aleph ops at
+# n = 256.  Beside them the stream keeps its int8 tile of x bits, 1 byte
+# per cell, so 5 bytes per cell up to n = 256 and 9 beyond, and its y bits
 # laid out three times over, 3 bytes per pair and row (_window_sums):
 # np.tile built the x tile in 9 us at n = 256, where a broadcast copy into
 # a fourth carved buffer took 34 us, and peak RSS after 300 aleph ops at
@@ -328,13 +332,16 @@ def _pairs_per_chunk(n: int) -> int:
     return max(1, 16 * _STAT_BLOCK_CELLS // (n * n))
 
 
-def _block_buffers(cells: int) -> tuple[np.ndarray, ...]:
+def _block_buffers(cells: int, butterflies: type[np.integer] = np.int16) -> tuple[np.ndarray, ...]:
     """Flat buffers for a block of up to `cells` cells, carved from one
-    allocation of 8 bytes per cell: two int16 butterfly buffers and the
-    int32 squares."""
-    raw = np.empty(8 * cells, dtype=np.uint8)
-    a, b = raw[: 2 * cells].view(np.int16), raw[2 * cells:4 * cells].view(np.int16)
-    return a, b, raw[4 * cells:].view(np.int32)
+    allocation of 4 butterfly widths per cell: two butterflies-dtype
+    buffers and the squares, twice as wide.  int16 butterflies and int32
+    squares take 8 bytes per cell, int8 and int16 take 4: the stream's
+    dtypes up to n = 256 (_window_sums)."""
+    width = np.dtype(butterflies).itemsize * cells
+    raw = np.empty(4 * width, dtype=np.uint8)
+    a, b = raw[:width].view(butterflies), raw[width:2 * width].view(butterflies)
+    return a, b, raw[2 * width:].view(f"i{2 * np.dtype(butterflies).itemsize}")
 
 
 def _window_sums(px: np.ndarray, py: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
@@ -345,28 +352,50 @@ def _window_sums(px: np.ndarray, py: np.ndarray) -> Iterator[tuple[np.ndarray, i
     (_spectra); rows of blocks never asked for are never transformed.
 
     A block of S shifts of the stack's P pairs has its S * P columns in
-    (shift, pair) order, the pair fastest, so its sign product is one
-    multiply of contiguous rows.  Once per stream, px is tiled over a
-    block's shifts as tile[i, k * P + p] = px[p, i], and the y signs are
-    laid out one column per pair three times over,
-    tripled[r, p] = py_p[r mod n] for r < 3n.  Then column k * P + p of the
-    block from shift `start` is px[p] * roll(py_p, -(start + k)), whose cell
-    i is tile[i, k * P + p] * tripled[start + k + i, p]: cell
+    (shift, pair) order, the pair fastest, so its input is one xor of
+    contiguous rows.  Once per stream, the bits of x, 1 where px is -1, are
+    tiled over a block's shifts as tile[i, k * P + p] = x_p[i], and the
+    bits of y are laid out one column per pair three times over,
+    tripled[r, p] = y_p[r mod n] for r < 3n.  Then column k * P + p of the
+    block from shift `start` is x_p xor roll(y_p, -(start + k)), whose cell
+    i is tile[i, k * P + p] xor tripled[start + k + i, p]: cell
     (start + i) * P + k * P + p of the flat tripled array.  So one view of
     it with strides of one row and one cell, 2n rows by S * P columns,
-    holds every block's y signs as its rows start ... start + n - 1, which
-    reach at most row 3n - 1 of tripled.  The product view, its fwht steps
+    holds every block's y bits as its rows start ... start + n - 1, which
+    reach at most row 3n - 1 of tripled.  The input view, its fwht steps
     and the window mask are built once per block width: the full width
     and, when S does not divide n, a narrower last block (_block).  The
-    product is one int8 multiply, and its steps leave out the closing
-    rotation, since each column is read only through order-free sums
-    (_spectra): at 256 rows by 256 columns on a 2-core VM that cut a
-    transform from 50.5 to 43.8 us."""
+    steps leave out the closing rotation, since each column is read only
+    through order-free sums (_spectra): at 256 rows by 256 columns on a
+    2-core VM that cut a transform from 50.5 to 43.8 us.
+
+    The transform runs on the xor bits u rather than on the sign product
+    p = 1 - 2u: since Hp = n e_0 - 2 Hu, Hu is W/2 but for its sign and
+    n/2 on row 0, and it is half as wide.  The dtypes follow n, and every
+    square is exact:
+    - n <= 256: every butterfly runs in int8 and wraps mod 2**8.  The
+      transform is integer-linear, so the runner's output is Hu mod 256,
+      and after the row-0 fix v is -W/2 mod 256.  n/2 is written as an
+      int8 array, -128 at n = 256: numpy 2 refuses the Python int 128
+      against an int8 array, where numpy 1.24 upcasts.  As
+      |W/2| <= n/2 <= 128, v = -W/2 except that -W/2 = 128 comes out as
+      -128, which has the same square.  So v**2 <= 2**14 fits int16, and
+      a column of them sums below 2**22, so its group sums never need
+      int64.
+    - n >= 1024: the int8 first round sums at most 2**(log2(n) // 2)
+      <= 64 bits, so it is exact; int16 holds every later |Hu| <= n, v is
+      -W/2 exactly, and the squares are int32.
+    The window test W**2 <= n is (W/2)**2 <= n/4, and the statistic is 4
+    times the in-window sum of (W/2)**2.  At (256, 256) on a 2-core VM a
+    block's steps took 84 us, where the int8 sign product with int16
+    butterflies and int32 squares took 118; CHANGES.md times each step."""
     stack, n = px.shape
     step = max(1, min(n, max(_STAT_BLOCK_CELLS, _STAT_MIN_SHIFTS * n) // (n * stack)))
-    buffers = _block_buffers(n * stack * step)
-    tile = np.tile(px.T, (1, step))
-    tripled = np.tile(py.T, (3, 1))
+    butterflies = np.int8 if n <= 256 else np.int16
+    buffers = _block_buffers(n * stack * step, butterflies)
+    # the 0/1 bits of x and y, 1 where a sign is -1
+    tile = np.tile((px.T < 0).view(np.int8), (1, step))
+    tripled = np.tile((py.T < 0).view(np.int8), (3, 1))
     rolled = as_strided(
         tripled, (2 * n, stack * step), (tripled.strides[0], tripled.itemsize), writeable=False
     )
@@ -376,16 +405,17 @@ def _window_sums(px: np.ndarray, py: np.ndarray) -> Iterator[tuple[np.ndarray, i
         shifts = np.arange(start, min(start + step, n + 1))
         if shifts.size * stack != columns:
             columns = shifts.size * stack
-            product, transform = _block(buffers, n, columns, closing_rotation=False)
-            signs = tile[:, :columns]
+            xor, transform = _block(buffers, n, columns, butterflies, closing_rotation=False)
+            bits = tile[:, :columns]
             # the butterfly buffer that the steps leave free once squared
             mask = buffers[1].view(np.bool_)[: n * columns].reshape(n, columns)
-        np.multiply(signs, rolled[start:start + n, :columns], out=product)
+        np.bitwise_xor(bits, rolled[start:start + n, :columns], out=xor)
         squares = _spectra(transform, buffers[2], shifts[:, None], pairs)
-        np.less_equal(squares, n, out=mask)
-        # a row's in-window cells add at most n each, so at most n**2 <= 2**24
+        np.less_equal(squares, n // 4, out=mask)
+        # a row's in-window cells add at most n/4 each, so at most n**2 / 4:
+        # 2**14 in int16 squares up to n = 256, 2**22 in int32 beyond
         rows = np.einsum("ij,ij->j", squares, mask)
-        yield rows.reshape(-1, stack).sum(axis=0, dtype=np.int64), shifts.size
+        yield 4 * rows.reshape(-1, stack).sum(axis=0, dtype=np.int64), shifts.size
 
 
 def _statistics(px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -420,10 +450,12 @@ def aleph_statistic(x: BitString, y: BitString) -> int:
 
     The one-pair case of aleph_statistics, streamed through _window_sums in
     blocks of consecutive shifts (the whole table up to n = 256, 64 shifts
-    beyond) and summed over all n rows, each checked to sum to n**2.  Beyond
-    the sign arrays it holds one block's buffers and its int8 tile of x
-    signs, 9 bytes per cell: 576 KiB at n = 256 and n = 1024, 2.25 MiB at
-    n = 4096, and its y signs three times over, 3 bytes per row.
+    beyond) and summed over all n rows, each checked to sum to n**2.  Each
+    block transforms the xor bits of x and the shifted y, in int8 up to
+    n = 256 and in int16 beyond.  Beyond the sign arrays it holds one
+    block's buffers and its int8 tile of x bits: 5 bytes per cell up to
+    n = 256, 320 KiB there, and 9 beyond, 576 KiB at n = 1024 and 2.25 MiB
+    at n = 4096; and its y bits three times over, 3 bytes per row.
     oracle.DeltaTable's aleph_statistic is the full-table oracle."""
     return aleph_statistics([x], [y])[0]
 

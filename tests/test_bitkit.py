@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghrlab import bitkit, protocol
+from ghrlab import bitkit, protocol, relation
 from ghrlab.bitkit import BitString, Rng, fourier_pattern, fwht, inner_mod2, random_bitstring
 
 
@@ -39,6 +39,19 @@ def test_constructor_rejects_out_of_range():
             BitString.from_array(arr)
     with pytest.raises(ValueError, match="entries must be 0 or 1"):
         BitString.from_array(np.array([0, 2]))
+
+
+@pytest.mark.parametrize("value", [5, np.int64(5)])
+def test_value_is_read_as_an_index(value):
+    """A numpy integer value is stored as the int it stands for, so every
+    method that reads the packed value works on it as on an int."""
+    x = BitString(value, 4)
+    assert type(x.value) is int and x == BitString(5, 4)
+    assert x.to_array().tolist() == [0, 1, 0, 1]
+    y = BitString(3, 4)
+    assert relation.aleph_statistic(x, y) == relation.aleph_statistic(BitString(5, 4), y)
+    with pytest.raises(TypeError):
+        BitString(5.0, 4)
 
 
 def test_positions_are_msb_first():

@@ -419,14 +419,15 @@ def test_corrupted_last_column_of_a_narrower_final_block(monkeypatch, relation_t
 
 
 def wrap_column(column):
-    """A transform hook that sets one column of a transform at n = 16 to
-    values whose squares, 4 * 2**30 + 16**2, sum to n**2 once wrapped in
-    int32."""
+    """A transform hook that sets one column of a transform at n = 1024 to
+    values whose squares, 4 * 2**30 + 512**2 once the row-0 fix turns its
+    0 there into -n/2, sum to n**2 / 4 once wrapped in int32.  The hook
+    writes before the fix, so its four values of -32768 sit on rows 1 - 4."""
 
     def wrapping(product, run):
         out = run()
         out[:, column] = 0
-        out[:4, column], out[4, column] = np.iinfo(np.int16).min, 16
+        out[1:5, column] = np.iinfo(np.int16).min
         return out
 
     return wrapping
@@ -434,11 +435,15 @@ def wrap_column(column):
 
 def test_stream_range_check_keeps_a_wrapping_column_from_passing(relation_transforms):
     """A value outside [-n, n] sends the block's group sums to int64, so a
-    column that int32 would wrap to n**2 is named with its exact sum: pair
-    1's shift 5 in a stack of 3 pairs at n = 16, and shift 5 of one pair."""
+    column that int32 would wrap to n**2 / 4 is named with 4 times its
+    exact sum: pair 1's shift 5 in a stack of 3 pairs at n = 1024, in
+    blocks of 21 shifts, and shift 5 of one pair."""
+    n = 1024
     rng = Rng(6)
-    pairs = [(random_bitstring(16, rng), random_bitstring(16, rng)) for _ in range(3)]
-    exact = f"sums to {4 * 2**30 + 16**2}, not n\\*\\*2 = 256$"
+    pairs = [(random_bitstring(n, rng), random_bitstring(n, rng)) for _ in range(3)]
+    wrapped = np.array([2**30] * 4 + [512**2], dtype=np.int32).sum(dtype=np.int32)
+    assert 4 * int(wrapped) == n * n  # what int32 group sums would pass
+    exact = f"sums to {4 * (2**32 + 2**18)}, not n\\*\\*2 = {n * n}$"
     relation_transforms(wrap_column(4 * 3 + 1))
     for stream in (relation._statistics, relation._typical):
         with pytest.raises(InvariantError, match=f"^row j=5 of pair 1 in its stack {exact}"):
@@ -497,10 +502,12 @@ def test_stream_builds_its_steps_once_per_width(monkeypatch, relation_transforms
 
 def test_stream_steps_replay_like_fresh_transforms(monkeypatch, relation_transforms, rotated_rows):
     """The runner of every block width a stream uses, replayed on random
-    int8 blocks written into its product view, gives fwht's transform with
+    0/1 blocks written into its input view, gives fwht's transform with
     its rows in the rotated order that the stream reads them in
-    (rotated_rows): one pair at every allowed n, Monte Carlo stacks with a
-    short last stack, and a narrower last block."""
+    (rotated_rows), mod 256 in int8 up to n = 256 and exactly in int16
+    beyond: one pair at every allowed n, Monte Carlo stacks with a short
+    last stack, and a narrower last block.  Random bits put row 0, their
+    count, past 127 about half of the time at n = 256, so the wrap is met."""
     built = relation_transforms()
     for n in (4, 16, 64, 256, 1024, 4096):
         aleph_statistic(*relation.trial_pair(n, Rng(n), 0)[:2])
@@ -517,9 +524,11 @@ def test_stream_steps_replay_like_fresh_transforms(monkeypatch, relation_transfo
     gen = np.random.default_rng(0)
     for product, run in built:
         for _ in range(2):
-            block = gen.integers(-1, 2, size=product.shape).astype(np.int8)
+            block = gen.integers(0, 2, size=product.shape).astype(np.int8)
             np.copyto(product, block)
-            assert np.array_equal(run(), rotated_rows(fwht(block.astype(np.int16))))
+            out = run()
+            assert out.dtype == (np.int8 if product.shape[0] <= 256 else np.int16)
+            assert np.array_equal(out, rotated_rows(fwht(block.astype(np.int16))).astype(out.dtype))
 
 
 ALLOWED_N = (4, 16, 64, 256, 1024, 4096)
@@ -531,31 +540,72 @@ def answer(n, selector):
     return [TransformIndex(j, BitString(selector, m)) for j in range(1, m + 1)]
 
 
+def butterflies(n):
+    """The dtype that the stream's butterflies run in at n."""
+    return np.int8 if n <= 256 else np.int16
+
+
 @pytest.mark.parametrize("n", ALLOWED_N)
 def test_all_ones_sign_products_at_every_n(n, relation_transforms):
-    """x = y = 0 makes every int8 sign product +1: every first-round butterfly
-    sum reaches its largest value, 2**(log2(n) // 2) ones (64 at n = 4096,
-    exact in int8), every spectrum is n at s = 0 and 0 elsewhere, and the
-    statistic is 0, so the pair is typical and an answer is valid exactly
-    when half of its entries are outside the window, as s = 0 is."""
-    zero = BitString(0, n)
-    products, spectra = [], []
+    """The stream transforms xor bits.  x = y = 0 makes every sign product
+    +1 and every bit 0, so the runner returns 0 everywhere.  x = 0 against
+    y = 1...1 makes every bit 1: every first-round butterfly sum reaches
+    its largest value, 2**(log2(n) // 2) ones (64 at n = 4096, exact in
+    int8), and the runner returns n at s = 0, which wraps to 0 in int8 at
+    n = 256, and 0 elsewhere.  Both statistics are 0, so the pairs are
+    typical, and an answer is valid exactly when half of its entries are
+    outside the window, as s = 0 is."""
+    zero, ones = BitString(0, n), BitString.ones(n)
+    seen = []
 
     def hook(product, run):
-        products.append(product.dtype == np.int8 and bool((product == 1).all()))
         out = run()
-        spectra.append(bool((out[0] == n).all() and not out[1:].any()))
+        seen.append((product.dtype, int(product.min()), int(product.max()), out.dtype, out.copy()))
         return out
 
     relation_transforms(hook)
-    assert aleph_statistic(zero, zero) == 0
-    assert aleph(zero, zero)
-    assert all(products) and all(spectra) and len(spectra) >= 1
+    for y, bit in ((zero, 0), (ones, 1)):
+        seen.clear()
+        assert aleph_statistic(zero, y) == 0
+        assert aleph(zero, y)
+        assert len(seen) >= 1
+        for dtype, low, high, wide, out in seen:
+            assert dtype == np.int8 and low == high == bit
+            assert wide == butterflies(n)
+            assert out[0].tolist() == [int(np.array(bit * n).astype(wide))] * out.shape[1]
+            assert not out[1:].any()
     assert 1 << answer_length(n) // 2 <= np.iinfo(np.int8).max
     assert ghr_is_valid(zero, zero, answer(n, 0))
     assert not ghr_is_valid(zero, zero, answer(n, 1))
     if n <= 256:
-        assert delta_table(zero, zero).aleph_statistic() == 0
+        assert delta_table(zero, zero).aleph_statistic() == delta_table(zero, ones).aleph_statistic() == 0
+
+
+@pytest.mark.parametrize("n", ALLOWED_N)
+def test_stream_extremes_at_every_n(n, relation_transforms):
+    """The pairs that put the stream's values at their ends: x = y = 0
+    (W/2 = n/2 at s = 0, +128 at n = 256, which int8 holds as -128),
+    x = 0 against y = 1...1 (Hu = n at s = 0, which wraps to 0 in int8 at
+    n = 256), and a bent x against y = 0 and y = 1...1, whose cells all
+    lie on the window's edge, (W/2)**2 = n/4.  Their statistics are 0, 0,
+    n**3 and n**3, streamed as one stack and one by one, with butterflies
+    in int8 up to n = 256 and int16 beyond; the table agrees where it fits."""
+    zero, ones = BitString(0, n), BitString.ones(n)
+    pairs = [(zero, zero), (zero, ones), (bent(n), zero), (bent(n), ones)]
+    expect = [0, 0, n**3, n**3]
+    dtypes = set()
+
+    def hook(product, run):
+        out = run()
+        dtypes.add(out.dtype)
+        return out
+
+    relation_transforms(hook)
+    assert relation.aleph_statistics(*zip(*pairs)) == expect
+    assert [aleph(x, y) for x, y in pairs] == [True, True, False, False]
+    assert dtypes == {np.dtype(butterflies(n))}
+    if n <= 256:
+        assert [delta_table(x, y).aleph_statistic() for x, y in pairs] == expect
 
 
 @pytest.mark.parametrize("n", ALLOWED_N)
